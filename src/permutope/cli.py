@@ -272,12 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="display proportions as 12-digit decimals instead of exact rationals",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="reserved; the current implementation is single-threaded",
-    )
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("stats", help="pattern proportion vector of a permutation")

@@ -17,7 +17,7 @@ from functools import lru_cache
 from . import limits
 from .errors import CapacityError, SizeError
 from .graphs import Multigraph, SimpleCycle, Walk, eulerian_circuit
-from .perms import Permutation, all_patterns, pattern_at, window_pattern
+from .perms import Permutation, _step_table, _window_ids, all_patterns, pattern_at
 
 
 def _word_from_insert_ranks(ranks: list[int]) -> list[int]:
@@ -84,11 +84,11 @@ class OverlapGraph:
     def __init__(self, k: int) -> None:
         vertex_perms = all_patterns(k - 1)
         edge_perms = all_patterns(k)
-        vertex_id = {p: i for i, p in enumerate(vertex_perms)}
-        edges = [
-            (vertex_id[begin_pattern(p)], vertex_id[end_pattern(p)], str(p))
-            for p in edge_perms
-        ]
+        # The window kernel's step table already holds every edge's ends.
+        edges: list = [None] * len(edge_perms)
+        for st, row in enumerate(_step_table(k)[0]):
+            for eid, ar in row:
+                edges[eid] = (st, ar, str(edge_perms[eid]))
         self.k = k
         self.graph = Multigraph([str(p) for p in vertex_perms], edges)
         self._vertex_perms = vertex_perms
@@ -108,14 +108,16 @@ class OverlapGraph:
         return self._edge_of[pattern]
 
     def walk_of(self, sigma: Permutation) -> Walk:
-        """The walk traced by the width-k windows of ``sigma``."""
+        """The walk traced by the width-k windows of ``sigma``.
+
+        Runs the same window kernel as consecutive counting in ``perms``:
+        edge id i is the i-th size-k pattern, which is the id that kernel
+        yields for each window.
+        """
         k, n = self.k, len(sigma)
         if n < k:
             raise SizeError(f"permutation of size {n} has no window of width {k}")
-        ids = tuple(
-            self._edge_of[window_pattern(sigma, i, k)] for i in range(1, n - k + 2)
-        )
-        return Walk(self.graph, ids)
+        return Walk(self.graph, tuple(_window_ids(sigma.word, k)))
 
     def walk_labels(self, walk: Walk) -> tuple[Permutation, ...]:
         return tuple(self._edge_perms[eid] for eid in walk.edge_ids)

@@ -6,18 +6,31 @@ the usual combinatorial convention: ``pattern_at(p, (2, 4, 7))`` looks at the
 second, fourth and seventh entry of ``p``.
 
 Occurrence counts are exact integers and proportions are exact
-``fractions.Fraction`` values.  Classical counts for pattern sizes up to 3 use
-O(n log n) order-statistic scans and therefore work for very long
-permutations; sizes >= 4 fall back to guarded subset enumeration.
+``fractions.Fraction`` values.  What each counting kernel costs, for a
+permutation of size n and patterns of size k:
+
+- consecutive: one window scan, O(n k).  Sliding the window is a walk on the
+  overlap graph: the next window's pattern is fixed by the current window's
+  last k-1 entries (a vertex) and the rank of the one new value, so each step
+  is one bisection into the sorted last k-1 values and one lookup in a cached
+  step table of k! rows;
+- classical, k <= 3: one Fenwick pass for the earlier-and-smaller counts,
+  O(n log n); the other three side counts follow from identities;
+- classical, k >= 4: one pass over the C(n, k) subsets, each keyed by its
+  argsort, then at most k! keys turned into pattern words.  Guarded by a
+  length cap.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, insort
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import limits
@@ -92,12 +105,17 @@ def all_patterns(k: int) -> tuple[Permutation, ...]:
     return tuple(Permutation(w) for w in itertools.permutations(range(1, k + 1)))
 
 
-def _std_word(values: Sequence) -> tuple[int, ...]:
-    order = sorted(range(len(values)), key=values.__getitem__)
-    ranks = [0] * len(values)
+def _invert(order: Sequence[int]) -> tuple[int, ...]:
+    """The pattern word whose argsort is ``order``: position ``order[r]``
+    holds rank r + 1."""
+    ranks = [0] * len(order)
     for rank, idx in enumerate(order, start=1):
         ranks[idx] = rank
     return tuple(ranks)
+
+
+def _std_word(values: Sequence) -> tuple[int, ...]:
+    return _invert(sorted(range(len(values)), key=values.__getitem__))
 
 
 def standardize(values: Sequence) -> Permutation:
@@ -136,48 +154,29 @@ def window_pattern(sigma: Permutation, start: int, k: int) -> Permutation:
     return Permutation(_std_word(sigma.word[start - 1 : start - 1 + k]))
 
 
-class _Fenwick:
-    """Binary indexed tree counting inserted values (1-based)."""
-
-    __slots__ = ("n", "tree")
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.tree = [0] * (n + 1)
-
-    def add(self, i: int) -> None:
-        while i <= self.n:
-            self.tree[i] += 1
-            i += i & -i
-
-    def count_leq(self, i: int) -> int:
-        total = 0
-        while i > 0:
-            total += self.tree[i]
-            i -= i & -i
-        return total
-
-
 def _side_counts(sigma: Permutation) -> tuple[list[int], list[int], list[int], list[int]]:
     """For every position j: how many earlier entries are smaller/larger (A/B)
-    and how many later entries are larger/smaller (C/D)."""
+    and how many later entries are larger/smaller (C/D).
+
+    One Fenwick pass gives A; the rest follow from it, since the value v at
+    position j has j entries before it and v - 1 entries below it."""
     word = sigma.word
     n = len(word)
+    tree = [0] * (n + 1)
     smaller_before = [0] * n
-    larger_before = [0] * n
-    left = _Fenwick(n)
     for j, v in enumerate(word):
-        smaller_before[j] = left.count_leq(v - 1)
-        larger_before[j] = j - smaller_before[j]
-        left.add(v)
-    larger_after = [0] * n
-    smaller_after = [0] * n
-    right = _Fenwick(n)
-    for j in range(n - 1, -1, -1):
-        v = word[j]
-        smaller_after[j] = right.count_leq(v - 1)
-        larger_after[j] = (n - 1 - j) - smaller_after[j]
-        right.add(v)
+        i, total = v - 1, 0
+        while i:
+            total += tree[i]
+            i &= i - 1
+        smaller_before[j] = total
+        i = v
+        while i <= n:
+            tree[i] += 1
+            i += i & -i
+    larger_before = [j - a for j, a in enumerate(smaller_before)]
+    smaller_after = [v - 1 - a for v, a in zip(word, smaller_before)]
+    larger_after = [n - 1 - j - d for j, d in enumerate(smaller_after)]
     return smaller_before, larger_before, larger_after, smaller_after
 
 
@@ -192,12 +191,16 @@ def _occ_counts_small(sigma: Permutation, k: int) -> dict[tuple[int, ...], int]:
         return {(1, 2): math.comb(n, 2) - inversions, (2, 1): inversions}
     # Size 3: count by the position of the middle element, then split the
     # remaining patterns by where the extreme value sits.
-    occ123 = sum(ai * ci for ai, ci in zip(a, c))
-    occ321 = sum(bi * di for bi, di in zip(b, d))
-    occ213 = sum(ai * (ai - 1) // 2 for ai in a) - occ123
-    occ132 = sum(ci * (ci - 1) // 2 for ci in c) - occ123
-    occ312 = sum(di * (di - 1) // 2 for di in d) - occ321
-    occ231 = sum(bi * (bi - 1) // 2 for bi in b) - occ321
+    def pairs(x: list[int]) -> int:
+        """Sum of C(x_j, 2)."""
+        return (sum(map(mul, x, x)) - sum(x)) // 2
+
+    occ123 = sum(map(mul, a, c))
+    occ321 = sum(map(mul, b, d))
+    occ213 = pairs(a) - occ123
+    occ132 = pairs(c) - occ123
+    occ312 = pairs(d) - occ321
+    occ231 = pairs(b) - occ321
     return {
         (1, 2, 3): occ123,
         (1, 3, 2): occ132,
@@ -217,12 +220,12 @@ def _occ_counts_enumerated(
             f"classical counting of size-{k} patterns enumerates subsets; "
             f"permutation size {n} exceeds the cap {enum_n_cap}"
         )
-    counts: dict[tuple[int, ...], int] = {}
-    word = sigma.word
-    for comb in itertools.combinations(range(n), k):
-        pat = _std_word([word[i] for i in comb])
-        counts[pat] = counts.get(pat, 0) + 1
-    return counts
+    positions = range(k)
+    orders = Counter(
+        tuple(sorted(positions, key=comb.__getitem__))
+        for comb in itertools.combinations(sigma.word, k)
+    )
+    return {_invert(order): count for order, count in orders.items()}
 
 
 def occ(pattern: Permutation, sigma: Permutation, *, enum_n_cap: int = limits.ENUM_N_CAP) -> int:
@@ -245,13 +248,56 @@ def cocc(pattern: Permutation, sigma: Permutation) -> int:
     return sum(1 for i in range(n - k + 1) if _std_word(word[i : i + k]) == target)
 
 
+@lru_cache(maxsize=None)
+def _step_table(k: int) -> tuple[tuple, tuple[int, ...], dict[tuple[int, ...], int]]:
+    """The overlap graph of size ``k`` as a transition table, for k >= 2.
+
+    Heads are the patterns of size k-1, numbered in lexicographic order.
+    ``step[u][r]`` is ``(e, w)``: e is the id of the size-k pattern whose
+    first k-1 entries form head u and whose last entry has 0-based rank r,
+    and w is the head formed by its last k-1 entries.  ``lead[u]`` is the
+    0-based rank of head u's first entry, and ``head_id`` maps a head word
+    to its id.
+    """
+    head_id = {p.word: i for i, p in enumerate(all_patterns(k - 1))}
+    step = [[None] * k for _ in head_id]
+    for eid, p in enumerate(all_patterns(k)):
+        w = p.word
+        step[head_id[_std_word(w[:-1])]][w[-1] - 1] = (eid, head_id[_std_word(w[1:])])
+    lead = tuple(w[0] - 1 for w in head_id)
+    return tuple(map(tuple, step)), lead, head_id
+
+
+def _window_ids(word: Sequence[int], k: int) -> list[int]:
+    """Pattern ids (lexicographic indices among the size-k patterns) of the
+    width-k windows of ``word``, left to right; needs 2 <= k <= len(word).
+
+    This is the walk of ``word`` on the overlap graph.  ``window`` holds the
+    last k-1 values in sorted order: the new value's rank in it and the
+    current head select the step, and the value leaving on the left sits at
+    the head's lead rank.
+    """
+    step, lead, head_id = _step_table(k)
+    window = sorted(word[: k - 1])
+    u = head_id[_std_word(word[: k - 1])]
+    ids: list[int] = []
+    append = ids.append
+    for v in word[k - 1 :]:
+        eid, nxt = step[u][bisect_left(window, v)]
+        append(eid)
+        del window[lead[u]]
+        insort(window, v)
+        u = nxt
+    return ids
+
+
 def _cocc_counts(sigma: Permutation, k: int) -> dict[tuple[int, ...], int]:
-    word = sigma.word
-    counts: dict[tuple[int, ...], int] = {}
-    for i in range(len(word) - k + 1):
-        pat = _std_word(word[i : i + k])
-        counts[pat] = counts.get(pat, 0) + 1
-    return counts
+    if k == 1:
+        return {(1,): len(sigma)}
+    patterns = all_patterns(k)
+    return {
+        patterns[eid].word: count for eid, count in Counter(_window_ids(sigma.word, k)).items()
+    }
 
 
 def occ_proportion(
@@ -271,6 +317,11 @@ def cocc_proportion(
     return Fraction(cocc(pattern, sigma), den)
 
 
+def _check_vector_k(k: int) -> None:
+    if k > limits.VECTOR_K_CAP:
+        raise CapacityError(f"pattern vectors carry k! entries; k={k} exceeds cap")
+
+
 class PatternVector:
     """A map assigning an exact rational in [0, 1] to every pattern of size k.
 
@@ -281,8 +332,7 @@ class PatternVector:
     __slots__ = ("k", "_entries")
 
     def __init__(self, k: int, entries: Mapping[Permutation, object]) -> None:
-        if k > limits.VECTOR_K_CAP:
-            raise CapacityError(f"pattern vectors carry k! entries; k={k} exceeds cap")
+        _check_vector_k(k)
         domain = all_patterns(k)
         converted: dict[Permutation, Fraction] = {}
         for perm in domain:
@@ -297,6 +347,15 @@ class PatternVector:
             raise ValueError(f"entries outside S_{k}: {sorted(map(str, extra))}")
         self.k = k
         self._entries = converted
+
+    @classmethod
+    def _exact(cls, k: int, entries: dict[Permutation, Fraction]) -> "PatternVector":
+        """Wrap entries that are already one ``Fraction`` in [0, 1] per
+        pattern of size ``k <= limits.VECTOR_K_CAP``, skipping the checks."""
+        vector = object.__new__(cls)
+        vector.k = k
+        vector._entries = entries
+        return vector
 
     def __getitem__(self, pattern: Permutation) -> Fraction:
         return self._entries[pattern]
@@ -353,7 +412,14 @@ class PatternVector:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "PatternVector":
-        k = int(data["k"])
+        if not (
+            isinstance(data, Mapping) and "k" in data and isinstance(data.get("entries"), Mapping)
+        ):
+            raise ValueError("a pattern vector is an object with a 'k' and an 'entries' object")
+        try:
+            k = int(data["k"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"pattern vector 'k' is not an integer: {data['k']!r}") from exc
         entries = {Permutation.parse(word): value for word, value in data["entries"].items()}
         return cls(k, entries)
 
@@ -370,6 +436,11 @@ def proportion_vector(
     ``kind`` is ``"classical"`` (entries sum to 1) or ``"consecutive"``
     (entries sum to (n-k+1)/n).
     """
+    if kind not in ("classical", "consecutive"):
+        raise ValueError(f"kind must be 'classical' or 'consecutive', got {kind!r}")
+    if k < 1:
+        raise ValueError("pattern size must be >= 1")
+    _check_vector_k(k)
     n = len(sigma)
     if k > n:
         raise SizeError(f"pattern size {k} exceeds permutation size {n}")
@@ -379,13 +450,11 @@ def proportion_vector(
         else:
             counts = _occ_counts_enumerated(sigma, k, enum_n_cap)
         den = math.comb(n, k)
-    elif kind == "consecutive":
+    else:
         counts = _cocc_counts(sigma, k)
         den = n
-    else:
-        raise ValueError(f"kind must be 'classical' or 'consecutive', got {kind!r}")
     entries = {p: Fraction(counts.get(p.word, 0), den) for p in all_patterns(k)}
-    return PatternVector(k, entries)
+    return PatternVector._exact(k, entries)
 
 
 def direct_sum(tau: Permutation, sigma: Permutation) -> Permutation:

@@ -20,7 +20,7 @@ def as_fraction(value) -> Fraction:
         )
     try:
         return Fraction(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise RationalityError(f"not an exact rational: {value!r}") from exc
 
 

@@ -208,6 +208,20 @@ class TestErrorsAndCaps:
         code, _, err = invoke(capsys, "dim", "--k", "3")
         assert code == 1
 
+    @pytest.mark.parametrize("defect", ["zero_denominator", "missing_k", "list"])
+    def test_malformed_vector_is_one_line_error(self, capsys, defect):
+        body = {"k": 3, "entries": {w: "1/6" for w in ["123", "132", "213", "231", "312", "321"]}}
+        if defect == "zero_denominator":
+            body["entries"]["123"] = "1/0"
+        elif defect == "missing_k":
+            del body["k"]
+        else:
+            body = [1, 2, 3]
+        code, out, err = invoke(capsys, "member", "--k", "3", "--vector", json.dumps(body))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_help_exits_zero(self, capsys):
         code, out, _ = invoke(capsys, "--help")
         assert code == 0

@@ -17,8 +17,9 @@ from permutope import (
     eulerian_universal_permutation,
     hamiltonian_cycle,
     walk_of,
+    window_pattern,
 )
-from oracles import naive_cocc
+from oracles import naive_cocc, order_isomorphic
 
 P = Permutation.parse
 
@@ -108,6 +109,21 @@ class TestWalkOf:
     def test_too_small(self):
         with pytest.raises(SizeError):
             walk_of(P("12"), 3)
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_edge_ids_match_every_window(self, k):
+        og = build_overlap_graph(k)
+        rng = random.Random(1910 + k)
+        for n in (k, k + 1, rng.randint(k, 300)):
+            word = list(range(1, n + 1))
+            rng.shuffle(word)
+            sigma = Permutation(tuple(word))
+            ids = walk_of(sigma, k).edge_ids
+            assert ids == tuple(
+                og.edge_of(window_pattern(sigma, i, k)) for i in range(1, n - k + 2)
+            )
+            for i, eid in enumerate(ids):
+                assert order_isomorphic(word[i : i + k], og.edge_permutation(eid).word)
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_direct_sum_walks_connect_all_vertex_pairs(self, k):

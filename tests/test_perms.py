@@ -7,6 +7,7 @@ import pytest
 
 from permutope import (
     ArityError,
+    CapacityError,
     DistinctnessError,
     EmptyError,
     PatternVector,
@@ -27,8 +28,27 @@ from permutope import (
     substitute,
 )
 from oracles import naive_cocc, naive_occ
+from permutope import limits
+from permutope import perms as perms_module
 
 P = Permutation.parse
+
+
+def random_perm(rng, n):
+    word = list(range(1, n + 1))
+    rng.shuffle(word)
+    return Permutation(tuple(word))
+
+
+def assert_counts_match(vector, sigma, den, total, naive):
+    """Every nonzero entry is ``naive`` count / den and the counts add up to
+    ``total``; since the naive counts over all patterns also add up to
+    ``total``, every zero entry is then right as well."""
+    counts = {p: v * den for p, v in vector.items() if v}
+    assert all(c.denominator == 1 for c in counts.values())
+    assert sum(counts.values()) == total
+    for pattern, count in counts.items():
+        assert count == naive(pattern.word, sigma.word), pattern
 
 
 def all_perms_upto(n):
@@ -168,6 +188,19 @@ class TestProportionVector:
         with pytest.raises(ValueError):
             proportion_vector(2, P("12"), "sideways")
 
+    @pytest.mark.parametrize("kind", ["classical", "consecutive"])
+    def test_vector_cap_checked_before_counting(self, monkeypatch, kind):
+        def refuse(*args):
+            raise AssertionError("counted before the size checks")
+
+        for kernel in ("_occ_counts_enumerated", "_cocc_counts"):
+            monkeypatch.setattr(perms_module, kernel, refuse)
+        sigma = Permutation.identity(limits.VECTOR_K_CAP + 5)
+        with pytest.raises(CapacityError, match="pattern vectors"):
+            proportion_vector(limits.VECTOR_K_CAP + 1, sigma, kind)
+        with pytest.raises(ValueError):
+            proportion_vector(0, sigma, kind)
+
 
 class TestAgreementWithNaiveEnumerator:
     """The library counters against a from-the-definition enumerator.
@@ -228,6 +261,23 @@ class TestAgreementWithNaiveEnumerator:
                     naive_occ(pattern.word, sigma.word), math.comb(n, 4)
                 )
                 assert cocc(pattern, sigma) == naive_cocc(pattern.word, sigma.word)
+
+    def test_consecutive_window_scan_random(self):
+        rng = random.Random(1910)
+        for k in (1, 2, 5, 6, 7):
+            for n in (k, k + 1, rng.randint(k, 400)):
+                sigma = random_perm(rng, n)
+                vec = proportion_vector(k, sigma, "consecutive")
+                assert_counts_match(vec, sigma, n, n - k + 1, naive_cocc)
+
+    @pytest.mark.parametrize("k, sizes", [(4, (12, 16, 20)), (5, (12, 14))])
+    def test_classical_subset_enumeration_random(self, k, sizes):
+        rng = random.Random(2233 + k)
+        for n in sizes:
+            sigma = random_perm(rng, n)
+            vec = proportion_vector(k, sigma, "classical")
+            den = math.comb(n, k)
+            assert_counts_match(vec, sigma, den, den, naive_occ)
 
     def test_count_sums(self):
         rng = random.Random(5)
@@ -303,6 +353,25 @@ class TestPatternVector:
     def test_floats_rejected(self):
         with pytest.raises(RationalityError):
             PatternVector(2, {P("12"): 0.5, P("21"): 0.5})
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [1, 2, 3],
+            "uniform",
+            {"entries": {"12": "1/2", "21": "1/2"}},
+            {"k": 2},
+            {"k": 2, "entries": ["1/2", "1/2"]},
+            {"k": [2], "entries": {"12": "1/2", "21": "1/2"}},
+        ],
+    )
+    def test_malformed_json_is_value_error(self, data):
+        with pytest.raises(ValueError):
+            PatternVector.from_json_dict(data)
+
+    def test_zero_denominator_is_rationality_error(self):
+        with pytest.raises(RationalityError):
+            PatternVector.from_json_dict({"k": 2, "entries": {"12": "1/0", "21": "1/2"}})
 
     def test_json_round_trip(self):
         vec = proportion_vector(3, P("628451793"), "consecutive")
