@@ -4,9 +4,9 @@ Every verb maps to one library operation chain and prints deterministic
 output: exact rational strings by default, decimal only under ``--float``.
 Exit codes: 0 success, 1 domain error, 2 usage error.
 
-The ``PERMUTOPE_CAP`` environment variable overrides size guards with
-comma-separated ``name=value`` pairs; recognized names are ``cycles``,
-``enum``, ``overlap``, ``faces`` and ``mix``.
+The ``PERMUTOPE_CAP`` environment variable is the one way to override size
+guards, with comma-separated ``name=value`` pairs; the names are ``cycles``,
+``enum``, ``overlap``, ``faces`` and ``mix``, and any other name is an error.
 """
 
 from __future__ import annotations
@@ -28,22 +28,32 @@ from .perms import PatternVector, Permutation, proportion_vector
 from .rationals import float_str
 
 
-def _env_caps() -> dict[str, int]:
-    caps: dict[str, int] = {}
-    raw = os.environ.get("PERMUTOPE_CAP", "")
-    for part in raw.split(","):
+_CAP_DEFAULTS = {
+    "cycles": limits.CYCLE_CAP,
+    "enum": limits.ENUM_N_CAP,
+    "overlap": limits.OVERLAP_K_CAP,
+    "faces": limits.FACE_EDGE_CAP,
+    "mix": limits.MIX_SIZE_CAP,
+}
+
+
+def _cap(name: str) -> int:
+    """The size guard ``name``: its ``PERMUTOPE_CAP`` entry, else its default."""
+    caps = dict(_CAP_DEFAULTS)
+    for part in os.environ.get("PERMUTOPE_CAP", "").split(","):
         part = part.strip()
         if not part:
             continue
-        name, sep, value = part.partition("=")
+        key, sep, value = part.partition("=")
+        key = key.strip()
         if not sep:
             raise ValueError(f"PERMUTOPE_CAP entry {part!r} is not name=value")
-        caps[name.strip()] = int(value)
-    return caps
-
-
-def _cap(name: str, default: int) -> int:
-    return _env_caps().get(name, default)
+        if key not in _CAP_DEFAULTS:
+            raise ValueError(
+                f"PERMUTOPE_CAP has no cap {key!r}; the caps are {', '.join(_CAP_DEFAULTS)}"
+            )
+        caps[key] = int(value)
+    return caps[name]
 
 
 def _fmt(value: Fraction, args: argparse.Namespace) -> str:
@@ -65,7 +75,7 @@ def _load_graph(args: argparse.Namespace) -> Multigraph:
     if getattr(args, "graph", None):
         return Multigraph.from_json(Path(args.graph).read_text(encoding="utf-8"))
     if getattr(args, "k", None):
-        return build_overlap_graph(args.k, max_k=_cap("overlap", limits.OVERLAP_K_CAP)).graph
+        return build_overlap_graph(args.k, max_k=_cap("overlap")).graph
     raise ValueError("pass --k or --graph")
 
 
@@ -106,15 +116,13 @@ def _decomposition_json(region: FeasibleRegion, decomposition, args) -> list[dic
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     sigma = Permutation.parse(args.perm)
-    vector = proportion_vector(
-        args.k, sigma, args.kind, enum_n_cap=_cap("enum", limits.ENUM_N_CAP)
-    )
+    vector = proportion_vector(args.k, sigma, args.kind, enum_n_cap=_cap("enum"))
     print(_dump(_vector_json(vector, args)))
     return 0
 
 
 def _cmd_overlap(args: argparse.Namespace) -> int:
-    og = build_overlap_graph(args.k, max_k=_cap("overlap", limits.OVERLAP_K_CAP))
+    og = build_overlap_graph(args.k, max_k=_cap("overlap"))
     g = og.graph
     if args.dot:
         _write_or_print(g.to_dot(name=f"OV{args.k}"), args.dot)
@@ -135,7 +143,7 @@ def _cmd_vertices(args: argparse.Namespace) -> int:
 
     graph = _load_graph(args)
     poly = CyclePolytope(graph)
-    vertices = poly.vertices(max_cycles=_cap("cycles", args.max_cycles))
+    vertices = poly.vertices(max_cycles=_cap("cycles"))
     payload = {
         "count": len(vertices),
         "vertices": [
@@ -162,7 +170,7 @@ def _cmd_dim(args: argparse.Namespace) -> int:
 
 
 def _cmd_member(args: argparse.Namespace) -> int:
-    region = FeasibleRegion(args.k, max_k=_cap("overlap", limits.OVERLAP_K_CAP))
+    region = FeasibleRegion(args.k, max_k=_cap("overlap"))
     vector = _parse_vector(args.vector, args.k)
     result = region.membership(vector)
     print("true" if result.member else "false")
@@ -174,7 +182,7 @@ def _cmd_member(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    region = FeasibleRegion(args.k, max_k=_cap("overlap", limits.OVERLAP_K_CAP))
+    region = FeasibleRegion(args.k, max_k=_cap("overlap"))
     vector = _parse_vector(args.vector, args.k)
     decomposition = region.polytope.convex_decomposition(region.point_of(vector))
     print(_dump({"decomposition": _decomposition_json(region, decomposition, args)}))
@@ -182,7 +190,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_realize(args: argparse.Namespace) -> int:
-    region = FeasibleRegion(args.k, max_k=_cap("overlap", limits.OVERLAP_K_CAP))
+    region = FeasibleRegion(args.k, max_k=_cap("overlap"))
     vector = _parse_vector(args.vector, args.k)
     sigma, plan = region.realize(vector, args.m)
     print(sigma)
@@ -194,13 +202,13 @@ def _cmd_realize(args: argparse.Namespace) -> int:
 def _cmd_mix(args: argparse.Namespace) -> int:
     inner = Permutation.parse(args.perm_a)
     outer = Permutation.parse(args.perm_b)
-    mixed = mix(lambda m: inner, lambda m: outer, 1, size_cap=_cap("mix", limits.MIX_SIZE_CAP))
+    mixed = mix(lambda m: inner, lambda m: outer, 1, size_cap=_cap("mix"))
     print(mixed)
     return 0
 
 
 def _cmd_universal(args: argparse.Namespace) -> int:
-    print(eulerian_universal_permutation(args.k, max_k=_cap("overlap", limits.OVERLAP_K_CAP)))
+    print(eulerian_universal_permutation(args.k, max_k=_cap("overlap")))
     return 0
 
 
@@ -209,7 +217,7 @@ def _cmd_faces(args: argparse.Namespace) -> int:
 
     graph = _load_graph(args)
     poly = CyclePolytope(graph)
-    poset = poly.face_poset(max_edges=_cap("faces", args.max_edges))
+    poset = poly.face_poset(max_edges=_cap("faces"))
     by_dim = poset.by_dimension()
     payload = {
         "polytope_dimension": poly.dimension(),
@@ -225,7 +233,7 @@ def _cmd_faces(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    region = FeasibleRegion(args.k, max_k=_cap("overlap", limits.OVERLAP_K_CAP))
+    region = FeasibleRegion(args.k, max_k=_cap("overlap"))
     vector = _parse_vector(args.vector, args.k)
     plan = region.plan(vector)
     if args.m_values:
@@ -244,7 +252,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         m_values,
         consecutive_target=vector,
         include_classical=not args.no_classical,
-        enum_n_cap=_cap("enum", limits.ENUM_N_CAP),
+        enum_n_cap=_cap("enum"),
     )
     _write_or_print(report.to_csv(), args.out)
     return 0
@@ -290,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--k", type=int, help="use the overlap graph of size k")
     src.add_argument("--graph", metavar="FILE", help="use a JSON graph file")
-    p.add_argument("--max-cycles", type=int, default=limits.CYCLE_CAP)
     p.set_defaults(func=_cmd_vertices)
 
     p = sub.add_parser("dim", help="dimension of the cycle polytope")
@@ -329,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--k", type=int)
     src.add_argument("--graph", metavar="FILE")
-    p.add_argument("--max-edges", type=int, default=limits.FACE_EDGE_CAP)
     p.set_defaults(func=_cmd_faces)
 
     p = sub.add_parser("report", help="convergence CSV for a realization plan")

@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import limits
@@ -152,7 +152,7 @@ class RealizationPlan:
             copies = m * p * (self.cycle_lcm // len(cycle))
             walk = Walk(og.graph, cycle.edge_ids * copies)
             blocks.append(og.permutation_of_walk(walk))
-        return reduce(direct_sum, blocks)
+        return direct_sum(*blocks)
 
     def to_json_dict(self) -> dict:
         og = self.region.overlap
@@ -231,8 +231,7 @@ def derandomize(
         raise CapacityError(
             f"derandomized permutation would have size {block_size * total_copies}"
         )
-    parts = [repeat_sum(q, p) for p, q in sorted(weights.items()) if q > 0]
-    return reduce(direct_sum, parts)
+    return direct_sum(*[repeat_sum(q, p) for p, q in sorted(weights.items()) if q > 0])
 
 
 def mix(

@@ -224,7 +224,24 @@ class Multigraph:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Multigraph":
-        edges = [(e["st"], e["ar"], e["label"]) for e in data["edges"]]
+        """Read the ``to_json_dict`` format; any other shape is a ValueError."""
+        if not (
+            isinstance(data, dict)
+            and isinstance(data.get("vertices"), list)
+            and isinstance(data.get("edges"), list)
+        ):
+            raise ValueError("a graph is an object with a 'vertices' list and an 'edges' list")
+        edges = []
+        for e in data["edges"]:
+            if not (
+                isinstance(e, dict)
+                and all(type(e.get(end)) is int for end in ("st", "ar"))
+                and "label" in e
+            ):
+                raise ValueError(
+                    f"a graph edge is an object with integer 'st' and 'ar' and a 'label': {e!r}"
+                )
+            edges.append((e["st"], e["ar"], e["label"]))
         return cls(data["vertices"], edges)
 
     @classmethod

@@ -4,7 +4,10 @@ Vertices are the patterns of size k-1; every pattern p of size k contributes
 one edge from the pattern of its first k-1 entries to the pattern of its last
 k-1 entries.  Sliding a width-k window along a permutation then traces a walk
 in this graph, and conversely every walk is realized by some permutation via
-a greedy point-insertion construction.
+a greedy point-insertion construction.  Each inserted point lands directly
+above a point already placed, or below all of them, so the construction keeps
+the value order as a linked list of points and reads the word off it once at
+the end.
 
 Vertex ids and edge ids follow the lexicographic order of the one-line words,
 so edge id i always denotes the i-th pattern of size k.
@@ -18,41 +21,6 @@ from . import limits
 from .errors import CapacityError, SizeError
 from .graphs import Multigraph, SimpleCycle, Walk, eulerian_circuit
 from .perms import Permutation, _step_table, _window_ids, all_patterns, pattern_at
-
-
-def _word_from_insert_ranks(ranks: list[int]) -> list[int]:
-    """Final values of points inserted one by one at given value-ranks.
-
-    Processing in reverse, the point inserted at step t (1-based rank r among
-    the then-present t points) occupies the r-th still-free slot of 1..n.
-    Fenwick tree with binary lifting gives O(n log n) overall.
-    """
-    n = len(ranks)
-    tree = [0] * (n + 1)
-    for i in range(1, n + 1):
-        tree[i] = i & -i
-    log = n.bit_length()
-
-    def take_kth(j: int) -> int:
-        pos = 0
-        bit = 1 << log
-        while bit:
-            nxt = pos + bit
-            if nxt <= n and tree[nxt] < j:
-                pos = nxt
-                j -= tree[nxt]
-            bit >>= 1
-        slot = pos + 1
-        i = slot
-        while i <= n:
-            tree[i] -= 1
-            i += i & -i
-        return slot
-
-    word = [0] * n
-    for t in range(n - 1, -1, -1):
-        word[t] = take_kth(ranks[t])
-    return word
 
 
 def begin_pattern(pattern: Permutation) -> Permutation:
@@ -128,33 +96,44 @@ class OverlapGraph:
         Built greedily: start from the first edge label and repeatedly append
         a point on the right so that the last k points induce the next label.
         Among the admissible heights the lowest slot that stays above the
-        current bottom row is chosen (the absolute bottom only when forced),
-        which makes the construction deterministic.
+        current bottom point is chosen (the bottom only when forced), which
+        makes the construction deterministic.
 
-        Only the insertion ranks and the sliding window are tracked while
-        walking; the final word is assembled in one O(n log n) pass.
+        Every new point goes directly above one known point or becomes the
+        new bottom, so the value order is kept as a linked list of points
+        (``above[p]`` is the point just above p) and one walk up it assigns
+        the values 1..n: O(n k) in all.
         """
         if walk.graph is not self.graph:
             raise ValueError("walk does not live on this overlap graph")
         k = self.k
-        first = self._edge_perms[walk.edge_ids[0]].word
-        # Rank of each entry within its prefix: re-inserting at these ranks
-        # rebuilds the first label.
-        ranks = [sum(1 for u in first[:i] if u < v) + 1 for i, v in enumerate(first)]
-        window = list(first[1:])  # current values of the last k-1 points
-        size = k
-        for eid in walk.edge_ids[1:]:
-            label = self._edge_perms[eid].word
-            ordered = sorted(window)
+        labels = self._edge_perms
+        first = labels[walk.edge_ids[0]].word
+        n = len(walk) + k - 1
+        above = [-1] * n
+        window = sorted(range(k), key=first.__getitem__)  # point ids by value
+        for lower, upper in zip(window, window[1:]):
+            above[lower] = upper
+        bottom = window[0]
+        window.remove(0)  # keep the last k-1 points
+        for point, eid in enumerate(walk.edge_ids[1:], start=k):
+            label = labels[eid].word
             rank = label[-1]
-            lo = 1 if rank == 1 else ordered[rank - 2] + 1
-            hi = size + 1 if rank == k else ordered[rank - 1]
-            new = lo if lo >= 2 else (2 if hi >= 2 else 1)
-            window = [v + 1 if v >= new else v for v in window[1:]]
-            window.append(new)
-            ranks.append(new)
-            size += 1
-        return Permutation(tuple(_word_from_insert_ranks(ranks)))
+            if rank == 1 and window[0] == bottom:  # forced below everything
+                above[point] = bottom
+                bottom = point
+            else:  # just above the next lower window point, else the bottom
+                below = window[rank - 2] if rank >= 2 else bottom
+                above[point] = above[below]
+                above[below] = point
+            window.insert(rank - 1, point)
+            del window[label[0] - 1]  # the oldest point leaves
+        word = [0] * n
+        point = bottom
+        for value in range(1, n + 1):
+            word[point] = value
+            point = above[point]
+        return Permutation(tuple(word))
 
 
 @lru_cache(maxsize=None)

@@ -457,21 +457,18 @@ def proportion_vector(
     return PatternVector._exact(k, entries)
 
 
-def direct_sum(tau: Permutation, sigma: Permutation) -> Permutation:
-    """Diagonal concatenation: ``sigma`` shifted above and after ``tau``."""
-    m = len(tau)
-    return Permutation(tau.word + tuple(v + m for v in sigma.word))
+def direct_sum(*perms: Permutation) -> Permutation:
+    """Diagonal concatenation of any number of blocks: each block sits after
+    and above the ones before it, so ``direct_sum(a, b, c)`` equals
+    ``direct_sum(direct_sum(a, b), c)``."""
+    if not perms:
+        raise EmptyError("a direct sum needs at least one block")
+    return substitute(Permutation.identity(len(perms)), perms)
 
 
 def repeat_sum(copies: int, sigma: Permutation) -> Permutation:
     """Direct sum of ``copies`` copies of ``sigma``."""
-    if copies < 1:
-        raise EmptyError("need at least one copy")
-    n = len(sigma)
-    word: list[int] = []
-    for i in range(copies):
-        word.extend(v + i * n for v in sigma.word)
-    return Permutation(tuple(word))
+    return direct_sum(*[sigma] * copies)
 
 
 def substitute(skeleton: Permutation, blocks: Sequence[Permutation]) -> Permutation:
@@ -483,14 +480,12 @@ def substitute(skeleton: Permutation, blocks: Sequence[Permutation]) -> Permutat
     d = len(skeleton)
     if len(blocks) != d:
         raise ArityError(f"skeleton of size {d} needs {d} blocks, got {len(blocks)}")
-    sizes = [len(b) for b in blocks]
     # Values below block i: total size of blocks placed at lower skeleton values.
     value_offset = [0] * d
     running = 0
     for i in sorted(range(d), key=skeleton.word.__getitem__):
         value_offset[i] = running
-        running += sizes[i]
-    word: list[int] = []
-    for i, block in enumerate(blocks):
-        word.extend(v + value_offset[i] for v in block.word)
-    return Permutation(tuple(word))
+        running += len(blocks[i])
+    return Permutation(
+        tuple(v + offset for block, offset in zip(blocks, value_offset) for v in block.word)
+    )

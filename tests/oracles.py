@@ -3,8 +3,9 @@
 Everything here is deliberately written from the definitions, sharing no code
 with the implementations under test: occurrence counting by explicit pairwise
 order comparison, simple cycles by edge-subset filtering, affine rank by its
-own Gaussian elimination, and convex-hull membership by an exact phase-1
-simplex over the vertex list.
+own Gaussian elimination, convex-hull membership by an exact phase-1
+simplex over the vertex list, and the greedy walk-to-permutation construction
+by rewriting the whole word at every step.
 """
 
 from __future__ import annotations
@@ -38,6 +39,31 @@ def naive_occ(pattern: Sequence[int], sigma: Sequence[int]) -> int:
 def naive_cocc(pattern: Sequence[int], sigma: Sequence[int]) -> int:
     n, k = len(sigma), len(pattern)
     return sum(1 for i in range(n - k + 1) if order_isomorphic(sigma[i : i + k], pattern))
+
+
+# -- walks to permutations ---------------------------------------------------
+
+
+def walk_to_word(labels: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The greedy permutation of a walk, given by its edge label words.
+
+    Start from the first label and append one point per further label.  A
+    height h for the new point (values >= h move up by one) is admissible when
+    exactly r - 1 of the last k-1 values lie below h, r being the label's last
+    entry; the lowest admissible h >= 2 is taken, and h = 1 only when no
+    admissible h >= 2 exists.  The whole word is rewritten at every step.
+    """
+    word = list(labels[0])
+    k = len(word)
+    for label in labels[1:]:
+        tail = sorted(word[len(word) - (k - 1) :])
+        r = label[-1]
+        low = tail[r - 2] + 1 if r >= 2 else 1  # the admissible heights are low..high
+        high = tail[r - 1] if r < k else len(word) + 1
+        h = max(low, 2) if max(low, 2) <= high else 1
+        word = [v + 1 if v >= h else v for v in word] + [h]
+        assert order_isomorphic(word[-k:], label)
+    return tuple(word)
 
 
 # -- simple cycles by subset filtering --------------------------------------

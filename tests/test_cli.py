@@ -208,6 +208,38 @@ class TestErrorsAndCaps:
         code, _, err = invoke(capsys, "dim", "--k", "3")
         assert code == 1
 
+    def test_env_cap_is_the_one_way_to_set_a_cap(self, capsys, monkeypatch):
+        assert invoke(capsys, "vertices", "--k", "3", "--max-cycles", "100")[0] == 2
+        assert invoke(capsys, "faces", "--k", "3", "--max-edges", "100")[0] == 2
+        monkeypatch.setenv("PERMUTOPE_CAP", "cycles=2")
+        code, out, err = invoke(capsys, "vertices", "--k", "3")
+        assert code == 1 and out == "" and err.startswith("error:")
+
+    def test_env_cap_unknown_key(self, capsys, monkeypatch):
+        monkeypatch.setenv("PERMUTOPE_CAP", "cycle=2")
+        code, _, err = invoke(capsys, "vertices", "--k", "3")
+        assert code == 1 and err.startswith("error:") and "'cycle'" in err
+        assert all(key in err for key in ("cycles", "enum", "overlap", "faces", "mix"))
+
+    @pytest.mark.parametrize(
+        "verb, body",
+        [
+            ("dim", {"vertices": ["a"]}),
+            ("vertices", {"vertices": 5, "edges": []}),
+            ("faces", [1, 2]),
+            ("export", {"vertices": ["a"], "edges": [{"st": 0, "ar": "x", "label": "e"}]}),
+            ("dim", {"vertices": ["a"], "edges": [{"st": 0.5, "ar": 0, "label": "e"}]}),
+        ],
+    )
+    def test_malformed_graph_is_one_line_error(self, capsys, tmp_path, verb, body):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(body), encoding="utf-8")
+        argv = [verb, "--graph", str(path)] + (["--format", "json"] if verb == "export" else [])
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("defect", ["zero_denominator", "missing_k", "list"])
     def test_malformed_vector_is_one_line_error(self, capsys, defect):
         body = {"k": 3, "entries": {w: "1/6" for w in ["123", "132", "213", "231", "312", "321"]}}

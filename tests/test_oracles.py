@@ -13,6 +13,7 @@ from oracles import (
     in_convex_hull,
     naive_cocc,
     naive_occ,
+    walk_to_word,
 )
 
 F = Fraction
@@ -24,6 +25,16 @@ class TestCountingOracles:
         assert naive_occ((1, 2), (2, 3, 1)) == 1
         assert naive_cocc((1, 2), (2, 3, 1)) == 1
         assert naive_cocc((1, 2, 3), (1, 2, 3, 4)) == 2
+
+
+class TestWalkOracle:
+    def test_worked_examples_by_hand(self):
+        # The windows of 628451793 at k = 4; the greedy word is 819452673.
+        labels = [(3, 1, 4, 2), (1, 4, 2, 3), (4, 2, 3, 1), (2, 3, 1, 4), (2, 1, 3, 4),
+                  (1, 3, 4, 2)]
+        assert walk_to_word(labels) == (8, 1, 9, 4, 5, 2, 6, 7, 3)
+        assert walk_to_word([(1, 3, 2), (2, 1, 3)]) == (1, 3, 2, 4)
+        assert walk_to_word([(2, 1)]) == (2, 1)
 
 
 class TestHullOracle:

@@ -14,12 +14,13 @@ from permutope import (
     cocc_via_walk,
     direct_sum,
     end_pattern,
+    eulerian_circuit,
     eulerian_universal_permutation,
     hamiltonian_cycle,
     walk_of,
     window_pattern,
 )
-from oracles import naive_cocc, order_isomorphic
+from oracles import naive_cocc, order_isomorphic, walk_to_word
 
 P = Permutation.parse
 
@@ -157,6 +158,27 @@ class TestPermutationOfWalk:
         og = build_overlap_graph(3)
         with pytest.raises(ValueError):
             og.permutation_of_walk(Walk(fig2_graph, (0,)))
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_bit_exact_against_reference_on_random_walks(self, k):
+        og = build_overlap_graph(k)
+        g = og.graph
+        rng = random.Random(70 + k)
+        for _ in range(200):
+            ids = [rng.randrange(g.n_edges)]
+            for _ in range(rng.randint(0, 199)):
+                ids.append(rng.choice(g.continuations(ids[-1])))
+            walk = Walk(g, tuple(ids))
+            labels = [label.word for label in og.walk_labels(walk)]
+            assert og.permutation_of_walk(walk).word == walk_to_word(labels)
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_bit_exact_against_reference_on_eulerian_circuits(self, k):
+        og = build_overlap_graph(k)
+        for start in (0, og.graph.n_vertices - 1):
+            walk = eulerian_circuit(og.graph, start)
+            labels = [label.word for label in og.walk_labels(walk)]
+            assert og.permutation_of_walk(walk).word == walk_to_word(labels)
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_round_trip_on_random_walks(self, k):

@@ -304,6 +304,8 @@ class TestCompositions:
     def test_repeat_sum_empty(self):
         with pytest.raises(EmptyError):
             repeat_sum(0, P("1"))
+        with pytest.raises(EmptyError):
+            direct_sum()
 
     def test_direct_sum_associative_exhaustive(self):
         perms = list(all_perms_upto(4))
@@ -311,7 +313,8 @@ class TestCompositions:
             for b in perms:
                 ab = direct_sum(a, b)
                 for c in perms:
-                    assert direct_sum(ab, c) == direct_sum(a, direct_sum(b, c))
+                    abc = direct_sum(a, b, c)
+                    assert direct_sum(ab, c) == direct_sum(a, direct_sum(b, c)) == abc
 
     def test_substitute_examples(self):
         assert substitute(P("21"), [P("12"), P("1")]) == P("231")
