@@ -6,7 +6,8 @@ Exit codes: 0 success, 1 domain error, 2 usage error.
 
 The ``PERMUTOPE_CAP`` environment variable is the one way to override size
 guards, with comma-separated ``name=value`` pairs; the names are ``cycles``,
-``enum``, ``overlap``, ``faces`` and ``mix``, and any other name is an error.
+``enum``, ``overlap``, ``faces``, ``mix`` and ``realize``, and any other name
+is an error.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ _CAP_DEFAULTS = {
     "overlap": limits.OVERLAP_K_CAP,
     "faces": limits.FACE_EDGE_CAP,
     "mix": limits.MIX_SIZE_CAP,
+    "realize": limits.REALIZE_SIZE_CAP,
 }
 
 
@@ -192,7 +194,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 def _cmd_realize(args: argparse.Namespace) -> int:
     region = FeasibleRegion(args.k, max_k=_cap("overlap"))
     vector = _parse_vector(args.vector, args.k)
-    sigma, plan = region.realize(vector, args.m)
+    plan = region.plan(vector)
+    sigma = plan.generate(args.m, max_size=_cap("realize"))
     print(sigma)
     if args.plan:
         _write_or_print(plan.to_json(), args.plan)
@@ -236,6 +239,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     region = FeasibleRegion(args.k, max_k=_cap("overlap"))
     vector = _parse_vector(args.vector, args.k)
     plan = region.plan(vector)
+    max_size = _cap("realize")
     if args.m_values:
         m_values = [int(part) for part in args.m_values.split(",")]
     else:
@@ -247,7 +251,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         if not m_values:
             raise ValueError("no m fits under --max-size; pass --m-values explicitly")
     report = convergence_report(
-        plan.generate,
+        lambda m: plan.generate(m, max_size=max_size),
         args.k,
         m_values,
         consecutive_target=vector,

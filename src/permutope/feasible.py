@@ -141,11 +141,18 @@ class RealizationPlan:
             k * self.block_count() + math.factorial(k - 1), self.size_for(m)
         )
 
-    def generate(self, m: int) -> Permutation:
+    def generate(self, m: int, *, max_size: int = limits.REALIZE_SIZE_CAP) -> Permutation:
         """The realizing permutation for size parameter m >= 1; sizes are
-        strictly increasing in m."""
+        strictly increasing in m.  A size over ``max_size`` is refused before
+        any block is built."""
         if m < 1:
             raise ValueError(f"size parameter must be >= 1, got {m}")
+        size = self.size_for(m)
+        if size > max_size:
+            raise CapacityError(
+                f"realizing permutation would have size {size}, over the realize cap "
+                f"{max_size} (PERMUTOPE_CAP key 'realize')"
+            )
         og = self.region.overlap
         blocks = []
         for (_, cycle), p in zip(self.decomposition, self.numerators):

@@ -23,7 +23,7 @@ from .errors import CapacityError
 class Multigraph:
     """An immutable directed multigraph."""
 
-    __slots__ = ("vertex_names", "edges", "_index_of", "_out", "_in")
+    __slots__ = ("vertex_names", "edges", "_index_of", "_st", "_ar", "_out", "_in")
 
     def __init__(
         self,
@@ -36,11 +36,15 @@ class Multigraph:
         n = len(names)
         checked = []
         for st, ar, label in edges:
+            if type(st) is not int or type(ar) is not int:
+                raise ValueError(f"edge ends must be integers, got ({st!r}, {ar!r})")
             if not (0 <= st < n and 0 <= ar < n):
                 raise IndexError(f"edge ({st}, {ar}) references a missing vertex")
-            checked.append((int(st), int(ar), str(label)))
+            checked.append((st, ar, str(label)))
         self.vertex_names = names
         self.edges = tuple(checked)
+        self._st = tuple(st for st, _, _ in checked)
+        self._ar = tuple(ar for _, ar, _ in checked)
         self._index_of = {name: i for i, name in enumerate(names)}
         out: list[list[int]] = [[] for _ in range(n)]
         inc: list[list[int]] = [[] for _ in range(n)]
@@ -64,10 +68,10 @@ class Multigraph:
         return self._index_of[name]
 
     def st(self, eid: int) -> int:
-        return self.edges[eid][0]
+        return self._st[eid]
 
     def ar(self, eid: int) -> int:
-        return self.edges[eid][1]
+        return self._ar[eid]
 
     def label(self, eid: int) -> str:
         return self.edges[eid][2]
@@ -276,16 +280,24 @@ class Walk:
         object.__setattr__(self, "edge_ids", ids)
         if not ids:
             raise ValueError("walks are non-empty")
-        g = self.graph
+        st, ar = self.graph._st, self.graph._ar
+        n_edges = len(st)
+        # One pass checks both; only a failure rescans, so that a bad id
+        # anywhere is reported before a broken chain.
+        at = st[ids[0]] if 0 <= ids[0] < n_edges else -1
         for eid in ids:
-            if not 0 <= eid < g.n_edges:
+            if not 0 <= eid < n_edges or st[eid] != at:
+                break
+            at = ar[eid]
+        else:
+            return
+        for eid in ids:
+            if not 0 <= eid < n_edges:
                 raise IndexError(f"no edge with id {eid}")
-        for prev, nxt in zip(ids, ids[1:]):
-            if g.ar(prev) != g.st(nxt):
-                raise ValueError(
-                    f"edges {prev} and {nxt} do not chain: "
-                    f"arrival {g.ar(prev)} != start {g.st(nxt)}"
-                )
+        prev, nxt = next((p, q) for p, q in zip(ids, ids[1:]) if ar[p] != st[q])
+        raise ValueError(
+            f"edges {prev} and {nxt} do not chain: arrival {ar[prev]} != start {st[nxt]}"
+        )
 
     def __len__(self) -> int:
         return len(self.edge_ids)
@@ -327,13 +339,13 @@ class SimpleCycle(Walk):
             ids = _canonical_rotation(ids)
         object.__setattr__(self, "edge_ids", ids)
         super().__post_init__()
-        g = self.graph
-        if g.st(self.edge_ids[0]) != g.ar(self.edge_ids[-1]):
+        st = self.graph._st
+        if st[ids[0]] != self.graph._ar[ids[-1]]:
             raise ValueError("cycle is not closed")
-        if len(set(self.edge_ids)) != len(self.edge_ids):
-            raise ValueError("cycle repeats an edge")
-        starts = [g.st(eid) for eid in self.edge_ids]
-        if len(set(starts)) != len(starts):
+        # Distinct start vertices imply distinct edges.
+        if len({st[eid] for eid in ids}) != len(ids):
+            if len(set(ids)) != len(ids):
+                raise ValueError("cycle repeats an edge")
             raise ValueError("cycle repeats a vertex")
 
 
@@ -348,6 +360,7 @@ def iter_simple_cycles(
     circuit-enumeration scheme (without the SCC pre-pass, which is only a
     speed-up).  Raises CapacityError after ``max_cycles`` cycles.
     """
+    ar, out = g._ar, g._out
     emitted = 0
     for s in range(g.n_vertices):
         # DFS over vertices >= s; cycles found here have minimum vertex s.
@@ -355,12 +368,12 @@ def iter_simple_cycles(
         barriers: dict[int, set[int]] = {}
         epath: list[int] = []
         vpath: list[int] = [s]
-        stack: list[Iterator[int]] = [iter(g.out_edges(s))]
+        stack: list[Iterator[int]] = [iter(out[s])]
         closed: list[bool] = [False]
         while stack:
             advanced = False
             for eid in stack[-1]:
-                w = g.ar(eid)
+                w = ar[eid]
                 if w < s:
                     continue
                 if w == s:
@@ -375,7 +388,7 @@ def iter_simple_cycles(
                     epath.append(eid)
                     vpath.append(w)
                     blocked.add(w)
-                    stack.append(iter(g.out_edges(w)))
+                    stack.append(iter(out[w]))
                     closed.append(False)
                     advanced = True
                     break
@@ -395,8 +408,8 @@ def iter_simple_cycles(
                         blocked.discard(u)
                         pending.update(barriers.pop(u, ()))
             else:
-                for eid in g.out_edges(v):
-                    w = g.ar(eid)
+                for eid in out[v]:
+                    w = ar[eid]
                     if w >= s:
                         barriers.setdefault(w, set()).add(v)
 
@@ -442,12 +455,13 @@ def decompose_walk(walk: Walk) -> WalkDecomposition:
     the pruned pieces are generally not contiguous in the original walk.
     """
     g = walk.graph
+    ar = g._ar
     cycles: list[SimpleCycle] = []
     stack_edges: list[int] = []
     stack_vertices: list[int] = [g.st(walk.edge_ids[0])]
     position: dict[int, int] = {stack_vertices[0]: 0}
     for eid in walk.edge_ids:
-        v = g.ar(eid)
+        v = ar[eid]
         stack_edges.append(eid)
         if v in position:
             # Everything pushed since the earlier visit of v closes a cycle.

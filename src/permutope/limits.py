@@ -21,5 +21,8 @@ FACE_EDGE_CAP = 12
 # Size |A| * |B| of a substitution product in the mixing construction.
 MIX_SIZE_CAP = 10**7
 
+# Points in one realizing permutation built by a realization plan.
+REALIZE_SIZE_CAP = 10**7
+
 # Pattern vectors carry k! entries.
 VECTOR_K_CAP = 8

@@ -3,15 +3,19 @@
 The polytope lives in R^{E(G)}: it is the convex hull of the normalized
 edge-frequency vectors of the simple cycles of G.  Everything here is a
 certificate, not an approximation: membership tests check the defining
-equations over ``Fraction``, positive answers come with an explicit convex
-decomposition into cycle vectors, and faces are handled through the full
-subgraphs that index them.
+equations, positive answers come with an explicit convex decomposition into
+cycle vectors, and faces are handled through the full subgraphs that index
+them.  Points enter and weights leave as ``Fraction``; in between, a point is
+scaled once to integer numerators over one exact common denominator (the lcm
+of its entries' denominators), and the checks and the decomposition run on
+those integers.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -99,26 +103,11 @@ class FacePoset:
         return tuple(f for f in self.faces if f.dimension() == top - 1)
 
 
-def _matrix_rank(rows: Sequence[Sequence]) -> int:
-    """Rank over the rationals by Gaussian elimination."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    n_cols = len(work[0]) if work else 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = 1 / work[rank][col]
-        work[rank] = [x * inv for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+def _scaled(x: list[Fraction]) -> tuple[list[int], int]:
+    """(n, d) with x[e] = n[e] / d exactly; d is the lcm of the denominators."""
+    ratios = [v.as_integer_ratio() for v in x]
+    d = math.lcm(*{q for _, q in ratios})
+    return [p * (d // q) for p, q in ratios], d
 
 
 class CyclePolytope:
@@ -129,30 +118,13 @@ class CyclePolytope:
     circulations that the polytope spans.
     """
 
-    __slots__ = ("graph", "full_edge_ids", "_full_part", "_equation_rows", "_equation_rhs")
+    __slots__ = ("graph", "full_edge_ids", "_full_part", "_equations")
 
     def __init__(self, graph: Multigraph) -> None:
         self.graph = graph
         self.full_edge_ids = graph.cyclic_edge_ids()
         self._full_part: tuple[Multigraph, tuple[int, ...]] | None = None
-        # Flow conservation at every vertex (+1 incoming, -1 outgoing; a loop
-        # contributes to both sides and cancels), then the normalization row.
-        rows: list[list[int]] = []
-        rhs: list[int] = []
-        for v in range(graph.n_vertices):
-            row = [0] * graph.n_edges
-            for eid, (st, ar, _) in enumerate(graph.edges):
-                if st != ar:
-                    if ar == v:
-                        row[eid] += 1
-                    if st == v:
-                        row[eid] -= 1
-            rows.append(row)
-            rhs.append(0)
-        rows.append([1] * graph.n_edges)
-        rhs.append(1)
-        self._equation_rows = tuple(tuple(row) for row in rows)
-        self._equation_rhs = tuple(rhs)
+        self._equations: tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None = None
 
     # -- vertices --------------------------------------------------------
 
@@ -189,20 +161,28 @@ class CyclePolytope:
         comps = len(sub.connected_components())
         return len(self.full_edge_ids) - self.graph.n_vertices + comps - 1
 
-    def ambient_affine_dimension(self) -> int:
-        """Dimension of the affine space cut out by the defining equations.
-
-        Equals ``dimension()`` whenever the graph is full and strongly
-        connected (in particular for every overlap graph); used as the
-        equation-rank route to the dimension.
-        """
-        return self.graph.n_edges - _matrix_rank(self._equation_rows)
-
     # -- membership ---------------------------------------------------------
 
     def equation_system(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        """(rows, rhs): per-vertex conservation rows (= 0) and the sum row (= 1)."""
-        return self._equation_rows, self._equation_rhs
+        """(rows, rhs): per-vertex conservation rows (= 0) and the sum row (= 1).
+
+        The dense |V| x |E| rows are built on the first call and cached.
+        """
+        if self._equations is None:
+            g = self.graph
+            # Flow conservation at every vertex (+1 incoming, -1 outgoing; a
+            # loop contributes to both sides and cancels), then the sum row.
+            rows = []
+            for v in range(g.n_vertices):
+                row = [0] * g.n_edges
+                for eid in g.in_edges(v):
+                    row[eid] += 1
+                for eid in g.out_edges(v):
+                    row[eid] -= 1
+                rows.append(tuple(row))
+            rows.append((1,) * g.n_edges)
+            self._equations = (tuple(rows), (0,) * g.n_vertices + (1,))
+        return self._equations
 
     def _coerce_point(self, point: Sequence) -> list[Fraction]:
         values = [as_fraction(x) for x in point]
@@ -212,35 +192,39 @@ class CyclePolytope:
             )
         return values
 
-    def _equation_violation(self, x: list[Fraction]) -> str | None:
+    def _equation_violation(self, x: list[Fraction], n: list[int], d: int) -> str | None:
+        """The first violated constraint of x = n / d, or None."""
         g = self.graph
-        for eid, value in enumerate(x):
-            if value < 0:
-                return f"negative entry x[{eid}] = {value}"
-        total = sum(x, Fraction(0))
-        if total != 1:
-            return f"entries sum to {total}, not 1"
+        if n and min(n) < 0:
+            eid = next(eid for eid, value in enumerate(n) if value < 0)
+            return f"negative entry x[{eid}] = {x[eid]}"
+        total = sum(n)
+        if total != d:
+            return f"entries sum to {Fraction(total, d)}, not 1"
+        at = n.__getitem__
         for v in range(g.n_vertices):
-            outflow = sum((x[eid] for eid in g.out_edges(v)), Fraction(0))
-            inflow = sum((x[eid] for eid in g.in_edges(v)), Fraction(0))
+            outflow = sum(map(at, g.out_edges(v)))
+            inflow = sum(map(at, g.in_edges(v)))
             if outflow != inflow:
                 return (
                     f"flow not conserved at vertex {g.vertex_names[v]!r}: "
-                    f"out {outflow} != in {inflow}"
+                    f"out {Fraction(outflow, d)} != in {Fraction(inflow, d)}"
                 )
         # Implied by the equations; kept as an explicit consistency check.
-        for eid, value in enumerate(x):
-            if value > 0 and eid not in self.full_edge_ids:
-                return f"support edge {eid} lies on no cycle"
+        if len(self.full_edge_ids) < len(n):
+            for eid, value in enumerate(n):
+                if value > 0 and eid not in self.full_edge_ids:
+                    return f"support edge {eid} lies on no cycle"
         return None
 
     def membership(self, point: Sequence) -> MembershipResult:
         """Exact test of the defining equations, with a certificate."""
         x = self._coerce_point(point)
-        violation = self._equation_violation(x)
+        n, d = _scaled(x)
+        violation = self._equation_violation(x, n, d)
         if violation is not None:
             return MembershipResult(False, violation=violation)
-        return MembershipResult(True, decomposition=tuple(self._greedy_decomposition(x)))
+        return MembershipResult(True, decomposition=tuple(self._greedy_decomposition(n, d)))
 
     def convex_decomposition(self, point: Sequence) -> tuple[tuple[Fraction, SimpleCycle], ...]:
         """Write a member point as an exact convex combination of cycle vectors.
@@ -251,34 +235,44 @@ class CyclePolytope:
         cycles since every round zeroes at least one edge.
         """
         x = self._coerce_point(point)
-        violation = self._equation_violation(x)
+        n, d = _scaled(x)
+        violation = self._equation_violation(x, n, d)
         if violation is not None:
             raise NotInPolytopeError(violation)
-        return tuple(self._greedy_decomposition(x))
+        return tuple(self._greedy_decomposition(n, d))
 
-    def _greedy_decomposition(self, x: list[Fraction]) -> list[tuple[Fraction, SimpleCycle]]:
+    def _greedy_decomposition(self, n: list[int], d: int) -> list[tuple[Fraction, SimpleCycle]]:
+        """Peel cycles off the member point n / d; consumes ``n``."""
         g = self.graph
-        remaining = list(x)
+        ar, out_edges = g.ar, g.out_edges
+        remaining = n
         result: list[tuple[Fraction, SimpleCycle]] = []
+        start = 0  # the smallest positive edge id never decreases
         while True:
-            start = next((eid for eid, v in enumerate(remaining) if v > 0), None)
-            if start is None:
+            while start < len(remaining) and not remaining[start]:
+                start += 1
+            if start == len(remaining):
                 break
             seen = {g.st(start): 0}
             edges = [start]
-            while True:
-                v = g.ar(edges[-1])
-                if v in seen:
-                    cycle_edges = edges[seen[v] :]
-                    break
+            v = ar(start)
+            while v not in seen:
                 seen[v] = len(edges)
-                # Conservation guarantees an outgoing support edge exists.
-                edges.append(min(e for e in g.out_edges(v) if remaining[e] > 0))
-            flow = min(remaining[e] for e in cycle_edges)
+                # Out-edges come in ascending id order, so this is the
+                # smallest-id continuation along the support.
+                for e in out_edges(v):
+                    if remaining[e]:
+                        break
+                else:
+                    raise AssertionError("conservation guarantees an outgoing support edge")
+                edges.append(e)
+                v = ar(e)
+            cycle_edges = edges[seen[v] :]
+            flow = min([remaining[e] for e in cycle_edges])
             for e in cycle_edges:
                 remaining[e] -= flow
             cycle = SimpleCycle(g, tuple(cycle_edges))
-            result.append((flow * len(cycle_edges), cycle))
+            result.append((Fraction(flow * len(cycle_edges), d), cycle))
         return result
 
     # -- faces ---------------------------------------------------------------

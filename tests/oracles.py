@@ -2,10 +2,11 @@
 
 Everything here is deliberately written from the definitions, sharing no code
 with the implementations under test: occurrence counting by explicit pairwise
-order comparison, simple cycles by edge-subset filtering, affine rank by its
-own Gaussian elimination, convex-hull membership by an exact phase-1
-simplex over the vertex list, and the greedy walk-to-permutation construction
-by rewriting the whole word at every step.
+order comparison, simple cycles by edge-subset filtering, rank by its own
+Gaussian elimination, convex-hull membership by an exact phase-1 simplex over
+the vertex list, membership and its greedy cycle decomposition in ``Fraction``
+arithmetic, and the greedy walk-to-permutation construction by rewriting the
+whole word at every step.
 """
 
 from __future__ import annotations
@@ -138,14 +139,11 @@ def count_simple_cycles_dp(g) -> int:
 # -- exact linear algebra ----------------------------------------------------
 
 
-def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of the differences to the first point, by Gaussian elimination."""
-    if len(points) <= 1:
-        return 0
-    base = points[0]
-    rows = [[Fraction(x) - Fraction(b) for x, b in zip(p, base)] for p in points[1:]]
+def matrix_rank(rows: Sequence[Sequence]) -> int:
+    """Rank over the rationals by Gaussian elimination."""
+    rows = [[Fraction(x) for x in row] for row in rows]
     rank = 0
-    cols = len(base)
+    cols = len(rows[0]) if rows else 0
     for col in range(cols):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
         if pivot is None:
@@ -161,6 +159,76 @@ def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
         if rank == len(rows):
             break
     return rank
+
+
+def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
+    """Rank of the differences to the first point."""
+    if len(points) <= 1:
+        return 0
+    base = points[0]
+    return matrix_rank([[Fraction(x) - Fraction(b) for x, b in zip(p, base)] for p in points[1:]])
+
+
+def ambient_affine_dimension(poly) -> int:
+    """Dimension of the affine space cut out by the polytope's defining
+    equations.  Equals ``dimension()`` whenever the graph is full and strongly
+    connected (in particular for every overlap graph): the equation-rank route
+    to the dimension."""
+    rows, _ = poly.equation_system()
+    return poly.graph.n_edges - matrix_rank(rows)
+
+
+# -- membership in Fraction arithmetic ------------------------------------------
+
+
+def fraction_membership(graph, full_edge_ids, x: Sequence[Fraction]):
+    """(violation, decomposition) for the point x, all in ``Fraction``.
+
+    ``violation`` is the first violated constraint as text, or None; then
+    ``decomposition`` lists (weight, cycle edge ids in canonical rotation)
+    from greedy flow extraction: walk the support along smallest-id
+    continuations until a vertex repeats, peel that simple cycle off with the
+    largest weight keeping all entries non-negative.
+    """
+    g = graph
+    for eid, value in enumerate(x):
+        if value < 0:
+            return f"negative entry x[{eid}] = {value}", None
+    total = sum(x, Fraction(0))
+    if total != 1:
+        return f"entries sum to {total}, not 1", None
+    for v in range(g.n_vertices):
+        outflow = sum((x[eid] for eid in g.out_edges(v)), Fraction(0))
+        inflow = sum((x[eid] for eid in g.in_edges(v)), Fraction(0))
+        if outflow != inflow:
+            return (
+                f"flow not conserved at vertex {g.vertex_names[v]!r}: "
+                f"out {outflow} != in {inflow}"
+            ), None
+    for eid, value in enumerate(x):
+        if value > 0 and eid not in full_edge_ids:
+            return f"support edge {eid} lies on no cycle", None
+    remaining = list(x)
+    result = []
+    while True:
+        start = next((eid for eid, v in enumerate(remaining) if v > 0), None)
+        if start is None:
+            break
+        seen = {g.st(start): 0}
+        edges = [start]
+        while True:
+            v = g.ar(edges[-1])
+            if v in seen:
+                cycle_edges = edges[seen[v] :]
+                break
+            seen[v] = len(edges)
+            edges.append(min(e for e in g.out_edges(v) if remaining[e] > 0))
+        flow = min(remaining[e] for e in cycle_edges)
+        for e in cycle_edges:
+            remaining[e] -= flow
+        pivot = cycle_edges.index(min(cycle_edges))
+        result.append((flow * len(cycle_edges), tuple(cycle_edges[pivot:] + cycle_edges[:pivot])))
+    return None, result
 
 
 # -- exact convex-hull membership (phase-1 simplex, Bland's rule) -------------

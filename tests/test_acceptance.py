@@ -28,7 +28,13 @@ from permutope import (
     repeat_sum,
 )
 from conftest import random_multigraph, random_walk
-from oracles import affine_rank, brute_force_simple_cycles, in_convex_hull, naive_cocc
+from oracles import (
+    affine_rank,
+    ambient_affine_dimension,
+    brute_force_simple_cycles,
+    in_convex_hull,
+    naive_cocc,
+)
 
 F = Fraction
 P = Permutation.parse
@@ -69,7 +75,7 @@ def test_criterion_02_feasible_region_dimension():
             region = feasible_region(k)
             assert expected == math.factorial(k) - math.factorial(k - 1)
             assert region.dimension() == expected
-            assert region.polytope.ambient_affine_dimension() == expected
+            assert ambient_affine_dimension(region.polytope) == expected
         vertices = feasible_region(3).polytope.vertices()
         assert affine_rank([cv.entries for cv in vertices]) == 4
 

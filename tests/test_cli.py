@@ -1,10 +1,12 @@
 import csv
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
+from permutope import Permutation
 from permutope.cli import run
 
 F = Fraction
@@ -219,7 +221,31 @@ class TestErrorsAndCaps:
         monkeypatch.setenv("PERMUTOPE_CAP", "cycle=2")
         code, _, err = invoke(capsys, "vertices", "--k", "3")
         assert code == 1 and err.startswith("error:") and "'cycle'" in err
-        assert all(key in err for key in ("cycles", "enum", "overlap", "faces", "mix"))
+        assert all(key in err for key in ("cycles", "enum", "overlap", "faces", "mix", "realize"))
+
+    def test_realize_over_the_cap_is_refused_before_building(self, capsys):
+        # size_for(1) of the uniform target at k=6 is 236,178,633,900 points
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "realize", "--k", "6", "--vector", "uniform", "--m", "1")
+        assert time.perf_counter() - start < 5.0
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "236178633900" in err and "'realize'" in err
+
+    def test_env_cap_sets_the_realize_cap(self, capsys, monkeypatch):
+        # the uniform target at k=4 needs 384 points at m=1
+        argv = ("realize", "--k", "4", "--vector", "uniform", "--m", "1")
+        monkeypatch.setenv("PERMUTOPE_CAP", "realize=383")
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == "" and "383" in err
+        report = ("report", "--k", "4", "--vector", "uniform", "--m-values", "1", "--no-classical")
+        code, out, err = invoke(capsys, *report)
+        assert code == 1 and out == "" and "383" in err
+        monkeypatch.setenv("PERMUTOPE_CAP", "realize=384")
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0 and len(Permutation.parse(out.strip())) == 384
+        code, out, _ = invoke(capsys, *report)
+        assert code == 0 and out.splitlines()[1].startswith("1,384,")
 
     @pytest.mark.parametrize(
         "verb, body",

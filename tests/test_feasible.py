@@ -90,6 +90,16 @@ class TestMembership:
 
 
 class TestRealize:
+    def test_size_cap_checked_before_building(self):
+        plan = feasible_region(6).plan(PatternVector.uniform(6))
+        assert plan.size_for(1) == 236_178_633_900
+        with pytest.raises(CapacityError, match="realize"):
+            plan.generate(1)
+        small = feasible_region(4).plan(PatternVector.uniform(4))
+        with pytest.raises(CapacityError, match="383"):
+            small.generate(1, max_size=383)
+        assert len(small.generate(1, max_size=384)) == small.size_for(1) == 384
+
     def test_monotone_loop_gives_identity(self):
         region = feasible_region(3)
         target = vertex_vector(region, (0,))  # loop labeled 123

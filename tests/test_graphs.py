@@ -26,6 +26,11 @@ class TestConstruction:
         with pytest.raises(IndexError):
             Multigraph(["a"], [(0, 1, "x")])
 
+    @pytest.mark.parametrize("st, ar", [(0.5, 1.9), (0, 1.0), (True, 1), (0, "1"), (None, 0)])
+    def test_non_integer_edge_ends_rejected(self, st, ar):
+        with pytest.raises(ValueError, match="edge ends must be integers"):
+            Multigraph(["a", "b"], [(st, ar, "e")])
+
     def test_degrees_and_continuations(self, fig2_graph):
         g = fig2_graph
         assert g.out_degree(0) == g.in_degree(0) == 1
@@ -175,6 +180,35 @@ class TestCycleEnumeration:
         first = [c.edge_ids for c in iter_simple_cycles(fig3_graph)]
         second = [c.edge_ids for c in iter_simple_cycles(fig3_graph)]
         assert first == second
+
+
+# (class, graph fixture, edge ids, exception type, message), as raised before
+# the checks were table-driven.
+MALFORMED_WALKS = [
+    (Walk, "fig2_graph", (), ValueError, "walks are non-empty"),
+    (SimpleCycle, "fig2_graph", (), ValueError, "walks are non-empty"),
+    (Walk, "fig2_graph", (0, 3), IndexError, "no edge with id 3"),
+    (Walk, "fig2_graph", (5, -1), IndexError, "no edge with id 5"),
+    (SimpleCycle, "fig2_graph", (0, 1, 3), IndexError, "no edge with id 3"),
+    (Walk, "fig2_graph", (-1,), IndexError, "no edge with id -1"),
+    (SimpleCycle, "fig2_graph", (2, -1), IndexError, "no edge with id -1"),
+    (Walk, "fig2_graph", (0, 0), ValueError, "edges 0 and 0 do not chain: arrival 2 != start 1"),
+    (Walk, "fig2_graph", (0, 1, 0, 2), ValueError, "edges 1 and 0 do not chain: arrival 0 != start 1"),
+    (SimpleCycle, "fig2_graph", (0, 2), ValueError, "edges 0 and 2 do not chain: arrival 2 != start 0"),
+    (SimpleCycle, "fig2_graph", (0, 1), ValueError, "cycle is not closed"),
+    (SimpleCycle, "fig3_graph", (1,), ValueError, "cycle is not closed"),
+    (SimpleCycle, "fig3_graph", (0, 0), ValueError, "cycle repeats an edge"),
+    (SimpleCycle, "fig3_graph", (1, 3, 1, 3), ValueError, "cycle repeats an edge"),
+    (SimpleCycle, "fig3_graph", (1, 3, 2, 4), ValueError, "cycle repeats a vertex"),
+    (SimpleCycle, "fig3_graph", (2, 4, 0), ValueError, "cycle repeats a vertex"),
+]
+
+
+@pytest.mark.parametrize("cls, fixture, ids, exc, message", MALFORMED_WALKS)
+def test_malformed_walk_messages(request, cls, fixture, ids, exc, message):
+    with pytest.raises(exc) as info:
+        cls(request.getfixturevalue(fixture), ids)
+    assert type(info.value) is exc and str(info.value) == message
 
 
 class TestWalks:

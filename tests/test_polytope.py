@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from permutope import (
     iter_simple_cycles,
 )
 from conftest import random_multigraph
-from oracles import affine_rank, in_convex_hull
+from oracles import affine_rank, ambient_affine_dimension, fraction_membership, in_convex_hull
 
 F = Fraction
 
@@ -99,7 +100,7 @@ class TestDimension:
     def test_equation_rank_route_on_strongly_connected_graphs(self, fig2_graph, fig3_graph):
         for g in (fig2_graph, fig3_graph, build_overlap_graph(3).graph):
             poly = CyclePolytope(g)
-            assert poly.ambient_affine_dimension() == poly.dimension()
+            assert ambient_affine_dimension(poly) == poly.dimension()
 
     def test_disjoint_union_adds_dimensions_plus_one(self):
         # triangle (dim 0) next to the two-vertex pyramid graph (dim 3)
@@ -197,6 +198,119 @@ class TestMembership:
                 checked += 1
                 assert poly.membership(x).member == in_convex_hull(points, x)
         assert checked > 150
+
+
+def random_cycle(rng, g):
+    """A simple cycle closed by a random walk from a random vertex (every
+    vertex needs an out-edge): its edge ids in walk order."""
+    v = rng.randrange(g.n_vertices)
+    seen, edges = {v: 0}, []
+    while True:
+        eid = rng.choice(g.out_edges(v))
+        edges.append(eid)
+        v = g.ar(eid)
+        if v in seen:
+            return edges[seen[v] :]
+        seen[v] = len(edges)
+
+
+def planted_point(rng, g, n_cycles):
+    """A convex combination of random simple cycles with weights 1..4."""
+    cycles = [random_cycle(rng, g) for _ in range(n_cycles)]
+    weights = [rng.randint(1, 4) for _ in cycles]
+    point = [F(0)] * g.n_edges
+    for w, cycle in zip(weights, cycles):
+        for eid in cycle:
+            point[eid] += F(w, sum(weights) * len(cycle))
+    return point
+
+
+def broken_point(rng, g, point, how):
+    """A non-member made from a member: a negative entry, a wrong sum, or an
+    unbalanced vertex (mass moved between a loop and a non-loop edge)."""
+    point = list(point)
+    if how == "negative":
+        e, f = rng.sample(range(g.n_edges), 2)
+        point[f] += point[e] + F(1, 97)
+        point[e] = F(-1, 97)
+    elif how == "sum":
+        point = [v * F(8, 7) for v in point]
+    else:
+        e = rng.choice([e for e in range(g.n_edges) if point[e] > 0])
+        loops = [f for f in range(g.n_edges) if g.is_loop(f)]
+        f = rng.choice([f for f in range(g.n_edges) if not g.is_loop(f)] if g.is_loop(e) else loops)
+        delta = point[e] / 2
+        point[e] -= delta
+        point[f] += delta
+    return point
+
+
+def assert_matches_fraction_oracle(poly, x):
+    violation, expected = fraction_membership(poly.graph, poly.full_edge_ids, x)
+    result = poly.membership(x)
+    assert result.member == (violation is None)
+    assert result.violation == violation
+    if violation is None:
+        got = [(w, c.edge_ids) for w, c in result.decomposition]
+        assert got == expected
+        assert all(type(w) is Fraction for w, _ in got)
+        decomposition = poly.convex_decomposition(x)
+        assert [(w, c.edge_ids) for w, c in decomposition] == expected
+    else:
+        with pytest.raises(NotInPolytopeError) as info:
+            poly.convex_decomposition(x)
+        assert str(info.value) == violation
+
+
+class TestFractionOracle:
+    """Membership on integer numerators agrees exactly with the Fraction route."""
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_planted_members_and_non_members(self, k):
+        rng = random.Random(500 + k)
+        poly = CyclePolytope(build_overlap_graph(k).graph)
+        g = poly.graph
+        for n_cycles in range(1, 31):
+            point = planted_point(rng, g, n_cycles)
+            assert_matches_fraction_oracle(poly, point)
+            assert poly.membership(point).member
+            how = ("negative", "sum", "flow")[n_cycles % 3]
+            broken = broken_point(rng, g, point, how)
+            assert_matches_fraction_oracle(poly, broken)
+            expected = {"negative": "negative", "sum": "sum", "flow": "conserved"}[how]
+            assert expected in poly.membership(broken).violation
+
+    def test_random_multigraphs(self):
+        rng = random.Random(13)
+        for _ in range(60):
+            g = random_multigraph(rng)
+            poly = CyclePolytope(g)
+            for _ in range(8):
+                x = [F(rng.randint(-1, 3), rng.randint(1, 4)) for _ in range(g.n_edges)]
+                assert_matches_fraction_oracle(poly, x)
+                total = sum(x)
+                if total > 0 and all(v >= 0 for v in x):
+                    assert_matches_fraction_oracle(poly, [v / total for v in x])
+
+    def test_edge_on_no_cycle(self):
+        # y and w lie on no cycle; the loops x and z do
+        g = Multigraph(["a", "b", "c"], [(0, 0, "x"), (0, 1, "y"), (1, 1, "z"), (1, 2, "w")])
+        poly = CyclePolytope(g)
+        assert poly.full_edge_ids == {0, 2}
+        for x in (
+            [F(1, 2), 0, F(1, 2), 0],
+            [F(1, 3), 0, F(2, 3), 0],
+            [F(1, 2), F(1, 4), F(1, 4), 0],
+            [F(1, 2), 0, F(1, 4), F(1, 4)],
+            [0, 0, 0, F(1)],
+        ):
+            assert_matches_fraction_oracle(poly, [F(v) for v in x])
+
+    def test_zero_edge_graph(self):
+        for g in (Multigraph(["a"], []), Multigraph([], [])):
+            poly = CyclePolytope(g)
+            assert_matches_fraction_oracle(poly, [])
+            assert poly.membership([]).violation == "entries sum to 0, not 1"
 
 
 class TestConvexDecomposition:
@@ -329,6 +443,29 @@ class TestSkeleton:
         poly = CyclePolytope(fig3_graph)
         c = SimpleCycle(fig3_graph, (1, 3))
         assert not poly.skeleton_adjacent(c, c)
+
+
+class TestEquationSystem:
+    def test_rows_built_on_first_use(self):
+        # the 721 x 5040 rows of k=7 take about 30 MB; construction needs none
+        g = build_overlap_graph(7).graph
+        tracemalloc.start()
+        try:
+            poly = CyclePolytope(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        rows, rhs = poly.equation_system()
+        assert len(rows) == len(rhs) == g.n_vertices + 1
+        assert all(len(row) == g.n_edges for row in rows)
+        assert poly.equation_system()[0] is rows
+
+    def test_rows_are_the_flow_balance(self, fig3_graph):
+        rows, rhs = CyclePolytope(fig3_graph).equation_system()
+        # loop, a1, a2 (v1 -> v2), b1, b2 (v2 -> v1); the loop cancels
+        assert rows == ((0, -1, -1, 1, 1), (0, 1, 1, -1, -1), (1, 1, 1, 1, 1))
+        assert rhs == (0, 0, 1)
 
 
 class TestExport:
