@@ -33,7 +33,6 @@ from .graphs import (
     Walk,
     WalkDecomposition,
     decompose_walk,
-    enumerate_simple_cycles,
     eulerian_circuit,
     iter_simple_cycles,
 )
@@ -41,11 +40,9 @@ from .overlap import (
     OverlapGraph,
     begin_pattern,
     build_overlap_graph,
-    cocc_via_walk,
     end_pattern,
     eulerian_universal_permutation,
     hamiltonian_cycle,
-    permutation_of_walk,
     walk_of,
 )
 from .perms import (
@@ -71,7 +68,6 @@ from .polytope import (
     FaceHandle,
     FacePoset,
     MembershipResult,
-    cycle_vector,
 )
 
 __version__ = "0.1.0"

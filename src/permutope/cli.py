@@ -146,19 +146,17 @@ def _cmd_vertices(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
     poly = CyclePolytope(graph)
     vertices = poly.vertices(max_cycles=_cap("cycles"))
-    payload = {
-        "count": len(vertices),
-        "vertices": [
+    listed = []
+    for cv in vertices:
+        ids, entries = cv.cycle.edge_ids, cv.entries
+        listed.append(
             {
-                "cycle_edges": list(cv.cycle.edge_ids),
-                "cycle_labels": [graph.label(e) for e in cv.cycle.edge_ids],
-                "vector": {
-                    graph.label(e): _fmt(cv.entries[e], args) for e in cv.cycle.edge_ids
-                },
+                "cycle_edges": list(ids),
+                "cycle_labels": [graph.label(e) for e in ids],
+                "vector": {graph.label(e): _fmt(entries[e], args) for e in ids},
             }
-            for cv in vertices
-        ],
-    }
+        )
+    payload = {"count": len(vertices), "vertices": listed}
     print(_dump(payload))
     return 0
 

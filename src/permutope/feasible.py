@@ -61,7 +61,7 @@ class FeasibleRegion:
         return vector.values_by_pattern()
 
     def vector_of(self, point: Sequence) -> PatternVector:
-        return PatternVector.from_values(self.k, [as_fraction(x) for x in point])
+        return PatternVector.from_values(self.k, point)
 
     def membership(self, vector: PatternVector) -> MembershipResult:
         return self.polytope.membership(self.point_of(vector))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import limits
 from .errors import CapacityError
@@ -101,18 +101,7 @@ class Multigraph:
     def __repr__(self) -> str:
         return f"Multigraph({self.n_vertices} vertices, {self.n_edges} edges)"
 
-    # -- matrices and connectivity ------------------------------------------
-
-    def incidence_matrix(self) -> list[list[int]]:
-        """Vertex-by-edge signed incidence matrix; a loop contributes a lone +1."""
-        mat = [[0] * self.n_edges for _ in range(self.n_vertices)]
-        for eid, (st, ar, _) in enumerate(self.edges):
-            if st == ar:
-                mat[st][eid] = 1
-            else:
-                mat[st][eid] = -1
-                mat[ar][eid] = 1
-        return mat
+    # -- connectivity ------------------------------------------------------
 
     def connected_components(self) -> list[list[int]]:
         """Components in the undirected sense, ordered by smallest vertex id."""
@@ -210,11 +199,6 @@ class Multigraph:
         sub = Multigraph(self.vertex_names, [self.edges[eid] for eid in kept])
         return sub, tuple(kept)
 
-    def largest_full_subgraph(self) -> tuple["Multigraph", tuple[int, ...]]:
-        """Drop every edge that lies on no cycle; vertices (even isolated ones)
-        are retained.  Idempotent."""
-        return self.subgraph_with_edges(self.cyclic_edge_ids())
-
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -299,6 +283,15 @@ class Walk:
             f"edges {prev} and {nxt} do not chain: arrival {ar[prev]} != start {st[nxt]}"
         )
 
+    @classmethod
+    def _trusted(cls, graph: Multigraph, edge_ids: tuple[int, ...]) -> "Walk":
+        """Wrap edge ids that already form a non-empty chained walk on
+        ``graph``, skipping the checks."""
+        walk = object.__new__(cls)
+        object.__setattr__(walk, "graph", graph)
+        object.__setattr__(walk, "edge_ids", edge_ids)
+        return walk
+
     def __len__(self) -> int:
         return len(self.edge_ids)
 
@@ -322,8 +315,9 @@ class Walk:
 
 
 def _canonical_rotation(edge_ids: Sequence[int]) -> tuple[int, ...]:
+    """The rotation starting at the smallest id, of a tuple or a list."""
     pivot = edge_ids.index(min(edge_ids))
-    return tuple(edge_ids[pivot:]) + tuple(edge_ids[:pivot])
+    return tuple(edge_ids[pivot:] + edge_ids[:pivot] if pivot else edge_ids)
 
 
 @dataclass(frozen=True)
@@ -347,6 +341,15 @@ class SimpleCycle(Walk):
             if len(set(ids)) != len(ids):
                 raise ValueError("cycle repeats an edge")
             raise ValueError("cycle repeats a vertex")
+
+    @classmethod
+    def _trusted(cls, graph: Multigraph, edge_ids: Sequence[int]) -> "SimpleCycle":
+        """Wrap the edge ids of a simple cycle of ``graph``, in any rotation,
+        skipping the checks; the canonical rotation is still applied."""
+        cycle = object.__new__(cls)
+        object.__setattr__(cycle, "graph", graph)
+        object.__setattr__(cycle, "edge_ids", _canonical_rotation(edge_ids))
+        return cycle
 
 
 def iter_simple_cycles(
@@ -382,7 +385,7 @@ def iter_simple_cycles(
                         raise CapacityError(
                             f"more than {max_cycles} simple cycles; raise the cap to continue"
                         )
-                    yield SimpleCycle(g, tuple(epath) + (eid,))
+                    yield SimpleCycle._trusted(g, epath + [eid])
                     closed[-1] = True
                 elif w not in blocked:
                     epath.append(eid)
@@ -412,21 +415,6 @@ def iter_simple_cycles(
                     w = ar[eid]
                     if w >= s:
                         barriers.setdefault(w, set()).add(v)
-
-
-def enumerate_simple_cycles(
-    g: Multigraph,
-    sink: Callable[[SimpleCycle], None] | None = None,
-    *,
-    max_cycles: int = limits.CYCLE_CAP,
-) -> int:
-    """Stream every simple cycle into ``sink`` and return the count."""
-    count = 0
-    for cycle in iter_simple_cycles(g, max_cycles=max_cycles):
-        count += 1
-        if sink is not None:
-            sink(cycle)
-    return count
 
 
 @dataclass(frozen=True)
@@ -471,11 +459,11 @@ def decompose_walk(walk: Walk) -> WalkDecomposition:
             for u in stack_vertices[at + 1 :]:
                 del position[u]
             del stack_vertices[at + 1 :]
-            cycles.append(SimpleCycle(g, tuple(cycle_edges)))
+            cycles.append(SimpleCycle._trusted(g, cycle_edges))
         else:
             stack_vertices.append(v)
             position[v] = len(stack_vertices) - 1
-    tail = Walk(g, tuple(stack_edges)) if stack_edges else None
+    tail = Walk._trusted(g, tuple(stack_edges)) if stack_edges else None
     return WalkDecomposition(tuple(cycles), tail)
 
 

@@ -85,7 +85,7 @@ class OverlapGraph:
         k, n = self.k, len(sigma)
         if n < k:
             raise SizeError(f"permutation of size {n} has no window of width {k}")
-        return Walk(self.graph, tuple(_window_ids(sigma.word, k)))
+        return Walk._trusted(self.graph, tuple(_window_ids(sigma.word, k)))
 
     def walk_labels(self, walk: Walk) -> tuple[Permutation, ...]:
         return tuple(self._edge_perms[eid] for eid in walk.edge_ids)
@@ -133,7 +133,7 @@ class OverlapGraph:
         for value in range(1, n + 1):
             word[point] = value
             point = above[point]
-        return Permutation(tuple(word))
+        return Permutation._trusted(tuple(word))
 
 
 @lru_cache(maxsize=None)
@@ -146,26 +146,6 @@ def build_overlap_graph(k: int, *, max_k: int = limits.OVERLAP_K_CAP) -> Overlap
 
 def walk_of(sigma: Permutation, k: int) -> Walk:
     return build_overlap_graph(k).walk_of(sigma)
-
-
-def permutation_of_walk(og: OverlapGraph, walk: Walk) -> Permutation:
-    return og.permutation_of_walk(walk)
-
-
-def cocc_via_walk(pattern: Permutation, sigma: Permutation) -> int:
-    """Consecutive occurrences counted as label hits along the window walk.
-
-    Independent route to the same number as ``perms.cocc``; exists for
-    cross-validation.
-    """
-    k = len(pattern)
-    if k < 2:
-        raise SizeError("walk counting needs patterns of size >= 2")
-    if len(sigma) < k:
-        raise SizeError(f"pattern size {k} exceeds permutation size {len(sigma)}")
-    og = build_overlap_graph(k)
-    target = og.edge_of(pattern)
-    return sum(1 for eid in og.walk_of(sigma).edge_ids if eid == target)
 
 
 def eulerian_universal_permutation(k: int, *, max_k: int = limits.OVERLAP_K_CAP) -> Permutation:

@@ -55,8 +55,16 @@ class Permutation:
         object.__setattr__(self, "word", word)
         if not word:
             raise ValueError("permutations are non-empty")
-        if sorted(word) != list(range(1, len(word) + 1)):
+        if {*map(type, word)} != {int} or sorted(word) != list(range(1, len(word) + 1)):
             raise ValueError(f"not a permutation word: {word!r}")
+
+    @classmethod
+    def _trusted(cls, word: tuple[int, ...]) -> "Permutation":
+        """Wrap a word that is already a non-empty tuple of the ints
+        ``1..len(word)``, each once, skipping the checks."""
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "word", word)
+        return perm
 
     def __len__(self) -> int:
         return len(self.word)
@@ -102,7 +110,7 @@ def all_patterns(k: int) -> tuple[Permutation, ...]:
     """All permutations of size ``k`` in lexicographic order of their words."""
     if k < 1:
         raise ValueError("pattern size must be >= 1")
-    return tuple(Permutation(w) for w in itertools.permutations(range(1, k + 1)))
+    return tuple(map(Permutation._trusted, itertools.permutations(range(1, k + 1))))
 
 
 def _invert(order: Sequence[int]) -> tuple[int, ...]:
@@ -127,7 +135,7 @@ def standardize(values: Sequence) -> Permutation:
         raise EmptyError("cannot standardize an empty sequence")
     if len(set(values)) != len(values):
         raise DistinctnessError(f"values are not distinct: {values!r}")
-    return Permutation(_std_word(values))
+    return Permutation._trusted(_std_word(values))
 
 
 def is_interval(indices: Sequence[int]) -> bool:
@@ -144,7 +152,7 @@ def pattern_at(sigma: Permutation, indices: Iterable[int]) -> Permutation:
         raise ValueError(f"index set has repeats: {idx!r}")
     if idx[0] < 1 or idx[-1] > len(sigma):
         raise IndexError(f"index set {idx!r} out of range for size {len(sigma)}")
-    return Permutation(_std_word([sigma.word[i - 1] for i in idx]))
+    return Permutation._trusted(_std_word([sigma.word[i - 1] for i in idx]))
 
 
 def window_pattern(sigma: Permutation, start: int, k: int) -> Permutation:
@@ -322,6 +330,9 @@ def _check_vector_k(k: int) -> None:
         raise CapacityError(f"pattern vectors carry k! entries; k={k} exceeds cap")
 
 
+_MISSING = object()
+
+
 class PatternVector:
     """A map assigning an exact rational in [0, 1] to every pattern of size k.
 
@@ -336,10 +347,11 @@ class PatternVector:
         domain = all_patterns(k)
         converted: dict[Permutation, Fraction] = {}
         for perm in domain:
-            if perm not in entries:
+            value = entries.get(perm, _MISSING)
+            if value is _MISSING:
                 raise ValueError(f"missing entry for pattern {perm}")
-            value = as_fraction(entries[perm])
-            if value < 0 or value > 1:
+            value = as_fraction(value)
+            if value.numerator < 0 or value.numerator > value.denominator:
                 raise ValueError(f"entry for {perm} not in [0, 1]: {value}")
             converted[perm] = value
         if len(entries) != len(domain):
@@ -486,6 +498,6 @@ def substitute(skeleton: Permutation, blocks: Sequence[Permutation]) -> Permutat
     for i in sorted(range(d), key=skeleton.word.__getitem__):
         value_offset[i] = running
         running += len(blocks[i])
-    return Permutation(
+    return Permutation._trusted(
         tuple(v + offset for block, offset in zip(blocks, value_offset) for v in block.word)
     )

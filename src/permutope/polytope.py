@@ -29,27 +29,27 @@ from .rationals import as_fraction
 @dataclass(frozen=True)
 class CycleVector:
     """The point of the polytope carried by one simple cycle: entry 1/|C| on
-    each cycle edge, 0 elsewhere."""
+    each cycle edge, 0 elsewhere.  Only the cycle is stored; the dense
+    ``entries`` are built on each access."""
 
     cycle: SimpleCycle
-    entries: tuple[Fraction, ...]
 
     @classmethod
     def from_cycle(cls, graph: Multigraph, cycle: SimpleCycle) -> "CycleVector":
         if cycle.graph is not graph:
             raise IndexError("cycle references edges of a different graph")
-        weight = Fraction(1, len(cycle))
-        entries = [Fraction(0)] * graph.n_edges
-        for eid in cycle.edge_ids:
+        return cls(cycle)
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        weight = Fraction(1, len(self.cycle))
+        entries = [Fraction(0)] * self.cycle.graph.n_edges
+        for eid in self.cycle.edge_ids:
             entries[eid] = weight
-        return cls(cycle, tuple(entries))
+        return tuple(entries)
 
     def support(self) -> frozenset[int]:
         return frozenset(self.cycle.edge_ids)
-
-
-def cycle_vector(graph: Multigraph, cycle: SimpleCycle) -> CycleVector:
-    return CycleVector.from_cycle(graph, cycle)
 
 
 @dataclass(frozen=True)
@@ -271,7 +271,7 @@ class CyclePolytope:
             flow = min([remaining[e] for e in cycle_edges])
             for e in cycle_edges:
                 remaining[e] -= flow
-            cycle = SimpleCycle(g, tuple(cycle_edges))
+            cycle = SimpleCycle._trusted(g, cycle_edges)
             result.append((Fraction(flow * len(cycle_edges), d), cycle))
         return result
 

@@ -5,8 +5,10 @@ with the implementations under test: occurrence counting by explicit pairwise
 order comparison, simple cycles by edge-subset filtering, rank by its own
 Gaussian elimination, convex-hull membership by an exact phase-1 simplex over
 the vertex list, membership and its greedy cycle decomposition in ``Fraction``
-arithmetic, and the greedy walk-to-permutation construction by rewriting the
-whole word at every step.
+arithmetic, the greedy walk-to-permutation construction by rewriting the
+whole word at every step, and the signed incidence matrix.  The one exception
+is ``cocc_via_walk``, which counts on the package's own window walk to
+cross-check ``cocc``.
 """
 
 from __future__ import annotations
@@ -134,6 +136,40 @@ def count_simple_cycles_dp(g) -> int:
                         nxt = paths.setdefault(mask | (1 << w), {})
                         nxt[w] = nxt.get(w, 0) + ways * adjacency[v][w]
     return total
+
+
+# -- routes that cross-check the package ---------------------------------------
+
+
+def incidence_matrix(g) -> list[list[int]]:
+    """Vertex-by-edge signed incidence matrix; a loop contributes a lone +1."""
+    mat = [[0] * g.n_edges for _ in range(g.n_vertices)]
+    for eid, (st, ar, _) in enumerate(g.edges):
+        if st == ar:
+            mat[st][eid] = 1
+        else:
+            mat[st][eid] = -1
+            mat[ar][eid] = 1
+    return mat
+
+
+def cocc_via_walk(pattern, sigma) -> int:
+    """Consecutive occurrences counted as label hits along the window walk.
+
+    The one oracle that runs package code: it counts on the package's
+    overlap-graph walk, a route independent of the per-window
+    standardization in ``perms.cocc``.
+    """
+    from permutope import SizeError, build_overlap_graph
+
+    k = len(pattern)
+    if k < 2:
+        raise SizeError("walk counting needs patterns of size >= 2")
+    if len(sigma) < k:
+        raise SizeError(f"pattern size {k} exceeds permutation size {len(sigma)}")
+    og = build_overlap_graph(k)
+    target = og.edge_of(pattern)
+    return sum(1 for eid in og.walk_of(sigma).edge_ids if eid == target)
 
 
 # -- exact linear algebra ----------------------------------------------------

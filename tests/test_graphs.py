@@ -4,17 +4,17 @@ import pytest
 
 from permutope import (
     CapacityError,
+    CyclePolytope,
     Multigraph,
     SimpleCycle,
     Walk,
     build_overlap_graph,
     decompose_walk,
-    enumerate_simple_cycles,
     eulerian_circuit,
     iter_simple_cycles,
 )
 from conftest import random_multigraph, random_walk
-from oracles import brute_force_simple_cycles
+from oracles import brute_force_simple_cycles, incidence_matrix
 
 
 class TestConstruction:
@@ -50,7 +50,7 @@ class TestConstruction:
 
 class TestIncidenceMatrix:
     def test_triangle_matches_printed_matrix(self, fig2_graph):
-        assert fig2_graph.incidence_matrix() == [
+        assert incidence_matrix(fig2_graph) == [
             [0, 1, -1],
             [-1, 0, 1],
             [1, -1, 0],
@@ -58,17 +58,17 @@ class TestIncidenceMatrix:
 
     def test_single_loop(self):
         g = Multigraph(["v"], [(0, 0, "loop")])
-        assert g.incidence_matrix() == [[1]]
+        assert incidence_matrix(g) == [[1]]
 
     def test_parallel_edges_give_identical_columns(self):
         g = Multigraph(["v", "u"], [(0, 1, "a"), (0, 1, "b")])
-        assert g.incidence_matrix() == [[-1, -1], [1, 1]]
+        assert incidence_matrix(g) == [[-1, -1], [1, 1]]
 
     def test_column_sums(self):
         rng = random.Random(1)
         for _ in range(25):
             g = random_multigraph(rng)
-            mat = g.incidence_matrix()
+            mat = incidence_matrix(g)
             for eid in range(g.n_edges):
                 column_sum = sum(mat[v][eid] for v in range(g.n_vertices))
                 assert column_sum == (1 if g.is_loop(eid) else 0)
@@ -99,18 +99,18 @@ class TestConnectivity:
 class TestLargestFullSubgraph:
     def test_acyclic_keeps_vertices_only(self):
         g = Multigraph(["a", "b", "c"], [(0, 1, "x"), (1, 2, "y")])
-        sub, mapping = g.largest_full_subgraph()
+        sub, mapping = CyclePolytope(g).full_part()
         assert sub.n_edges == 0 and sub.n_vertices == 3 and mapping == ()
 
     def test_triangle_is_already_full(self, fig2_graph):
-        sub, mapping = fig2_graph.largest_full_subgraph()
+        sub, mapping = CyclePolytope(fig2_graph).full_part()
         assert sub.edges == fig2_graph.edges and mapping == (0, 1, 2)
 
     def test_pendant_edge_removed_vertex_kept(self, fig2_graph):
         g = Multigraph(
             ["v1", "v2", "v3", "v4"], list(fig2_graph.edges) + [(0, 3, "pendant")]
         )
-        sub, mapping = g.largest_full_subgraph()
+        sub, mapping = CyclePolytope(g).full_part()
         assert mapping == (0, 1, 2)
         assert sub.n_vertices == 4
 
@@ -118,8 +118,8 @@ class TestLargestFullSubgraph:
         rng = random.Random(2)
         for _ in range(30):
             g = random_multigraph(rng)
-            sub, mapping = g.largest_full_subgraph()
-            again, inner_mapping = sub.largest_full_subgraph()
+            sub, mapping = CyclePolytope(g).full_part()
+            again, inner_mapping = CyclePolytope(sub).full_part()
             assert again.edges == sub.edges
             assert inner_mapping == tuple(range(sub.n_edges))
             on_cycles = set()
@@ -150,7 +150,7 @@ class TestCycleEnumeration:
         assert len(cycles) == 1 and len(cycles[0]) == 3
 
     def test_pyramid_graph_has_five(self, fig3_graph):
-        assert enumerate_simple_cycles(fig3_graph) == 5
+        assert sum(1 for _ in iter_simple_cycles(fig3_graph)) == 5
 
     def test_two_loops_on_one_vertex(self):
         g = Multigraph(["v"], [(0, 0, "x"), (0, 0, "y")])
@@ -158,13 +158,18 @@ class TestCycleEnumeration:
         assert sorted(c.edge_ids for c in cycles) == [(0,), (1,)]
 
     def test_callback_streaming(self, fig3_graph):
-        seen = []
-        count = enumerate_simple_cycles(fig3_graph, seen.append)
-        assert count == len(seen) == 5
+        # Cycles stream out one at a time: the cap fires only when the
+        # cycle past it is asked for.
+        stream = iter_simple_cycles(fig3_graph, max_cycles=1)
+        seen = [next(stream)]
+        with pytest.raises(CapacityError):
+            next(stream)
+        seen += iter_simple_cycles(fig3_graph)
+        assert len(seen) == 6 and seen[0] == seen[1]
 
     def test_cap(self, fig3_graph):
         with pytest.raises(CapacityError):
-            enumerate_simple_cycles(fig3_graph, max_cycles=2)
+            list(iter_simple_cycles(fig3_graph, max_cycles=2))
 
     def test_against_brute_force(self, fig2_graph, fig3_graph):
         rng = random.Random(3)

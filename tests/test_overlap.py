@@ -11,7 +11,6 @@ from permutope import (
     begin_pattern,
     build_overlap_graph,
     cocc,
-    cocc_via_walk,
     direct_sum,
     end_pattern,
     eulerian_circuit,
@@ -20,7 +19,7 @@ from permutope import (
     walk_of,
     window_pattern,
 )
-from oracles import naive_cocc, order_isomorphic, walk_to_word
+from oracles import cocc_via_walk, naive_cocc, order_isomorphic, walk_to_word
 
 P = Permutation.parse
 

@@ -66,6 +66,13 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation(())
 
+    @pytest.mark.parametrize(
+        "word", [(1.0, 2), (2, 1.0), (True, 2), (2, True), ("1", "2"), (1, Fraction(2))]
+    )
+    def test_non_integer_entries_rejected(self, word):
+        with pytest.raises(ValueError, match="not a permutation word"):
+            Permutation(word)
+
     def test_text_format_small_and_large(self):
         assert str(P("312")) == "312"
         big = repeat_sum(2, P("12345"))
@@ -354,6 +361,25 @@ class TestPatternVector:
             PatternVector(2, {P("12"): 1})
         with pytest.raises(ValueError):
             PatternVector(2, {P("12"): 2, P("21"): -1})
+
+    @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            (Fraction(-1, 2), Fraction(3, 2), "entry for 12 not in [0, 1]: -1/2"),
+            (Fraction(3, 2), Fraction(-1, 2), "entry for 12 not in [0, 1]: 3/2"),
+            (Fraction(1, 2), Fraction(3, 2), "entry for 21 not in [0, 1]: 3/2"),
+        ],
+    )
+    def test_out_of_range_message(self, first, second, message):
+        with pytest.raises(ValueError) as info:
+            PatternVector(2, {P("12"): first, P("21"): second})
+        assert str(info.value) == message
+
+    def test_missing_and_extra_entry_messages(self):
+        with pytest.raises(ValueError, match="^missing entry for pattern 21$"):
+            PatternVector(2, {P("12"): 1})
+        with pytest.raises(ValueError, match=r"^entries outside S_2: \['1'\]$"):
+            PatternVector(2, {P("12"): 1, P("21"): 0, P("1"): 0})
 
     def test_floats_rejected(self):
         with pytest.raises(RationalityError):

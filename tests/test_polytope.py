@@ -7,6 +7,7 @@ import pytest
 from permutope import (
     CapacityError,
     CyclePolytope,
+    CycleVector,
     EmptyError,
     EmptyPolytopeError,
     Multigraph,
@@ -15,7 +16,6 @@ from permutope import (
     RationalityError,
     SimpleCycle,
     build_overlap_graph,
-    cycle_vector,
     iter_simple_cycles,
 )
 from conftest import random_multigraph
@@ -41,22 +41,22 @@ def random_member(rng, poly, vertices):
 class TestCycleVector:
     def test_loop_indicator(self):
         g = Multigraph(["v"], [(0, 0, "loop")])
-        cv = cycle_vector(g, SimpleCycle(g, (0,)))
+        cv = CycleVector.from_cycle(g, SimpleCycle(g, (0,)))
         assert cv.entries == (F(1),)
 
     def test_two_cycle_in_overlap_graph(self):
         og = build_overlap_graph(3)
-        cv = cycle_vector(og.graph, SimpleCycle(og.graph, (1, 2)))  # 132, 213
+        cv = CycleVector.from_cycle(og.graph, SimpleCycle(og.graph, (1, 2)))  # 132, 213
         assert cv.entries == (0, F(1, 2), F(1, 2), 0, 0, 0)
 
     def test_triangle(self, fig2_graph):
-        cv = cycle_vector(fig2_graph, SimpleCycle(fig2_graph, (0, 1, 2)))
+        cv = CycleVector.from_cycle(fig2_graph, SimpleCycle(fig2_graph, (0, 1, 2)))
         assert cv.entries == (F(1, 3), F(1, 3), F(1, 3))
 
     def test_foreign_cycle_rejected(self, fig2_graph, fig3_graph):
         cycle = SimpleCycle(fig3_graph, (0,))
         with pytest.raises(IndexError):
-            cycle_vector(fig2_graph, cycle)
+            CycleVector.from_cycle(fig2_graph, cycle)
 
     def test_entries_sum_to_one_and_support(self, fig3_graph):
         poly = CyclePolytope(fig3_graph)

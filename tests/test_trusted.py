@@ -1,0 +1,157 @@
+"""Kernel outputs would pass the public constructors.
+
+The kernels build their walks, simple cycles and permutations through the
+private ``_trusted`` constructors, which skip the checks.  Rebuilding each
+output through ``Walk``, ``SimpleCycle`` or ``Permutation`` must succeed and
+give an object of the same type that is equal, hashes equal and prints equal.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from permutope import (
+    CyclePolytope,
+    Multigraph,
+    Permutation,
+    SimpleCycle,
+    Walk,
+    build_overlap_graph,
+    decompose_walk,
+    direct_sum,
+    iter_simple_cycles,
+    pattern_at,
+    repeat_sum,
+    standardize,
+    substitute,
+)
+from conftest import random_multigraph, random_walk
+from oracles import count_simple_cycles_dp
+from test_polytope import planted_point
+
+
+def assert_same(rebuilt, built):
+    assert type(rebuilt) is type(built)
+    assert rebuilt == built
+    assert hash(rebuilt) == hash(built)
+    assert repr(rebuilt) == repr(built)
+
+
+def assert_cycles_pass(cycles) -> int:
+    count = 0
+    for cycle in cycles:
+        assert_same(SimpleCycle(cycle.graph, cycle.edge_ids), cycle)
+        count += 1
+    return count
+
+
+def assert_walk_passes(walk) -> None:
+    assert_same(Walk(walk.graph, walk.edge_ids), walk)
+
+
+def assert_permutation_passes(sigma) -> None:
+    assert_same(Permutation(sigma.word), sigma)
+
+
+def random_permutation(rng, n):
+    word = list(range(1, n + 1))
+    rng.shuffle(word)
+    return Permutation(tuple(word))
+
+
+class TestCycles:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_every_cycle_of_small_overlap_graphs(self, k):
+        graph = build_overlap_graph(k).graph
+        assert assert_cycles_pass(iter_simple_cycles(graph)) == count_simple_cycles_dp(graph)
+
+    def test_first_20000_cycles_at_k5(self):
+        cycles = iter_simple_cycles(build_overlap_graph(5).graph)
+        assert assert_cycles_pass(itertools.islice(cycles, 20_000)) == 20_000
+
+    def test_random_multigraphs_with_loops_and_parallel_edges(self):
+        rng = random.Random(71)
+        total = 0
+        for _ in range(60):
+            base = random_multigraph(rng, max_vertices=5, max_edges=10)
+            n = base.n_vertices
+            u, v = rng.randrange(n), rng.randrange(n)
+            extra = [(u, u, "loop"), (u, v, "p1"), (u, v, "p2"), (v, u, "back")]
+            graph = Multigraph(base.vertex_names, list(base.edges) + extra)
+            total += assert_cycles_pass(iter_simple_cycles(graph))
+        assert total > 300
+
+
+class TestWalkSplits:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_walk_of_and_decompose_walk(self, k):
+        rng = random.Random(800 + k)
+        og = build_overlap_graph(k)
+        tails = 0
+        for _ in range(40):
+            sigma = random_permutation(rng, rng.randint(k, 400))
+            walk = og.walk_of(sigma)
+            assert_walk_passes(walk)
+            split = decompose_walk(walk)
+            assert_cycles_pass(split.cycles)
+            if split.tail is not None:
+                assert_walk_passes(split.tail)
+                tails += 1
+        assert tails > 0 or k == 2  # one vertex: every step closes a loop
+
+    def test_random_walks_on_random_multigraphs(self):
+        rng = random.Random(72)
+        checked = 0
+        while checked < 300:
+            walk = random_walk(rng, random_multigraph(rng, max_vertices=6, max_edges=20))
+            if walk is None:
+                continue
+            split = decompose_walk(walk)
+            assert_cycles_pass(split.cycles)
+            if split.tail is not None:
+                assert_walk_passes(split.tail)
+            checked += 1
+
+
+class TestDecompositions:
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_convex_decomposition_of_planted_members(self, k):
+        rng = random.Random(900 + k)
+        poly = CyclePolytope(build_overlap_graph(k).graph)
+        for n_cycles in range(1, 31):
+            point = planted_point(rng, poly.graph, n_cycles)
+            decomposition = poly.convex_decomposition(point)
+            assert_cycles_pass(cycle for _, cycle in decomposition)
+            assert [c for _, c in poly.membership(point).decomposition] == [
+                c for _, c in decomposition
+            ]
+
+
+class TestPermutations:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_permutation_of_walk(self, k):
+        rng = random.Random(1000 + k)
+        og = build_overlap_graph(k)
+        for _ in range(60):
+            walk = random_walk(rng, og.graph, max_len=200)
+            sigma = og.permutation_of_walk(walk)
+            assert_permutation_passes(sigma)
+            assert og.walk_of(sigma) == walk
+
+    def test_substitute_and_sums(self):
+        rng = random.Random(73)
+        for _ in range(200):
+            blocks = [random_permutation(rng, rng.randint(1, 6)) for _ in range(rng.randint(1, 5))]
+            skeleton = random_permutation(rng, len(blocks))
+            assert_permutation_passes(substitute(skeleton, blocks))
+            assert_permutation_passes(direct_sum(*blocks))
+            assert_permutation_passes(repeat_sum(rng.randint(1, 4), blocks[0]))
+
+    def test_standardized_patterns(self):
+        rng = random.Random(74)
+        for _ in range(200):
+            sigma = random_permutation(rng, rng.randint(1, 12))
+            indices = rng.sample(range(1, len(sigma) + 1), rng.randint(1, len(sigma)))
+            assert_permutation_passes(pattern_at(sigma, indices))
+            assert_permutation_passes(standardize([rng.random() for _ in range(len(sigma))]))
