@@ -78,16 +78,12 @@ class FeasibleRegion:
             raise NotInPolytopeError(result.violation)
         decomposition = result.decomposition
         assert decomposition is not None
-        weight_den = math.lcm(*(w.denominator for w, _ in decomposition))
-        numerators = tuple(int(w * weight_den) for w, _ in decomposition)
-        cycle_lcm = math.lcm(*(len(c) for _, c in decomposition))
+        # The greedy peeled flow f units of 1/d off each cycle C, where d is
+        # the lcm of the target's denominators, so its weight is f|C|/d.
+        d = math.lcm(*(x.denominator for x in self.point_of(vector)))
+        flows = tuple(int(w * d) // len(c) for w, c in decomposition)
         return RealizationPlan(
-            region=self,
-            target=vector,
-            decomposition=decomposition,
-            numerators=numerators,
-            weight_denominator=weight_den,
-            cycle_lcm=cycle_lcm,
+            region=self, target=vector, decomposition=decomposition, flows=flows
         )
 
 
@@ -110,36 +106,39 @@ def realize(k: int, vector: PatternVector, m: int) -> tuple[Permutation, "Realiz
 class RealizationPlan:
     """Block construction realizing a feasible target.
 
-    The target is written as a convex combination of cycle vectors; for a
-    size parameter m, each cycle C with weight p/q contributes a block
-    realizing the walk C repeated m*p*(L/|C|) times (L = lcm of the cycle
-    lengths), and the blocks are joined by direct sums.  Block lengths are
-    then exactly proportional to the weights, and the only deviation from the
-    target comes from block boundaries and the tail of each walk.
+    The target x = n/d is the convex combination of the decomposition's
+    cycles, and cycle C carries the integer flow f_C (so n_e is the sum of
+    f_C over the cycles through edge e, and d is the sum of f_C * |C|).  For
+    a size parameter m, cycle C contributes one block realizing the walk C
+    repeated m * f_C times, and the blocks are joined by direct sums.
     """
 
     region: FeasibleRegion = field(repr=False)
     target: PatternVector
     decomposition: tuple[tuple[Fraction, SimpleCycle], ...]
-    numerators: tuple[int, ...]
-    weight_denominator: int
-    cycle_lcm: int
-
-    def block_count(self) -> int:
-        return len(self.decomposition)
+    flows: tuple[int, ...]
 
     def size_for(self, m: int) -> int:
-        k = self.region.k
-        return m * self.cycle_lcm * self.weight_denominator + self.block_count() * (k - 1)
+        """m * d + B(k-1) for B blocks: a walk of L edges is realized by a
+        permutation of L + k - 1 points."""
+        walk_edges = sum(f * len(c) for f, (_, c) in zip(self.flows, self.decomposition))
+        return m * walk_edges + len(self.flows) * (self.region.k - 1)
 
     def sup_error_bound(self, m: int) -> Fraction:
         """Bound on the sup-distance between the size-k consecutive
-        proportions of generate(m) and the target: block-boundary windows
-        contribute at most k per block, the walk tails at most (k-1)!."""
-        k = self.region.k
-        return Fraction(
-            k * self.block_count() + math.factorial(k - 1), self.size_for(m)
-        )
+        proportions of generate(m) and the target: B(k-1)/N for B blocks and
+        N = size_for(m) points.
+
+        Proof.  Each window lying inside a block is one edge of its walk, and
+        the block for C traverses every edge of C exactly m * f_C times, so
+        edge e is counted m * n_e times inside blocks.  The remaining windows
+        straddle one of the B - 1 block boundaries, k - 1 per boundary; let
+        b_e of them have pattern e, so 0 <= b_e <= (B-1)(k-1).  Proportions
+        divide by N = m * d + B(k-1), hence
+        p_e - x_e = (m * n_e + b_e)/N - n_e/d = (b_e - x_e * B(k-1))/N,
+        and both b_e and x_e * B(k-1) lie in [0, B(k-1)].
+        """
+        return Fraction(len(self.flows) * (self.region.k - 1), self.size_for(m))
 
     def generate(self, m: int, *, max_size: int = limits.REALIZE_SIZE_CAP) -> Permutation:
         """The realizing permutation for size parameter m >= 1; sizes are
@@ -155,9 +154,8 @@ class RealizationPlan:
             )
         og = self.region.overlap
         blocks = []
-        for (_, cycle), p in zip(self.decomposition, self.numerators):
-            copies = m * p * (self.cycle_lcm // len(cycle))
-            walk = Walk(og.graph, cycle.edge_ids * copies)
+        for (_, cycle), f in zip(self.decomposition, self.flows):
+            walk = Walk(og.graph, cycle.edge_ids * (m * f))
             blocks.append(og.permutation_of_walk(walk))
         return direct_sum(*blocks)
 
@@ -174,8 +172,6 @@ class RealizationPlan:
                 }
                 for w, c in self.decomposition
             ],
-            "weight_denominator": self.weight_denominator,
-            "cycle_lcm": self.cycle_lcm,
         }
 
     def to_json(self) -> str:
@@ -236,7 +232,8 @@ def derandomize(
     total_copies = sum(weights.values())
     if block_size * total_copies > size_cap:
         raise CapacityError(
-            f"derandomized permutation would have size {block_size * total_copies}"
+            f"derandomized permutation would have size {block_size * total_copies}, "
+            f"over the mix cap {size_cap} (PERMUTOPE_CAP key 'mix')"
         )
     return direct_sum(*[repeat_sum(q, p) for p, q in sorted(weights.items()) if q > 0])
 
@@ -259,7 +256,8 @@ def mix(
     outer = generator_classical(m)
     if len(inner) * len(outer) > size_cap:
         raise CapacityError(
-            f"mixed permutation would have size {len(inner) * len(outer)}, cap {size_cap}"
+            f"mixed permutation would have size {len(inner) * len(outer)}, "
+            f"over the mix cap {size_cap} (PERMUTOPE_CAP key 'mix')"
         )
     return substitute(outer, [inner] * len(outer))
 

@@ -23,7 +23,7 @@ from .errors import CapacityError
 class Multigraph:
     """An immutable directed multigraph."""
 
-    __slots__ = ("vertex_names", "edges", "_index_of", "_st", "_ar", "_out", "_in")
+    __slots__ = ("vertex_names", "edges", "_st", "_ar", "_out", "_in")
 
     def __init__(
         self,
@@ -45,7 +45,6 @@ class Multigraph:
         self.edges = tuple(checked)
         self._st = tuple(st for st, _, _ in checked)
         self._ar = tuple(ar for _, ar, _ in checked)
-        self._index_of = {name: i for i, name in enumerate(names)}
         out: list[list[int]] = [[] for _ in range(n)]
         inc: list[list[int]] = [[] for _ in range(n)]
         for eid, (st, ar, _) in enumerate(self.edges):
@@ -63,9 +62,6 @@ class Multigraph:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    def vertex_index(self, name: str) -> int:
-        return self._index_of[name]
 
     def st(self, eid: int) -> int:
         return self._st[eid]
@@ -383,7 +379,8 @@ def iter_simple_cycles(
                     emitted += 1
                     if emitted > max_cycles:
                         raise CapacityError(
-                            f"more than {max_cycles} simple cycles; raise the cap to continue"
+                            f"the graph has more simple cycles than the cycles cap "
+                            f"{max_cycles} (PERMUTOPE_CAP key 'cycles')"
                         )
                     yield SimpleCycle._trusted(g, epath + [eid])
                     closed[-1] = True

@@ -47,10 +47,9 @@ class OverlapGraph:
     so the label doubles as the edge identity.
     """
 
-    __slots__ = ("k", "graph", "_vertex_perms", "_edge_perms", "_edge_of")
+    __slots__ = ("k", "graph", "_edge_perms", "_edge_of")
 
     def __init__(self, k: int) -> None:
-        vertex_perms = all_patterns(k - 1)
         edge_perms = all_patterns(k)
         # The window kernel's step table already holds every edge's ends.
         edges: list = [None] * len(edge_perms)
@@ -58,16 +57,12 @@ class OverlapGraph:
             for eid, ar in row:
                 edges[eid] = (st, ar, str(edge_perms[eid]))
         self.k = k
-        self.graph = Multigraph([str(p) for p in vertex_perms], edges)
-        self._vertex_perms = vertex_perms
+        self.graph = Multigraph([str(p) for p in all_patterns(k - 1)], edges)
         self._edge_perms = edge_perms
         self._edge_of = {p: i for i, p in enumerate(edge_perms)}
 
     def __repr__(self) -> str:
         return f"OverlapGraph(k={self.k})"
-
-    def vertex_permutation(self, vid: int) -> Permutation:
-        return self._vertex_perms[vid]
 
     def edge_permutation(self, eid: int) -> Permutation:
         return self._edge_perms[eid]
@@ -140,7 +135,10 @@ class OverlapGraph:
 def build_overlap_graph(k: int, *, max_k: int = limits.OVERLAP_K_CAP) -> OverlapGraph:
     """Construct (and cache) the overlap graph for size ``k``."""
     if k < 2 or k > max_k:
-        raise CapacityError(f"overlap graphs are built for 2 <= k <= {max_k}, got {k}")
+        raise CapacityError(
+            f"overlap graphs are built for 2 <= k <= the overlap cap {max_k} "
+            f"(PERMUTOPE_CAP key 'overlap'), got {k}"
+        )
     return OverlapGraph(k)
 
 

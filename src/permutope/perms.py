@@ -102,7 +102,9 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
+        if n < 1:
+            raise ValueError("permutations are non-empty")
+        return cls._trusted(tuple(range(1, n + 1)))
 
 
 @lru_cache(maxsize=None)
@@ -226,7 +228,8 @@ def _occ_counts_enumerated(
     if n > enum_n_cap:
         raise CapacityError(
             f"classical counting of size-{k} patterns enumerates subsets; "
-            f"permutation size {n} exceeds the cap {enum_n_cap}"
+            f"permutation size {n} exceeds the enum cap {enum_n_cap} "
+            f"(PERMUTOPE_CAP key 'enum')"
         )
     positions = range(k)
     orders = Counter(

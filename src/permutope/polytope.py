@@ -302,7 +302,8 @@ class CyclePolytope:
         full = sorted(self.full_edge_ids)
         if len(full) > max_edges:
             raise CapacityError(
-                f"face enumeration over {len(full)} edges exceeds the cap {max_edges}"
+                f"face enumeration over {len(full)} edges exceeds the faces cap "
+                f"{max_edges} (PERMUTOPE_CAP key 'faces')"
             )
         faces: list[FaceHandle] = []
         for r in range(1, len(full) + 1):

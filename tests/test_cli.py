@@ -163,7 +163,7 @@ class TestReport:
         )
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
-        assert [row["m"] for row in rows] == ["1", "2", "4", "8", "16"]
+        assert [row["m"] for row in rows] == ["1", "2", "4", "8", "16", "32"]
         assert all(int(row["size"]) <= 200 for row in rows)
 
 
@@ -223,29 +223,47 @@ class TestErrorsAndCaps:
         assert code == 1 and err.startswith("error:") and "'cycle'" in err
         assert all(key in err for key in ("cycles", "enum", "overlap", "faces", "mix", "realize"))
 
+    @pytest.mark.parametrize(
+        "key, value, argv",
+        [
+            ("cycles", 2, ("vertices", "--k", "3")),
+            ("enum", 5, ("stats", "--perm", "351426", "--k", "4", "--kind", "classical")),
+            ("overlap", 3, ("overlap", "--k", "4")),
+            ("faces", 5, ("faces", "--k", "3")),
+            ("mix", 3, ("mix", "--perm-a", "12", "--perm-b", "21")),
+            ("realize", 47, ("realize", "--k", "4", "--vector", "uniform", "--m", "1")),
+        ],
+    )
+    def test_refusal_names_its_cap_and_key(self, capsys, monkeypatch, key, value, argv):
+        monkeypatch.setenv("PERMUTOPE_CAP", f"{key}={value}")
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"{key} cap {value} (PERMUTOPE_CAP key '{key}')" in err
+
     def test_realize_over_the_cap_is_refused_before_building(self, capsys):
-        # size_for(1) of the uniform target at k=6 is 236,178,633,900 points
+        # size_for(2000) of the uniform target at k=7 is 10,081,368 points
         start = time.perf_counter()
-        code, out, err = invoke(capsys, "realize", "--k", "6", "--vector", "uniform", "--m", "1")
+        code, out, err = invoke(capsys, "realize", "--k", "7", "--vector", "uniform", "--m", "2000")
         assert time.perf_counter() - start < 5.0
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
-        assert "236178633900" in err and "'realize'" in err
+        assert "10081368" in err and "'realize'" in err
 
     def test_env_cap_sets_the_realize_cap(self, capsys, monkeypatch):
-        # the uniform target at k=4 needs 384 points at m=1
+        # the uniform target at k=4 needs 48 points at m=1
         argv = ("realize", "--k", "4", "--vector", "uniform", "--m", "1")
-        monkeypatch.setenv("PERMUTOPE_CAP", "realize=383")
+        monkeypatch.setenv("PERMUTOPE_CAP", "realize=47")
         code, out, err = invoke(capsys, *argv)
-        assert code == 1 and out == "" and "383" in err
+        assert code == 1 and out == "" and "47" in err
         report = ("report", "--k", "4", "--vector", "uniform", "--m-values", "1", "--no-classical")
         code, out, err = invoke(capsys, *report)
-        assert code == 1 and out == "" and "383" in err
-        monkeypatch.setenv("PERMUTOPE_CAP", "realize=384")
+        assert code == 1 and out == "" and "47" in err
+        monkeypatch.setenv("PERMUTOPE_CAP", "realize=48")
         code, out, _ = invoke(capsys, *argv)
-        assert code == 0 and len(Permutation.parse(out.strip())) == 384
+        assert code == 0 and len(Permutation.parse(out.strip())) == 48
         code, out, _ = invoke(capsys, *report)
-        assert code == 0 and out.splitlines()[1].startswith("1,384,")
+        assert code == 0 and out.splitlines()[1].startswith("1,48,")
 
     @pytest.mark.parametrize(
         "verb, body",

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from permutope import (
     proportion_vector,
     repeat_sum,
 )
+from test_polytope import planted_point
 
 P = Permutation.parse
 F = Fraction
@@ -91,14 +93,35 @@ class TestMembership:
 
 class TestRealize:
     def test_size_cap_checked_before_building(self):
-        plan = feasible_region(6).plan(PatternVector.uniform(6))
-        assert plan.size_for(1) == 236_178_633_900
+        assert feasible_region(6).plan(PatternVector.uniform(6)).size_for(1) == 1_020
+        plan = feasible_region(7).plan(PatternVector.uniform(7))
+        assert plan.size_for(2000) == 10_081_368
         with pytest.raises(CapacityError, match="realize"):
-            plan.generate(1)
+            plan.generate(2000)
         small = feasible_region(4).plan(PatternVector.uniform(4))
-        with pytest.raises(CapacityError, match="383"):
-            small.generate(1, max_size=383)
-        assert len(small.generate(1, max_size=384)) == small.size_for(1) == 384
+        with pytest.raises(CapacityError, match="47"):
+            small.generate(1, max_size=47)
+        assert len(small.generate(1, max_size=48)) == small.size_for(1) == 48
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_flow_sizing_on_planted_targets(self, k):
+        rng = random.Random(1100 + k)
+        region = feasible_region(k)
+        for n_cycles in range(1, 9):
+            target = region.vector_of(planted_point(rng, region.overlap.graph, n_cycles))
+            plan = region.plan(target)
+            d = math.lcm(*(x.denominator for x in region.point_of(target)))
+            cycles = [c for _, c in plan.decomposition]
+            assert sum(f * len(c) for f, c in zip(plan.flows, cycles)) == d
+            # the closed form of the lcm sizing that the integer flows replaced
+            weight_lcm = math.lcm(*(w.denominator for w, _ in plan.decomposition))
+            cycle_lcm = math.lcm(*map(len, cycles))
+            for m in (1, 2, 4):
+                assert plan.size_for(m) <= m * cycle_lcm * weight_lcm + len(cycles) * (k - 1)
+                sigma = plan.generate(m)
+                assert len(sigma) == plan.size_for(m)
+                distance = proportion_vector(k, sigma, "consecutive").linf_distance(target)
+                assert distance <= plan.sup_error_bound(m)
 
     def test_monotone_loop_gives_identity(self):
         region = feasible_region(3)
@@ -211,6 +234,11 @@ class TestDerandomize:
             derandomize({P("12"): F(1, 2)})
         with pytest.raises(DistributionError):
             derandomize({P("12"): F(1, 2), P("123"): F(1, 2)})
+
+    def test_size_cap_names_the_mix_key(self):
+        message = r"size 4, over the mix cap 3 \(PERMUTOPE_CAP key 'mix'\)"
+        with pytest.raises(CapacityError, match=message):
+            derandomize({P("12"): F(1, 2), P("21"): F(1, 2)}, size_cap=3)
 
     def test_rounding_path_respects_epsilon(self):
         # denominators too large for the exact path at this epsilon

@@ -148,6 +148,12 @@ class TestPermutations:
             assert_permutation_passes(direct_sum(*blocks))
             assert_permutation_passes(repeat_sum(rng.randint(1, 4), blocks[0]))
 
+    def test_identity(self):
+        for n in range(1, 51):
+            assert_permutation_passes(Permutation.identity(n))
+        with pytest.raises(ValueError, match="non-empty"):
+            Permutation.identity(0)
+
     def test_standardized_patterns(self):
         rng = random.Random(74)
         for _ in range(200):
