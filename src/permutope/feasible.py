@@ -155,7 +155,8 @@ class RealizationPlan:
         og = self.region.overlap
         blocks = []
         for (_, cycle), f in zip(self.decomposition, self.flows):
-            walk = Walk(og.graph, cycle.edge_ids * (m * f))
+            # A simple cycle repeated is a closed walk by construction.
+            walk = Walk._trusted(og.graph, cycle.edge_ids * (m * f))
             blocks.append(og.permutation_of_walk(walk))
         return direct_sum(*blocks)
 

@@ -14,8 +14,15 @@ permutation of size n and patterns of size k:
   last k-1 entries (a vertex) and the rank of the one new value, so each step
   is one bisection into the sorted last k-1 values and one lookup in a cached
   step table of k! rows;
-- classical, k <= 3: one Fenwick pass for the earlier-and-smaller counts,
-  O(n log n); the other three side counts follow from identities;
+- classical, k <= 3: one chunked sweep for the earlier-and-smaller counts.
+  For each chunk of 512 positions, C ``map`` calls count the smaller entries
+  of earlier chunks from per-block prefix sums (blocks of 128 values) and one
+  ``bytearray.count`` within a block; entries of the same chunk are counted
+  by bisection into a sorted list of at most 512 values.  That is
+  O(n^2 / 2^16 + n * 512) work done in C, but only a few Python-level steps
+  per entry: about half the time of a pure-Python Fenwick pass at n = 10^5
+  (CPython 3.11, 2-vCPU Xeon).  k = 2 is the sum of these counts; for k = 3
+  the other three side counts follow from identities;
 - classical, k >= 4: one pass over the C(n, k) subsets, each keyed by its
   argsort, then at most k! keys turned into pattern words.  Guarded by a
   length cap.
@@ -30,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import add, and_, mul, rshift, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import limits
@@ -164,41 +171,72 @@ def window_pattern(sigma: Permutation, start: int, k: int) -> Permutation:
     return Permutation(_std_word(sigma.word[start - 1 : start - 1 + k]))
 
 
-def _side_counts(sigma: Permutation) -> tuple[list[int], list[int], list[int], list[int]]:
-    """For every position j: how many earlier entries are smaller/larger (A/B)
-    and how many later entries are larger/smaller (C/D).
+# The classical k <= 3 kernel takes positions in chunks of _CHUNK and
+# groups values into blocks of 2**_BLOCK_BITS.
+_CHUNK = 512
+_BLOCK_BITS = 7
 
-    One Fenwick pass gives A; the rest follow from it, since the value v at
-    position j has j entries before it and v - 1 entries below it."""
-    word = sigma.word
+
+def _smaller_before(word: Sequence[int]) -> list[int]:
+    """For every position j of a permutation word of 1..n: how many earlier
+    entries are smaller.
+
+    Positions go in chunks.  For the entries of earlier chunks, ``seen`` marks
+    their values and ``block_seen`` counts them per value block; one prefix
+    sum over the blocks per chunk, plus one count of the marks between the
+    block start and v, gives each entry's count, all inside C ``map`` calls.
+    Entries of the same chunk are counted by bisection into the sorted list
+    of the chunk's earlier values.
+    """
     n = len(word)
-    tree = [0] * (n + 1)
-    smaller_before = [0] * n
-    for j, v in enumerate(word):
-        i, total = v - 1, 0
-        while i:
-            total += tree[i]
-            i &= i - 1
-        smaller_before[j] = total
-        i = v
-        while i <= n:
-            tree[i] += 1
-            i += i & -i
-    larger_before = [j - a for j, a in enumerate(smaller_before)]
-    smaller_after = [v - 1 - a for v, a in zip(word, smaller_before)]
-    larger_after = [n - 1 - j - d for j, d in enumerate(smaller_after)]
-    return smaller_before, larger_before, larger_after, smaller_after
+    seen = bytearray(n + 1)
+    block_seen = [0] * ((n >> _BLOCK_BITS) + 1)
+    count = seen.count
+    ones = itertools.repeat(1)
+    shifts = itertools.repeat(_BLOCK_BITS)
+    masks = itertools.repeat(-1 << _BLOCK_BITS)
+    smaller: list[int] = []
+    for start in range(0, n, _CHUNK):
+        chunk = word[start : start + _CHUNK]
+        below_block = list(itertools.accumulate(block_seen, initial=0)).__getitem__
+        across = list(
+            map(
+                add,
+                map(below_block, map(rshift, chunk, shifts)),
+                map(count, ones, map(and_, chunk, masks), chunk),
+            )
+        )
+        inside: list[int] = []
+        insert = inside.insert
+        within: list[int] = []
+        append = within.append
+        for v in chunk:
+            r = bisect_left(inside, v)
+            insert(r, v)
+            append(r)
+            seen[v] = 1
+            block_seen[v >> _BLOCK_BITS] += 1
+        smaller += map(add, across, within)
+    return smaller
 
 
 def _occ_counts_small(sigma: Permutation, k: int) -> dict[tuple[int, ...], int]:
     """Exact classical counts for all patterns of size k <= 3, any length."""
-    n = len(sigma)
+    word = sigma.word
+    n = len(word)
     if k == 1:
         return {(1,): n}
-    a, b, c, d = _side_counts(sigma)
+    a = _smaller_before(word)
     if k == 2:
-        inversions = sum(b)
-        return {(1, 2): math.comb(n, 2) - inversions, (2, 1): inversions}
+        rising = sum(a)
+        return {(1, 2): rising, (2, 1): math.comb(n, 2) - rising}
+    # The value v at position j has j entries before it and v - 1 entries
+    # below it, so the larger-before (b), smaller-after (d) and larger-after
+    # (c) counts follow from a.
+    b = list(map(sub, range(n), a))
+    d = [v - 1 - x for v, x in zip(word, a)]
+    c = [n - 1 - j - x for j, x in enumerate(d)]
+
     # Size 3: count by the position of the middle element, then split the
     # remaining patterns by where the extreme value sits.
     def pairs(x: list[int]) -> int:
@@ -330,7 +368,10 @@ def cocc_proportion(
 
 def _check_vector_k(k: int) -> None:
     if k > limits.VECTOR_K_CAP:
-        raise CapacityError(f"pattern vectors carry k! entries; k={k} exceeds cap")
+        raise CapacityError(
+            f"pattern vectors carry k! entries; k={k} exceeds the vector cap "
+            f"{limits.VECTOR_K_CAP}, which no PERMUTOPE_CAP key overrides"
+        )
 
 
 _MISSING = object()

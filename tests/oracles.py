@@ -2,11 +2,13 @@
 
 Everything here is deliberately written from the definitions, sharing no code
 with the implementations under test: occurrence counting by explicit pairwise
-order comparison, simple cycles by edge-subset filtering, rank by its own
-Gaussian elimination, convex-hull membership by an exact phase-1 simplex over
-the vertex list, membership and its greedy cycle decomposition in ``Fraction``
-arithmetic, the greedy walk-to-permutation construction by rewriting the
-whole word at every step, and the signed incidence matrix.  The one exception
+order comparison, classical size-2 and size-3 counts from merge-sort
+smaller-before counts split by the middle position, simple cycles by
+edge-subset filtering, rank by its own Gaussian elimination, convex-hull
+membership by an exact phase-1 simplex over the vertex list, membership and
+its greedy cycle decomposition in ``Fraction`` arithmetic, the greedy
+walk-to-permutation construction by rewriting the whole word at every step,
+and the signed incidence matrix.  The one exception
 is ``cocc_via_walk``, which counts on the package's own window walk to
 cross-check ``cocc``.
 """
@@ -42,6 +44,66 @@ def naive_occ(pattern: Sequence[int], sigma: Sequence[int]) -> int:
 def naive_cocc(pattern: Sequence[int], sigma: Sequence[int]) -> int:
     n, k = len(sigma), len(pattern)
     return sum(1 for i in range(n - k + 1) if order_isomorphic(sigma[i : i + k], pattern))
+
+
+def merge_sort_smaller_before(values: Sequence) -> list[int]:
+    """For every position j, how many earlier entries are smaller, counted
+    while merge-sorting the positions by value: when a position of the right
+    half is merged, every left-half position already merged holds a smaller
+    value."""
+    counts = [0] * len(values)
+
+    def sort(lo: int, hi: int) -> list[int]:
+        if hi - lo == 1:
+            return [lo]
+        mid = (lo + hi) // 2
+        left, right = sort(lo, mid), sort(mid, hi)
+        merged: list[int] = []
+        i = 0
+        for j in right:
+            while i < len(left) and values[left[i]] < values[j]:
+                merged.append(left[i])
+                i += 1
+            counts[j] += i
+            merged.append(j)
+        return merged + left[i:]
+
+    if values:
+        sort(0, len(values))
+    return counts
+
+
+def classical_counts_small(sigma: Sequence[int]) -> dict[tuple[int, ...], int]:
+    """Classical counts of every pattern of size 2 and 3 in a permutation word,
+    from merge-sort smaller-before counts.
+
+    Size 3 is split by the middle position: its left and right neighbours are
+    each smaller or larger, which gives 123, 321, 132 + 231 and 213 + 312;
+    the two sums are split by the pairs above a first entry (123 + 132) and
+    below a last entry (123 + 213).
+    """
+    n = len(sigma)
+    sb = merge_sort_smaller_before(sigma)
+    lb = [j - x for j, x in enumerate(sb)]
+    sa = [v - 1 - x for v, x in zip(sigma, sb)]
+    la = [n - 1 - j - x for j, x in enumerate(sa)]
+    occ123 = sum(x * y for x, y in zip(sb, la))
+    occ321 = sum(x * y for x, y in zip(lb, sa))
+    peak = sum(x * y for x, y in zip(sb, sa))
+    valley = sum(x * y for x, y in zip(lb, la))
+    occ132 = sum(x * (x - 1) // 2 for x in la) - occ123
+    occ213 = sum(x * (x - 1) // 2 for x in sb) - occ123
+    ascents = sum(sb)
+    return {
+        (1, 2): ascents,
+        (2, 1): n * (n - 1) // 2 - ascents,
+        (1, 2, 3): occ123,
+        (1, 3, 2): occ132,
+        (2, 1, 3): occ213,
+        (2, 3, 1): peak - occ132,
+        (3, 1, 2): valley - occ213,
+        (3, 2, 1): occ321,
+    }
 
 
 # -- walks to permutations ---------------------------------------------------

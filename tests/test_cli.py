@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from permutope import Permutation
+from permutope import Permutation, limits
 from permutope.cli import run
 
 F = Fraction
@@ -216,6 +216,16 @@ class TestErrorsAndCaps:
         monkeypatch.setenv("PERMUTOPE_CAP", "cycles=2")
         code, out, err = invoke(capsys, "vertices", "--k", "3")
         assert code == 1 and out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("kind", ["classical", "consecutive"])
+    def test_vector_cap_names_its_value_and_no_key(self, capsys, kind):
+        perm = ",".join(map(str, range(1, 11)))
+        code, out, err = invoke(capsys, "stats", "--perm", perm, "--k", "9", "--kind", kind)
+        assert code == 1 and out == ""
+        assert err == (
+            "error: pattern vectors carry k! entries; k=9 exceeds the vector cap "
+            f"{limits.VECTOR_K_CAP}, which no PERMUTOPE_CAP key overrides\n"
+        )
 
     def test_env_cap_unknown_key(self, capsys, monkeypatch):
         monkeypatch.setenv("PERMUTOPE_CAP", "cycle=2")

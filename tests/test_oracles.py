@@ -1,6 +1,7 @@
 """Self-tests for the brute-force oracles; these carry the weight of the
 agreement tests, so they get hand-checked cases of their own."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,8 +10,10 @@ from conftest import random_multigraph
 from oracles import (
     affine_rank,
     brute_force_simple_cycles,
+    classical_counts_small,
     count_simple_cycles_dp,
     in_convex_hull,
+    merge_sort_smaller_before,
     naive_cocc,
     naive_occ,
     walk_to_word,
@@ -25,6 +28,19 @@ class TestCountingOracles:
         assert naive_occ((1, 2), (2, 3, 1)) == 1
         assert naive_cocc((1, 2), (2, 3, 1)) == 1
         assert naive_cocc((1, 2, 3), (1, 2, 3, 4)) == 2
+
+    def test_merge_sort_smaller_before_by_hand(self):
+        assert merge_sort_smaller_before((3, 1, 4, 2, 5)) == [0, 0, 2, 1, 4]
+        assert merge_sort_smaller_before(()) == []
+
+    def test_small_classical_counts_against_naive(self):
+        rng = random.Random(12)
+        words = [w for n in range(1, 6) for w in itertools.permutations(range(1, n + 1))]
+        words += [tuple(rng.sample(range(1, 10), 9)) for _ in range(20)]
+        for word in words:
+            for pattern, count in classical_counts_small(word).items():
+                if len(pattern) <= len(word):
+                    assert count == naive_occ(pattern, word), (word, pattern)
 
 
 class TestWalkOracle:

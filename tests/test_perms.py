@@ -27,7 +27,7 @@ from permutope import (
     standardize,
     substitute,
 )
-from oracles import naive_cocc, naive_occ
+from oracles import classical_counts_small, merge_sort_smaller_before, naive_cocc, naive_occ
 from permutope import limits
 from permutope import perms as perms_module
 
@@ -300,6 +300,68 @@ class TestAgreementWithNaiveEnumerator:
                 cocc_total = sum(cocc(pattern, sigma) for pattern in all_patterns(k))
                 assert occ_total == math.comb(n, k)
                 assert cocc_total == n - k + 1
+
+
+class TestChunkedClassicalKernel:
+    """Classical k = 2, 3 counts at sizes that cross the kernel's position
+    chunks and value blocks, against the merge-sort oracle and, up to size
+    60, the from-the-definition enumerator."""
+
+    EDGE_SIZES = (1, 2, 3, 127, 128, 129, 511, 512, 513, 1023, 1024, 1025, 4097)
+
+    def assert_vectors_match_oracle(self, sigma):
+        n = len(sigma)
+        expected = classical_counts_small(sigma.word)
+        for k in (2, 3):
+            if k > n:
+                continue
+            vector = proportion_vector(k, sigma, "classical")
+            assert vector.total() == 1
+            den = math.comb(n, k)
+            assert {p.word: v * den for p, v in vector.items()} == {
+                p: c for p, c in expected.items() if len(p) == k
+            }
+
+    def test_constants_are_the_edges_crossed(self):
+        assert perms_module._CHUNK == 512 and 1 << perms_module._BLOCK_BITS == 128
+
+    def test_edge_sizes(self):
+        rng = random.Random(90)
+        for n in self.EDGE_SIZES:
+            sigma = random_perm(rng, n)
+            assert perms_module._smaller_before(sigma.word) == merge_sort_smaller_before(
+                sigma.word
+            )
+            self.assert_vectors_match_oracle(sigma)
+
+    def test_against_naive_up_to_60(self):
+        rng = random.Random(91)
+        for n in (1, 2, 3, 9, 17, 40, 60):
+            sigma = random_perm(rng, n)
+            for k in (2, 3) if n <= 40 else (2,):
+                if k <= n:
+                    assert_counts_match(
+                        proportion_vector(k, sigma, "classical"),
+                        sigma,
+                        math.comb(n, k),
+                        math.comb(n, k),
+                        naive_occ,
+                    )
+
+    def test_seeded_random_sizes(self):
+        rng = random.Random(92)
+        for _ in range(6):
+            n = int(math.exp(rng.uniform(0, math.log(20_000))))
+            self.assert_vectors_match_oracle(random_perm(rng, n))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_identity_and_reversal_at_200000(self, k):
+        n = 200_000
+        rising = Permutation.identity(n)
+        falling = Permutation(rising.word[::-1])
+        others = [0] * (math.factorial(k) - 1)
+        assert proportion_vector(k, rising, "classical").values_by_pattern() == [1, *others]
+        assert proportion_vector(k, falling, "classical").values_by_pattern() == [*others, 1]
 
 
 class TestCompositions:

@@ -1,9 +1,10 @@
 """Kernel outputs would pass the public constructors.
 
-The kernels build their walks, simple cycles and permutations through the
-private ``_trusted`` constructors, which skip the checks.  Rebuilding each
-output through ``Walk``, ``SimpleCycle`` or ``Permutation`` must succeed and
-give an object of the same type that is equal, hashes equal and prints equal.
+The kernels and the realization plan's block walks build their walks, simple
+cycles and permutations through the private ``_trusted`` constructors, which
+skip the checks.  Rebuilding each output through ``Walk``, ``SimpleCycle`` or
+``Permutation`` must succeed and give an object of the same type that is
+equal, hashes equal and prints equal.
 """
 
 import itertools
@@ -20,6 +21,7 @@ from permutope import (
     build_overlap_graph,
     decompose_walk,
     direct_sum,
+    feasible_region,
     iter_simple_cycles,
     pattern_at,
     repeat_sum,
@@ -126,6 +128,35 @@ class TestDecompositions:
             assert [c for _, c in poly.membership(point).decomposition] == [
                 c for _, c in decomposition
             ]
+
+
+class TestRealizationBlocks:
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_block_walks_of_planted_plans(self, k, monkeypatch):
+        rng = random.Random(1200 + k)
+        region = feasible_region(k)
+        og = region.overlap
+        realize_walk = type(og).permutation_of_walk
+        walks = []
+
+        def record(self, walk):
+            walks.append(walk)
+            return realize_walk(self, walk)
+
+        monkeypatch.setattr(type(og), "permutation_of_walk", record)
+        for n_cycles in range(1, 7):
+            plan = region.plan(region.vector_of(planted_point(rng, og.graph, n_cycles)))
+            for m in (1, 2):
+                walks.clear()
+                sigma = plan.generate(m)
+                assert len(walks) == len(plan.flows)
+                for walk in walks:
+                    assert_walk_passes(walk)
+                rebuilt = [
+                    realize_walk(og, Walk(og.graph, cycle.edge_ids * (m * f)))
+                    for (_, cycle), f in zip(plan.decomposition, plan.flows)
+                ]
+                assert direct_sum(*rebuilt) == sigma
 
 
 class TestPermutations:
