@@ -4,17 +4,16 @@ Every verb maps to one library operation chain and prints deterministic
 output: exact rational strings by default, decimal only under ``--float``.
 Exit codes: 0 success, 1 domain error, 2 usage error.
 
-The ``PERMUTOPE_CAP`` environment variable is the one way to override size
-guards, with comma-separated ``name=value`` pairs; the names are ``cycles``,
-``enum``, ``overlap``, ``faces``, ``mix`` and ``realize``, and any other name
-is an error.
+Size guards are the library's own: each reads the ``PERMUTOPE_CAP``
+environment variable when it checks (see :mod:`permutope.limits`), so the CLI
+has no cap options.  The variable is parsed once before any verb runs, so a
+malformed value is an error on every verb.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -27,35 +26,6 @@ from .graphs import Multigraph
 from .overlap import build_overlap_graph, eulerian_universal_permutation
 from .perms import PatternVector, Permutation, proportion_vector
 from .rationals import float_str
-
-
-_CAP_DEFAULTS = {
-    "cycles": limits.CYCLE_CAP,
-    "enum": limits.ENUM_N_CAP,
-    "overlap": limits.OVERLAP_K_CAP,
-    "faces": limits.FACE_EDGE_CAP,
-    "mix": limits.MIX_SIZE_CAP,
-    "realize": limits.REALIZE_SIZE_CAP,
-}
-
-
-def _cap(name: str) -> int:
-    """The size guard ``name``: its ``PERMUTOPE_CAP`` entry, else its default."""
-    caps = dict(_CAP_DEFAULTS)
-    for part in os.environ.get("PERMUTOPE_CAP", "").split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, sep, value = part.partition("=")
-        key = key.strip()
-        if not sep:
-            raise ValueError(f"PERMUTOPE_CAP entry {part!r} is not name=value")
-        if key not in _CAP_DEFAULTS:
-            raise ValueError(
-                f"PERMUTOPE_CAP has no cap {key!r}; the caps are {', '.join(_CAP_DEFAULTS)}"
-            )
-        caps[key] = int(value)
-    return caps[name]
 
 
 def _fmt(value: Fraction, args: argparse.Namespace) -> str:
@@ -77,7 +47,7 @@ def _load_graph(args: argparse.Namespace) -> Multigraph:
     if getattr(args, "graph", None):
         return Multigraph.from_json(Path(args.graph).read_text(encoding="utf-8"))
     if getattr(args, "k", None):
-        return build_overlap_graph(args.k, max_k=_cap("overlap")).graph
+        return build_overlap_graph(args.k).graph
     raise ValueError("pass --k or --graph")
 
 
@@ -118,13 +88,13 @@ def _decomposition_json(region: FeasibleRegion, decomposition, args) -> list[dic
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     sigma = Permutation.parse(args.perm)
-    vector = proportion_vector(args.k, sigma, args.kind, enum_n_cap=_cap("enum"))
+    vector = proportion_vector(args.k, sigma, args.kind)
     print(_dump(_vector_json(vector, args)))
     return 0
 
 
 def _cmd_overlap(args: argparse.Namespace) -> int:
-    og = build_overlap_graph(args.k, max_k=_cap("overlap"))
+    og = build_overlap_graph(args.k)
     g = og.graph
     if args.dot:
         _write_or_print(g.to_dot(name=f"OV{args.k}"), args.dot)
@@ -145,7 +115,7 @@ def _cmd_vertices(args: argparse.Namespace) -> int:
 
     graph = _load_graph(args)
     poly = CyclePolytope(graph)
-    vertices = poly.vertices(max_cycles=_cap("cycles"))
+    vertices = poly.vertices()
     listed = []
     for cv in vertices:
         ids, entries = cv.cycle.edge_ids, cv.entries
@@ -170,7 +140,7 @@ def _cmd_dim(args: argparse.Namespace) -> int:
 
 
 def _cmd_member(args: argparse.Namespace) -> int:
-    region = FeasibleRegion(args.k, max_k=_cap("overlap"))
+    region = FeasibleRegion(args.k)
     vector = _parse_vector(args.vector, args.k)
     result = region.membership(vector)
     print("true" if result.member else "false")
@@ -182,7 +152,7 @@ def _cmd_member(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    region = FeasibleRegion(args.k, max_k=_cap("overlap"))
+    region = FeasibleRegion(args.k)
     vector = _parse_vector(args.vector, args.k)
     decomposition = region.polytope.convex_decomposition(region.point_of(vector))
     print(_dump({"decomposition": _decomposition_json(region, decomposition, args)}))
@@ -190,10 +160,10 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_realize(args: argparse.Namespace) -> int:
-    region = FeasibleRegion(args.k, max_k=_cap("overlap"))
+    region = FeasibleRegion(args.k)
     vector = _parse_vector(args.vector, args.k)
     plan = region.plan(vector)
-    sigma = plan.generate(args.m, max_size=_cap("realize"))
+    sigma = plan.generate(args.m)
     print(sigma)
     if args.plan:
         _write_or_print(plan.to_json(), args.plan)
@@ -203,13 +173,13 @@ def _cmd_realize(args: argparse.Namespace) -> int:
 def _cmd_mix(args: argparse.Namespace) -> int:
     inner = Permutation.parse(args.perm_a)
     outer = Permutation.parse(args.perm_b)
-    mixed = mix(lambda m: inner, lambda m: outer, 1, size_cap=_cap("mix"))
+    mixed = mix(lambda m: inner, lambda m: outer, 1)
     print(mixed)
     return 0
 
 
 def _cmd_universal(args: argparse.Namespace) -> int:
-    print(eulerian_universal_permutation(args.k, max_k=_cap("overlap")))
+    print(eulerian_universal_permutation(args.k))
     return 0
 
 
@@ -218,7 +188,7 @@ def _cmd_faces(args: argparse.Namespace) -> int:
 
     graph = _load_graph(args)
     poly = CyclePolytope(graph)
-    poset = poly.face_poset(max_edges=_cap("faces"))
+    poset = poly.face_poset()
     by_dim = poset.by_dimension()
     payload = {
         "polytope_dimension": poly.dimension(),
@@ -234,10 +204,9 @@ def _cmd_faces(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    region = FeasibleRegion(args.k, max_k=_cap("overlap"))
+    region = FeasibleRegion(args.k)
     vector = _parse_vector(args.vector, args.k)
     plan = region.plan(vector)
-    max_size = _cap("realize")
     if args.m_values:
         m_values = [int(part) for part in args.m_values.split(",")]
     else:
@@ -249,12 +218,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
         if not m_values:
             raise ValueError("no m fits under --max-size; pass --m-values explicitly")
     report = convergence_report(
-        lambda m: plan.generate(m, max_size=max_size),
+        plan.generate,
         args.k,
         m_values,
         consecutive_target=vector,
         include_classical=not args.no_classical,
-        enum_n_cap=_cap("enum"),
     )
     _write_or_print(report.to_csv(), args.out)
     return 0
@@ -367,6 +335,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        limits.caps()
         return args.func(args)
     except (PermutopeError, ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -44,8 +44,8 @@ class FeasibleRegion:
 
     __slots__ = ("k", "overlap", "polytope")
 
-    def __init__(self, k: int, *, max_k: int = limits.OVERLAP_K_CAP) -> None:
-        self.overlap = build_overlap_graph(k, max_k=max_k)
+    def __init__(self, k: int) -> None:
+        self.overlap = build_overlap_graph(k)
         self.k = k
         self.polytope = CyclePolytope(self.overlap.graph)
 
@@ -140,17 +140,17 @@ class RealizationPlan:
         """
         return Fraction(len(self.flows) * (self.region.k - 1), self.size_for(m))
 
-    def generate(self, m: int, *, max_size: int = limits.REALIZE_SIZE_CAP) -> Permutation:
+    def generate(self, m: int) -> Permutation:
         """The realizing permutation for size parameter m >= 1; sizes are
-        strictly increasing in m.  A size over ``max_size`` is refused before
-        any block is built."""
+        strictly increasing in m.  A size over the ``realize`` cap is refused
+        before any block is built."""
         if m < 1:
             raise ValueError(f"size parameter must be >= 1, got {m}")
-        size = self.size_for(m)
-        if size > max_size:
+        size, cap = self.size_for(m), limits.cap("realize")
+        if size > cap:
             raise CapacityError(
                 f"realizing permutation would have size {size}, over the realize cap "
-                f"{max_size} (PERMUTOPE_CAP key 'realize')"
+                f"{cap} (PERMUTOPE_CAP key 'realize')"
             )
         og = self.region.overlap
         blocks = []
@@ -219,11 +219,16 @@ def derandomize_weights(
     return {p: q // shrink for p, q in weights.items()}
 
 
+def _check_mix_size(what: str, size: int) -> None:
+    cap = limits.cap("mix")
+    if size > cap:
+        raise CapacityError(
+            f"{what} would have size {size}, over the mix cap {cap} (PERMUTOPE_CAP key 'mix')"
+        )
+
+
 def derandomize(
-    distribution: Mapping[Permutation, object],
-    epsilon: Fraction | None = None,
-    *,
-    size_cap: int = limits.MIX_SIZE_CAP,
+    distribution: Mapping[Permutation, object], epsilon: Fraction | None = None
 ) -> Permutation:
     """A single permutation built from integer-weighted blocks of the support,
     whose consecutive proportions match the distribution's expectation up to
@@ -231,11 +236,7 @@ def derandomize(
     weights = derandomize_weights(distribution, epsilon)
     block_size = len(next(iter(weights)))
     total_copies = sum(weights.values())
-    if block_size * total_copies > size_cap:
-        raise CapacityError(
-            f"derandomized permutation would have size {block_size * total_copies}, "
-            f"over the mix cap {size_cap} (PERMUTOPE_CAP key 'mix')"
-        )
+    _check_mix_size("derandomized permutation", block_size * total_copies)
     return direct_sum(*[repeat_sum(q, p) for p, q in sorted(weights.items()) if q > 0])
 
 
@@ -243,8 +244,6 @@ def mix(
     generator_consecutive: Callable[[int], Permutation],
     generator_classical: Callable[[int], Permutation],
     m: int,
-    *,
-    size_cap: int = limits.MIX_SIZE_CAP,
 ) -> Permutation:
     """Substitute copies of the consecutive-side permutation into the
     classical-side permutation.
@@ -255,11 +254,7 @@ def mix(
     """
     inner = generator_consecutive(m)
     outer = generator_classical(m)
-    if len(inner) * len(outer) > size_cap:
-        raise CapacityError(
-            f"mixed permutation would have size {len(inner) * len(outer)}, "
-            f"over the mix cap {size_cap} (PERMUTOPE_CAP key 'mix')"
-        )
+    _check_mix_size("mixed permutation", len(inner) * len(outer))
     return substitute(outer, [inner] * len(outer))
 
 
@@ -323,7 +318,6 @@ def convergence_report(
     consecutive_target: PatternVector | None = None,
     classical_target: PatternVector | None = None,
     include_classical: bool = True,
-    enum_n_cap: int = limits.ENUM_N_CAP,
 ) -> ConvergenceReport:
     """Evaluate proportion vectors of generator(m) for each m.
 
@@ -338,7 +332,7 @@ def convergence_report(
         classical: PatternVector | None = None
         if include_classical:
             try:
-                classical = proportion_vector(k, sigma, "classical", enum_n_cap=enum_n_cap)
+                classical = proportion_vector(k, sigma, "classical")
             except CapacityError:
                 classical = None
         linf_consec = (

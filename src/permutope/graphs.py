@@ -348,18 +348,17 @@ class SimpleCycle(Walk):
         return cycle
 
 
-def iter_simple_cycles(
-    g: Multigraph, *, max_cycles: int = limits.CYCLE_CAP
-) -> Iterator[SimpleCycle]:
+def iter_simple_cycles(g: Multigraph) -> Iterator[SimpleCycle]:
     """Yield every simple cycle of ``g`` exactly once.
 
     Each cycle is anchored at its smallest vertex; start vertices are scanned
     in increasing order and out-edges in increasing id order, so the emission
     order is deterministic.  Blocked-set bookkeeping follows Johnson's
     circuit-enumeration scheme (without the SCC pre-pass, which is only a
-    speed-up).  Raises CapacityError after ``max_cycles`` cycles.
+    speed-up).  Raises CapacityError when asked for a cycle past the
+    ``cycles`` cap, read when the enumeration starts.
     """
-    ar, out = g._ar, g._out
+    ar, out, cap = g._ar, g._out, limits.cap("cycles")
     emitted = 0
     for s in range(g.n_vertices):
         # DFS over vertices >= s; cycles found here have minimum vertex s.
@@ -377,10 +376,10 @@ def iter_simple_cycles(
                     continue
                 if w == s:
                     emitted += 1
-                    if emitted > max_cycles:
+                    if emitted > cap:
                         raise CapacityError(
                             f"the graph has more simple cycles than the cycles cap "
-                            f"{max_cycles} (PERMUTOPE_CAP key 'cycles')"
+                            f"{cap} (PERMUTOPE_CAP key 'cycles')"
                         )
                     yield SimpleCycle._trusted(g, epath + [eid])
                     closed[-1] = True

@@ -1,28 +1,66 @@
-"""Default size guards.
+"""Size guards.
 
-All expensive enumerations are capped; every cap can be overridden per call,
-and the CLI additionally honours the ``PERMUTOPE_CAP`` environment variable
-(``name=value`` pairs, comma separated -- see the README).
+All expensive enumerations are capped.  Each guard reads its cap with
+:func:`cap` at the moment it checks: the ``PERMUTOPE_CAP`` environment
+variable (``name=value`` pairs, comma separated -- see the README) overrides
+the defaults below, for library callers and the CLI alike.
 """
 
-# Classical occurrence counting falls back to subset enumeration for pattern
-# sizes >= 4; permutations longer than this are rejected there.
-ENUM_N_CAP = 30
+from __future__ import annotations
 
-# Maximum number of simple cycles emitted by one enumeration.
-CYCLE_CAP = 10**6
+import os
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
-# Largest overlap graph built by default (7! = 5040 edges).
-OVERLAP_K_CAP = 7
+# The caps ``PERMUTOPE_CAP`` can set, by key, with their defaults.
+DEFAULTS = {
+    # Maximum number of simple cycles emitted by one enumeration.
+    "cycles": 10**6,
+    # Classical occurrence counting falls back to subset enumeration for
+    # pattern sizes >= 4; permutations longer than this are rejected there.
+    "enum": 30,
+    # Largest overlap graph built (7! = 5040 edges).
+    "overlap": 7,
+    # Full-subgraph (face) enumeration is exponential in the edge count.
+    "faces": 12,
+    # Size |A| * |B| of a substitution product in the mixing construction.
+    "mix": 10**7,
+    # Points in one realizing permutation built by a realization plan.
+    "realize": 10**7,
+}
 
-# Full-subgraph (face) enumeration is exponential in the edge count.
-FACE_EDGE_CAP = 12
-
-# Size |A| * |B| of a substitution product in the mixing construction.
-MIX_SIZE_CAP = 10**7
-
-# Points in one realizing permutation built by a realization plan.
-REALIZE_SIZE_CAP = 10**7
-
-# Pattern vectors carry k! entries.
+# Pattern vectors carry k! entries; no PERMUTOPE_CAP key overrides this.
 VECTOR_K_CAP = 8
+
+
+def caps() -> Mapping[str, int]:
+    """Every cap: its ``PERMUTOPE_CAP`` entry, else its default.  A malformed
+    variable raises ValueError."""
+    return _parse(os.environ.get("PERMUTOPE_CAP", ""))
+
+
+def cap(name: str) -> int:
+    """The size guard ``name``: its ``PERMUTOPE_CAP`` entry, else its default."""
+    return caps()[name]
+
+
+@lru_cache(maxsize=16)
+def _parse(spec: str) -> Mapping[str, int]:
+    table = dict(DEFAULTS)
+    for part in spec.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        key, sep, value = part.partition("=")
+        key = key.strip()
+        if not sep:
+            raise ValueError(f"PERMUTOPE_CAP entry {part!r} is not name=value")
+        if key not in DEFAULTS:
+            raise ValueError(
+                f"PERMUTOPE_CAP has no cap {key!r}; the caps are {', '.join(DEFAULTS)}"
+            )
+        table[key] = int(value)
+        if table[key] < 0:
+            raise ValueError(f"PERMUTOPE_CAP cap {key!r} is negative: {table[key]}")
+    return MappingProxyType(table)

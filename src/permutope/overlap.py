@@ -131,36 +131,40 @@ class OverlapGraph:
         return Permutation._trusted(tuple(word))
 
 
-@lru_cache(maxsize=None)
-def build_overlap_graph(k: int, *, max_k: int = limits.OVERLAP_K_CAP) -> OverlapGraph:
-    """Construct (and cache) the overlap graph for size ``k``."""
-    if k < 2 or k > max_k:
+def build_overlap_graph(k: int) -> OverlapGraph:
+    """Construct (and cache) the overlap graph for size ``k``.  The cap is
+    checked on every call, so a cached graph is refused under a lower cap."""
+    cap = limits.cap("overlap")
+    if k < 2 or k > cap:
         raise CapacityError(
-            f"overlap graphs are built for 2 <= k <= the overlap cap {max_k} "
+            f"overlap graphs are built for 2 <= k <= the overlap cap {cap} "
             f"(PERMUTOPE_CAP key 'overlap'), got {k}"
         )
-    return OverlapGraph(k)
+    return _cached_overlap_graph(k)
+
+
+_cached_overlap_graph = lru_cache(maxsize=None)(OverlapGraph)
 
 
 def walk_of(sigma: Permutation, k: int) -> Walk:
     return build_overlap_graph(k).walk_of(sigma)
 
 
-def eulerian_universal_permutation(k: int, *, max_k: int = limits.OVERLAP_K_CAP) -> Permutation:
+def eulerian_universal_permutation(k: int) -> Permutation:
     """A permutation of size k! + k - 1 containing every size-k pattern exactly
     once consecutively, from an Eulerian circuit of the overlap graph."""
-    og = build_overlap_graph(k, max_k=max_k)
+    og = build_overlap_graph(k)
     circuit = eulerian_circuit(og.graph, 0)
     return og.permutation_of_walk(circuit)
 
 
-def hamiltonian_cycle(k: int, *, max_k: int = limits.OVERLAP_K_CAP) -> SimpleCycle:
+def hamiltonian_cycle(k: int) -> SimpleCycle:
     """A simple cycle through every vertex of the overlap graph exactly once.
 
     Depth-first search in lexicographic vertex order; the graph is rich enough
     that this is fast for every buildable k.
     """
-    og = build_overlap_graph(k, max_k=max_k)
+    og = build_overlap_graph(k)
     g = og.graph
     n = g.n_vertices
     if n == 1:

@@ -259,14 +259,12 @@ def _occ_counts_small(sigma: Permutation, k: int) -> dict[tuple[int, ...], int]:
     }
 
 
-def _occ_counts_enumerated(
-    sigma: Permutation, k: int, enum_n_cap: int
-) -> dict[tuple[int, ...], int]:
-    n = len(sigma)
-    if n > enum_n_cap:
+def _occ_counts_enumerated(sigma: Permutation, k: int) -> dict[tuple[int, ...], int]:
+    n, cap = len(sigma), limits.cap("enum")
+    if n > cap:
         raise CapacityError(
             f"classical counting of size-{k} patterns enumerates subsets; "
-            f"permutation size {n} exceeds the enum cap {enum_n_cap} "
+            f"permutation size {n} exceeds the enum cap {cap} "
             f"(PERMUTOPE_CAP key 'enum')"
         )
     positions = range(k)
@@ -277,14 +275,14 @@ def _occ_counts_enumerated(
     return {_invert(order): count for order, count in orders.items()}
 
 
-def occ(pattern: Permutation, sigma: Permutation, *, enum_n_cap: int = limits.ENUM_N_CAP) -> int:
+def occ(pattern: Permutation, sigma: Permutation) -> int:
     """Number of classical occurrences of ``pattern`` in ``sigma``."""
     k, n = len(pattern), len(sigma)
     if k > n:
         raise SizeError(f"pattern size {k} exceeds permutation size {n}")
     if k <= 3:
         return _occ_counts_small(sigma, k).get(pattern.word, 0)
-    return _occ_counts_enumerated(sigma, k, enum_n_cap).get(pattern.word, 0)
+    return _occ_counts_enumerated(sigma, k).get(pattern.word, 0)
 
 
 def cocc(pattern: Permutation, sigma: Permutation) -> int:
@@ -349,21 +347,15 @@ def _cocc_counts(sigma: Permutation, k: int) -> dict[tuple[int, ...], int]:
     }
 
 
-def occ_proportion(
-    pattern: Permutation, sigma: Permutation, *, enum_n_cap: int = limits.ENUM_N_CAP
-) -> Fraction:
+def occ_proportion(pattern: Permutation, sigma: Permutation) -> Fraction:
     """occ(pattern, sigma) / C(n, k) as an exact rational."""
-    return Fraction(occ(pattern, sigma, enum_n_cap=enum_n_cap), math.comb(len(sigma), len(pattern)))
+    return Fraction(occ(pattern, sigma), math.comb(len(sigma), len(pattern)))
 
 
-def cocc_proportion(
-    pattern: Permutation, sigma: Permutation, *, window_denominator: bool = False
-) -> Fraction:
-    """cocc(pattern, sigma) divided by n (the convention used throughout this
-    package), or by the window count n-k+1 when ``window_denominator`` is set."""
-    n, k = len(sigma), len(pattern)
-    den = n - k + 1 if window_denominator else n
-    return Fraction(cocc(pattern, sigma), den)
+def cocc_proportion(pattern: Permutation, sigma: Permutation) -> Fraction:
+    """cocc(pattern, sigma) divided by n, the convention used throughout this
+    package."""
+    return Fraction(cocc(pattern, sigma), len(sigma))
 
 
 def _check_vector_k(k: int) -> None:
@@ -472,21 +464,18 @@ class PatternVector:
             isinstance(data, Mapping) and "k" in data and isinstance(data.get("entries"), Mapping)
         ):
             raise ValueError("a pattern vector is an object with a 'k' and an 'entries' object")
-        try:
-            k = int(data["k"])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"pattern vector 'k' is not an integer: {data['k']!r}") from exc
+        raw = data["k"]
+        try:  # int() would truncate a float and read a bool as 0 or 1
+            k = None if isinstance(raw, (bool, float)) else int(raw)
+        except (TypeError, ValueError):
+            k = None
+        if k is None:
+            raise ValueError(f"pattern vector 'k' is not an integer: {raw!r}")
         entries = {Permutation.parse(word): value for word, value in data["entries"].items()}
         return cls(k, entries)
 
 
-def proportion_vector(
-    k: int,
-    sigma: Permutation,
-    kind: str,
-    *,
-    enum_n_cap: int = limits.ENUM_N_CAP,
-) -> PatternVector:
+def proportion_vector(k: int, sigma: Permutation, kind: str) -> PatternVector:
     """The full vector of pattern proportions of ``sigma`` at size ``k``.
 
     ``kind`` is ``"classical"`` (entries sum to 1) or ``"consecutive"``
@@ -504,7 +493,7 @@ def proportion_vector(
         if k <= 3:
             counts = _occ_counts_small(sigma, k)
         else:
-            counts = _occ_counts_enumerated(sigma, k, enum_n_cap)
+            counts = _occ_counts_enumerated(sigma, k)
         den = math.comb(n, k)
     else:
         counts = _cocc_counts(sigma, k)

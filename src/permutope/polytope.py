@@ -128,19 +128,16 @@ class CyclePolytope:
 
     # -- vertices --------------------------------------------------------
 
-    def simple_cycles(self, *, max_cycles: int = limits.CYCLE_CAP) -> Iterator[SimpleCycle]:
-        return iter_simple_cycles(self.graph, max_cycles=max_cycles)
+    def simple_cycles(self) -> Iterator[SimpleCycle]:
+        return iter_simple_cycles(self.graph)
 
-    def vertices(self, *, max_cycles: int = limits.CYCLE_CAP) -> tuple[CycleVector, ...]:
+    def vertices(self) -> tuple[CycleVector, ...]:
         """One vertex per simple cycle, sorted by canonical cycle ids.
 
         Distinct simple cycles have distinct vectors, so the vertex count
         equals the simple-cycle count.
         """
-        vectors = [
-            CycleVector.from_cycle(self.graph, c)
-            for c in iter_simple_cycles(self.graph, max_cycles=max_cycles)
-        ]
+        vectors = [CycleVector.from_cycle(self.graph, c) for c in iter_simple_cycles(self.graph)]
         vectors.sort(key=lambda cv: cv.cycle.edge_ids)
         return tuple(vectors)
 
@@ -294,16 +291,16 @@ class CyclePolytope:
         comps = len(sub.connected_components())
         return len(handle.edge_ids) - self.graph.n_vertices + comps - 1
 
-    def face_poset(self, *, max_edges: int = limits.FACE_EDGE_CAP) -> FacePoset:
+    def face_poset(self) -> FacePoset:
         """All faces, via enumeration of the non-empty full edge subsets.
 
-        Exponential in |E| of the full part, hence guarded by ``max_edges``.
+        Exponential in |E| of the full part, hence guarded by the ``faces`` cap.
         """
-        full = sorted(self.full_edge_ids)
-        if len(full) > max_edges:
+        full, cap = sorted(self.full_edge_ids), limits.cap("faces")
+        if len(full) > cap:
             raise CapacityError(
                 f"face enumeration over {len(full)} edges exceeds the faces cap "
-                f"{max_edges} (PERMUTOPE_CAP key 'faces')"
+                f"{cap} (PERMUTOPE_CAP key 'faces')"
             )
         faces: list[FaceHandle] = []
         for r in range(1, len(full) + 1):
@@ -330,7 +327,7 @@ class CyclePolytope:
 
     # -- export ----------------------------------------------------------------
 
-    def to_json_dict(self, *, max_cycles: int = limits.CYCLE_CAP) -> dict:
+    def to_json_dict(self) -> dict:
         rows, rhs = self.equation_system()
         return {
             "edge_labels": [label for _, _, label in self.graph.edges],
@@ -340,12 +337,12 @@ class CyclePolytope:
             ],
             "vertices": {
                 ",".join(map(str, cv.cycle.edge_ids)): [str(v) for v in cv.entries]
-                for cv in self.vertices(max_cycles=max_cycles)
+                for cv in self.vertices()
             },
         }
 
-    def to_json(self, *, max_cycles: int = limits.CYCLE_CAP) -> str:
-        return json.dumps(self.to_json_dict(max_cycles=max_cycles), indent=2, sort_keys=True) + "\n"
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
     def hrep_text(self) -> str:
         """H-representation interchange text: 'A x >= b' block, 'C x = d' block."""

@@ -27,6 +27,13 @@ def fig3_graph() -> Multigraph:
     )
 
 
+@pytest.fixture(autouse=True)
+def _no_cap_override(monkeypatch):
+    """Every guard reads PERMUTOPE_CAP, so each test starts without one and
+    the suite does not depend on the caller's environment."""
+    monkeypatch.delenv("PERMUTOPE_CAP", raising=False)
+
+
 def random_multigraph(rng: random.Random, max_vertices: int = 5, max_edges: int = 8) -> Multigraph:
     nv = rng.randint(1, max_vertices)
     ne = rng.randint(0, max_edges)

@@ -210,6 +210,25 @@ class TestErrorsAndCaps:
         code, _, err = invoke(capsys, "dim", "--k", "3")
         assert code == 1
 
+    @pytest.mark.parametrize("verb", ["dim", "export"])
+    def test_env_cap_parse_error_before_any_guard(self, capsys, monkeypatch, tmp_path, verb):
+        # neither verb reaches a guard with --graph, yet the variable is checked
+        path = tmp_path / "graph.json"
+        graph = {"vertices": ["a"], "edges": [{"st": 0, "ar": 0, "label": "e"}]}
+        path.write_text(json.dumps(graph), encoding="utf-8")
+        argv = [verb, "--graph", str(path)] + (["--format", "json"] if verb == "export" else [])
+        assert invoke(capsys, *argv)[0] == 0
+        monkeypatch.setenv("PERMUTOPE_CAP", "garbage")
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "error: PERMUTOPE_CAP entry 'garbage' is not name=value\n"
+
+    def test_env_cap_negative(self, capsys, monkeypatch):
+        monkeypatch.setenv("PERMUTOPE_CAP", "cycles=-1")
+        code, out, err = invoke(capsys, "vertices", "--k", "3")
+        assert code == 1 and out == ""
+        assert err == "error: PERMUTOPE_CAP cap 'cycles' is negative: -1\n"
+
     def test_env_cap_is_the_one_way_to_set_a_cap(self, capsys, monkeypatch):
         assert invoke(capsys, "vertices", "--k", "3", "--max-cycles", "100")[0] == 2
         assert invoke(capsys, "faces", "--k", "3", "--max-edges", "100")[0] == 2
@@ -307,6 +326,14 @@ class TestErrorsAndCaps:
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("k", [3.9, True])
+    def test_vector_k_must_be_an_integer(self, capsys, k):
+        # int() would read 3.9 as 3 and true as 1
+        body = {"k": k, "entries": {w: "1/6" for w in ["123", "132", "213", "231", "312", "321"]}}
+        code, out, err = invoke(capsys, "member", "--k", "3", "--vector", json.dumps(body))
+        assert code == 1 and out == ""
+        assert err == f"error: pattern vector 'k' is not an integer: {k!r}\n"
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = invoke(capsys, "--help")

@@ -92,16 +92,18 @@ class TestMembership:
 
 
 class TestRealize:
-    def test_size_cap_checked_before_building(self):
+    def test_size_cap_checked_before_building(self, monkeypatch):
         assert feasible_region(6).plan(PatternVector.uniform(6)).size_for(1) == 1_020
         plan = feasible_region(7).plan(PatternVector.uniform(7))
         assert plan.size_for(2000) == 10_081_368
         with pytest.raises(CapacityError, match="realize"):
             plan.generate(2000)
         small = feasible_region(4).plan(PatternVector.uniform(4))
+        monkeypatch.setenv("PERMUTOPE_CAP", "realize=47")
         with pytest.raises(CapacityError, match="47"):
-            small.generate(1, max_size=47)
-        assert len(small.generate(1, max_size=48)) == small.size_for(1) == 48
+            small.generate(1)
+        monkeypatch.setenv("PERMUTOPE_CAP", "realize=48")
+        assert len(small.generate(1)) == small.size_for(1) == 48
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_flow_sizing_on_planted_targets(self, k):
@@ -235,10 +237,11 @@ class TestDerandomize:
         with pytest.raises(DistributionError):
             derandomize({P("12"): F(1, 2), P("123"): F(1, 2)})
 
-    def test_size_cap_names_the_mix_key(self):
+    def test_size_cap_names_the_mix_key(self, monkeypatch):
         message = r"size 4, over the mix cap 3 \(PERMUTOPE_CAP key 'mix'\)"
+        monkeypatch.setenv("PERMUTOPE_CAP", "mix=3")
         with pytest.raises(CapacityError, match=message):
-            derandomize({P("12"): F(1, 2), P("21"): F(1, 2)}, size_cap=3)
+            derandomize({P("12"): F(1, 2), P("21"): F(1, 2)})
 
     def test_rounding_path_respects_epsilon(self):
         # denominators too large for the exact path at this epsilon
@@ -280,10 +283,11 @@ class TestMix:
         sigma = P("35142")
         assert mix(lambda m: sigma, lambda m: P("1"), 1) == sigma
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
         big = Permutation.identity(100)
+        monkeypatch.setenv("PERMUTOPE_CAP", "mix=100")
         with pytest.raises(CapacityError):
-            mix(lambda m: big, lambda m: big, 1, size_cap=100)
+            mix(lambda m: big, lambda m: big, 1)
 
     def test_proof_bounds_exact(self):
         region = feasible_region(3)

@@ -157,19 +157,22 @@ class TestCycleEnumeration:
         cycles = list(iter_simple_cycles(g))
         assert sorted(c.edge_ids for c in cycles) == [(0,), (1,)]
 
-    def test_callback_streaming(self, fig3_graph):
+    def test_callback_streaming(self, fig3_graph, monkeypatch):
         # Cycles stream out one at a time: the cap fires only when the
         # cycle past it is asked for.
-        stream = iter_simple_cycles(fig3_graph, max_cycles=1)
+        monkeypatch.setenv("PERMUTOPE_CAP", "cycles=1")
+        stream = iter_simple_cycles(fig3_graph)
         seen = [next(stream)]
         with pytest.raises(CapacityError):
             next(stream)
+        monkeypatch.delenv("PERMUTOPE_CAP")
         seen += iter_simple_cycles(fig3_graph)
         assert len(seen) == 6 and seen[0] == seen[1]
 
-    def test_cap(self, fig3_graph):
+    def test_cap(self, fig3_graph, monkeypatch):
+        monkeypatch.setenv("PERMUTOPE_CAP", "cycles=2")
         with pytest.raises(CapacityError):
-            list(iter_simple_cycles(fig3_graph, max_cycles=2))
+            list(iter_simple_cycles(fig3_graph))
 
     def test_against_brute_force(self, fig2_graph, fig3_graph):
         rng = random.Random(3)

@@ -1,0 +1,114 @@
+"""The size guards read PERMUTOPE_CAP themselves, without the CLI."""
+
+import pytest
+
+from permutope import (
+    CapacityError,
+    CyclePolytope,
+    PatternVector,
+    Permutation,
+    build_overlap_graph,
+    derandomize,
+    feasible_region,
+    iter_simple_cycles,
+    limits,
+    mix,
+    proportion_vector,
+)
+
+P = Permutation.parse
+
+
+# One case per key: the call, run once under the default cap and once under
+# the cap set in PERMUTOPE_CAP, and the refusal it must give under the latter.
+CASES = {
+    "cycles": (
+        2,
+        lambda: list(iter_simple_cycles(build_overlap_graph(3).graph)),
+        "the graph has more simple cycles than the cycles cap 2 (PERMUTOPE_CAP key 'cycles')",
+    ),
+    "enum": (
+        5,
+        lambda: proportion_vector(4, P("351426"), "classical"),
+        "classical counting of size-4 patterns enumerates subsets; permutation size 6 "
+        "exceeds the enum cap 5 (PERMUTOPE_CAP key 'enum')",
+    ),
+    "overlap": (
+        3,
+        lambda: build_overlap_graph(4),
+        "overlap graphs are built for 2 <= k <= the overlap cap 3 "
+        "(PERMUTOPE_CAP key 'overlap'), got 4",
+    ),
+    "faces": (
+        5,
+        lambda: CyclePolytope(build_overlap_graph(3).graph).face_poset(),
+        "face enumeration over 6 edges exceeds the faces cap 5 (PERMUTOPE_CAP key 'faces')",
+    ),
+    "mix": (
+        3,
+        lambda: mix(lambda m: P("12"), lambda m: P("21"), 1),
+        "mixed permutation would have size 4, over the mix cap 3 (PERMUTOPE_CAP key 'mix')",
+    ),
+    "realize": (
+        47,
+        lambda: feasible_region(4).plan(PatternVector.uniform(4)).generate(1),
+        "realizing permutation would have size 48, over the realize cap 47 "
+        "(PERMUTOPE_CAP key 'realize')",
+    ),
+}
+
+
+def test_one_case_per_key():
+    assert list(CASES) == list(limits.DEFAULTS)
+
+
+@pytest.mark.parametrize("key", list(CASES))
+def test_guard_reads_the_variable(monkeypatch, key):
+    value, call, message = CASES[key]
+    call()  # under the default cap; for "overlap" this also caches the graph
+    monkeypatch.setenv("PERMUTOPE_CAP", f"{key}={value}")
+    with pytest.raises(CapacityError) as refusal:
+        call()
+    assert str(refusal.value) == message
+    monkeypatch.setenv("PERMUTOPE_CAP", f"{key}={value + 100}")
+    call()
+
+
+def test_derandomize_reads_the_mix_key(monkeypatch):
+    monkeypatch.setenv("PERMUTOPE_CAP", "mix=1")
+    with pytest.raises(CapacityError) as refusal:
+        derandomize({P("12"): 1})
+    assert str(refusal.value) == (
+        "derandomized permutation would have size 2, over the mix cap 1 (PERMUTOPE_CAP key 'mix')"
+    )
+
+
+def test_defaults_without_the_variable():
+    assert dict(limits.caps()) == limits.DEFAULTS
+    assert limits.cap("overlap") == 7 and limits.cap("enum") == 30
+
+
+def test_unknown_key_is_a_value_error(monkeypatch):
+    monkeypatch.setenv("PERMUTOPE_CAP", "cycle=2")
+    with pytest.raises(ValueError, match="has no cap 'cycle'; the caps are cycles, enum,"):
+        build_overlap_graph(3)
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("garbage", "PERMUTOPE_CAP entry 'garbage' is not name=value"),
+        ("cycles=x", "invalid literal for int"),
+        ("cycles=-1", "PERMUTOPE_CAP cap 'cycles' is negative: -1"),
+    ],
+)
+def test_malformed_variable_is_a_value_error(monkeypatch, spec, message):
+    monkeypatch.setenv("PERMUTOPE_CAP", spec)
+    with pytest.raises(ValueError, match=message):
+        limits.cap("cycles")
+
+
+def test_zero_is_a_cap(monkeypatch):
+    monkeypatch.setenv("PERMUTOPE_CAP", " faces = 0 , mix=0,")
+    assert limits.cap("faces") == 0 and limits.cap("mix") == 0
+    assert limits.cap("cycles") == limits.DEFAULTS["cycles"]

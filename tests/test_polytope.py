@@ -410,9 +410,10 @@ class TestFaces:
                     }
                     assert vertices_a <= vertices_b
 
-    def test_face_poset_guard(self, fig3_graph):
+    def test_face_poset_guard(self, fig3_graph, monkeypatch):
+        monkeypatch.setenv("PERMUTOPE_CAP", "faces=3")
         with pytest.raises(CapacityError):
-            CyclePolytope(fig3_graph).face_poset(max_edges=3)
+            CyclePolytope(fig3_graph).face_poset()
 
 
 class TestSkeleton:
