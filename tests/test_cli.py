@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import io
+import itertools
 import json
 import time
 from fractions import Fraction
@@ -338,3 +340,92 @@ class TestErrorsAndCaps:
     def test_help_exits_zero(self, capsys):
         code, out, _ = invoke(capsys, "--help")
         assert code == 0
+
+
+def _golden_vector(member: bool) -> str:
+    """A fixed non-uniform point at k = 4: 1/3 on the loop 1234, 1/6 on the
+    loop 4321 and 1/2 spread uniformly.  Moving the 1243 entry onto the loop
+    1234 breaks flow conservation."""
+    words = ["".join(map(str, w)) for w in itertools.permutations(range(1, 5))]
+    entries = {w: F(1, 48) for w in words}
+    entries["1234"] += F(1, 3)
+    entries["4321"] += F(1, 6)
+    if not member:
+        entries["1234"] += entries["1243"]
+        entries["1243"] = F(0)
+    return json.dumps({"k": 4, "entries": {w: str(v) for w, v in entries.items()}})
+
+
+# The permutation i -> 7i mod 41 of 1..40.
+_GOLDEN_PERM = ",".join(str(7 * i % 41) for i in range(1, 41))
+
+GOLDEN_STDOUT = {
+    "stats.classical.k3": (
+        ("stats", "--perm", _GOLDEN_PERM, "--k", "3", "--kind", "classical"),
+        "45247a0ed46c9cb864f4703c8a965b306cd6f3e6b6aa1533c605f55a6eb30c4d",
+    ),
+    "stats.classical.k3.float": (
+        ("--float", "stats", "--perm", _GOLDEN_PERM, "--k", "3", "--kind", "classical"),
+        "2d1446601b80c54f2a60bdc17cddf9b3026c772543092bf1e10e58f52cb4d9df",
+    ),
+    "stats.consecutive.k4": (
+        ("stats", "--perm", _GOLDEN_PERM, "--k", "4", "--kind", "consecutive"),
+        "aeccb18f293626bd3df3fb309104e22fcca45e19a75d20d993d53c53617c75c9",
+    ),
+    "stats.consecutive.k4.float": (
+        ("--float", "stats", "--perm", _GOLDEN_PERM, "--k", "4", "--kind", "consecutive"),
+        "02906c715e44af1f8b2913306e8c91cfd1034feedb81501cfd41ce09261bf9cf",
+    ),
+    "stats.consecutive.k5": (
+        ("stats", "--perm", _GOLDEN_PERM, "--k", "5", "--kind", "consecutive"),
+        "2cc7c570274b46301dcdb40020cdfa9fb2f91f3d8b2c50733fecb90207124d09",
+    ),
+    "stats.consecutive.k5.float": (
+        ("--float", "stats", "--perm", _GOLDEN_PERM, "--k", "5", "--kind", "consecutive"),
+        "13278b6f055fcbaff1ead3b77635539e4db3db4d3b53b4957ed9c2f47e8c2c0d",
+    ),
+    "member.k4": (
+        ("member", "--k", "4", "--vector", _golden_vector(True)),
+        "d2dd8df6a8b1a0714acb826216f9f5c1e022766b2091c89e3a83294dc2e53c7b",
+    ),
+    "member.k4.float": (
+        ("--float", "member", "--k", "4", "--vector", _golden_vector(True)),
+        "068f10873d5b2204c1f653d33151e69edd73b31036460ff5775ac0518da7c840",
+    ),
+    "member.k4.violation": (
+        ("member", "--k", "4", "--vector", _golden_vector(False)),
+        "2db6034004fdfb4c99281fd94b93315380d73ccc2448f78f5a635157544a75cb",
+    ),
+    "decompose.k4": (
+        ("decompose", "--k", "4", "--vector", _golden_vector(True)),
+        "b534d6549677ba3ed7248927d7a14f2b2eef8a0526b555825b55a07b639fa45f",
+    ),
+    "report.k3": (
+        ("report", "--k", "3", "--vector", "uniform", "--m-values", "1,2,4"),
+        "46ebfaecb313ece96f64e6201f2821b6799c9271dfcf4575e0ff5dae9822ff3b",
+    ),
+}
+
+
+class TestGoldenOutput:
+    """SHA-256 digests of fixed invocations: any change to a printed
+    rational, its order or its formatting changes a digest."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_STDOUT))
+    def test_stdout_digest(self, capsys, name):
+        argv, digest = GOLDEN_STDOUT[name]
+        code, out, err = invoke(capsys, *argv)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_realize_plan_digest(self, capsys, tmp_path):
+        plan = tmp_path / "plan.json"
+        argv = ("realize", "--k", "4", "--vector", _golden_vector(True), "--m", "2")
+        code, out, err = invoke(capsys, *argv, "--plan", str(plan))
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "8fdfdf2edc27fc1cc7d44b508561953cfa1faa041ca0a1df0eecc7ea950d6137"
+        )
+        assert hashlib.sha256(plan.read_bytes()).hexdigest() == (
+            "7e2030a1b06cb868e94ea501b82b0cb9442e57dc38e5dd8ce68a41f339142998"
+        )
