@@ -21,11 +21,9 @@ from .feasible import (
     convergence_report,
     derandomize,
     derandomize_weights,
-    feasible_membership,
     feasible_region,
     mix,
     monotone_sum_generator,
-    realize,
 )
 from .graphs import (
     Multigraph,

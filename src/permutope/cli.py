@@ -25,6 +25,7 @@ from .feasible import FeasibleRegion, convergence_report, mix
 from .graphs import Multigraph
 from .overlap import build_overlap_graph, eulerian_universal_permutation
 from .perms import PatternVector, Permutation, proportion_vector
+from .polytope import CyclePolytope
 from .rationals import float_str
 
 
@@ -111,8 +112,6 @@ def _cmd_overlap(args: argparse.Namespace) -> int:
 
 
 def _cmd_vertices(args: argparse.Namespace) -> int:
-    from .polytope import CyclePolytope
-
     graph = _load_graph(args)
     poly = CyclePolytope(graph)
     vertices = poly.vertices()
@@ -132,8 +131,6 @@ def _cmd_vertices(args: argparse.Namespace) -> int:
 
 
 def _cmd_dim(args: argparse.Namespace) -> int:
-    from .polytope import CyclePolytope
-
     graph = _load_graph(args)
     print(CyclePolytope(graph).dimension())
     return 0
@@ -184,8 +181,6 @@ def _cmd_universal(args: argparse.Namespace) -> int:
 
 
 def _cmd_faces(args: argparse.Namespace) -> int:
-    from .polytope import CyclePolytope
-
     graph = _load_graph(args)
     poly = CyclePolytope(graph)
     poset = poly.face_poset()
@@ -210,13 +205,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.m_values:
         m_values = [int(part) for part in args.m_values.split(",")]
     else:
-        # Default schedule: powers of two while the generated size fits.
+        # Default schedule: powers of two while the size fits both limits.
+        cap = limits.cap("realize")
         m_values, m = [], 1
-        while plan.size_for(m) <= args.max_size:
+        while plan.size_for(m) <= min(args.max_size, cap):
             m_values.append(m)
             m *= 2
         if not m_values:
-            raise ValueError("no m fits under --max-size; pass --m-values explicitly")
+            raise ValueError(
+                f"no m fits under --max-size {args.max_size} and the realize cap {cap} "
+                f"(PERMUTOPE_CAP key 'realize'); pass --m-values explicitly"
+            )
     report = convergence_report(
         plan.generate,
         args.k,

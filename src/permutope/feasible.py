@@ -25,21 +25,22 @@ from .overlap import build_overlap_graph
 from .perms import (
     PatternVector,
     Permutation,
+    all_patterns,
     direct_sum,
     proportion_vector,
     repeat_sum,
     substitute,
 )
 from .polytope import CyclePolytope, MembershipResult
-from .rationals import as_fraction
+from .rationals import as_fraction, integer_numerators
 
 
 class FeasibleRegion:
     """P_k as the cycle polytope of the overlap graph, with pattern-vector I/O.
 
     Edge id i of the overlap graph is the i-th pattern of size k in
-    lexicographic order, so a PatternVector converts to a polytope point by
-    listing its entries in pattern order.
+    lexicographic order, the order of a PatternVector's numerators, so
+    membership hands the stored numerators and denominator to the polytope.
     """
 
     __slots__ = ("k", "overlap", "polytope")
@@ -55,16 +56,20 @@ class FeasibleRegion:
     def dimension(self) -> int:
         return self.polytope.dimension()
 
-    def point_of(self, vector: PatternVector) -> list[Fraction]:
+    def _check_k(self, vector: PatternVector) -> None:
         if vector.k != self.k:
             raise IndexError(f"vector over S_{vector.k}, region over S_{self.k}")
+
+    def point_of(self, vector: PatternVector) -> list[Fraction]:
+        self._check_k(vector)
         return vector.values_by_pattern()
 
     def vector_of(self, point: Sequence) -> PatternVector:
         return PatternVector.from_values(self.k, point)
 
     def membership(self, vector: PatternVector) -> MembershipResult:
-        return self.polytope.membership(self.point_of(vector))
+        self._check_k(vector)
+        return self.polytope._membership(list(vector.numerators), vector.denominator)
 
     def realize(self, vector: PatternVector, m: int) -> tuple[Permutation, "RealizationPlan"]:
         """A permutation whose consecutive proportions at size k approximate
@@ -77,10 +82,9 @@ class FeasibleRegion:
         if not result.member:
             raise NotInPolytopeError(result.violation)
         decomposition = result.decomposition
-        assert decomposition is not None
         # The greedy peeled flow f units of 1/d off each cycle C, where d is
-        # the lcm of the target's denominators, so its weight is f|C|/d.
-        d = math.lcm(*(x.denominator for x in self.point_of(vector)))
+        # the target's denominator, so its weight is f|C|/d.
+        d = vector.denominator
         flows = tuple(int(w * d) // len(c) for w, c in decomposition)
         return RealizationPlan(
             region=self, target=vector, decomposition=decomposition, flows=flows
@@ -90,16 +94,6 @@ class FeasibleRegion:
 @lru_cache(maxsize=None)
 def feasible_region(k: int) -> FeasibleRegion:
     return FeasibleRegion(k)
-
-
-def feasible_membership(k: int, vector: PatternVector) -> MembershipResult:
-    """Exact membership of a pattern vector in the feasible region, with a
-    certificate (violated equation, or convex decomposition into cycles)."""
-    return feasible_region(k).membership(vector)
-
-
-def realize(k: int, vector: PatternVector, m: int) -> tuple[Permutation, "RealizationPlan"]:
-    return feasible_region(k).realize(vector, m)
 
 
 @dataclass(frozen=True)
@@ -202,9 +196,9 @@ def derandomize_weights(
     epsilon = as_fraction(epsilon)
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
-    exact_denominator = math.lcm(*(v.denominator for v in probs.values()))
+    numerators, exact_denominator = integer_numerators(list(probs.values()))
     if epsilon == 0 or exact_denominator <= math.ceil(1 / epsilon):
-        weights = {p: int(v * exact_denominator) for p, v in probs.items()}
+        weights = dict(zip(support, numerators))
     else:
         scale = math.ceil(1 / epsilon)
         floors = {p: math.floor(v * scale) for p, v in probs.items()}
@@ -287,8 +281,6 @@ class ConvergenceReport:
         return all(a < b for a, b in zip(sizes, sizes[1:]))
 
     def to_csv(self) -> str:
-        from .perms import all_patterns
-
         patterns = all_patterns(self.k)
         header = (
             ["m", "size"]
@@ -299,11 +291,11 @@ class ConvergenceReport:
         lines = [",".join(header)]
         for row in self.rows:
             cells = [str(row.m), str(row.size)]
-            cells += [str(row.consecutive[p]) for p in patterns]
+            cells += map(str, row.consecutive.values_by_pattern())
             if row.classical is None:
                 cells += ["" for _ in patterns]
             else:
-                cells += [str(row.classical[p]) for p in patterns]
+                cells += map(str, row.classical.values_by_pattern())
             cells.append("" if row.linf_consecutive is None else str(row.linf_consecutive))
             cells.append("" if row.linf_classical is None else str(row.linf_classical))
             lines.append(",".join(cells))

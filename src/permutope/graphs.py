@@ -304,11 +304,6 @@ class Walk:
         g = self.graph
         return g.st(self.edge_ids[0]) == g.ar(self.edge_ids[-1])
 
-    def concat(self, other: "Walk") -> "Walk":
-        if other.graph is not self.graph:
-            raise ValueError("walks live on different graphs")
-        return Walk(self.graph, self.edge_ids + other.edge_ids)
-
 
 def _canonical_rotation(edge_ids: Sequence[int]) -> tuple[int, ...]:
     """The rotation starting at the smallest id, of a tuple or a list."""

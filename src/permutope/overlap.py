@@ -20,7 +20,7 @@ from functools import lru_cache
 from . import limits
 from .errors import CapacityError, SizeError
 from .graphs import Multigraph, SimpleCycle, Walk, eulerian_circuit
-from .perms import Permutation, _step_table, _window_ids, all_patterns, pattern_at
+from .perms import Permutation, _pattern_ids, _step_table, _window_ids, all_patterns, pattern_at
 
 
 def begin_pattern(pattern: Permutation) -> Permutation:
@@ -47,7 +47,7 @@ class OverlapGraph:
     so the label doubles as the edge identity.
     """
 
-    __slots__ = ("k", "graph", "_edge_perms", "_edge_of")
+    __slots__ = ("k", "graph", "_edge_perms")
 
     def __init__(self, k: int) -> None:
         edge_perms = all_patterns(k)
@@ -59,7 +59,6 @@ class OverlapGraph:
         self.k = k
         self.graph = Multigraph([str(p) for p in all_patterns(k - 1)], edges)
         self._edge_perms = edge_perms
-        self._edge_of = {p: i for i, p in enumerate(edge_perms)}
 
     def __repr__(self) -> str:
         return f"OverlapGraph(k={self.k})"
@@ -68,7 +67,7 @@ class OverlapGraph:
         return self._edge_perms[eid]
 
     def edge_of(self, pattern: Permutation) -> int:
-        return self._edge_of[pattern]
+        return _pattern_ids(self.k)[pattern.word]
 
     def walk_of(self, sigma: Permutation) -> Walk:
         """The walk traced by the width-k windows of ``sigma``.

@@ -5,9 +5,11 @@ appears exactly once.  Pattern positions and index sets are 1-based, matching
 the usual combinatorial convention: ``pattern_at(p, (2, 4, 7))`` looks at the
 second, fourth and seventh entry of ``p``.
 
-Occurrence counts are exact integers and proportions are exact
-``fractions.Fraction`` values.  What each counting kernel costs, for a
-permutation of size n and patterns of size k:
+Each counting kernel returns one exact integer count per pattern of size k,
+in lexicographic order; ``occ``, ``cocc`` and ``proportion_vector`` all read
+that list, and a ``PatternVector`` keeps it as numerators over one
+denominator.  What each kernel costs, for a permutation of size n and
+patterns of size k:
 
 - consecutive: one window scan, O(n k).  Sliding the window is a walk on the
   overlap graph: the next window's pattern is fixed by the current window's
@@ -24,7 +26,7 @@ permutation of size n and patterns of size k:
   (CPython 3.11, 2-vCPU Xeon).  k = 2 is the sum of these counts; for k = 3
   the other three side counts follow from identities;
 - classical, k >= 4: one pass over the C(n, k) subsets, each keyed by its
-  argsort, then at most k! keys turned into pattern words.  Guarded by a
+  argsort, then at most k! keys placed in pattern order.  Guarded by a
   length cap.
 """
 
@@ -48,7 +50,7 @@ from .errors import (
     EmptyError,
     SizeError,
 )
-from .rationals import as_fraction
+from .rationals import as_fraction, integer_numerators
 
 
 @dataclass(frozen=True, order=True)
@@ -120,6 +122,12 @@ def all_patterns(k: int) -> tuple[Permutation, ...]:
     if k < 1:
         raise ValueError("pattern size must be >= 1")
     return tuple(map(Permutation._trusted, itertools.permutations(range(1, k + 1))))
+
+
+@lru_cache(maxsize=None)
+def _pattern_ids(k: int) -> dict[tuple[int, ...], int]:
+    """Each size-k pattern word's lexicographic index (its overlap-graph edge id)."""
+    return {p.word: i for i, p in enumerate(all_patterns(k))}
 
 
 def _invert(order: Sequence[int]) -> tuple[int, ...]:
@@ -220,16 +228,16 @@ def _smaller_before(word: Sequence[int]) -> list[int]:
     return smaller
 
 
-def _occ_counts_small(sigma: Permutation, k: int) -> dict[tuple[int, ...], int]:
+def _occ_counts_small(sigma: Permutation, k: int) -> list[int]:
     """Exact classical counts for all patterns of size k <= 3, any length."""
     word = sigma.word
     n = len(word)
     if k == 1:
-        return {(1,): n}
+        return [n]
     a = _smaller_before(word)
     if k == 2:
         rising = sum(a)
-        return {(1, 2): rising, (2, 1): math.comb(n, 2) - rising}
+        return [rising, math.comb(n, 2) - rising]
     # The value v at position j has j entries before it and v - 1 entries
     # below it, so the larger-before (b), smaller-after (d) and larger-after
     # (c) counts follow from a.
@@ -249,17 +257,10 @@ def _occ_counts_small(sigma: Permutation, k: int) -> dict[tuple[int, ...], int]:
     occ132 = pairs(c) - occ123
     occ312 = pairs(d) - occ321
     occ231 = pairs(b) - occ321
-    return {
-        (1, 2, 3): occ123,
-        (1, 3, 2): occ132,
-        (2, 1, 3): occ213,
-        (2, 3, 1): occ231,
-        (3, 1, 2): occ312,
-        (3, 2, 1): occ321,
-    }
+    return [occ123, occ132, occ213, occ231, occ312, occ321]
 
 
-def _occ_counts_enumerated(sigma: Permutation, k: int) -> dict[tuple[int, ...], int]:
+def _occ_counts_enumerated(sigma: Permutation, k: int) -> list[int]:
     n, cap = len(sigma), limits.cap("enum")
     if n > cap:
         raise CapacityError(
@@ -272,47 +273,30 @@ def _occ_counts_enumerated(sigma: Permutation, k: int) -> dict[tuple[int, ...], 
         tuple(sorted(positions, key=comb.__getitem__))
         for comb in itertools.combinations(sigma.word, k)
     )
-    return {_invert(order): count for order, count in orders.items()}
-
-
-def occ(pattern: Permutation, sigma: Permutation) -> int:
-    """Number of classical occurrences of ``pattern`` in ``sigma``."""
-    k, n = len(pattern), len(sigma)
-    if k > n:
-        raise SizeError(f"pattern size {k} exceeds permutation size {n}")
-    if k <= 3:
-        return _occ_counts_small(sigma, k).get(pattern.word, 0)
-    return _occ_counts_enumerated(sigma, k).get(pattern.word, 0)
-
-
-def cocc(pattern: Permutation, sigma: Permutation) -> int:
-    """Number of consecutive occurrences (contiguous windows) of ``pattern``."""
-    k, n = len(pattern), len(sigma)
-    if k > n:
-        raise SizeError(f"pattern size {k} exceeds permutation size {n}")
-    word = sigma.word
-    target = pattern.word
-    return sum(1 for i in range(n - k + 1) if _std_word(word[i : i + k]) == target)
+    counts = [0] * math.factorial(k)
+    ids = _pattern_ids(k)
+    for order, count in orders.items():
+        counts[ids[_invert(order)]] = count
+    return counts
 
 
 @lru_cache(maxsize=None)
-def _step_table(k: int) -> tuple[tuple, tuple[int, ...], dict[tuple[int, ...], int]]:
+def _step_table(k: int) -> tuple[tuple, tuple[int, ...]]:
     """The overlap graph of size ``k`` as a transition table, for k >= 2.
 
     Heads are the patterns of size k-1, numbered in lexicographic order.
     ``step[u][r]`` is ``(e, w)``: e is the id of the size-k pattern whose
     first k-1 entries form head u and whose last entry has 0-based rank r,
     and w is the head formed by its last k-1 entries.  ``lead[u]`` is the
-    0-based rank of head u's first entry, and ``head_id`` maps a head word
-    to its id.
+    0-based rank of head u's first entry.
     """
-    head_id = {p.word: i for i, p in enumerate(all_patterns(k - 1))}
+    head_id = _pattern_ids(k - 1)
     step = [[None] * k for _ in head_id]
     for eid, p in enumerate(all_patterns(k)):
         w = p.word
         step[head_id[_std_word(w[:-1])]][w[-1] - 1] = (eid, head_id[_std_word(w[1:])])
     lead = tuple(w[0] - 1 for w in head_id)
-    return tuple(map(tuple, step)), lead, head_id
+    return tuple(map(tuple, step)), lead
 
 
 def _window_ids(word: Sequence[int], k: int) -> list[int]:
@@ -324,9 +308,9 @@ def _window_ids(word: Sequence[int], k: int) -> list[int]:
     current head select the step, and the value leaving on the left sits at
     the head's lead rank.
     """
-    step, lead, head_id = _step_table(k)
+    step, lead = _step_table(k)
     window = sorted(word[: k - 1])
-    u = head_id[_std_word(word[: k - 1])]
+    u = _pattern_ids(k - 1)[_std_word(word[: k - 1])]
     ids: list[int] = []
     append = ids.append
     for v in word[k - 1 :]:
@@ -338,13 +322,39 @@ def _window_ids(word: Sequence[int], k: int) -> list[int]:
     return ids
 
 
-def _cocc_counts(sigma: Permutation, k: int) -> dict[tuple[int, ...], int]:
+def _cocc_counts(sigma: Permutation, k: int) -> list[int]:
     if k == 1:
-        return {(1,): len(sigma)}
-    patterns = all_patterns(k)
-    return {
-        patterns[eid].word: count for eid, count in Counter(_window_ids(sigma.word, k)).items()
-    }
+        return [len(sigma)]
+    counts = [0] * math.factorial(k)
+    for eid, count in Counter(_window_ids(sigma.word, k)).items():
+        counts[eid] = count
+    return counts
+
+
+def _counts(k: int, sigma: Permutation, kind: str) -> tuple[list[int], int]:
+    """The ``kind`` counts of every size-k pattern in ``sigma``, in pattern
+    order, and their denominator (C(n, k) classical, n consecutive).  The
+    sizes are checked before any counting."""
+    _check_vector_k(k)
+    n = len(sigma)
+    if k > n:
+        raise SizeError(f"pattern size {k} exceeds permutation size {n}")
+    if kind == "classical":
+        kernel = _occ_counts_small if k <= 3 else _occ_counts_enumerated
+        return kernel(sigma, k), math.comb(n, k)
+    return _cocc_counts(sigma, k), n
+
+
+def occ(pattern: Permutation, sigma: Permutation) -> int:
+    """Number of classical occurrences of ``pattern`` in ``sigma``."""
+    k = len(pattern)
+    return _counts(k, sigma, "classical")[0][_pattern_ids(k)[pattern.word]]
+
+
+def cocc(pattern: Permutation, sigma: Permutation) -> int:
+    """Number of consecutive occurrences (contiguous windows) of ``pattern``."""
+    k = len(pattern)
+    return _counts(k, sigma, "consecutive")[0][_pattern_ids(k)[pattern.word]]
 
 
 def occ_proportion(pattern: Permutation, sigma: Permutation) -> Fraction:
@@ -366,53 +376,61 @@ def _check_vector_k(k: int) -> None:
         )
 
 
-_MISSING = object()
+def _unit_fraction(pattern: Permutation, value) -> Fraction:
+    """``value`` as an exact rational in [0, 1], the entry for ``pattern``."""
+    value = as_fraction(value)
+    if value.numerator < 0 or value.numerator > value.denominator:
+        raise ValueError(f"entry for {pattern} not in [0, 1]: {value}")
+    return value
 
 
 class PatternVector:
-    """A map assigning an exact rational in [0, 1] to every pattern of size k.
+    """An exact rational in [0, 1] for every pattern of size k: the common
+    container for proportion vectors and for points of the feasible region.
 
-    This is the common container for proportion vectors of a permutation and
-    for candidate points of the feasible region.
+    Stored as ``numerators``, one integer per pattern in lexicographic order
+    (overlap-graph edge id order), over one positive ``denominator``, reduced
+    so that equal vectors have equal storage.  ``Fraction``s are built only
+    when entries are read.
     """
 
-    __slots__ = ("k", "_entries")
+    __slots__ = ("k", "numerators", "denominator")
 
     def __init__(self, k: int, entries: Mapping[Permutation, object]) -> None:
         _check_vector_k(k)
         domain = all_patterns(k)
-        converted: dict[Permutation, Fraction] = {}
+        values = []
         for perm in domain:
-            value = entries.get(perm, _MISSING)
-            if value is _MISSING:
+            if perm not in entries:
                 raise ValueError(f"missing entry for pattern {perm}")
-            value = as_fraction(value)
-            if value.numerator < 0 or value.numerator > value.denominator:
-                raise ValueError(f"entry for {perm} not in [0, 1]: {value}")
-            converted[perm] = value
+            values.append(_unit_fraction(perm, entries[perm]))
         if len(entries) != len(domain):
             extra = set(entries) - set(domain)
             raise ValueError(f"entries outside S_{k}: {sorted(map(str, extra))}")
-        self.k = k
-        self._entries = converted
+        numerators, denominator = integer_numerators(values)
+        self.k, self.numerators, self.denominator = k, tuple(numerators), denominator
 
     @classmethod
-    def _exact(cls, k: int, entries: dict[Permutation, Fraction]) -> "PatternVector":
-        """Wrap entries that are already one ``Fraction`` in [0, 1] per
-        pattern of size ``k <= limits.VECTOR_K_CAP``, skipping the checks."""
+    def _trusted(cls, k: int, numerators: Sequence[int], denominator: int) -> "PatternVector":
+        """Wrap one integer in [0, denominator] per pattern of size
+        ``k <= limits.VECTOR_K_CAP``, in pattern order, skipping the checks;
+        the common factor is divided out."""
+        g = math.gcd(denominator, *numerators)
         vector = object.__new__(cls)
         vector.k = k
-        vector._entries = entries
+        vector.numerators = tuple(n // g for n in numerators) if g > 1 else tuple(numerators)
+        vector.denominator = denominator // g
         return vector
 
     def __getitem__(self, pattern: Permutation) -> Fraction:
-        return self._entries[pattern]
+        return Fraction(self.numerators[_pattern_ids(self.k)[pattern.word]], self.denominator)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, PatternVector)
             and self.k == other.k
-            and self._entries == other._entries
+            and self.denominator == other.denominator
+            and self.numerators == other.numerators
         )
 
     def __repr__(self) -> str:
@@ -420,37 +438,45 @@ class PatternVector:
         return f"PatternVector(k={self.k}, {{{inner}}})"
 
     def items(self) -> list[tuple[Permutation, Fraction]]:
-        return [(p, self._entries[p]) for p in all_patterns(self.k)]
+        return list(zip(all_patterns(self.k), self.values_by_pattern()))
 
     def values_by_pattern(self) -> list[Fraction]:
         """Entries in lexicographic pattern order."""
-        return [self._entries[p] for p in all_patterns(self.k)]
+        d = self.denominator
+        # Numerators repeat, so each distinct Fraction is built once.
+        fractions = {n: Fraction(n, d) for n in set(self.numerators)}
+        return list(map(fractions.__getitem__, self.numerators))
 
     def total(self) -> Fraction:
-        return sum(self._entries.values(), Fraction(0))
+        return Fraction(sum(self.numerators), self.denominator)
 
     def linf_distance(self, other: "PatternVector") -> Fraction:
         if other.k != self.k:
             raise ValueError("pattern vectors of different sizes")
-        return max(abs(self._entries[p] - other._entries[p]) for p in all_patterns(self.k))
+        d, e = self.denominator, other.denominator
+        gap = max(abs(a * e - b * d) for a, b in zip(self.numerators, other.numerators))
+        return Fraction(gap, d * e)
 
     @classmethod
     def uniform(cls, k: int) -> "PatternVector":
-        w = Fraction(1, math.factorial(k))
-        return cls(k, {p: w for p in all_patterns(k)})
+        _check_vector_k(k)
+        size = len(all_patterns(k))
+        return cls._trusted(k, (1,) * size, size)
 
     @classmethod
     def point_mass(cls, pattern: Permutation) -> "PatternVector":
         k = len(pattern)
-        return cls(k, {p: Fraction(1 if p == pattern else 0) for p in all_patterns(k)})
+        _check_vector_k(k)
+        return cls._trusted(k, [int(p == pattern) for p in all_patterns(k)], 1)
 
     @classmethod
     def from_values(cls, k: int, values: Sequence) -> "PatternVector":
         """Build from entries listed in lexicographic pattern order."""
+        _check_vector_k(k)
         domain = all_patterns(k)
         if len(values) != len(domain):
             raise ValueError(f"expected {len(domain)} entries, got {len(values)}")
-        return cls(k, dict(zip(domain, values)))
+        return cls._trusted(k, *integer_numerators(list(map(_unit_fraction, domain, values))))
 
     def to_json_dict(self) -> dict:
         return {
@@ -485,21 +511,7 @@ def proportion_vector(k: int, sigma: Permutation, kind: str) -> PatternVector:
         raise ValueError(f"kind must be 'classical' or 'consecutive', got {kind!r}")
     if k < 1:
         raise ValueError("pattern size must be >= 1")
-    _check_vector_k(k)
-    n = len(sigma)
-    if k > n:
-        raise SizeError(f"pattern size {k} exceeds permutation size {n}")
-    if kind == "classical":
-        if k <= 3:
-            counts = _occ_counts_small(sigma, k)
-        else:
-            counts = _occ_counts_enumerated(sigma, k)
-        den = math.comb(n, k)
-    else:
-        counts = _cocc_counts(sigma, k)
-        den = n
-    entries = {p: Fraction(counts.get(p.word, 0), den) for p in all_patterns(k)}
-    return PatternVector._exact(k, entries)
+    return PatternVector._trusted(k, *_counts(k, sigma, kind))
 
 
 def direct_sum(*perms: Permutation) -> Permutation:

@@ -5,17 +5,16 @@ edge-frequency vectors of the simple cycles of G.  Everything here is a
 certificate, not an approximation: membership tests check the defining
 equations, positive answers come with an explicit convex decomposition into
 cycle vectors, and faces are handled through the full subgraphs that index
-them.  Points enter and weights leave as ``Fraction``; in between, a point is
-scaled once to integer numerators over one exact common denominator (the lcm
-of its entries' denominators), and the checks and the decomposition run on
-those integers.
+them.  Points enter and weights leave as ``Fraction``.  In between, the
+checks and the decomposition run on integer numerators over one common
+denominator: a ``Sequence`` point is scaled once to that form, and the
+feasible region hands over a ``PatternVector``'s stored numerators.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -23,7 +22,7 @@ from typing import Iterable, Iterator, Sequence
 from . import limits
 from .errors import CapacityError, EmptyError, EmptyPolytopeError, NotFullError, NotInPolytopeError
 from .graphs import Multigraph, SimpleCycle, iter_simple_cycles
-from .rationals import as_fraction
+from .rationals import as_fraction, integer_numerators
 
 
 @dataclass(frozen=True)
@@ -101,13 +100,6 @@ class FacePoset:
             return ()
         top = self.polytope.dimension()
         return tuple(f for f in self.faces if f.dimension() == top - 1)
-
-
-def _scaled(x: list[Fraction]) -> tuple[list[int], int]:
-    """(n, d) with x[e] = n[e] / d exactly; d is the lcm of the denominators."""
-    ratios = [v.as_integer_ratio() for v in x]
-    d = math.lcm(*{q for _, q in ratios})
-    return [p * (d // q) for p, q in ratios], d
 
 
 class CyclePolytope:
@@ -189,12 +181,12 @@ class CyclePolytope:
             )
         return values
 
-    def _equation_violation(self, x: list[Fraction], n: list[int], d: int) -> str | None:
-        """The first violated constraint of x = n / d, or None."""
+    def _equation_violation(self, n: Sequence[int], d: int) -> str | None:
+        """The first violated constraint of the point n / d, or None."""
         g = self.graph
         if n and min(n) < 0:
             eid = next(eid for eid, value in enumerate(n) if value < 0)
-            return f"negative entry x[{eid}] = {x[eid]}"
+            return f"negative entry x[{eid}] = {Fraction(n[eid], d)}"
         total = sum(n)
         if total != d:
             return f"entries sum to {Fraction(total, d)}, not 1"
@@ -216,9 +208,12 @@ class CyclePolytope:
 
     def membership(self, point: Sequence) -> MembershipResult:
         """Exact test of the defining equations, with a certificate."""
-        x = self._coerce_point(point)
-        n, d = _scaled(x)
-        violation = self._equation_violation(x, n, d)
+        return self._membership(*integer_numerators(self._coerce_point(point)))
+
+    def _membership(self, n: list[int], d: int) -> MembershipResult:
+        """Membership of the point n / d: one integer per edge over a positive
+        d.  Consumes ``n``."""
+        violation = self._equation_violation(n, d)
         if violation is not None:
             return MembershipResult(False, violation=violation)
         return MembershipResult(True, decomposition=tuple(self._greedy_decomposition(n, d)))
@@ -231,12 +226,10 @@ class CyclePolytope:
         the largest weight keeping all entries non-negative.  Uses at most |E|
         cycles since every round zeroes at least one edge.
         """
-        x = self._coerce_point(point)
-        n, d = _scaled(x)
-        violation = self._equation_violation(x, n, d)
-        if violation is not None:
-            raise NotInPolytopeError(violation)
-        return tuple(self._greedy_decomposition(n, d))
+        result = self._membership(*integer_numerators(self._coerce_point(point)))
+        if not result.member:
+            raise NotInPolytopeError(result.violation)
+        return result.decomposition
 
     def _greedy_decomposition(self, n: list[int], d: int) -> list[tuple[Fraction, SimpleCycle]]:
         """Peel cycles off the member point n / d; consumes ``n``."""

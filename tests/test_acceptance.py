@@ -19,7 +19,6 @@ from permutope import (
     cocc_proportion,
     decompose_walk,
     eulerian_universal_permutation,
-    feasible_membership,
     feasible_region,
     iter_simple_cycles,
     mix,
@@ -138,7 +137,7 @@ def test_criterion_05_membership_oracle_equivalence():
         def check(x):
             nonlocal tested, disagreements
             tested += 1
-            by_equations = feasible_membership(3, region.vector_of(x)).member
+            by_equations = region.membership(region.vector_of(x)).member
             if by_equations != in_convex_hull(points, x):
                 disagreements += 1
 

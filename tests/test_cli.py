@@ -168,6 +168,22 @@ class TestReport:
         assert [row["m"] for row in rows] == ["1", "2", "4", "8", "16", "32"]
         assert all(int(row["size"]) <= 200 for row in rows)
 
+    def test_default_schedule_stops_at_the_realize_cap(self, capsys, monkeypatch):
+        # the uniform target at k=4 needs 48, 72 and 120 points at m = 1, 2, 4
+        monkeypatch.setenv("PERMUTOPE_CAP", "realize=100")
+        argv = ("report", "--k", "4", "--vector", "uniform", "--no-classical")
+        code, out, err = invoke(capsys, *argv)
+        assert code == 0 and err == ""
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(row["m"], row["size"]) for row in rows] == [("1", "48"), ("2", "72")]
+        monkeypatch.setenv("PERMUTOPE_CAP", "realize=47")
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == (
+            "error: no m fits under --max-size 4096 and the realize cap 47 "
+            "(PERMUTOPE_CAP key 'realize'); pass --m-values explicitly\n"
+        )
+
 
 class TestReproducibility:
     @pytest.mark.parametrize(

@@ -17,7 +17,6 @@ from permutope import (
     convergence_report,
     derandomize,
     derandomize_weights,
-    feasible_membership,
     feasible_region,
     mix,
     monotone_sum_generator,
@@ -42,13 +41,13 @@ def vertex_vector(region, cycle_ids) -> PatternVector:
 
 class TestMembership:
     def test_uniform_is_feasible(self):
-        result = feasible_membership(3, PatternVector.uniform(3))
+        result = feasible_region(3).membership(PatternVector.uniform(3))
         assert result.member
         weights = {c.edge_ids: w for w, c in result.decomposition}
         assert weights == {(0,): F(1, 6), (1, 2): F(1, 3), (3, 4): F(1, 3), (5,): F(1, 6)}
 
     def test_point_mass_on_132_fails_conservation(self):
-        result = feasible_membership(3, PatternVector.point_mass(P("132")))
+        result = feasible_region(3).membership(PatternVector.point_mass(P("132")))
         assert not result.member
         assert "12" in result.violation
 
@@ -57,7 +56,7 @@ class TestMembership:
             3,
             {p: F(1, 2) if str(p) in ("123", "321") else F(0) for p in all_patterns(3)},
         )
-        result = feasible_membership(3, vec)
+        result = feasible_region(3).membership(vec)
         assert result.member
         assert [(w, c.edge_ids) for w, c in result.decomposition] == [
             (F(1, 2), (0,)),

@@ -231,12 +231,6 @@ class TestWalks:
         with pytest.raises(ValueError):
             Walk(fig2_graph, ())
 
-    def test_concat(self, fig2_graph):
-        w = Walk(fig2_graph, (0, 1))
-        assert w.concat(Walk(fig2_graph, (2,))).edge_ids == (0, 1, 2)
-        with pytest.raises(ValueError):
-            Walk(fig2_graph, (1,)).concat(w)
-
 
 class TestDecomposeWalk:
     def test_cycle_walk(self, fig2_graph):

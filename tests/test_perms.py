@@ -199,13 +199,17 @@ class TestProportionVector:
         def refuse(*args):
             raise AssertionError("counted before the size checks")
 
-        for kernel in ("_occ_counts_enumerated", "_cocc_counts"):
+        for kernel in ("_occ_counts_small", "_occ_counts_enumerated", "_cocc_counts"):
             monkeypatch.setattr(perms_module, kernel, refuse)
         sigma = Permutation.identity(limits.VECTOR_K_CAP + 5)
         with pytest.raises(CapacityError, match="pattern vectors"):
             proportion_vector(limits.VECTOR_K_CAP + 1, sigma, kind)
         with pytest.raises(ValueError):
             proportion_vector(0, sigma, kind)
+        # occ and cocc read the same k!-entry count lists, under the same cap
+        count = occ if kind == "classical" else cocc
+        with pytest.raises(CapacityError, match="pattern vectors"):
+            count(Permutation.identity(limits.VECTOR_K_CAP + 1), sigma)
 
 
 class TestAgreementWithNaiveEnumerator:

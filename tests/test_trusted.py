@@ -1,20 +1,23 @@
 """Kernel outputs would pass the public constructors.
 
 The kernels and the realization plan's block walks build their walks, simple
-cycles and permutations through the private ``_trusted`` constructors, which
-skip the checks.  Rebuilding each output through ``Walk``, ``SimpleCycle`` or
-``Permutation`` must succeed and give an object of the same type that is
-equal, hashes equal and prints equal.
+cycles, permutations and pattern vectors through the private ``_trusted``
+constructors, which skip the checks.  Rebuilding each output through
+``Walk``, ``SimpleCycle``, ``Permutation`` or ``PatternVector`` must succeed
+and give an object of the same type that is equal and prints equal (and, for
+the hashable ones, hashes equal).
 """
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from permutope import (
     CyclePolytope,
     Multigraph,
+    PatternVector,
     Permutation,
     SimpleCycle,
     Walk,
@@ -22,8 +25,10 @@ from permutope import (
     decompose_walk,
     direct_sum,
     feasible_region,
+    all_patterns,
     iter_simple_cycles,
     pattern_at,
+    proportion_vector,
     repeat_sum,
     standardize,
     substitute,
@@ -192,3 +197,56 @@ class TestPermutations:
             indices = rng.sample(range(1, len(sigma) + 1), rng.randint(1, len(sigma)))
             assert_permutation_passes(pattern_at(sigma, indices))
             assert_permutation_passes(standardize([rng.random() for _ in range(len(sigma))]))
+
+
+def assert_vector_passes(vector) -> None:
+    rebuilt = PatternVector(vector.k, dict(vector.items()))
+    assert type(rebuilt) is type(vector)
+    assert rebuilt == vector
+    assert repr(rebuilt) == repr(vector)
+    assert rebuilt.to_json_dict() == vector.to_json_dict()
+
+
+class TestPatternVectors:
+    @pytest.mark.parametrize("kind", ["classical", "consecutive"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_proportion_vectors(self, kind, k):
+        rng = random.Random(1300 + k)
+        # classical k >= 4 enumerates subsets, so it stays under the enum cap
+        top = 30 if kind == "classical" and k >= 4 else 300
+        for n in [k, k, k + 1] + [rng.randint(k, top) for _ in range(12)]:
+            assert_vector_passes(proportion_vector(k, random_permutation(rng, n), kind))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7])
+    def test_uniform(self, k):
+        assert_vector_passes(PatternVector.uniform(k))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_point_masses(self, k):
+        for pattern in all_patterns(k):
+            assert_vector_passes(PatternVector.point_mass(pattern))
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_vector_of_planted_points(self, k):
+        rng = random.Random(1400 + k)
+        region = feasible_region(k)
+        for n_cycles in range(1, 9):
+            point = planted_point(rng, region.overlap.graph, n_cycles)
+            assert_vector_passes(region.vector_of(point))
+
+    def test_from_values_reduces(self):
+        assert PatternVector.from_values(3, ["2/12"] * 6) == PatternVector.uniform(3)
+
+    def test_linf_distance_against_fractions(self):
+        rng = random.Random(75)
+        for _ in range(200):
+            k = rng.randint(1, 4)
+            size = len(all_patterns(k))
+            u, v = (
+                PatternVector.from_values(
+                    k, [Fraction(rng.randint(0, q), q) for q in rng.choices(range(1, 40), k=size)]
+                )
+                for _ in range(2)
+            )
+            oracle = max(abs(a - b) for (_, a), (_, b) in zip(u.items(), v.items()))
+            assert u.linf_distance(v) == oracle
