@@ -21,7 +21,7 @@ from typing import Sequence
 
 from . import limits
 from .errors import PermutopeError
-from .feasible import FeasibleRegion, convergence_report, mix
+from .feasible import FeasibleRegion, convergence_report, decomposition_json, mix
 from .graphs import Multigraph
 from .overlap import build_overlap_graph, eulerian_universal_permutation
 from .perms import PatternVector, Permutation, proportion_vector
@@ -70,18 +70,6 @@ def _vector_json(vector: PatternVector, args: argparse.Namespace) -> dict:
     if getattr(args, "float", False):
         data["entries"] = {w: float_str(Fraction(v)) for w, v in data["entries"].items()}
     return data
-
-
-def _decomposition_json(region: FeasibleRegion, decomposition, args) -> list[dict]:
-    og = region.overlap
-    return [
-        {
-            "weight": _fmt(w, args),
-            "cycle_edges": list(c.edge_ids),
-            "cycle_labels": [str(og.edge_permutation(e)) for e in c.edge_ids],
-        }
-        for w, c in decomposition
-    ]
 
 
 # -- verb handlers -------------------------------------------------------------
@@ -142,7 +130,8 @@ def _cmd_member(args: argparse.Namespace) -> int:
     result = region.membership(vector)
     print("true" if result.member else "false")
     if result.member:
-        print(_dump({"decomposition": _decomposition_json(region, result.decomposition, args)}))
+        rows = decomposition_json(result.decomposition, lambda w: _fmt(w, args))
+        print(_dump({"decomposition": rows}))
     else:
         print(_dump({"violation": result.violation}))
     return 0
@@ -152,7 +141,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     region = FeasibleRegion(args.k)
     vector = _parse_vector(args.vector, args.k)
     decomposition = region.polytope.convex_decomposition(region.point_of(vector))
-    print(_dump({"decomposition": _decomposition_json(region, decomposition, args)}))
+    rows = decomposition_json(decomposition, lambda w: _fmt(w, args))
+    print(_dump({"decomposition": rows}))
     return 0
 
 

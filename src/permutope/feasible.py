@@ -96,6 +96,16 @@ def feasible_region(k: int) -> FeasibleRegion:
     return FeasibleRegion(k)
 
 
+def decomposition_json(
+    decomposition: Iterable[tuple[Fraction, SimpleCycle]], weight: Callable[[Fraction], str] = str
+) -> list[dict]:
+    """One row per cycle: its weight written by ``weight``, edge ids and labels."""
+    return [
+        {"weight": weight(w), "cycle_edges": list(c.edge_ids), "cycle_labels": list(c.labels())}
+        for w, c in decomposition
+    ]
+
+
 @dataclass(frozen=True)
 class RealizationPlan:
     """Block construction realizing a feasible target.
@@ -155,18 +165,10 @@ class RealizationPlan:
         return direct_sum(*blocks)
 
     def to_json_dict(self) -> dict:
-        og = self.region.overlap
         return {
             "k": self.region.k,
             "target": self.target.to_json_dict(),
-            "decomposition": [
-                {
-                    "weight": str(w),
-                    "cycle_edges": list(c.edge_ids),
-                    "cycle_labels": [str(og.edge_permutation(e)) for e in c.edge_ids],
-                }
-                for w, c in self.decomposition
-            ],
+            "decomposition": decomposition_json(self.decomposition),
         }
 
     def to_json(self) -> str:

@@ -7,12 +7,13 @@ simple-cycle enumeration, the cycle polytope) identifies edges by id.
 The simple-cycle enumerator is an iterative Johnson-style search adapted to
 multigraphs: parallel edges are distinguished by id, a loop is a cycle of
 length one, and each cycle is reported once in canonical rotation (smallest
-edge id first).
+edge id first) and in lexicographic order of the edge-id tuples.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -282,7 +283,7 @@ class Walk:
     @classmethod
     def _trusted(cls, graph: Multigraph, edge_ids: tuple[int, ...]) -> "Walk":
         """Wrap edge ids that already form a non-empty chained walk on
-        ``graph``, skipping the checks."""
+        ``graph`` (for a SimpleCycle, in canonical rotation), skipping the checks."""
         walk = object.__new__(cls)
         object.__setattr__(walk, "graph", graph)
         object.__setattr__(walk, "edge_ids", edge_ids)
@@ -333,42 +334,31 @@ class SimpleCycle(Walk):
                 raise ValueError("cycle repeats an edge")
             raise ValueError("cycle repeats a vertex")
 
-    @classmethod
-    def _trusted(cls, graph: Multigraph, edge_ids: Sequence[int]) -> "SimpleCycle":
-        """Wrap the edge ids of a simple cycle of ``graph``, in any rotation,
-        skipping the checks; the canonical rotation is still applied."""
-        cycle = object.__new__(cls)
-        object.__setattr__(cycle, "graph", graph)
-        object.__setattr__(cycle, "edge_ids", _canonical_rotation(edge_ids))
-        return cycle
-
 
 def iter_simple_cycles(g: Multigraph) -> Iterator[SimpleCycle]:
-    """Yield every simple cycle of ``g`` exactly once.
+    """Yield every simple cycle of ``g`` exactly once, in canonical rotation
+    and in lexicographic order of the edge-id tuples.
 
-    Each cycle is anchored at its smallest vertex; start vertices are scanned
-    in increasing order and out-edges in increasing id order, so the emission
-    order is deterministic.  Blocked-set bookkeeping follows Johnson's
-    circuit-enumeration scheme (without the SCC pre-pass, which is only a
-    speed-up).  Raises CapacityError when asked for a cycle past the
+    For each edge e in increasing order, a depth-first search from ``ar(e)``
+    back to ``st(e)`` over the edges above e (a bisection into each ascending
+    out-edge list), taken in increasing id order, finds the cycles starting
+    at e; a loop e is the cycle ``(e,)``.  Each search keeps Johnson's blocked
+    set and barriers.  Raises CapacityError when asked for a cycle past the
     ``cycles`` cap, read when the enumeration starts.
     """
-    ar, out, cap = g._ar, g._out, limits.cap("cycles")
+    st, ar, out, cap = g._st, g._ar, g._out, limits.cap("cycles")
     emitted = 0
-    for s in range(g.n_vertices):
-        # DFS over vertices >= s; cycles found here have minimum vertex s.
+    for e in range(g.n_edges):
+        s = st[e]  # the DFS leaves s only by e
         blocked: set[int] = {s}
         barriers: dict[int, set[int]] = {}
         epath: list[int] = []
-        vpath: list[int] = [s]
-        stack: list[Iterator[int]] = [iter(out[s])]
+        stack: list[Iterator[int]] = [iter((e,))]
         closed: list[bool] = [False]
         while stack:
             advanced = False
             for eid in stack[-1]:
                 w = ar[eid]
-                if w < s:
-                    continue
                 if w == s:
                     emitted += 1
                     if emitted > cap:
@@ -376,22 +366,19 @@ def iter_simple_cycles(g: Multigraph) -> Iterator[SimpleCycle]:
                             f"the graph has more simple cycles than the cycles cap "
                             f"{cap} (PERMUTOPE_CAP key 'cycles')"
                         )
-                    yield SimpleCycle._trusted(g, epath + [eid])
+                    yield SimpleCycle._trusted(g, (*epath, eid))
                     closed[-1] = True
                 elif w not in blocked:
                     epath.append(eid)
-                    vpath.append(w)
                     blocked.add(w)
-                    stack.append(iter(out[w]))
+                    stack.append(iter(out[w][bisect_right(out[w], e) :]))
                     closed.append(False)
                     advanced = True
                     break
             if advanced:
                 continue
             stack.pop()
-            v = vpath.pop()
-            if epath:
-                epath.pop()
+            v = ar[epath.pop()] if epath else s
             if closed.pop():
                 if closed:
                     closed[-1] = True
@@ -402,10 +389,8 @@ def iter_simple_cycles(g: Multigraph) -> Iterator[SimpleCycle]:
                         blocked.discard(u)
                         pending.update(barriers.pop(u, ()))
             else:
-                for eid in out[v]:
-                    w = ar[eid]
-                    if w >= s:
-                        barriers.setdefault(w, set()).add(v)
+                for eid in out[v][bisect_right(out[v], e) :]:
+                    barriers.setdefault(ar[eid], set()).add(v)
 
 
 @dataclass(frozen=True)
@@ -450,7 +435,7 @@ def decompose_walk(walk: Walk) -> WalkDecomposition:
             for u in stack_vertices[at + 1 :]:
                 del position[u]
             del stack_vertices[at + 1 :]
-            cycles.append(SimpleCycle._trusted(g, cycle_edges))
+            cycles.append(SimpleCycle._trusted(g, _canonical_rotation(cycle_edges)))
         else:
             stack_vertices.append(v)
             position[v] = len(stack_vertices) - 1

@@ -130,6 +130,12 @@ def _pattern_ids(k: int) -> dict[tuple[int, ...], int]:
     return {p.word: i for i, p in enumerate(all_patterns(k))}
 
 
+@lru_cache(maxsize=None)
+def _pattern_names(k: int) -> dict[str, int]:
+    """Each size-k pattern's ``str`` and its lexicographic index, in order."""
+    return {str(p): i for i, p in enumerate(all_patterns(k))}
+
+
 def _invert(order: Sequence[int]) -> tuple[int, ...]:
     """The pattern word whose argsort is ``order``: position ``order[r]``
     holds rank r + 1."""
@@ -384,6 +390,30 @@ def _unit_fraction(pattern: Permutation, value) -> Fraction:
     return value
 
 
+_MISSING = object()  # the slot of a pattern with no entry
+
+
+def _checked_numerators(k: int, slots: Sequence, extra: set) -> tuple[list[int], int]:
+    """(n, d) of one entry per size-k pattern, given in pattern order.  The
+    errors, first to last: k past the cap or below 1, the first missing or
+    bad entry, any key in ``extra``."""
+    _check_vector_k(k)
+    values = []
+    parsed: dict[str, Fraction] = {}  # entry strings repeat; each is read once
+    for perm, value in zip(all_patterns(k), slots):
+        if value is _MISSING:
+            raise ValueError(f"missing entry for pattern {perm}")
+        if type(value) is str:
+            if value not in parsed:
+                parsed[value] = _unit_fraction(perm, value)
+            values.append(parsed[value])
+        else:
+            values.append(_unit_fraction(perm, value))
+    if extra:
+        raise ValueError(f"entries outside S_{k}: {sorted(map(str, extra))}")
+    return integer_numerators(values)
+
+
 class PatternVector:
     """An exact rational in [0, 1] for every pattern of size k: the common
     container for proportion vectors and for points of the feasible region.
@@ -399,15 +429,9 @@ class PatternVector:
     def __init__(self, k: int, entries: Mapping[Permutation, object]) -> None:
         _check_vector_k(k)
         domain = all_patterns(k)
-        values = []
-        for perm in domain:
-            if perm not in entries:
-                raise ValueError(f"missing entry for pattern {perm}")
-            values.append(_unit_fraction(perm, entries[perm]))
-        if len(entries) != len(domain):
-            extra = set(entries) - set(domain)
-            raise ValueError(f"entries outside S_{k}: {sorted(map(str, extra))}")
-        numerators, denominator = integer_numerators(values)
+        slots = [entries[perm] if perm in entries else _MISSING for perm in domain]
+        extra = set(entries) - set(domain) if len(entries) != len(domain) else set()
+        numerators, denominator = _checked_numerators(k, slots, extra)
         self.k, self.numerators, self.denominator = k, tuple(numerators), denominator
 
     @classmethod
@@ -479,9 +503,12 @@ class PatternVector:
         return cls._trusted(k, *integer_numerators(list(map(_unit_fraction, domain, values))))
 
     def to_json_dict(self) -> dict:
+        d = self.denominator
+        # Numerators repeat, so each distinct entry string is built once.
+        text = {n: str(Fraction(n, d)) for n in set(self.numerators)}
         return {
             "k": self.k,
-            "entries": {str(p): str(v) for p, v in self.items()},
+            "entries": dict(zip(_pattern_names(self.k), map(text.__getitem__, self.numerators))),
         }
 
     @classmethod
@@ -497,8 +524,20 @@ class PatternVector:
             k = None
         if k is None:
             raise ValueError(f"pattern vector 'k' is not an integer: {raw!r}")
-        entries = {Permutation.parse(word): value for word, value in data["entries"].items()}
-        return cls(k, entries)
+        # For k outside 1..cap no k! names are built: every key is parsed into
+        # ``extra``, so a key error still comes before the cap or size error.
+        names = _pattern_names(k) if 1 <= k <= limits.VECTOR_K_CAP else {}
+        slots, extra = [_MISSING] * len(names), set()
+        for word, value in data["entries"].items():
+            index = names.get(word)
+            if index is None:  # another spelling ("1,2"), a malformed word, or outside S_k
+                perm = Permutation.parse(word)
+                index = names.get(str(perm))
+                if index is None:
+                    extra.add(perm)
+                    continue
+            slots[index] = value
+        return cls._trusted(k, *_checked_numerators(k, slots, extra))
 
 
 def proportion_vector(k: int, sigma: Permutation, kind: str) -> PatternVector:

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import limits
 from .errors import CapacityError, EmptyError, EmptyPolytopeError, NotFullError, NotInPolytopeError
-from .graphs import Multigraph, SimpleCycle, iter_simple_cycles
+from .graphs import Multigraph, SimpleCycle, _canonical_rotation, iter_simple_cycles
 from .rationals import as_fraction, integer_numerators
 
 
@@ -46,9 +46,6 @@ class CycleVector:
         for eid in self.cycle.edge_ids:
             entries[eid] = weight
         return tuple(entries)
-
-    def support(self) -> frozenset[int]:
-        return frozenset(self.cycle.edge_ids)
 
 
 @dataclass(frozen=True)
@@ -124,14 +121,16 @@ class CyclePolytope:
         return iter_simple_cycles(self.graph)
 
     def vertices(self) -> tuple[CycleVector, ...]:
-        """One vertex per simple cycle, sorted by canonical cycle ids.
+        """One vertex per simple cycle, in the enumerator's order: by
+        canonical cycle ids.
 
         Distinct simple cycles have distinct vectors, so the vertex count
-        equals the simple-cycle count.
+        equals the simple-cycle count.  A first pass only counts the cycles,
+        so the ``cycles`` cap fires before any of them is held.
         """
-        vectors = [CycleVector.from_cycle(self.graph, c) for c in iter_simple_cycles(self.graph)]
-        vectors.sort(key=lambda cv: cv.cycle.edge_ids)
-        return tuple(vectors)
+        for _ in iter_simple_cycles(self.graph):
+            pass
+        return tuple(map(CycleVector, iter_simple_cycles(self.graph)))
 
     # -- dimension ---------------------------------------------------------
 
@@ -261,7 +260,7 @@ class CyclePolytope:
             flow = min([remaining[e] for e in cycle_edges])
             for e in cycle_edges:
                 remaining[e] -= flow
-            cycle = SimpleCycle._trusted(g, cycle_edges)
+            cycle = SimpleCycle._trusted(g, _canonical_rotation(cycle_edges))
             result.append((Fraction(flow * len(cycle_edges), d), cycle))
         return result
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -175,14 +176,24 @@ class TestCycleEnumeration:
             list(iter_simple_cycles(fig3_graph))
 
     def test_against_brute_force(self, fig2_graph, fig3_graph):
+        # Every cycle once, in canonical rotation and lexicographic order.
         rng = random.Random(3)
-        graphs = [fig2_graph, fig3_graph, build_overlap_graph(3).graph]
+        graphs = [fig2_graph, fig3_graph]
+        graphs += [build_overlap_graph(k).graph for k in (2, 3)]
         graphs += [random_multigraph(rng) for _ in range(40)]
         # denser graphs exercise the blocking bookkeeping harder
         graphs += [random_multigraph(rng, max_vertices=4, max_edges=11) for _ in range(10)]
+        graphs += [random_multigraph(rng, max_vertices=7, max_edges=13) for _ in range(10)]
         for g in graphs:
-            enumerated = {c.edge_ids for c in iter_simple_cycles(g)}
-            assert enumerated == brute_force_simple_cycles(g)
+            enumerated = [c.edge_ids for c in iter_simple_cycles(g)]
+            assert enumerated == sorted(brute_force_simple_cycles(g))
+
+    @pytest.mark.parametrize("k, prefix", [(4, None), (5, 20_000)])
+    def test_lexicographic_order_on_overlap_graphs(self, k, prefix):
+        cycles = itertools.islice(iter_simple_cycles(build_overlap_graph(k).graph), prefix)
+        ids = [c.edge_ids for c in cycles]
+        assert len(ids) == (prefix or 160)
+        assert all(a < b for a, b in zip(ids, ids[1:]))
 
     def test_deterministic_order(self, fig3_graph):
         first = [c.edge_ids for c in iter_simple_cycles(fig3_graph)]

@@ -469,6 +469,33 @@ class TestPatternVector:
         with pytest.raises(RationalityError):
             PatternVector.from_json_dict({"k": 2, "entries": {"12": "1/0", "21": "1/2"}})
 
+    def test_json_keys_other_than_pattern_names(self):
+        thirds = PatternVector(2, {P("12"): Fraction(1, 3), P("21"): Fraction(2, 3)})
+        comma = {"k": 2, "entries": {"1,2": "1/3", " 21": "2/3"}}
+        assert PatternVector.from_json_dict(comma) == thirds
+        # a later key naming the same pattern wins, as in a dict keyed by pattern
+        twice = {"k": 2, "entries": {"12": "0", "21": "2/3", "1,2": "1/3"}}
+        assert PatternVector.from_json_dict(twice) == thirds
+        malformed = {"k": 2, "entries": {"12": "2", "1x": "1/2", "21": "1/2"}}
+        with pytest.raises(ValueError, match="^not a permutation word: '1x'$"):
+            PatternVector.from_json_dict(malformed)
+        extra = {"k": 2, "entries": {"12": "1", "21": "0", "1": "0", "231": "0"}}
+        with pytest.raises(ValueError, match=r"^entries outside S_2: \['1', '231'\]$"):
+            PatternVector.from_json_dict(extra)
+        # a missing entry is reported before a bad one later in pattern order
+        # and before an extra key
+        missing = {"k": 3, "entries": {"123": "1", "321": "2", "1": "0"}}
+        with pytest.raises(ValueError, match="^missing entry for pattern 132$"):
+            PatternVector.from_json_dict(missing)
+
+    def test_json_k_errors_come_after_key_errors(self):
+        with pytest.raises(ValueError, match="^not a permutation word: 'x'$"):
+            PatternVector.from_json_dict({"k": 9, "entries": {"x": "1"}})
+        with pytest.raises(CapacityError, match="vector cap"):
+            PatternVector.from_json_dict({"k": 9, "entries": {"123456789": "1"}})
+        with pytest.raises(ValueError, match="^pattern size must be >= 1$"):
+            PatternVector.from_json_dict({"k": 0, "entries": {}})
+
     def test_json_round_trip(self):
         vec = proportion_vector(3, P("628451793"), "consecutive")
         data = vec.to_json_dict()

@@ -62,7 +62,7 @@ class TestCycleVector:
         poly = CyclePolytope(fig3_graph)
         for cv in poly.vertices():
             assert sum(cv.entries) == 1
-            assert cv.support() == set(cv.cycle.edge_ids)
+            assert {eid for eid, x in enumerate(cv.entries) if x} == set(cv.cycle.edge_ids)
 
 
 class TestVertices:
@@ -83,6 +83,24 @@ class TestVertices:
         poly = CyclePolytope(fig3_graph)
         for cv in poly.vertices():
             assert poly.membership(cv.entries).member
+
+    def test_in_canonical_order(self):
+        poly = CyclePolytope(build_overlap_graph(4).graph)
+        ids = [cv.cycle.edge_ids for cv in poly.vertices()]
+        assert ids == sorted(c.edge_ids for c in iter_simple_cycles(poly.graph))
+
+    def test_cap_fires_before_cycles_are_held(self, monkeypatch):
+        # 100,000 held k=5 cycles would take about 40 MB.
+        monkeypatch.setenv("PERMUTOPE_CAP", "cycles=100000")
+        poly = CyclePolytope(build_overlap_graph(5).graph)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="cycles cap 100000"):
+                poly.vertices()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
 
 class TestDimension:
