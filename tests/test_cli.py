@@ -372,6 +372,28 @@ def _golden_vector(member: bool) -> str:
     return json.dumps({"k": 4, "entries": {w: str(v) for w, v in entries.items()}})
 
 
+# A triangle, the two-vertex pyramid graph and an isolated vertex, with a
+# pendant edge from the triangle into the pyramid that lies on no cycle.
+_GOLDEN_GRAPH = {
+    "vertices": ["t1", "t2", "t3", "p1", "p2", "iso"],
+    "edges": [
+        {"st": st, "ar": ar, "label": label}
+        for st, ar, label in [
+            (1, 2, "e1"),
+            (2, 0, "e2"),
+            (0, 1, "e3"),
+            (0, 3, "pendant"),
+            (3, 3, "loop"),
+            (3, 4, "a1"),
+            (3, 4, "a2"),
+            (4, 3, "b1"),
+            (4, 3, "b2"),
+        ]
+    ],
+}
+# Stands in an argv for the path of _GOLDEN_GRAPH written to a file.
+_GRAPH_FILE = object()
+
 # The permutation i -> 7i mod 41 of 1..40.
 _GOLDEN_PERM = ",".join(str(7 * i % 41) for i in range(1, 41))
 
@@ -416,6 +438,18 @@ GOLDEN_STDOUT = {
         ("decompose", "--k", "4", "--vector", _golden_vector(True)),
         "b534d6549677ba3ed7248927d7a14f2b2eef8a0526b555825b55a07b639fa45f",
     ),
+    "faces.k3": (
+        ("faces", "--k", "3"),
+        "efc8b0ebf2b0b65a2c278e811db9b04a250d8b7ff5ed3062ecfadfb0e0dc35d7",
+    ),
+    "dim.graph": (
+        ("dim", "--graph", _GRAPH_FILE),
+        "7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d",
+    ),
+    "faces.graph": (
+        ("faces", "--graph", _GRAPH_FILE),
+        "8ff9e314b1dfbd2225316c5ed62e69846e0b4c9199711b571625ddd38573acb3",
+    ),
     "report.k3": (
         ("report", "--k", "3", "--vector", "uniform", "--m-values", "1,2,4"),
         "46ebfaecb313ece96f64e6201f2821b6799c9271dfcf4575e0ff5dae9822ff3b",
@@ -428,8 +462,11 @@ class TestGoldenOutput:
     rational, its order or its formatting changes a digest."""
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_STDOUT))
-    def test_stdout_digest(self, capsys, name):
+    def test_stdout_digest(self, capsys, tmp_path, name):
         argv, digest = GOLDEN_STDOUT[name]
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps(_GOLDEN_GRAPH), encoding="utf-8")
+        argv = [str(graph) if arg is _GRAPH_FILE else arg for arg in argv]
         code, out, err = invoke(capsys, *argv)
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -78,7 +78,7 @@ class TestIncidenceMatrix:
 class TestConnectivity:
     def test_triangle_strongly_connected(self, fig2_graph):
         assert fig2_graph.is_strongly_connected()
-        assert fig2_graph.connected_components() == [[0, 1, 2]]
+        assert fig2_graph.strongly_connected_components() == [[0, 1, 2]]
 
     def test_one_edge_not_strongly_connected(self):
         g = Multigraph(["a", "b"], [(0, 1, "x")])
@@ -89,44 +89,38 @@ class TestConnectivity:
 
     def test_two_disjoint_loops(self):
         g = Multigraph(["a", "b"], [(0, 0, "x"), (1, 1, "y")])
-        assert g.connected_components() == [[0], [1]]
         assert g.strongly_connected_components() == [[0], [1]]
 
     def test_triangle_plus_isolated_vertex(self, fig2_graph):
         g = Multigraph(["v1", "v2", "v3", "v4"], list(fig2_graph.edges))
-        assert g.connected_components() == [[0, 1, 2], [3]]
+        assert g.strongly_connected_components() == [[0, 1, 2], [3]]
 
 
 class TestLargestFullSubgraph:
     def test_acyclic_keeps_vertices_only(self):
         g = Multigraph(["a", "b", "c"], [(0, 1, "x"), (1, 2, "y")])
-        sub, mapping = CyclePolytope(g).full_part()
-        assert sub.n_edges == 0 and sub.n_vertices == 3 and mapping == ()
+        assert CyclePolytope(g).full_edge_ids == frozenset()
 
     def test_triangle_is_already_full(self, fig2_graph):
-        sub, mapping = CyclePolytope(fig2_graph).full_part()
-        assert sub.edges == fig2_graph.edges and mapping == (0, 1, 2)
+        assert CyclePolytope(fig2_graph).full_edge_ids == {0, 1, 2}
 
     def test_pendant_edge_removed_vertex_kept(self, fig2_graph):
         g = Multigraph(
             ["v1", "v2", "v3", "v4"], list(fig2_graph.edges) + [(0, 3, "pendant")]
         )
-        sub, mapping = CyclePolytope(g).full_part()
-        assert mapping == (0, 1, 2)
-        assert sub.n_vertices == 4
+        poly = CyclePolytope(g)
+        assert poly.full_edge_ids == {0, 1, 2}
+        # v4 stays as a component of its own: 3 edges - 4 vertices + 2 - 1
+        assert poly.dimension() == 0
 
-    def test_idempotent_and_preserves_cycle_edges(self):
+    def test_equals_union_of_simple_cycles(self):
         rng = random.Random(2)
         for _ in range(30):
             g = random_multigraph(rng)
-            sub, mapping = CyclePolytope(g).full_part()
-            again, inner_mapping = CyclePolytope(sub).full_part()
-            assert again.edges == sub.edges
-            assert inner_mapping == tuple(range(sub.n_edges))
             on_cycles = set()
-            for cycle in iter_simple_cycles(g):
-                on_cycles.update(cycle.edge_ids)
-            assert on_cycles <= set(mapping)
+            for cycle in brute_force_simple_cycles(g):
+                on_cycles.update(cycle)
+            assert CyclePolytope(g).full_edge_ids == on_cycles
 
 
 class TestSimpleCycleType:

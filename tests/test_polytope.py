@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -19,7 +20,13 @@ from permutope import (
     iter_simple_cycles,
 )
 from conftest import random_multigraph
-from oracles import affine_rank, ambient_affine_dimension, fraction_membership, in_convex_hull
+from oracles import (
+    affine_rank,
+    ambient_affine_dimension,
+    brute_force_simple_cycles,
+    fraction_membership,
+    in_convex_hull,
+)
 
 F = Fraction
 
@@ -101,6 +108,16 @@ class TestVertices:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**20
+
+    def test_cap_lowered_after_a_listing_still_refuses(self, fig3_graph, monkeypatch):
+        poly = CyclePolytope(fig3_graph)
+        assert len(poly.vertices()) == 5
+        monkeypatch.setenv("PERMUTOPE_CAP", "cycles=4")
+        with pytest.raises(CapacityError) as info:
+            poly.vertices()
+        assert str(info.value) == (
+            "the graph has more simple cycles than the cycles cap 4 (PERMUTOPE_CAP key 'cycles')"
+        )
 
 
 class TestDimension:
@@ -404,6 +421,38 @@ class TestFaces:
             poly.face([0])
         with pytest.raises(EmptyError):
             poly.face([])
+
+    @pytest.mark.parametrize("ids, bad", [([99], 99), ([-1], -1), ([0, 6], 6)])
+    def test_unknown_edge_id_rejected(self, ids, bad):
+        poly = CyclePolytope(build_overlap_graph(3).graph)
+        with pytest.raises(IndexError) as info:
+            poly.face(ids)
+        assert str(info.value) == f"no edge with id {bad}"
+
+    def test_every_edge_subset_against_brute_force_cycles(self):
+        # a subset is full when its own simple cycles cover it; the face it
+        # carries is the convex hull of those cycles' vectors
+        rng = random.Random(14)
+        graphs = [random_multigraph(rng, 5, 7) for _ in range(30)]
+        graphs.append(build_overlap_graph(3).graph)
+        for g in graphs:
+            poly = CyclePolytope(g)
+            cycles = brute_force_simple_cycles(g)
+            for r in range(1, g.n_edges + 1):
+                for subset in itertools.combinations(range(g.n_edges), r):
+                    inside = [c for c in cycles if set(c) <= set(subset)]
+                    covered = {eid for c in inside for eid in c}
+                    if covered != set(subset):
+                        dead = sorted(set(subset) - covered)
+                        with pytest.raises(NotFullError) as info:
+                            poly.face(subset)
+                        assert str(info.value) == f"edges {dead} lie on no cycle of the subgraph"
+                        continue
+                    points = [
+                        [F(1, len(c)) if eid in c else F(0) for eid in range(g.n_edges)]
+                        for c in inside
+                    ]
+                    assert poly.face(subset).dimension() == affine_rank(points)
 
     def test_overlap_graph_face_poset(self):
         poly = CyclePolytope(build_overlap_graph(3).graph)
