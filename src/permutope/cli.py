@@ -105,12 +105,13 @@ def _cmd_vertices(args: argparse.Namespace) -> int:
     vertices = poly.vertices()
     listed = []
     for cv in vertices:
-        ids, entries = cv.cycle.edge_ids, cv.entries
+        ids = cv.cycle.edge_ids
+        weight = _fmt(Fraction(1, len(ids)), args)
         listed.append(
             {
                 "cycle_edges": list(ids),
                 "cycle_labels": [graph.label(e) for e in ids],
-                "vector": {graph.label(e): _fmt(entries[e], args) for e in ids},
+                "vector": {graph.label(e): weight for e in ids},
             }
         )
     payload = {"count": len(vertices), "vertices": listed}

@@ -100,34 +100,19 @@ class Multigraph:
 
     # -- connectivity ------------------------------------------------------
 
-    def connected_components(self) -> list[list[int]]:
-        """Components in the undirected sense, ordered by smallest vertex id."""
-        parent = list(range(self.n_vertices))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for st, ar, _ in self.edges:
-            ra, rb = find(st), find(ar)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        groups: dict[int, list[int]] = {}
-        for v in range(self.n_vertices):
-            groups.setdefault(find(v), []).append(v)
-        return [sorted(groups[r]) for r in sorted(groups)]
-
-    def strongly_connected_components(self) -> list[list[int]]:
-        """Tarjan's algorithm, iterative; components ordered by smallest vertex id."""
-        n = self.n_vertices
+    def _scc_labels(self, edge_ids: Iterable[int]) -> tuple[list[int], int]:
+        """Tarjan's algorithm, iterative, on all vertices and the given edges
+        (valid ids, not checked): each vertex's strong-component label and the
+        number of components.  An isolated vertex is a component of its own."""
+        n, st, ar = self.n_vertices, self._st, self._ar
+        succ: list[list[int]] = [[] for _ in range(n)]
+        for eid in edge_ids:
+            succ[st[eid]].append(ar[eid])
         index = [-1] * n
         low = [0] * n
-        on_stack = [False] * n
+        label = [-1] * n  # a visited vertex without a label is on the stack
         stack: list[int] = []
-        components: list[list[int]] = []
-        counter = 0
+        counter = count = 0
         for root in range(n):
             if index[root] != -1:
                 continue
@@ -138,63 +123,38 @@ class Multigraph:
                     index[v] = low[v] = counter
                     counter += 1
                     stack.append(v)
-                    on_stack[v] = True
-                advanced = False
-                for j in range(ei, len(self._out[v])):
-                    w = self.ar(self._out[v][j])
+                for j in range(ei, len(succ[v])):
+                    w = succ[v][j]
                     if index[w] == -1:
                         work[-1] = (v, j + 1)
                         work.append((w, 0))
-                        advanced = True
                         break
-                    if on_stack[w]:
+                    if label[w] == -1:
                         low[v] = min(low[v], index[w])
-                if advanced:
-                    continue
-                work.pop()
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(w)
-                        if w == v:
-                            break
-                    components.append(sorted(comp))
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-        components.sort(key=lambda comp: comp[0])
-        return components
+                else:
+                    work.pop()
+                    if low[v] == index[v]:
+                        while True:
+                            w = stack.pop()
+                            label[w] = count
+                            if w == v:
+                                break
+                        count += 1
+                    if work:
+                        u = work[-1][0]
+                        low[u] = min(low[u], low[v])
+        return label, count
+
+    def strongly_connected_components(self) -> list[list[int]]:
+        """Components ordered by smallest vertex id."""
+        label, count = self._scc_labels(range(self.n_edges))
+        components: list[list[int]] = [[] for _ in range(count)]
+        for v, c in enumerate(label):
+            components[c].append(v)
+        return sorted(components)
 
     def is_strongly_connected(self) -> bool:
         return len(self.strongly_connected_components()) == 1
-
-    # -- full subgraphs ------------------------------------------------------
-
-    def cyclic_edge_ids(self) -> frozenset[int]:
-        """Ids of edges lying on some cycle: loops, plus edges inside one SCC."""
-        comp_of = [0] * self.n_vertices
-        for ci, comp in enumerate(self.strongly_connected_components()):
-            for v in comp:
-                comp_of[v] = ci
-        keep = []
-        for eid, (st, ar, _) in enumerate(self.edges):
-            if st == ar or comp_of[st] == comp_of[ar]:
-                keep.append(eid)
-        return frozenset(keep)
-
-    def subgraph_with_edges(self, edge_ids: Iterable[int]) -> tuple["Multigraph", tuple[int, ...]]:
-        """Same vertices, only the given edges (re-numbered densely).
-
-        Returns the subgraph and the tuple mapping new edge ids to old ones.
-        """
-        kept = sorted(set(edge_ids))
-        for eid in kept:
-            if not 0 <= eid < self.n_edges:
-                raise IndexError(f"no edge with id {eid}")
-        sub = Multigraph(self.vertex_names, [self.edges[eid] for eid in kept])
-        return sub, tuple(kept)
 
     # -- serialization -------------------------------------------------------
 

@@ -5,10 +5,12 @@ edge-frequency vectors of the simple cycles of G.  Everything here is a
 certificate, not an approximation: membership tests check the defining
 equations, positive answers come with an explicit convex decomposition into
 cycle vectors, and faces are handled through the full subgraphs that index
-them.  Points enter and weights leave as ``Fraction``.  In between, the
-checks and the decomposition run on integer numerators over one common
-denominator: a ``Sequence`` point is scaled once to that form, and the
-feasible region hands over a ``PatternVector``'s stored numerators.
+them: one strong-component pass over an edge subset of G decides whether the
+subset is full and gives the dimension of its face.  Points enter and weights
+leave as ``Fraction``.  In between, the checks and the decomposition run on
+integer numerators over one common denominator: a ``Sequence`` point is
+scaled once to that form, and the feasible region hands over a
+``PatternVector``'s stored numerators.
 """
 
 from __future__ import annotations
@@ -67,9 +69,10 @@ class FaceHandle:
 
     polytope: "CyclePolytope" = field(repr=False)
     edge_ids: tuple[int, ...]
+    _dimension: int = field(repr=False, compare=False)
 
     def dimension(self) -> int:
-        return self.polytope.face_dimension(self)
+        return self._dimension
 
     def __len__(self) -> int:
         return len(self.edge_ids)
@@ -107,12 +110,13 @@ class CyclePolytope:
     circulations that the polytope spans.
     """
 
-    __slots__ = ("graph", "full_edge_ids", "_full_part", "_equations")
+    __slots__ = ("graph", "full_edge_ids", "_dimension", "_n_cycles", "_equations")
 
     def __init__(self, graph: Multigraph) -> None:
         self.graph = graph
-        self.full_edge_ids = graph.cyclic_edge_ids()
-        self._full_part: tuple[Multigraph, tuple[int, ...]] | None = None
+        full, self._dimension = self._full_subgraph(range(graph.n_edges))
+        self.full_edge_ids = frozenset(full)
+        self._n_cycles: int | None = None
         self._equations: tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None = None
 
     # -- vertices --------------------------------------------------------
@@ -126,28 +130,32 @@ class CyclePolytope:
 
         Distinct simple cycles have distinct vectors, so the vertex count
         equals the simple-cycle count.  A first pass only counts the cycles,
-        so the ``cycles`` cap fires before any of them is held.
+        so the ``cycles`` cap fires before any of them is held; the count is
+        kept, and a later call counts again only when the cap is below it.
         """
-        for _ in iter_simple_cycles(self.graph):
-            pass
+        if self._n_cycles is None or self._n_cycles > limits.cap("cycles"):
+            self._n_cycles = sum(1 for _ in iter_simple_cycles(self.graph))
         return tuple(map(CycleVector, iter_simple_cycles(self.graph)))
 
     # -- dimension ---------------------------------------------------------
 
-    def full_part(self) -> tuple[Multigraph, tuple[int, ...]]:
-        """The largest full subgraph (cached) and its new->old edge id map."""
-        if self._full_part is None:
-            self._full_part = self.graph.subgraph_with_edges(self.full_edge_ids)
-        return self._full_part
+    def _full_subgraph(self, edge_ids: Sequence[int]) -> tuple[list[int], int]:
+        """The largest full subgraph F inside an edge subset: the ids whose ends
+        share a strong component of the subset, and the dimension of F's face,
+        |F| - |V(G)| + #components - 1.  The subset's strong components are
+        F's weak components (isolated vertices count)."""
+        g = self.graph
+        label, count = g._scc_labels(edge_ids)
+        st, ar = g._st, g._ar
+        full = [eid for eid in edge_ids if label[st[eid]] == label[ar[eid]]]
+        return full, len(full) - g.n_vertices + count - 1
 
     def dimension(self) -> int:
-        """|E(H)| - |V(G)| + #components(H) - 1 on the largest full subgraph H
-        (isolated vertices count as components)."""
+        """|E(H)| - |V(G)| + #components(H) - 1 for the largest full subgraph H,
+        whose components are the strong components of G, kept from __init__."""
         if not self.full_edge_ids:
             raise EmptyPolytopeError("the graph has no cycle; the polytope is empty")
-        sub, _ = self.full_part()
-        comps = len(sub.connected_components())
-        return len(self.full_edge_ids) - self.graph.n_vertices + comps - 1
+        return self._dimension
 
     # -- membership ---------------------------------------------------------
 
@@ -271,17 +279,14 @@ class CyclePolytope:
         ids = tuple(sorted(set(edge_ids)))
         if not ids:
             raise EmptyError("the empty subgraph does not index a face")
-        sub, kept = self.graph.subgraph_with_edges(ids)
-        cyclic = sub.cyclic_edge_ids()
-        if len(cyclic) != len(ids):
-            dead = [kept[i] for i in range(len(ids)) if i not in cyclic]
+        for eid in ids:
+            if not 0 <= eid < self.graph.n_edges:
+                raise IndexError(f"no edge with id {eid}")
+        full, dimension = self._full_subgraph(ids)
+        if len(full) != len(ids):
+            dead = sorted(set(ids).difference(full))
             raise NotFullError(f"edges {dead} lie on no cycle of the subgraph")
-        return FaceHandle(self, ids)
-
-    def face_dimension(self, handle: FaceHandle) -> int:
-        sub, _ = self.graph.subgraph_with_edges(handle.edge_ids)
-        comps = len(sub.connected_components())
-        return len(handle.edge_ids) - self.graph.n_vertices + comps - 1
+        return FaceHandle(self, ids, dimension)
 
     def face_poset(self) -> FacePoset:
         """All faces, via enumeration of the non-empty full edge subsets.
@@ -297,9 +302,9 @@ class CyclePolytope:
         faces: list[FaceHandle] = []
         for r in range(1, len(full) + 1):
             for subset in itertools.combinations(full, r):
-                sub, _ = self.graph.subgraph_with_edges(subset)
-                if len(sub.cyclic_edge_ids()) == len(subset):
-                    faces.append(FaceHandle(self, subset))
+                kept, dimension = self._full_subgraph(subset)
+                if len(kept) == r:
+                    faces.append(FaceHandle(self, subset, dimension))
         faces.sort(key=lambda f: (f.dimension(), f.edge_ids))
         return FacePoset(self, tuple(faces))
 
@@ -314,8 +319,7 @@ class CyclePolytope:
             raise IndexError("cycle references edges of a different graph")
         if set(c1.edge_ids) == set(c2.edge_ids):
             return False
-        union = self.face(set(c1.edge_ids) | set(c2.edge_ids))
-        return self.face_dimension(union) == 1
+        return self.face(set(c1.edge_ids) | set(c2.edge_ids)).dimension() == 1
 
     # -- export ----------------------------------------------------------------
 
