@@ -214,6 +214,13 @@ MALFORMED_WALKS = [
     (SimpleCycle, "fig3_graph", (1, 3, 1, 3), ValueError, "cycle repeats an edge"),
     (SimpleCycle, "fig3_graph", (1, 3, 2, 4), ValueError, "cycle repeats a vertex"),
     (SimpleCycle, "fig3_graph", (2, 4, 0), ValueError, "cycle repeats a vertex"),
+    (Walk, "fig2_graph", (True,), ValueError, "edge ids must be integers, got True"),
+    (Walk, "fig2_graph", (False,), ValueError, "edge ids must be integers, got False"),
+    (Walk, "fig2_graph", (0.0,), ValueError, "edge ids must be integers, got 0.0"),
+    (Walk, "fig2_graph", (0, 0.5), ValueError, "edge ids must be integers, got 0.5"),
+    (Walk, "fig2_graph", ("0",), ValueError, "edge ids must be integers, got '0'"),
+    (SimpleCycle, "fig2_graph", (0, 1, True), ValueError, "edge ids must be integers, got True"),
+    (SimpleCycle, "fig2_graph", (0, "1", 2), ValueError, "edge ids must be integers, got '1'"),
 ]
 
 

@@ -429,6 +429,14 @@ class TestFaces:
             poly.face(ids)
         assert str(info.value) == f"no edge with id {bad}"
 
+    @pytest.mark.parametrize("bad", [True, False, 0.5, "0"])
+    def test_non_integer_edge_id_rejected(self, bad):
+        poly = CyclePolytope(build_overlap_graph(3).graph)
+        for ids in ([bad], [0, bad]):
+            with pytest.raises(ValueError) as info:
+                poly.face(ids)
+            assert str(info.value) == f"edge ids must be integers, got {bad!r}"
+
     def test_every_edge_subset_against_brute_force_cycles(self):
         # a subset is full when its own simple cycles cover it; the face it
         # carries is the convex hull of those cycles' vectors
