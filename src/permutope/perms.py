@@ -244,25 +244,32 @@ def _occ_counts_small(sigma: Permutation, k: int) -> list[int]:
     if k == 2:
         rising = sum(a)
         return [rising, math.comb(n, 2) - rising]
-    # The value v at position j has j entries before it and v - 1 entries
-    # below it, so the larger-before (b), smaller-after (d) and larger-after
-    # (c) counts follow from a.
-    b = list(map(sub, range(n), a))
-    d = [v - 1 - x for v, x in zip(word, a)]
-    c = [n - 1 - j - x for j, x in enumerate(d)]
-
     # Size 3: count by the position of the middle element, then split the
-    # remaining patterns by where the extreme value sits.
-    def pairs(x: list[int]) -> int:
-        """Sum of C(x_j, 2)."""
-        return (sum(map(mul, x, x)) - sum(x)) // 2
-
-    occ123 = sum(map(mul, a, c))
-    occ321 = sum(map(mul, b, d))
-    occ213 = pairs(a) - occ123
-    occ132 = pairs(c) - occ123
-    occ312 = pairs(d) - occ321
-    occ231 = pairs(b) - occ321
+    # remaining patterns by where the extreme value sits.  The entry at
+    # 0-based position j with 0-based value w has a smaller entries before
+    # it, so b = j - a larger before, d = w - a smaller after and
+    # c = n - 1 - j - w + a larger after.  Every sum below is a polynomial in
+    # a, j and w, so five passes over a and the word give them all; the sums
+    # of j, j^2 (equal to those of w, w^2) have closed forms.
+    positions = range(n)
+    sa = sum(a)
+    saa = sum(map(mul, a, a))
+    saj = sum(map(mul, a, positions))
+    saw = sum(map(mul, a, word)) - sa
+    sjw = sum(map(mul, positions, word)) - n * (n - 1) // 2
+    sj, sjj, t = n * (n - 1) // 2, (n - 1) * n * (2 * n - 1) // 6, n - 1
+    occ123 = t * sa - saj - saw + saa  # sum of a * c
+    occ321 = sjw - saj - saw + saa  # sum of b * d
+    # Sum of C(x, 2) from the sums of x^2 and x; the c's sum to sa as well.
+    pairs_a = (saa - sa) // 2
+    pairs_b = (sjj - 2 * saj + saa - sj + sa) // 2
+    pairs_d = (sjj - 2 * saw + saa - sj + sa) // 2
+    scc = n * t * t - 4 * t * sj + 2 * sjj + 2 * sjw + 2 * (t * sa - saj - saw) + saa
+    pairs_c = (scc - sa) // 2
+    occ213 = pairs_a - occ123
+    occ132 = pairs_c - occ123
+    occ312 = pairs_d - occ321
+    occ231 = pairs_b - occ321
     return [occ123, occ132, occ213, occ231, occ312, occ321]
 
 

@@ -337,6 +337,20 @@ class TestChunkedClassicalKernel:
             )
             self.assert_vectors_match_oracle(sigma)
 
+    def test_size_three_against_the_enumerator(self):
+        # every permutation up to size 6, then ten random ones of each size to 30
+        rng = random.Random(92)
+        for n in range(3, 31):
+            if n <= 6:
+                words = itertools.permutations(range(1, n + 1))
+            else:
+                words = [rng.sample(range(1, n + 1), n) for _ in range(10)]
+            for word in words:
+                sigma = Permutation(tuple(word))
+                assert perms_module._occ_counts_small(
+                    sigma, 3
+                ) == perms_module._occ_counts_enumerated(sigma, 3)
+
     def test_against_naive_up_to_60(self):
         rng = random.Random(91)
         for n in (1, 2, 3, 9, 17, 40, 60):
