@@ -86,9 +86,65 @@ class FeasibleRegion:
         # the target's denominator, so its weight is f|C|/d.
         d = vector.denominator
         flows = tuple(int(w * d) // len(c) for w, c in decomposition)
+        cycles = [c.edge_ids for _, c in decomposition]
         return RealizationPlan(
-            region=self, target=vector, decomposition=decomposition, flows=flows
+            region=self,
+            target=vector,
+            decomposition=decomposition,
+            flows=flows,
+            parts=_splice_parts(self.overlap.graph._st, cycles),
         )
+
+
+def _splice_parts(st: Sequence[int], cycles: Sequence[tuple[int, ...]]) -> tuple:
+    """Group cycles (edge-id tuples, ``st`` giving each edge's start) into
+    parts, two cycles being linked when they share a vertex, and lay each
+    part out as the steps of one closed walk.
+
+    A depth-first search over a spanning forest enters each cycle at the
+    vertex it shares with its parent (a part's root at its first edge) and
+    splices every cycle first reached at a vertex into the first traversal
+    there.  A step ``(edges, None)`` is a slice of a first traversal,
+    walked once; a step ``(edges, i)`` is cycle i rotated to its entry
+    vertex, walked m * f_i - 1 more times.  O(sum of |C|) work; no walk of
+    size m * d is built here.
+    """
+    through: dict[int, list[int]] = {}
+    for i, edges in enumerate(cycles):
+        for e in edges:
+            through.setdefault(st[e], []).append(i)
+    seen = [False] * len(cycles)
+    parts = []
+    for root in range(len(cycles)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        steps: list[tuple[tuple[int, ...], int | None]] = []
+        # Each frame: the cycle rotated to its entry vertex, its index, the
+        # next position to scan and the start of the slice not yet emitted.
+        stack = [[cycles[root], root, 0, 0]]
+        while stack:
+            frame = stack[-1]
+            rotated, i, pos, done = frame
+            for pos in range(pos, len(rotated)):
+                # The first visit to a vertex claims it for every cycle through it.
+                spliced = [j for j in through.pop(st[rotated[pos]], ()) if not seen[j]]
+                if spliced:
+                    break
+            else:
+                steps += [(rotated[done:], None), (rotated, i)]
+                stack.pop()
+                continue
+            steps.append((rotated[done:pos], None))
+            frame[2:] = pos + 1, pos
+            v = st[rotated[pos]]
+            for j in reversed(spliced):
+                seen[j] = True
+                edges = cycles[j]
+                at = [st[e] for e in edges].index(v)
+                stack.append([edges[at:] + edges[:at], j, 0, 0])
+        parts.append(tuple(steps))
+    return tuple(parts)
 
 
 @lru_cache(maxsize=None)
@@ -112,42 +168,45 @@ class RealizationPlan:
 
     The target x = n/d is the convex combination of the decomposition's
     cycles, and cycle C carries the integer flow f_C (so n_e is the sum of
-    f_C over the cycles through edge e, and d is the sum of f_C * |C|).  For
-    a size parameter m, cycle C contributes one block realizing the walk C
-    repeated m * f_C times, and the blocks are joined by direct sums.
+    f_C over the cycles through edge e, and d is the sum of f_C * |C|).
+    Cycles sharing a vertex fall into one of c ``parts``.  For a size
+    parameter m, each part contributes one block realizing a closed walk
+    that traverses each of its cycles C exactly m * f_C times (the cycles
+    spliced into each other at shared vertices), and the c blocks are joined
+    by direct sums.
     """
 
     region: FeasibleRegion = field(repr=False)
     target: PatternVector
     decomposition: tuple[tuple[Fraction, SimpleCycle], ...]
     flows: tuple[int, ...]
+    parts: tuple[tuple[tuple[tuple[int, ...], int | None], ...], ...] = field(repr=False)
 
     def size_for(self, m: int) -> int:
-        """m * d + B(k-1) for B blocks: a walk of L edges is realized by a
-        permutation of L + k - 1 points."""
-        walk_edges = sum(f * len(c) for f, (_, c) in zip(self.flows, self.decomposition))
-        return m * walk_edges + len(self.flows) * (self.region.k - 1)
+        """m * d + c(k-1) for c parts: a walk of L edges is realized by a
+        permutation of L + k - 1 points, and the c walks have m * d edges."""
+        return m * self.target.denominator + len(self.parts) * (self.region.k - 1)
 
     def sup_error_bound(self, m: int) -> Fraction:
         """Bound on the sup-distance between the size-k consecutive
-        proportions of generate(m) and the target: B(k-1)/N for B blocks and
+        proportions of generate(m) and the target: c(k-1)/N for c parts and
         N = size_for(m) points.
 
-        Proof.  Each window lying inside a block is one edge of its walk, and
-        the block for C traverses every edge of C exactly m * f_C times, so
-        edge e is counted m * n_e times inside blocks.  The remaining windows
-        straddle one of the B - 1 block boundaries, k - 1 per boundary; let
-        b_e of them have pattern e, so 0 <= b_e <= (B-1)(k-1).  Proportions
-        divide by N = m * d + B(k-1), hence
-        p_e - x_e = (m * n_e + b_e)/N - n_e/d = (b_e - x_e * B(k-1))/N,
-        and both b_e and x_e * B(k-1) lie in [0, B(k-1)].
+        Proof.  Each window lying inside a block is one edge of its part's
+        walk, and the walks traverse every edge of cycle C exactly m * f_C
+        times, so edge e is counted m * n_e times inside blocks.  The
+        remaining windows straddle one of the c - 1 block boundaries, k - 1
+        per boundary; let b_e of them have pattern e, so
+        0 <= b_e <= (c-1)(k-1).  Proportions divide by N = m * d + c(k-1),
+        hence p_e - x_e = (m * n_e + b_e)/N - n_e/d = (b_e - x_e * c(k-1))/N,
+        and both b_e and x_e * c(k-1) lie in [0, c(k-1)].
         """
-        return Fraction(len(self.flows) * (self.region.k - 1), self.size_for(m))
+        return Fraction(len(self.parts) * (self.region.k - 1), self.size_for(m))
 
     def generate(self, m: int) -> Permutation:
         """The realizing permutation for size parameter m >= 1; sizes are
         strictly increasing in m.  A size over the ``realize`` cap is refused
-        before any block is built."""
+        before any walk is built."""
         if m < 1:
             raise ValueError(f"size parameter must be >= 1, got {m}")
         size, cap = self.size_for(m), limits.cap("realize")
@@ -156,12 +215,14 @@ class RealizationPlan:
                 f"realizing permutation would have size {size}, over the realize cap "
                 f"{cap} (PERMUTOPE_CAP key 'realize')"
             )
-        og = self.region.overlap
+        og, flows = self.region.overlap, self.flows
         blocks = []
-        for (_, cycle), f in zip(self.decomposition, self.flows):
-            # A simple cycle repeated is a closed walk by construction.
-            walk = Walk._trusted(og.graph, cycle.edge_ids * (m * f))
-            blocks.append(og.permutation_of_walk(walk))
+        for steps in self.parts:
+            walk: list[int] = []
+            for edges, i in steps:
+                walk += edges if i is None else edges * (m * flows[i] - 1)
+            # Splicing closed walks at shared vertices keeps the walk closed.
+            blocks.append(og.permutation_of_walk(Walk._trusted(og.graph, tuple(walk))))
         return direct_sum(*blocks)
 
     def to_json_dict(self) -> dict:

@@ -46,6 +46,17 @@ def naive_cocc(pattern: Sequence[int], sigma: Sequence[int]) -> int:
     return sum(1 for i in range(n - k + 1) if order_isomorphic(sigma[i : i + k], pattern))
 
 
+def naive_cocc_counts(sigma: Sequence[int], k: int) -> dict[tuple[int, ...], int]:
+    """Consecutive occurrences of every size-k pattern that occurs: each
+    width-k window's pattern read off its pairwise order comparisons."""
+    counts: dict[tuple[int, ...], int] = {}
+    for i in range(len(sigma) - k + 1):
+        window = sigma[i : i + k]
+        pattern = tuple([1 + sum([w < v for w in window]) for v in window])
+        counts[pattern] = counts.get(pattern, 0) + 1
+    return counts
+
+
 def merge_sort_smaller_before(values: Sequence) -> list[int]:
     """For every position j, how many earlier entries are smaller, counted
     while merge-sorting the positions by value: when a position of the right

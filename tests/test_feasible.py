@@ -24,6 +24,7 @@ from permutope import (
     proportion_vector,
     repeat_sum,
 )
+from oracles import naive_cocc_counts
 from test_polytope import planted_point
 
 P = Permutation.parse
@@ -37,6 +38,30 @@ def vertex_vector(region, cycle_ids) -> PatternVector:
     for eid in cycle.edge_ids:
         values[eid] = share
     return region.vector_of(values)
+
+
+def assert_parts_bound(region, target, ms=(1, 2)):
+    """Plan ``target`` and check that generate(m) has size_for(m) =
+    m*d + c(k-1) points for c <= B parts, that its window recount lies within
+    c(k-1)/N of the target, and that sizes increase in m."""
+    k = region.k
+    plan = region.plan(target)
+    c = len(plan.parts)
+    assert 1 <= c <= len(plan.decomposition)
+    words = [p.word for p in all_patterns(k)]
+    d = target.denominator
+    for m in ms:
+        sigma = plan.generate(m)
+        n = plan.size_for(m)
+        assert len(sigma) == n == m * d + c * (k - 1)
+        assert plan.sup_error_bound(m) == F(c * (k - 1), n)
+        # |count/n - x/d| over all patterns, in units of 1/(n d)
+        counts = naive_cocc_counts(sigma.word, k)
+        gap = max(abs(counts.get(w, 0) * d - x * n) for w, x in zip(words, target.numerators))
+        assert F(gap, n * d) <= plan.sup_error_bound(m)
+    sizes = [plan.size_for(m) for m in range(1, 6)]
+    assert all(a < b for a, b in zip(sizes, sizes[1:]))
+    return plan
 
 
 class TestMembership:
@@ -104,13 +129,13 @@ class TestRealize:
         monkeypatch.setenv("PERMUTOPE_CAP", "realize=48")
         assert len(small.generate(1)) == small.size_for(1) == 48
 
-    @pytest.mark.parametrize("k", [3, 4, 5])
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
     def test_flow_sizing_on_planted_targets(self, k):
         rng = random.Random(1100 + k)
         region = feasible_region(k)
         for n_cycles in range(1, 9):
             target = region.vector_of(planted_point(rng, region.overlap.graph, n_cycles))
-            plan = region.plan(target)
+            plan = assert_parts_bound(region, target)
             d = math.lcm(*(x.denominator for x in region.point_of(target)))
             cycles = [c for _, c in plan.decomposition]
             assert sum(f * len(c) for f, c in zip(plan.flows, cycles)) == d
@@ -119,10 +144,32 @@ class TestRealize:
             cycle_lcm = math.lcm(*map(len, cycles))
             for m in (1, 2, 4):
                 assert plan.size_for(m) <= m * cycle_lcm * weight_lcm + len(cycles) * (k - 1)
-                sigma = plan.generate(m)
-                assert len(sigma) == plan.size_for(m)
-                distance = proportion_vector(k, sigma, "consecutive").linf_distance(target)
-                assert distance <= plan.sup_error_bound(m)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_parts_bound_on_every_vertex_pair_target(self, k):
+        region = feasible_region(k)
+        cycles = list(region.polytope.simple_cycles())
+        for a, b in itertools.combinations(cycles, 2):
+            values = [F(0)] * len(all_patterns(k))
+            for cycle in (a, b):
+                for eid in cycle.edge_ids:
+                    values[eid] += F(1, 2 * len(cycle))
+            plan = assert_parts_bound(region, region.vector_of(values), (1,))
+            shared = {region.overlap.graph.st(e) for e in a.edge_ids}.intersection(
+                region.overlap.graph.st(e) for e in b.edge_ids
+            )
+            assert len(plan.parts) == (1 if shared else 2)
+
+    def test_two_loops_are_two_parts_and_uniform_is_one(self):
+        region = feasible_region(3)
+        # the loops 123 and 321 sit at different vertices
+        loops = region.vector_of([F(1, 2), 0, 0, 0, 0, F(1, 2)])
+        plan = assert_parts_bound(region, loops, (1, 2, 3))
+        assert len(plan.parts) == 2
+        assert [plan.size_for(m) for m in (1, 2, 3)] == [6, 8, 10]
+        plan = assert_parts_bound(region, PatternVector.uniform(3))
+        assert len(plan.decomposition) == 4 and len(plan.parts) == 1
+        assert plan.size_for(1) == 8
 
     def test_monotone_loop_gives_identity(self):
         region = feasible_region(3)

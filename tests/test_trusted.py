@@ -10,6 +10,7 @@ the hashable ones, hashes equal).
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -137,7 +138,7 @@ class TestDecompositions:
 
 class TestRealizationBlocks:
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
-    def test_block_walks_of_planted_plans(self, k, monkeypatch):
+    def test_part_walks_of_planted_plans(self, k, monkeypatch):
         rng = random.Random(1200 + k)
         region = feasible_region(k)
         og = region.overlap
@@ -151,16 +152,26 @@ class TestRealizationBlocks:
         monkeypatch.setattr(type(og), "permutation_of_walk", record)
         for n_cycles in range(1, 7):
             plan = region.plan(region.vector_of(planted_point(rng, og.graph, n_cycles)))
+            members = [[i for _, i in steps if i is not None] for steps in plan.parts]
+            assert sorted(sum(members, [])) == list(range(len(plan.flows)))
             for m in (1, 2):
                 walks.clear()
                 sigma = plan.generate(m)
-                assert len(walks) == len(plan.flows)
-                for walk in walks:
+                assert len(walks) == len(plan.parts)
+                rebuilt, visited = [], set()
+                for walk, part in zip(walks, members):
                     assert_walk_passes(walk)
-                rebuilt = [
-                    realize_walk(og, Walk(og.graph, cycle.edge_ids * (m * f)))
-                    for (_, cycle), f in zip(plan.decomposition, plan.flows)
-                ]
+                    checked = Walk(og.graph, walk.edge_ids)
+                    assert checked.is_cycle()
+                    expected = Counter()
+                    for i in part:
+                        for eid in plan.decomposition[i][1].edge_ids:
+                            expected[eid] += m * plan.flows[i]
+                    assert Counter(checked.edge_ids) == expected
+                    vertices = set(checked.vertices())
+                    assert not vertices & visited
+                    visited |= vertices
+                    rebuilt.append(realize_walk(og, checked))
                 assert direct_sum(*rebuilt) == sigma
 
 
