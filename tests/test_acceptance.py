@@ -211,10 +211,10 @@ def test_criterion_08_mixing_bounds():
     with _Budget(8, "mixing error bounds", 60.0):
         region = feasible_region(3)
         plan = region.plan(PatternVector.uniform(3))
-        # plan sizes are 6m + 8, so 50 and 100 are bracketed by 56 and 104
-        # while 200 is hit exactly
+        # plan sizes are 6m + 2, so 50 is hit exactly while 98 and 194 fall
+        # just short of 100 and 200
         inners = [plan.generate(m) for m in (8, 16, 32)]
-        assert [len(s) for s in inners] == [56, 104, 200]
+        assert [len(s) for s in inners] == [50, 98, 194]
         outers = [repeat_sum(q, P("21")) for q in (25, 50)]
         assert [len(s) for s in outers] == [50, 100]
         patterns = all_patterns(3)

@@ -169,18 +169,18 @@ class TestReport:
         assert all(int(row["size"]) <= 200 for row in rows)
 
     def test_default_schedule_stops_at_the_realize_cap(self, capsys, monkeypatch):
-        # the uniform target at k=4 needs 48, 72 and 120 points at m = 1, 2, 4
+        # the uniform target at k=4 needs 27, 51, 99 and 195 points at m = 1, 2, 4, 8
         monkeypatch.setenv("PERMUTOPE_CAP", "realize=100")
         argv = ("report", "--k", "4", "--vector", "uniform", "--no-classical")
         code, out, err = invoke(capsys, *argv)
         assert code == 0 and err == ""
         rows = list(csv.DictReader(io.StringIO(out)))
-        assert [(row["m"], row["size"]) for row in rows] == [("1", "48"), ("2", "72")]
-        monkeypatch.setenv("PERMUTOPE_CAP", "realize=47")
+        assert [(row["m"], row["size"]) for row in rows] == [("1", "27"), ("2", "51"), ("4", "99")]
+        monkeypatch.setenv("PERMUTOPE_CAP", "realize=26")
         code, out, err = invoke(capsys, *argv)
         assert code == 1 and out == ""
         assert err == (
-            "error: no m fits under --max-size 4096 and the realize cap 47 "
+            "error: no m fits under --max-size 4096 and the realize cap 26 "
             "(PERMUTOPE_CAP key 'realize'); pass --m-values explicitly\n"
         )
 
@@ -278,7 +278,7 @@ class TestErrorsAndCaps:
             ("overlap", 3, ("overlap", "--k", "4")),
             ("faces", 5, ("faces", "--k", "3")),
             ("mix", 3, ("mix", "--perm-a", "12", "--perm-b", "21")),
-            ("realize", 47, ("realize", "--k", "4", "--vector", "uniform", "--m", "1")),
+            ("realize", 47, ("realize", "--k", "4", "--vector", "uniform", "--m", "2")),
         ],
     )
     def test_refusal_names_its_cap_and_key(self, capsys, monkeypatch, key, value, argv):
@@ -289,28 +289,28 @@ class TestErrorsAndCaps:
         assert f"{key} cap {value} (PERMUTOPE_CAP key '{key}')" in err
 
     def test_realize_over_the_cap_is_refused_before_building(self, capsys):
-        # size_for(2000) of the uniform target at k=7 is 10,081,368 points
+        # size_for(2000) of the uniform target at k=7 is 10,080,006 points
         start = time.perf_counter()
         code, out, err = invoke(capsys, "realize", "--k", "7", "--vector", "uniform", "--m", "2000")
         assert time.perf_counter() - start < 5.0
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
-        assert "10081368" in err and "'realize'" in err
+        assert "10080006" in err and "'realize'" in err
 
     def test_env_cap_sets_the_realize_cap(self, capsys, monkeypatch):
-        # the uniform target at k=4 needs 48 points at m=1
+        # the uniform target at k=4 needs 27 points at m=1
         argv = ("realize", "--k", "4", "--vector", "uniform", "--m", "1")
-        monkeypatch.setenv("PERMUTOPE_CAP", "realize=47")
+        monkeypatch.setenv("PERMUTOPE_CAP", "realize=26")
         code, out, err = invoke(capsys, *argv)
-        assert code == 1 and out == "" and "47" in err
+        assert code == 1 and out == "" and "26" in err
         report = ("report", "--k", "4", "--vector", "uniform", "--m-values", "1", "--no-classical")
         code, out, err = invoke(capsys, *report)
-        assert code == 1 and out == "" and "47" in err
-        monkeypatch.setenv("PERMUTOPE_CAP", "realize=48")
+        assert code == 1 and out == "" and "26" in err
+        monkeypatch.setenv("PERMUTOPE_CAP", "realize=27")
         code, out, _ = invoke(capsys, *argv)
-        assert code == 0 and len(Permutation.parse(out.strip())) == 48
+        assert code == 0 and len(Permutation.parse(out.strip())) == 27
         code, out, _ = invoke(capsys, *report)
-        assert code == 0 and out.splitlines()[1].startswith("1,48,")
+        assert code == 0 and out.splitlines()[1].startswith("1,27,")
 
     @pytest.mark.parametrize(
         "verb, body",
@@ -452,7 +452,7 @@ GOLDEN_STDOUT = {
     ),
     "report.k3": (
         ("report", "--k", "3", "--vector", "uniform", "--m-values", "1,2,4"),
-        "46ebfaecb313ece96f64e6201f2821b6799c9271dfcf4575e0ff5dae9822ff3b",
+        "cd73e506fdcdc4f552c63eab78e074c98d57db82c357fe4ce71f91a9a30d55a9",
     ),
 }
 
@@ -477,7 +477,7 @@ class TestGoldenOutput:
         code, out, err = invoke(capsys, *argv, "--plan", str(plan))
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "8fdfdf2edc27fc1cc7d44b508561953cfa1faa041ca0a1df0eecc7ea950d6137"
+            "e48c1035b73caf905d1351038d64196a245dc9a014a65e2dab35f9b48784371d"
         )
         assert hashlib.sha256(plan.read_bytes()).hexdigest() == (
             "7e2030a1b06cb868e94ea501b82b0cb9442e57dc38e5dd8ce68a41f339142998"

@@ -117,17 +117,17 @@ class TestMembership:
 
 class TestRealize:
     def test_size_cap_checked_before_building(self, monkeypatch):
-        assert feasible_region(6).plan(PatternVector.uniform(6)).size_for(1) == 1_020
+        assert feasible_region(6).plan(PatternVector.uniform(6)).size_for(1) == 725
         plan = feasible_region(7).plan(PatternVector.uniform(7))
-        assert plan.size_for(2000) == 10_081_368
+        assert plan.size_for(2000) == 10_080_006
         with pytest.raises(CapacityError, match="realize"):
             plan.generate(2000)
         small = feasible_region(4).plan(PatternVector.uniform(4))
-        monkeypatch.setenv("PERMUTOPE_CAP", "realize=47")
-        with pytest.raises(CapacityError, match="47"):
+        monkeypatch.setenv("PERMUTOPE_CAP", "realize=26")
+        with pytest.raises(CapacityError, match="26"):
             small.generate(1)
-        monkeypatch.setenv("PERMUTOPE_CAP", "realize=48")
-        assert len(small.generate(1)) == small.size_for(1) == 48
+        monkeypatch.setenv("PERMUTOPE_CAP", "realize=27")
+        assert len(small.generate(1)) == small.size_for(1) == 27
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
     def test_flow_sizing_on_planted_targets(self, k):

@@ -50,9 +50,9 @@ CASES = {
         "mixed permutation would have size 4, over the mix cap 3 (PERMUTOPE_CAP key 'mix')",
     ),
     "realize": (
-        47,
+        26,
         lambda: feasible_region(4).plan(PatternVector.uniform(4)).generate(1),
-        "realizing permutation would have size 48, over the realize cap 47 "
+        "realizing permutation would have size 27, over the realize cap 26 "
         "(PERMUTOPE_CAP key 'realize')",
     ),
 }
