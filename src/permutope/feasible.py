@@ -86,28 +86,22 @@ class FeasibleRegion:
         # the target's denominator, so its weight is f|C|/d.
         d = vector.denominator
         flows = tuple(int(w * d) // len(c) for w, c in decomposition)
-        cycles = [c.edge_ids for _, c in decomposition]
+        parts = _splice_parts(self.overlap.graph._st, [c.edge_ids for _, c in decomposition])
         return RealizationPlan(
-            region=self,
-            target=vector,
-            decomposition=decomposition,
-            flows=flows,
-            parts=_splice_parts(self.overlap.graph._st, cycles),
+            region=self, target=vector, decomposition=decomposition, flows=flows, parts=parts
         )
 
 
 def _splice_parts(st: Sequence[int], cycles: Sequence[tuple[int, ...]]) -> tuple:
-    """Group cycles (edge-id tuples, ``st`` giving each edge's start) into
-    parts, two cycles being linked when they share a vertex, and lay each
-    part out as the steps of one closed walk.
+    """Group cycles (edge-id tuples; ``st`` maps an edge to its start) into
+    parts linked by shared vertices, each laid out as one closed walk in
+    O(sum of |C|) steps; no walk of size m * d is built here.
 
-    A depth-first search over a spanning forest enters each cycle at the
-    vertex it shares with its parent (a part's root at its first edge) and
-    splices every cycle first reached at a vertex into the first traversal
-    there.  A step ``(edges, None)`` is a slice of a first traversal,
-    walked once; a step ``(edges, i)`` is cycle i rotated to its entry
-    vertex, walked m * f_i - 1 more times.  O(sum of |C|) work; no walk of
-    size m * d is built here.
+    A depth-first search enters each cycle at the vertex it shares with the
+    cycle it is spliced into, and splices every cycle first reached at a
+    vertex into the first traversal there.  A step ``(edges, None)`` is a
+    slice of a first traversal, walked once; ``(edges, i)`` is cycle i
+    rotated to its entry vertex, walked m * f_i - 1 more times.
     """
     through: dict[int, list[int]] = {}
     for i, edges in enumerate(cycles):
@@ -120,29 +114,23 @@ def _splice_parts(st: Sequence[int], cycles: Sequence[tuple[int, ...]]) -> tuple
             continue
         seen[root] = True
         steps: list[tuple[tuple[int, ...], int | None]] = []
-        # Each frame: the cycle rotated to its entry vertex, its index, the
-        # next position to scan and the start of the slice not yet emitted.
-        stack = [[cycles[root], root, 0, 0]]
+        stack = [(cycles[root], root, 0)]  # rotated cycle, index, first edge not walked
         while stack:
-            frame = stack[-1]
-            rotated, i, pos, done = frame
-            for pos in range(pos, len(rotated)):
+            rotated, i, done = stack.pop()
+            for pos in range(done, len(rotated)):
                 # The first visit to a vertex claims it for every cycle through it.
                 spliced = [j for j in through.pop(st[rotated[pos]], ()) if not seen[j]]
                 if spliced:
                     break
             else:
                 steps += [(rotated[done:], None), (rotated, i)]
-                stack.pop()
                 continue
             steps.append((rotated[done:pos], None))
-            frame[2:] = pos + 1, pos
-            v = st[rotated[pos]]
+            stack.append((rotated, i, pos))
             for j in reversed(spliced):
                 seen[j] = True
-                edges = cycles[j]
-                at = [st[e] for e in edges].index(v)
-                stack.append([edges[at:] + edges[:at], j, 0, 0])
+                at = [st[e] for e in cycles[j]].index(st[rotated[pos]])
+                stack.append((cycles[j][at:] + cycles[j][:at], j, 0))
         parts.append(tuple(steps))
     return tuple(parts)
 
@@ -168,12 +156,11 @@ class RealizationPlan:
 
     The target x = n/d is the convex combination of the decomposition's
     cycles, and cycle C carries the integer flow f_C (so n_e is the sum of
-    f_C over the cycles through edge e, and d is the sum of f_C * |C|).
-    Cycles sharing a vertex fall into one of c ``parts``.  For a size
-    parameter m, each part contributes one block realizing a closed walk
-    that traverses each of its cycles C exactly m * f_C times (the cycles
-    spliced into each other at shared vertices), and the c blocks are joined
-    by direct sums.
+    f_C over the cycles through edge e, and d is the sum of f_C * |C|).  For
+    a size parameter m, each of the c ``parts`` (cycles linked by shared
+    vertices) contributes one block realizing a closed walk that traverses
+    each of its cycles C exactly m * f_C times, and the blocks are joined by
+    direct sums.
     """
 
     region: FeasibleRegion = field(repr=False)

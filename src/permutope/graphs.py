@@ -217,11 +217,10 @@ class Walk:
     edge_ids: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        ids = tuple(self.edge_ids)
+        ids = _int_ids(self.edge_ids)
         object.__setattr__(self, "edge_ids", ids)
         if not ids:
             raise ValueError("walks are non-empty")
-        _check_id_types(ids)
         st, ar = self.graph._st, self.graph._ar
         n_edges = len(st)
         # One pass checks both; only a failure rescans, so that a bad id
@@ -267,12 +266,14 @@ class Walk:
         return g.st(self.edge_ids[0]) == g.ar(self.edge_ids[-1])
 
 
-def _check_id_types(edge_ids: Sequence) -> None:
-    """Reject an edge id that is not an ``int``: a bool would pass the range
-    checks as 0 or 1, and a float or string would fail them with a TypeError."""
-    if set(map(type, edge_ids)) - {int}:
-        bad = next(eid for eid in edge_ids if type(eid) is not int)
+def _int_ids(edge_ids: Iterable) -> tuple[int, ...]:
+    """The ids as a tuple, rejecting any that is not an ``int`` (a bool would
+    pass the range checks, a float or string fail them with a TypeError)."""
+    ids = tuple(edge_ids)
+    if set(map(type, ids)) - {int}:
+        bad = next(eid for eid in ids if type(eid) is not int)
         raise ValueError(f"edge ids must be integers, got {bad!r}")
+    return ids
 
 
 def _canonical_rotation(edge_ids: Sequence[int]) -> tuple[int, ...]:
@@ -289,8 +290,7 @@ class SimpleCycle(Walk):
     """
 
     def __post_init__(self) -> None:
-        ids = tuple(self.edge_ids)
-        _check_id_types(ids)
+        ids = _int_ids(self.edge_ids)
         if ids:
             ids = _canonical_rotation(ids)
         object.__setattr__(self, "edge_ids", ids)

@@ -39,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, and_, mul, rshift, sub
+from operator import add, and_, mul, rshift
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import limits
@@ -245,31 +245,22 @@ def _occ_counts_small(sigma: Permutation, k: int) -> list[int]:
         rising = sum(a)
         return [rising, math.comb(n, 2) - rising]
     # Size 3: count by the position of the middle element, then split the
-    # remaining patterns by where the extreme value sits.  The entry at
-    # 0-based position j with 0-based value w has a smaller entries before
-    # it, so b = j - a larger before, d = w - a smaller after and
-    # c = n - 1 - j - w + a larger after.  Every sum below is a polynomial in
-    # a, j and w, so five passes over a and the word give them all; the sums
-    # of j, j^2 (equal to those of w, w^2) have closed forms.
-    positions = range(n)
-    sa = sum(a)
-    saa = sum(map(mul, a, a))
-    saj = sum(map(mul, a, positions))
-    saw = sum(map(mul, a, word)) - sa
-    sjw = sum(map(mul, positions, word)) - n * (n - 1) // 2
-    sj, sjj, t = n * (n - 1) // 2, (n - 1) * n * (2 * n - 1) // 6, n - 1
+    # remaining patterns by where the extreme value sits.  With a smaller
+    # before the entry at 0-based position j and value w, b = j - a larger
+    # before, d = w - a smaller after and c = n - 1 - j - w + a larger after.
+    t, positions = n - 1, range(n)
+    sj, sjj = n * t // 2, t * n * (2 * n - 1) // 6  # also the sums of w and w^2
+    sa, saa = sum(a), sum(map(mul, a, a))
+    saj, saw = sum(map(mul, a, positions)), sum(map(mul, a, word)) - sa
+    sjw = sum(map(mul, positions, word)) - sj
     occ123 = t * sa - saj - saw + saa  # sum of a * c
     occ321 = sjw - saj - saw + saa  # sum of b * d
-    # Sum of C(x, 2) from the sums of x^2 and x; the c's sum to sa as well.
-    pairs_a = (saa - sa) // 2
-    pairs_b = (sjj - 2 * saj + saa - sj + sa) // 2
-    pairs_d = (sjj - 2 * saw + saa - sj + sa) // 2
+    # C(x, 2) summed is (sum of x^2 - sum of x) / 2, and the c's sum to sa.
     scc = n * t * t - 4 * t * sj + 2 * sjj + 2 * sjw + 2 * (t * sa - saj - saw) + saa
-    pairs_c = (scc - sa) // 2
-    occ213 = pairs_a - occ123
-    occ132 = pairs_c - occ123
-    occ312 = pairs_d - occ321
-    occ231 = pairs_b - occ321
+    occ213 = (saa - sa) // 2 - occ123
+    occ132 = (scc - sa) // 2 - occ123
+    occ312 = (sjj - 2 * saw + saa - sj + sa) // 2 - occ321
+    occ231 = (sjj - 2 * saj + saa - sj + sa) // 2 - occ321
     return [occ123, occ132, occ213, occ231, occ312, occ321]
 
 

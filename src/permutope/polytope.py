@@ -23,13 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import limits
 from .errors import CapacityError, EmptyError, EmptyPolytopeError, NotFullError, NotInPolytopeError
-from .graphs import (
-    Multigraph,
-    SimpleCycle,
-    _canonical_rotation,
-    _check_id_types,
-    iter_simple_cycles,
-)
+from .graphs import Multigraph, SimpleCycle, _canonical_rotation, _int_ids, iter_simple_cycles
 from .rationals import as_fraction, integer_numerators
 
 
@@ -282,9 +276,7 @@ class CyclePolytope:
 
     def face(self, edge_ids: Iterable[int]) -> FaceHandle:
         """The face carried by a full subgraph, given as an edge subset."""
-        ids = tuple(edge_ids)
-        _check_id_types(ids)
-        ids = tuple(sorted(set(ids)))
+        ids = tuple(sorted(set(_int_ids(edge_ids))))
         if not ids:
             raise EmptyError("the empty subgraph does not index a face")
         for eid in ids:
