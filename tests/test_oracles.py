@@ -15,6 +15,7 @@ from oracles import (
     in_convex_hull,
     merge_sort_smaller_before,
     naive_cocc,
+    naive_cocc_counts,
     naive_occ,
     walk_to_word,
 )
@@ -28,6 +29,16 @@ class TestCountingOracles:
         assert naive_occ((1, 2), (2, 3, 1)) == 1
         assert naive_cocc((1, 2), (2, 3, 1)) == 1
         assert naive_cocc((1, 2, 3), (1, 2, 3, 4)) == 2
+
+    def test_window_recount_against_naive(self):
+        assert naive_cocc_counts((2, 3, 1, 4), 2) == {(1, 2): 2, (2, 1): 1}
+        rng = random.Random(13)
+        for n in range(1, 12):
+            word = tuple(rng.sample(range(1, n + 1), n))
+            for k in (1, 2, 3, 4):
+                counts = naive_cocc_counts(word, k)
+                for pattern in itertools.permutations(range(1, k + 1)):
+                    assert counts.get(pattern, 0) == naive_cocc(pattern, word), (word, pattern)
 
     def test_merge_sort_smaller_before_by_hand(self):
         assert merge_sort_smaller_before((3, 1, 4, 2, 5)) == [0, 0, 2, 1, 4]

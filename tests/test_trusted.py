@@ -138,7 +138,7 @@ class TestDecompositions:
 
 class TestRealizationBlocks:
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
-    def test_part_walks_of_planted_plans(self, k, monkeypatch):
+    def test_block_walks_of_planted_plans(self, k, monkeypatch):
         rng = random.Random(1200 + k)
         region = feasible_region(k)
         og = region.overlap
