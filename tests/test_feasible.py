@@ -148,6 +148,7 @@ class TestRealize:
     @pytest.mark.parametrize("k", [3, 4])
     def test_parts_bound_on_every_vertex_pair_target(self, k):
         region = feasible_region(k)
+        st = region.overlap.graph.st
         cycles = list(region.polytope.simple_cycles())
         for a, b in itertools.combinations(cycles, 2):
             values = [F(0)] * len(all_patterns(k))
@@ -155,9 +156,7 @@ class TestRealize:
                 for eid in cycle.edge_ids:
                     values[eid] += F(1, 2 * len(cycle))
             plan = assert_parts_bound(region, region.vector_of(values), (1,))
-            shared = {region.overlap.graph.st(e) for e in a.edge_ids}.intersection(
-                region.overlap.graph.st(e) for e in b.edge_ids
-            )
+            shared = {st(e) for e in a.edge_ids} & {st(e) for e in b.edge_ids}
             assert len(plan.parts) == (1 if shared else 2)
 
     def test_two_loops_are_two_parts_and_uniform_is_one(self):
