@@ -156,11 +156,10 @@ class RealizationPlan:
 
     The target x = n/d is the convex combination of the decomposition's
     cycles, and cycle C carries the integer flow f_C (so n_e is the sum of
-    f_C over the cycles through edge e, and d is the sum of f_C * |C|).  For
-    a size parameter m, each of the c ``parts`` (cycles linked by shared
-    vertices) contributes one block realizing a closed walk that traverses
-    each of its cycles C exactly m * f_C times, and the blocks are joined by
-    direct sums.
+    f_C over the cycles through edge e, and d is the sum of f_C * |C|).  For a size
+    parameter m, each of the c ``parts`` (cycles linked by shared vertices) contributes
+    one block realizing a closed walk that traverses each of its cycles C exactly
+    m * f_C times, and the blocks are joined by direct sums.
     """
 
     region: FeasibleRegion = field(repr=False)
@@ -179,13 +178,12 @@ class RealizationPlan:
         proportions of generate(m) and the target: c(k-1)/N for c parts and
         N = size_for(m) points.
 
-        Proof.  Each window lying inside a block is one edge of its part's
-        walk, and the walks traverse every edge of cycle C exactly m * f_C
-        times, so edge e is counted m * n_e times inside blocks.  The
-        remaining windows straddle one of the c - 1 block boundaries, k - 1
-        per boundary; let b_e of them have pattern e, so
-        0 <= b_e <= (c-1)(k-1).  Proportions divide by N = m * d + c(k-1),
-        hence p_e - x_e = (m * n_e + b_e)/N - n_e/d = (b_e - x_e * c(k-1))/N,
+        Proof.  Each window lying inside a block is one edge of its part's walk, and
+        the walks traverse every edge of cycle C exactly m * f_C times, so edge e is
+        counted m * n_e times inside blocks.  The remaining windows straddle one of the
+        c - 1 block boundaries, k - 1 per boundary; let b_e of them have pattern e, so
+        0 <= b_e <= (c-1)(k-1).  Proportions divide by N = m * d + c(k-1), hence
+        p_e - x_e = (m * n_e + b_e)/N - n_e/d = (b_e - x_e * c(k-1))/N,
         and both b_e and x_e * c(k-1) lie in [0, c(k-1)].
         """
         return Fraction(len(self.parts) * (self.region.k - 1), self.size_for(m))

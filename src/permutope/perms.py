@@ -39,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, and_, mul, rshift
+from operator import add, and_, mul, rshift, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import limits
@@ -244,23 +244,25 @@ def _occ_counts_small(sigma: Permutation, k: int) -> list[int]:
     if k == 2:
         rising = sum(a)
         return [rising, math.comb(n, 2) - rising]
+    # The value v at position j has j entries before it and v - 1 entries
+    # below it, so the larger-before (b), smaller-after (d) and larger-after
+    # (c) counts follow from a.
+    b = list(map(sub, range(n), a))
+    d = [v - 1 - x for v, x in zip(word, a)]
+    c = [n - 1 - j - x for j, x in enumerate(d)]
+
     # Size 3: count by the position of the middle element, then split the
-    # remaining patterns by where the extreme value sits.  With a smaller
-    # before the entry at 0-based position j and value w, b = j - a larger
-    # before, d = w - a smaller after and c = n - 1 - j - w + a larger after.
-    t, positions = n - 1, range(n)
-    sj, sjj = n * t // 2, t * n * (2 * n - 1) // 6  # also the sums of w and w^2
-    sa, saa = sum(a), sum(map(mul, a, a))
-    saj, saw = sum(map(mul, a, positions)), sum(map(mul, a, word)) - sa
-    sjw = sum(map(mul, positions, word)) - sj
-    occ123 = t * sa - saj - saw + saa  # sum of a * c
-    occ321 = sjw - saj - saw + saa  # sum of b * d
-    # C(x, 2) summed is (sum of x^2 - sum of x) / 2, and the c's sum to sa.
-    scc = n * t * t - 4 * t * sj + 2 * sjj + 2 * sjw + 2 * (t * sa - saj - saw) + saa
-    occ213 = (saa - sa) // 2 - occ123
-    occ132 = (scc - sa) // 2 - occ123
-    occ312 = (sjj - 2 * saw + saa - sj + sa) // 2 - occ321
-    occ231 = (sjj - 2 * saj + saa - sj + sa) // 2 - occ321
+    # remaining patterns by where the extreme value sits.
+    def pairs(x: list[int]) -> int:
+        """Sum of C(x_j, 2)."""
+        return (sum(map(mul, x, x)) - sum(x)) // 2
+
+    occ123 = sum(map(mul, a, c))
+    occ321 = sum(map(mul, b, d))
+    occ213 = pairs(a) - occ123
+    occ132 = pairs(c) - occ123
+    occ312 = pairs(d) - occ321
+    occ231 = pairs(b) - occ321
     return [occ123, occ132, occ213, occ231, occ312, occ321]
 
 
