@@ -480,5 +480,5 @@ class TestGoldenOutput:
             "e48c1035b73caf905d1351038d64196a245dc9a014a65e2dab35f9b48784371d"
         )
         assert hashlib.sha256(plan.read_bytes()).hexdigest() == (
-            "7e2030a1b06cb868e94ea501b82b0cb9442e57dc38e5dd8ce68a41f339142998"
+            "8397b76a7904c17a53b13238d961a9affd686459639b9556aa46a91f454316f6"
         )

@@ -64,6 +64,32 @@ def assert_parts_bound(region, target, ms=(1, 2)):
     return plan
 
 
+def assert_rounded_bound(region, target, ms=(1, 2, 4)):
+    """Plan a target with d > 256 c(k-1) and check that it is in rounded
+    mode at scale s = min(d, sum of |C|), that generate(m) has size_for(m)
+    points, that its window recount lies within sup_error_bound(m), that
+    size_for(1) <= 2 * sum of |C| + c(k-1), and that sizes increase in m."""
+    k = region.k
+    plan = region.plan(target)
+    c = len(plan.parts)
+    d = target.denominator
+    assert d > 256 * c * (k - 1)
+    total = sum(len(cycle) for _, cycle in plan.decomposition)
+    assert plan.scale == min(d, total)
+    words = [p.word for p in all_patterns(k)]
+    for m in ms:
+        sigma = plan.generate(m)
+        n = plan.size_for(m)
+        assert len(sigma) == n
+        counts = naive_cocc_counts(sigma.word, k)
+        gap = max(abs(counts.get(w, 0) * d - x * n) for w, x in zip(words, target.numerators))
+        assert F(gap, n * d) <= plan.sup_error_bound(m)
+    assert plan.size_for(1) <= 2 * total + c * (k - 1)
+    sizes = [plan.size_for(m) for m in range(1, 17)]
+    assert all(a < b for a, b in zip(sizes, sizes[1:]))
+    return plan
+
+
 class TestMembership:
     def test_uniform_is_feasible(self):
         result = feasible_region(3).membership(PatternVector.uniform(3))
@@ -133,20 +159,30 @@ class TestRealize:
     def test_flow_sizing_on_planted_targets(self, k):
         rng = random.Random(1100 + k)
         region = feasible_region(k)
-        for n_cycles in range(1, 9):
+        rounded = 0
+        # more cycles at k = 5, 6 plant denominators past 256 c(k-1)
+        for n_cycles in range(1, 9 if k <= 4 else 13):
             target = region.vector_of(planted_point(rng, region.overlap.graph, n_cycles))
-            # the oracle recount at k = 6, m = 4 costs seconds; proportion_vector covers it
-            plan = assert_parts_bound(region, target, (1, 2, 4) if k <= 5 else (1, 2))
+            plan = region.plan(target)
             d = math.lcm(*(x.denominator for x in region.point_of(target)))
             cycles = [c for _, c in plan.decomposition]
             assert sum(f * len(c) for f, c in zip(plan.flows, cycles)) == d
-            # the closed form of the lcm sizing that the integer flows replaced
-            weight_lcm = math.lcm(*(w.denominator for w, _ in plan.decomposition))
-            cycle_lcm = math.lcm(*map(len, cycles))
+            if d > 256 * len(plan.parts) * (k - 1):
+                rounded += 1
+                assert_rounded_bound(region, target, (1, 2, 4))
+            else:
+                assert plan.scale == d
+                # the oracle recount at k = 6, m = 4 costs seconds; proportion_vector covers it
+                assert_parts_bound(region, target, (1, 2, 4) if k <= 5 else (1, 2))
+                # the closed form of the lcm sizing that the integer flows replaced
+                weight_lcm = math.lcm(*(w.denominator for w, _ in plan.decomposition))
+                cycle_lcm = math.lcm(*map(len, cycles))
+                for m in (1, 2, 4):
+                    assert plan.size_for(m) <= m * cycle_lcm * weight_lcm + len(cycles) * (k - 1)
             for m in (1, 2, 4):
-                assert plan.size_for(m) <= m * cycle_lcm * weight_lcm + len(cycles) * (k - 1)
                 distance = proportion_vector(k, plan.generate(m), "consecutive").linf_distance(target)
                 assert distance <= plan.sup_error_bound(m)
+        assert rounded >= (0 if k <= 4 else 4)
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_parts_bound_on_every_vertex_pair_target(self, k):
@@ -161,6 +197,22 @@ class TestRealize:
             plan = assert_parts_bound(region, region.vector_of(values), (1,))
             shared = {st(e) for e in a.edge_ids} & {st(e) for e in b.edge_ids}
             assert len(plan.parts) == (1 if shared else 2)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_rounded_bound_on_every_vertex_pair_target(self, k):
+        # weights 1/p and (p-1)/p put d past 256 c(k-1) for every pair; the
+        # light cycle alternates between the earlier and the later one
+        p = 10_007
+        region = feasible_region(k)
+        cycles = list(region.polytope.simple_cycles())
+        for i, (a, b) in enumerate(itertools.combinations(cycles, 2)):
+            if i % 2:
+                a, b = b, a
+            values = [F(0)] * len(all_patterns(k))
+            for cycle, weight in ((a, F(1, p)), (b, F(p - 1, p))):
+                for eid in cycle.edge_ids:
+                    values[eid] += weight / len(cycle)
+            assert_rounded_bound(region, region.vector_of(values))
 
     def test_two_loops_are_two_parts_and_uniform_is_one(self):
         region = feasible_region(3)
@@ -243,6 +295,7 @@ class TestRealize:
         plan = region.plan(PatternVector.uniform(3))
         data = plan.to_json_dict()
         assert data["k"] == 3
+        assert data["scale"] == 6  # d = 6: exact mode
         assert [d["weight"] for d in data["decomposition"]] == ["1/6", "1/3", "1/3", "1/6"]
         assert plan.to_json() == plan.to_json()
 

@@ -155,6 +155,9 @@ class TestRealizationBlocks:
             members = [[i for _, i in steps if i is not None] for steps in plan.parts]
             assert sorted(sum(members, [])) == list(range(len(plan.flows)))
             for m in (1, 2):
+                g = plan.multiplicities(m)
+                if plan.scale == plan.target.denominator:
+                    assert g == tuple(m * f for f in plan.flows)
                 walks.clear()
                 sigma = plan.generate(m)
                 assert len(walks) == len(plan.parts)
@@ -166,7 +169,7 @@ class TestRealizationBlocks:
                     expected = Counter()
                     for i in part:
                         for eid in plan.decomposition[i][1].edge_ids:
-                            expected[eid] += m * plan.flows[i]
+                            expected[eid] += g[i]
                     assert Counter(checked.edge_ids) == expected
                     vertices = set(checked.vertices())
                     assert not vertices & visited
