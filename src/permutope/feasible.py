@@ -34,6 +34,11 @@ from .perms import (
 from .polytope import CyclePolytope, MembershipResult
 from .rationals import as_fraction, integer_numerators
 
+# A plan walks each cycle exactly m * f_C times while its target denominator
+# d is at most this multiple of c(k-1), that is while the exact m = 1 witness
+# is no finer than 1/257; past it the multiplicities are rounded.
+EXACT_MODE_RATIO = 256
+
 
 class FeasibleRegion:
     """P_k as the cycle polytope of the overlap graph, with pattern-vector I/O.
@@ -87,8 +92,15 @@ class FeasibleRegion:
         d = vector.denominator
         flows = tuple(int(w * d) // len(c) for w, c in decomposition)
         parts = _splice_parts(self.overlap.graph._st, [c.edge_ids for _, c in decomposition])
+        exact = d <= EXACT_MODE_RATIO * len(parts) * (self.k - 1)
+        scale = d if exact else min(d, sum(len(c) for _, c in decomposition))
         return RealizationPlan(
-            region=self, target=vector, decomposition=decomposition, flows=flows, parts=parts
+            region=self,
+            target=vector,
+            decomposition=decomposition,
+            flows=flows,
+            parts=parts,
+            scale=scale,
         )
 
 
@@ -101,7 +113,7 @@ def _splice_parts(st: Sequence[int], cycles: Sequence[tuple[int, ...]]) -> tuple
     cycle it is spliced into, and splices every cycle first reached at a
     vertex into the first traversal there.  A step ``(edges, None)`` is a
     slice of a first traversal, walked once; ``(edges, i)`` is cycle i
-    rotated to its entry vertex, walked m * f_i - 1 more times.
+    rotated to its entry vertex, walked g_i - 1 more times for multiplicity g_i.
     """
     through: dict[int, list[int]] = {}
     for i, edges in enumerate(cycles):
@@ -156,10 +168,15 @@ class RealizationPlan:
 
     The target x = n/d is the convex combination of the decomposition's
     cycles, and cycle C carries the integer flow f_C (so n_e is the sum of
-    f_C over the cycles through edge e, and d is the sum of f_C * |C|).  For a size
-    parameter m, each of the c ``parts`` (cycles linked by shared vertices) contributes
-    one block realizing a closed walk that traverses each of its cycles C exactly
-    m * f_C times, and the blocks are joined by direct sums.
+    f_C over the cycles through edge e, and d is the sum of f_C * |C|).  For a
+    size parameter m, cycle C is traversed g_C(m) times (``multiplicities``):
+    each of the c ``parts`` (cycles linked by shared vertices) contributes one
+    block realizing a closed walk through its cycles, and the blocks are
+    joined by direct sums.
+
+    The ``scale`` s sets g_C(m) = max(1, round(m * s * f_C / d)).  It is d
+    (exact mode, g_C = m * f_C) when d <= 256 c(k-1), and min(d, sum of |C|)
+    otherwise, so the witness size follows the accuracy asked for, not d.
     """
 
     region: FeasibleRegion = field(repr=False)
@@ -167,26 +184,64 @@ class RealizationPlan:
     decomposition: tuple[tuple[Fraction, SimpleCycle], ...]
     flows: tuple[int, ...]
     parts: tuple[tuple[tuple[tuple[int, ...], int | None], ...], ...] = field(repr=False)
+    scale: int
+    _rounding: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _rounded(self, m: int) -> tuple[tuple[int, ...], int, int]:
+        """(g, Y, R * d) for size parameter m: the multiplicities, the walk
+        length Y = sum of g_C * |C|, and the largest |y_e * d - n_e * Y| over
+        the edges, where y_e is the sum of g_C over the cycles through e."""
+        if m in self._rounding:
+            return self._rounding[m]
+        d, s = self.target.denominator, self.scale
+        g = tuple(max(1, (2 * m * s * f + d) // (2 * d)) for f in self.flows)
+        cycles = [c.edge_ids for _, c in self.decomposition]
+        length = sum(gi * len(edges) for gi, edges in zip(g, cycles))
+        # y_e * d - n_e * Y sums g_C * d - f_C * Y over the cycles C through e,
+        # and every term is 0 in exact mode.
+        drift = [gi * d - f * length for gi, f in zip(g, self.flows)]
+        error = 0
+        if any(drift):
+            per_edge: dict[int, int] = {}
+            for a, edges in zip(drift, cycles):
+                for e in edges:
+                    per_edge[e] = per_edge.get(e, 0) + a
+            error = max(map(abs, per_edge.values()))
+        self._rounding[m] = result = (g, length, error)
+        return result
+
+    def multiplicities(self, m: int) -> tuple[int, ...]:
+        """g_C(m), the traversals of each decomposition cycle: m * f_C in
+        exact mode, else max(1, round(m * s * f_C / d)).  Since s >= d / max f_C,
+        the heaviest cycle gains at least one traversal per step of m."""
+        return self._rounded(m)[0]
 
     def size_for(self, m: int) -> int:
-        """m * d + c(k-1) for c parts: a walk of L edges is realized by a
-        permutation of L + k - 1 points, and the c walks have m * d edges."""
-        return m * self.target.denominator + len(self.parts) * (self.region.k - 1)
+        """N = Y + c(k-1) for c parts and Y = sum of g_C(m) * |C|: a walk of L
+        edges is realized by a permutation of L + k - 1 points, and the c walks
+        have Y edges (m * d in exact mode)."""
+        return self._rounded(m)[1] + len(self.parts) * (self.region.k - 1)
 
     def sup_error_bound(self, m: int) -> Fraction:
         """Bound on the sup-distance between the size-k consecutive
-        proportions of generate(m) and the target: c(k-1)/N for c parts and
-        N = size_for(m) points.
+        proportions of generate(m) and the target: (R + c(k-1))/N for c parts,
+        N = size_for(m) points and R = max over e of |y_e - x_e * Y|, where
+        y_e = sum of g_C(m) over the cycles through e and Y = sum of g_C(m) * |C|.
+        In exact mode y_e = m * n_e and Y = m * d, so R = 0 and the bound is
+        c(k-1)/N.
 
         Proof.  Each window lying inside a block is one edge of its part's walk, and
-        the walks traverse every edge of cycle C exactly m * f_C times, so edge e is
-        counted m * n_e times inside blocks.  The remaining windows straddle one of the
-        c - 1 block boundaries, k - 1 per boundary; let b_e of them have pattern e, so
-        0 <= b_e <= (c-1)(k-1).  Proportions divide by N = m * d + c(k-1), hence
-        p_e - x_e = (m * n_e + b_e)/N - n_e/d = (b_e - x_e * c(k-1))/N,
-        and both b_e and x_e * c(k-1) lie in [0, c(k-1)].
+        the walks traverse every edge of cycle C exactly g_C times, so edge e is
+        counted y_e times inside blocks, Y windows in all.  The remaining windows
+        straddle one of the c - 1 block boundaries, k - 1 per boundary; let b_e of
+        them have pattern e, so 0 <= b_e <= (c-1)(k-1).  Proportions divide by
+        N = Y + c(k-1), hence
+        p_e - x_e = (y_e + b_e)/N - x_e = (y_e - x_e * Y + b_e - x_e * c(k-1))/N,
+        where |y_e - x_e * Y| <= R and both b_e and x_e * c(k-1) lie in [0, c(k-1)].
         """
-        return Fraction(len(self.parts) * (self.region.k - 1), self.size_for(m))
+        _, length, error = self._rounded(m)
+        d, boundary = self.target.denominator, len(self.parts) * (self.region.k - 1)
+        return Fraction(error + boundary * d, (length + boundary) * d)
 
     def generate(self, m: int) -> Permutation:
         """The realizing permutation for size parameter m >= 1; sizes are
@@ -200,12 +255,12 @@ class RealizationPlan:
                 f"realizing permutation would have size {size}, over the realize cap "
                 f"{cap} (PERMUTOPE_CAP key 'realize')"
             )
-        og, flows = self.region.overlap, self.flows
+        og, g = self.region.overlap, self.multiplicities(m)
         blocks = []
         for steps in self.parts:
             walk: list[int] = []
             for edges, i in steps:
-                walk += edges if i is None else edges * (m * flows[i] - 1)
+                walk += edges if i is None else edges * (g[i] - 1)
             # Splicing closed walks at shared vertices keeps the walk closed.
             blocks.append(og.permutation_of_walk(Walk._trusted(og.graph, tuple(walk))))
         return direct_sum(*blocks)
@@ -215,6 +270,7 @@ class RealizationPlan:
             "k": self.region.k,
             "target": self.target.to_json_dict(),
             "decomposition": decomposition_json(self.decomposition),
+            "scale": self.scale,
         }
 
     def to_json(self) -> str:
