@@ -78,6 +78,9 @@ def assert_rounded_bound(region, target, ms=(1, 2, 4)):
     assert plan.scale == min(d, total)
     words = [p.word for p in all_patterns(k)]
     for m in ms:
+        # g_C = max(1, m s f_C / d rounded half up)
+        half_up = [math.floor(F(m * plan.scale * f, d) + F(1, 2)) for f in plan.flows]
+        assert plan.multiplicities(m) == tuple(max(1, g) for g in half_up)
         sigma = plan.generate(m)
         n = plan.size_for(m)
         assert len(sigma) == n
