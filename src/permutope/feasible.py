@@ -36,7 +36,11 @@ from .rationals import as_fraction, integer_numerators
 
 # A plan walks each cycle exactly m * f_C times while its target denominator
 # d is at most this multiple of c(k-1), that is while the exact m = 1 witness
-# is no finer than 1/257; past it the multiplicities are rounded.
+# is no finer than 1/257; past it the multiplicities are rounded.  On the
+# realize benchmark (k = 3..6, 15 s runs, seeds 1-6) 64 and 256 read the same
+# throughput (median 480 and 491 op/s) and 1024 reads 12% less (431 op/s);
+# 256 is the larger of the two equal ratios, so more targets keep the exact
+# witness and its certificate c(k-1)/N.
 EXACT_MODE_RATIO = 256
 
 
@@ -92,6 +96,8 @@ class FeasibleRegion:
         d = vector.denominator
         flows = tuple(int(w * d) // len(c) for w, c in decomposition)
         parts = _splice_parts(self.overlap.graph._st, [c.edge_ids for _, c in decomposition])
+        # Past the ratio s = d only if d <= sum of |C|, where rounding at s = d
+        # gives m * f_C anyway, so s == d is exact mode either way.
         exact = d <= EXACT_MODE_RATIO * len(parts) * (self.k - 1)
         scale = d if exact else min(d, sum(len(c) for _, c in decomposition))
         return RealizationPlan(
@@ -185,42 +191,24 @@ class RealizationPlan:
     flows: tuple[int, ...]
     parts: tuple[tuple[tuple[tuple[int, ...], int | None], ...], ...] = field(repr=False)
     scale: int
-    _rounding: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def _rounded(self, m: int) -> tuple[tuple[int, ...], int, int]:
-        """(g, Y, R * d) for size parameter m: the multiplicities, the walk
-        length Y = sum of g_C * |C|, and the largest |y_e * d - n_e * Y| over
-        the edges, where y_e is the sum of g_C over the cycles through e."""
-        if m in self._rounding:
-            return self._rounding[m]
-        d, s = self.target.denominator, self.scale
-        g = tuple(max(1, (2 * m * s * f + d) // (2 * d)) for f in self.flows)
-        cycles = [c.edge_ids for _, c in self.decomposition]
-        length = sum(gi * len(edges) for gi, edges in zip(g, cycles))
-        # y_e * d - n_e * Y sums g_C * d - f_C * Y over the cycles C through e,
-        # and every term is 0 in exact mode.
-        drift = [gi * d - f * length for gi, f in zip(g, self.flows)]
-        error = 0
-        if any(drift):
-            per_edge: dict[int, int] = {}
-            for a, edges in zip(drift, cycles):
-                for e in edges:
-                    per_edge[e] = per_edge.get(e, 0) + a
-            error = max(map(abs, per_edge.values()))
-        self._rounding[m] = result = (g, length, error)
-        return result
 
     def multiplicities(self, m: int) -> tuple[int, ...]:
         """g_C(m), the traversals of each decomposition cycle: m * f_C in
         exact mode, else max(1, round(m * s * f_C / d)).  Since s >= d / max f_C,
-        the heaviest cycle gains at least one traversal per step of m."""
-        return self._rounded(m)[0]
+        the heaviest cycle gains at least one traversal per step of m, and
+        since s <= d, g_C(m) <= m * f_C, so no witness is larger than in exact mode."""
+        d, s = self.target.denominator, self.scale
+        return tuple(max(1, (2 * m * s * f + d) // (2 * d)) for f in self.flows)
+
+    def _walk_length(self, g: Sequence[int]) -> int:
+        """Y = sum of g_C * |C|, the edges of the c walks together."""
+        return sum(gi * len(c) for gi, (_, c) in zip(g, self.decomposition))
 
     def size_for(self, m: int) -> int:
         """N = Y + c(k-1) for c parts and Y = sum of g_C(m) * |C|: a walk of L
         edges is realized by a permutation of L + k - 1 points, and the c walks
-        have Y edges (m * d in exact mode)."""
-        return self._rounded(m)[1] + len(self.parts) * (self.region.k - 1)
+        have Y edges (m * d in exact mode, at most m * d otherwise)."""
+        return self._walk_length(self.multiplicities(m)) + len(self.parts) * (self.region.k - 1)
 
     def sup_error_bound(self, m: int) -> Fraction:
         """Bound on the sup-distance between the size-k consecutive
@@ -239,8 +227,20 @@ class RealizationPlan:
         p_e - x_e = (y_e + b_e)/N - x_e = (y_e - x_e * Y + b_e - x_e * c(k-1))/N,
         where |y_e - x_e * Y| <= R and both b_e and x_e * c(k-1) lie in [0, c(k-1)].
         """
-        _, length, error = self._rounded(m)
-        d, boundary = self.target.denominator, len(self.parts) * (self.region.k - 1)
+        d, g = self.target.denominator, self.multiplicities(m)
+        length = self._walk_length(g)
+        # R * d = max |y_e * d - n_e * Y|, and y_e * d - n_e * Y sums
+        # g_C * d - f_C * Y over the cycles C through e; every term is 0 in
+        # exact mode.
+        drift = [gi * d - f * length for gi, f in zip(g, self.flows)]
+        error = 0
+        if any(drift):
+            per_edge: dict[int, int] = {}
+            for a, (_, cycle) in zip(drift, self.decomposition):
+                for e in cycle.edge_ids:
+                    per_edge[e] = per_edge.get(e, 0) + a
+            error = max(map(abs, per_edge.values()))
+        boundary = len(self.parts) * (self.region.k - 1)
         return Fraction(error + boundary * d, (length + boundary) * d)
 
     def generate(self, m: int) -> Permutation:

@@ -67,8 +67,9 @@ def assert_parts_bound(region, target, ms=(1, 2)):
 def assert_rounded_bound(region, target, ms=(1, 2, 4)):
     """Plan a target with d > 256 c(k-1) and check that it is in rounded
     mode at scale s = min(d, sum of |C|), that generate(m) has size_for(m)
-    points, that its window recount lies within sup_error_bound(m), that
-    size_for(1) <= 2 * sum of |C| + c(k-1), and that sizes increase in m."""
+    points, no more than the exact m * d + c(k-1), that its window recount
+    lies within sup_error_bound(m), that size_for(1) <= 2 * sum of |C| + c(k-1),
+    and that sizes increase in m."""
     k = region.k
     plan = region.plan(target)
     c = len(plan.parts)
@@ -81,9 +82,11 @@ def assert_rounded_bound(region, target, ms=(1, 2, 4)):
         # g_C = max(1, m s f_C / d rounded half up)
         half_up = [math.floor(F(m * plan.scale * f, d) + F(1, 2)) for f in plan.flows]
         assert plan.multiplicities(m) == tuple(max(1, g) for g in half_up)
+        # s <= d and f_C >= 1, so no cycle is walked more often than in exact mode
+        assert all(g <= m * f for g, f in zip(plan.multiplicities(m), plan.flows))
         sigma = plan.generate(m)
         n = plan.size_for(m)
-        assert len(sigma) == n
+        assert len(sigma) == n <= m * d + c * (k - 1)
         counts = naive_cocc_counts(sigma.word, k)
         gap = max(abs(counts.get(w, 0) * d - x * n) for w, x in zip(words, target.numerators))
         assert F(gap, n * d) <= plan.sup_error_bound(m)
@@ -177,11 +180,11 @@ class TestRealize:
                 assert plan.scale == d
                 # the oracle recount at k = 6, m = 4 costs seconds; proportion_vector covers it
                 assert_parts_bound(region, target, (1, 2, 4) if k <= 5 else (1, 2))
-                # the closed form of the lcm sizing that the integer flows replaced
-                weight_lcm = math.lcm(*(w.denominator for w, _ in plan.decomposition))
-                cycle_lcm = math.lcm(*map(len, cycles))
-                for m in (1, 2, 4):
-                    assert plan.size_for(m) <= m * cycle_lcm * weight_lcm + len(cycles) * (k - 1)
+            # the closed form of the lcm sizing that the integer flows replaced
+            weight_lcm = math.lcm(*(w.denominator for w, _ in plan.decomposition))
+            cycle_lcm = math.lcm(*map(len, cycles))
+            for m in (1, 2, 4):
+                assert plan.size_for(m) <= m * cycle_lcm * weight_lcm + len(cycles) * (k - 1)
             for m in (1, 2, 4):
                 distance = proportion_vector(k, plan.generate(m), "consecutive").linf_distance(target)
                 assert distance <= plan.sup_error_bound(m)
