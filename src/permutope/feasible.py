@@ -3,10 +3,10 @@
 For each k the region is the cycle polytope of the overlap graph, so
 membership reduces to the flow equations over the patterns of size k.  This
 module adds the constructive side: given a feasible rational target, build
-explicit permutations whose consecutive proportions approach it with an
-explicit O(1/size) bound, derandomize a finitely supported distribution into
-a single block permutation, and combine a consecutive target with a classical
-one through substitution.
+explicit permutations whose consecutive proportions approach it, each
+certified by its exact sup distance to the target, derandomize a finitely
+supported distribution into a single block permutation, and combine a
+consecutive target with a classical one through substitution.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from .overlap import build_overlap_graph
 from .perms import (
     PatternVector,
     Permutation,
+    _pattern_ids,
+    _std_word,
     all_patterns,
     direct_sum,
     proportion_vector,
@@ -40,7 +42,7 @@ from .rationals import as_fraction, integer_numerators
 # realize benchmark (k = 3..6, 15 s runs, seeds 1-6) 64 and 256 read the same
 # throughput (median 480 and 491 op/s) and 1024 reads 12% less (431 op/s);
 # 256 is the larger of the two equal ratios, so more targets keep the exact
-# witness and its certificate c(k-1)/N.
+# witness, whose error is at most c(k-1)/N.
 EXACT_MODE_RATIO = 256
 
 
@@ -98,8 +100,13 @@ class FeasibleRegion:
         parts = _splice_parts(self.overlap.graph._st, [c.edge_ids for _, c in decomposition])
         # Past the ratio s = d only if d <= sum of |C|, where rounding at s = d
         # gives m * f_C anyway, so s == d is exact mode either way.
-        exact = d <= EXACT_MODE_RATIO * len(parts) * (self.k - 1)
+        extra_points = len(parts) * (self.k - 1)  # each block has k - 1 more points than edges
+        exact = d <= EXACT_MODE_RATIO * extra_points
         scale = d if exact else min(d, sum(len(c) for _, c in decomposition))
+        boundary = _boundary_counts(self.k, self.overlap.graph._st, parts)
+        # Every edge off the cycles and the boundary windows has n_e = b_e = 0.
+        b, n = dict(boundary), vector.numerators
+        support = b.keys() | {e for _, c in decomposition for e in c.edge_ids}
         return RealizationPlan(
             region=self,
             target=vector,
@@ -107,6 +114,8 @@ class FeasibleRegion:
             flows=flows,
             parts=parts,
             scale=scale,
+            boundary=boundary,
+            boundary_error=max(abs(b.get(e, 0) * d - n[e] * extra_points) for e in support),
         )
 
 
@@ -154,6 +163,40 @@ def _splice_parts(st: Sequence[int], cycles: Sequence[tuple[int, ...]]) -> tuple
 
 
 @lru_cache(maxsize=None)
+def _boundary_halves(k: int) -> tuple[tuple, tuple]:
+    """Per vertex u (pattern of size k-1) and j = 1..k-1: std of u's last j
+    entries, and std of u's first k-j entries shifted up by j."""
+    words = [p.word for p in all_patterns(k - 1)]
+    low = tuple(tuple(_std_word(w[-j:]) for j in range(1, k)) for w in words)
+    high = tuple(
+        tuple(tuple(v + j for v in _std_word(w[: k - j])) for j in range(1, k)) for w in words
+    )
+    return low, high
+
+
+def _boundary_counts(k: int, st: Sequence[int], parts: Sequence) -> tuple[tuple[int, int], ...]:
+    """(e, b_e) for the edges e that label some of the (c-1)(k-1) windows
+    straddling a block boundary of a plan's witness, b_e of them, by edge id.
+
+    Part i's closed walk starts and ends at the vertex v_i where its first
+    non-empty step starts (the first step, a slice of the root cycle, may be
+    empty; the steps after it are walked in order).  So block i's first and
+    last k-1 points both have pattern v_i, and the window of the last j points
+    of block i and the first k-j of block i+1 has pattern std(last j of v_i)
+    followed by std(first k-j of v_{i+1}) shifted up by j: whatever m is.
+    """
+    low, high = _boundary_halves(k)
+    ids = _pattern_ids(k)
+    starts = [st[next(edges for edges, _ in steps if edges)[0]] for steps in parts]
+    counts: dict[int, int] = {}
+    for u, v in zip(starts, starts[1:]):
+        for lo, hi in zip(low[u], high[v]):
+            e = ids[lo + hi]
+            counts[e] = counts.get(e, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
+@lru_cache(maxsize=None)
 def feasible_region(k: int) -> FeasibleRegion:
     return FeasibleRegion(k)
 
@@ -183,6 +226,11 @@ class RealizationPlan:
     The ``scale`` s sets g_C(m) = max(1, round(m * s * f_C / d)).  It is d
     (exact mode, g_C = m * f_C) when d <= 256 c(k-1), and min(d, sum of |C|)
     otherwise, so the witness size follows the accuracy asked for, not d.
+
+    ``boundary`` holds (e, b_e) for the b_e windows of pattern e that straddle
+    a block boundary; they depend on the part order and each part's start
+    vertex, not on m.  ``boundary_error`` is max over e of
+    |b_e * d - n_e * c(k-1)|, the exact-mode error times N * d.
     """
 
     region: FeasibleRegion = field(repr=False)
@@ -191,6 +239,8 @@ class RealizationPlan:
     flows: tuple[int, ...]
     parts: tuple[tuple[tuple[tuple[int, ...], int | None], ...], ...] = field(repr=False)
     scale: int
+    boundary: tuple[tuple[int, int], ...] = field(repr=False)
+    boundary_error: int = field(repr=False)
 
     def multiplicities(self, m: int) -> tuple[int, ...]:
         """g_C(m), the traversals of each decomposition cycle: m * f_C in
@@ -211,37 +261,34 @@ class RealizationPlan:
         return self._walk_length(self.multiplicities(m)) + len(self.parts) * (self.region.k - 1)
 
     def sup_error_bound(self, m: int) -> Fraction:
-        """Bound on the sup-distance between the size-k consecutive
-        proportions of generate(m) and the target: (R + c(k-1))/N for c parts,
-        N = size_for(m) points and R = max over e of |y_e - x_e * Y|, where
-        y_e = sum of g_C(m) over the cycles through e and Y = sum of g_C(m) * |C|.
-        In exact mode y_e = m * n_e and Y = m * d, so R = 0 and the bound is
-        c(k-1)/N.
+        """The exact sup distance between the size-k consecutive proportions
+        of generate(m) and the target, the witness's certificate:
+        max over e of |(y_e + b_e) * d - n_e * N| / (N * d), where
+        N = size_for(m), y_e = sum of g_C(m) over the cycles C through e and
+        b_e is the ``boundary`` count of e.  In exact mode y_e = m * n_e, so it
+        is ``boundary_error`` / (N * d), at most c(k-1)/N.
 
         Proof.  Each window lying inside a block is one edge of its part's walk, and
         the walks traverse every edge of cycle C exactly g_C times, so edge e is
         counted y_e times inside blocks, Y windows in all.  The remaining windows
-        straddle one of the c - 1 block boundaries, k - 1 per boundary; let b_e of
-        them have pattern e, so 0 <= b_e <= (c-1)(k-1).  Proportions divide by
-        N = Y + c(k-1), hence
-        p_e - x_e = (y_e + b_e)/N - x_e = (y_e - x_e * Y + b_e - x_e * c(k-1))/N,
-        where |y_e - x_e * Y| <= R and both b_e and x_e * c(k-1) lie in [0, c(k-1)].
+        straddle one of the c - 1 block boundaries, k - 1 per boundary, and b_e of
+        them have pattern e (``_boundary_counts`` reads their patterns off the
+        parts' start vertices).  Proportions divide by N = Y + c(k-1), hence
+        p_e - x_e = (y_e + b_e - x_e * N)/N.  Every edge off the cycles and the
+        boundary windows has y_e = b_e = n_e = 0, so only the others are scanned.
+        In exact mode Y = m * d, so (y_e + b_e) * d - n_e * N = b_e * d - n_e * c(k-1),
+        and both b_e * d and n_e * c(k-1) lie in [0, c(k-1) * d].
         """
         d, g = self.target.denominator, self.multiplicities(m)
-        length = self._walk_length(g)
-        # R * d = max |y_e * d - n_e * Y|, and y_e * d - n_e * Y sums
-        # g_C * d - f_C * Y over the cycles C through e; every term is 0 in
-        # exact mode.
-        drift = [gi * d - f * length for gi, f in zip(g, self.flows)]
-        error = 0
-        if any(drift):
-            per_edge: dict[int, int] = {}
-            for a, (_, cycle) in zip(drift, self.decomposition):
-                for e in cycle.edge_ids:
-                    per_edge[e] = per_edge.get(e, 0) + a
-            error = max(map(abs, per_edge.values()))
-        boundary = len(self.parts) * (self.region.k - 1)
-        return Fraction(error + boundary * d, (length + boundary) * d)
+        size = self._walk_length(g) + len(self.parts) * (self.region.k - 1)
+        if self.scale == d:
+            return Fraction(self.boundary_error, size * d)
+        count = dict(self.boundary)
+        for gi, (_, cycle) in zip(g, self.decomposition):
+            for e in cycle.edge_ids:
+                count[e] = count.get(e, 0) + gi
+        n = self.target.numerators
+        return Fraction(max(abs(y * d - n[e] * size) for e, y in count.items()), size * d)
 
     def generate(self, m: int) -> Permutation:
         """The realizing permutation for size parameter m >= 1; sizes are

@@ -8,7 +8,8 @@ edge-subset filtering, rank by its own Gaussian elimination, convex-hull
 membership by an exact phase-1 simplex over the vertex list, membership and
 its greedy cycle decomposition in ``Fraction`` arithmetic, the greedy
 walk-to-permutation construction by rewriting the whole word at every step,
-and the signed incidence matrix.  The one exception
+the signed incidence matrix, and the worst-case realization error bound
+that charges every block-boundary window to every edge.  The one exception
 is ``cocc_via_walk``, which counts on the package's own window walk to
 cross-check ``cocc``.
 """
@@ -243,6 +244,44 @@ def cocc_via_walk(pattern, sigma) -> int:
     og = build_overlap_graph(k)
     target = og.edge_of(pattern)
     return sum(1 for eid in og.walk_of(sigma).edge_ids if eid == target)
+
+
+# -- realization error --------------------------------------------------------
+
+
+def loose_error_bound(plan, m: int) -> Fraction:
+    """(R + c(k-1))/N, a bound on the sup distance of ``plan.generate(m)``
+    from the target that charges all c(k-1) boundary windows to every edge.
+    N counts the Y walked edges plus c(k-1), and R = max over edges e of
+    |y_e - x_e Y|, where y_e sums the multiplicities g_C(m) of the cycles
+    through e and Y sums g_C(m) |C|."""
+    g = plan.multiplicities(m)
+    walked: dict[int, int] = {}
+    for gi, (_, cycle) in zip(g, plan.decomposition):
+        for e in cycle.edge_ids:
+            walked[e] = walked.get(e, 0) + gi
+    total = sum(gi * len(cycle) for gi, (_, cycle) in zip(g, plan.decomposition))
+    x = plan.target.values_by_pattern()
+    drift = max(abs(walked.get(e, 0) - xe * total) for e, xe in enumerate(x))
+    boundary = len(plan.parts) * (plan.region.k - 1)
+    return (drift + boundary) / (total + boundary)
+
+
+def straddling_window_counts(
+    sigma: Sequence[int], block_sizes: Sequence[int], k: int
+) -> dict[tuple[int, ...], int]:
+    """Patterns of the width-k windows of ``sigma`` that meet two of its
+    consecutive blocks (of the given sizes, left to right), counted from
+    pairwise order comparisons."""
+    counts: dict[tuple[int, ...], int] = {}
+    end = 0
+    for size in block_sizes[:-1]:
+        end += size
+        for i in range(end - k + 1, end):
+            window = sigma[i : i + k]
+            pattern = tuple([1 + sum([w < v for w in window]) for v in window])
+            counts[pattern] = counts.get(pattern, 0) + 1
+    return counts
 
 
 # -- exact linear algebra ----------------------------------------------------

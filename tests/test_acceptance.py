@@ -188,7 +188,7 @@ def test_criterion_06_realization_convergence():
             sigma, plan = region.realize(target, m)
             distance = proportion_vector(3, sigma, "consecutive").linf_distance(target)
             assert distance <= F(1, 100)
-            assert distance <= plan.sup_error_bound(m)
+            assert distance == plan.sup_error_bound(m)
         # the monotone loop target: distance is exactly 2/(m+2)
         loop_target = targets[0]
         assert loop_target[P("123")] == 1

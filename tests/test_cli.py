@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from permutope import Permutation, limits
+from permutope import PatternVector, Permutation, feasible_region, limits
 from permutope.cli import run
 
 F = Fraction
@@ -158,6 +158,23 @@ class TestReport:
         total = sum(F(rows[0][f"occ_{w}"]) for w in ["123", "132", "213", "231", "312", "321"])
         assert total == 1
         assert F(rows[2]["linf_consec"]) < F(rows[0]["linf_consec"])
+
+    @pytest.mark.parametrize("loops", [False, True], ids=["uniform", "loops"])
+    def test_report_distance_is_the_plan_certificate(self, capsys, loops):
+        # the uniform target is one part; the loops 123 and 321 sit at
+        # different vertices, so their witness has boundary windows
+        region = feasible_region(3)
+        uniform = PatternVector.uniform(3)
+        target = region.vector_of([F(1, 2), 0, 0, 0, 0, F(1, 2)]) if loops else uniform
+        plan = region.plan(target)
+        assert len(plan.parts) == (2 if loops else 1)
+        vector = json.dumps(target.to_json_dict())
+        code, out, _ = invoke(capsys, "report", "--k", "3", "--vector", vector, "--max-size", "300")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) >= 5
+        for row in rows:
+            assert F(row["linf_consec"]) == plan.sup_error_bound(int(row["m"]))
 
     def test_report_default_schedule(self, capsys):
         code, out, _ = invoke(

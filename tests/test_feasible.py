@@ -24,7 +24,7 @@ from permutope import (
     proportion_vector,
     repeat_sum,
 )
-from oracles import naive_cocc_counts
+from oracles import loose_error_bound, naive_cocc_counts, straddling_window_counts
 from test_polytope import planted_point
 
 P = Permutation.parse
@@ -42,8 +42,9 @@ def vertex_vector(region, cycle_ids) -> PatternVector:
 
 def assert_parts_bound(region, target, ms=(1, 2)):
     """Plan ``target`` and check that generate(m) has size_for(m) =
-    m*d + c(k-1) points for c <= B parts, that its window recount lies within
-    c(k-1)/N of the target, and that sizes increase in m."""
+    m*d + c(k-1) points for c <= B parts, that its window recount is exactly
+    sup_error_bound(m) from the target, at most c(k-1)/N, and that sizes
+    increase in m."""
     k = region.k
     plan = region.plan(target)
     c = len(plan.parts)
@@ -54,11 +55,10 @@ def assert_parts_bound(region, target, ms=(1, 2)):
         sigma = plan.generate(m)
         n = plan.size_for(m)
         assert len(sigma) == n == m * d + c * (k - 1)
-        assert plan.sup_error_bound(m) == F(c * (k - 1), n)
         # |count/n - x/d| over all patterns, in units of 1/(n d)
         counts = naive_cocc_counts(sigma.word, k)
         gap = max(abs(counts.get(w, 0) * d - x * n) for w, x in zip(words, target.numerators))
-        assert F(gap, n * d) <= plan.sup_error_bound(m)
+        assert F(gap, n * d) == plan.sup_error_bound(m) <= F(c * (k - 1), n)
     sizes = [plan.size_for(m) for m in range(1, 6)]
     assert all(a < b for a, b in zip(sizes, sizes[1:]))
     return plan
@@ -68,8 +68,8 @@ def assert_rounded_bound(region, target, ms=(1, 2, 4)):
     """Plan a target with d > 256 c(k-1) and check that it is in rounded
     mode at scale s = min(d, sum of |C|), that generate(m) has size_for(m)
     points, no more than the exact m * d + c(k-1), that its window recount
-    lies within sup_error_bound(m), that size_for(1) <= 2 * sum of |C| + c(k-1),
-    and that sizes increase in m."""
+    is exactly sup_error_bound(m) from the target, that
+    size_for(1) <= 2 * sum of |C| + c(k-1), and that sizes increase in m."""
     k = region.k
     plan = region.plan(target)
     c = len(plan.parts)
@@ -89,7 +89,7 @@ def assert_rounded_bound(region, target, ms=(1, 2, 4)):
         assert len(sigma) == n <= m * d + c * (k - 1)
         counts = naive_cocc_counts(sigma.word, k)
         gap = max(abs(counts.get(w, 0) * d - x * n) for w, x in zip(words, target.numerators))
-        assert F(gap, n * d) <= plan.sup_error_bound(m)
+        assert F(gap, n * d) == plan.sup_error_bound(m)
     assert plan.size_for(1) <= 2 * total + c * (k - 1)
     sizes = [plan.size_for(m) for m in range(1, 17)]
     assert all(a < b for a, b in zip(sizes, sizes[1:]))
@@ -187,8 +187,36 @@ class TestRealize:
                 assert plan.size_for(m) <= m * cycle_lcm * weight_lcm + len(cycles) * (k - 1)
             for m in (1, 2, 4):
                 distance = proportion_vector(k, plan.generate(m), "consecutive").linf_distance(target)
-                assert distance <= plan.sup_error_bound(m)
+                assert distance == plan.sup_error_bound(m)
         assert rounded >= (0 if k <= 4 else 4)
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_exact_error_against_the_loose_bound(self, k):
+        # the planted targets of the sizing test, both modes
+        rng = random.Random(1100 + k)
+        region = feasible_region(k)
+        index = {p.word: e for e, p in enumerate(all_patterns(k))}
+        modes = set()
+        for n_cycles in range(1, 9 if k <= 4 else 13):
+            target = region.vector_of(planted_point(rng, region.overlap.graph, n_cycles))
+            plan = region.plan(target)
+            modes.add(plan.scale == target.denominator)
+            for m in (1, 2, 4):
+                assert plan.sup_error_bound(m) <= loose_error_bound(plan, m)
+            # b_e is read off the parts' start vertices, so both sizes recount it
+            c = len(plan.parts)
+            for m in (1, 3):
+                g = plan.multiplicities(m)
+                blocks = [
+                    sum(g[i] * len(edges) for edges, i in steps if i is not None) + k - 1
+                    for steps in plan.parts
+                ]
+                sigma = plan.generate(m)
+                assert sum(blocks) == len(sigma)
+                straddling = straddling_window_counts(sigma.word, blocks, k)
+                assert sum(straddling.values()) == (c - 1) * (k - 1)
+                assert tuple(sorted((index[w], b) for w, b in straddling.items())) == plan.boundary
+        assert modes == ({True} if k <= 4 else {True, False})
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_parts_bound_on_every_vertex_pair_target(self, k):
@@ -239,7 +267,7 @@ class TestRealize:
             assert sigma == Permutation.identity(m + 2)
             distance = proportion_vector(3, sigma, "consecutive").linf_distance(target)
             assert distance == F(2, m + 2)
-            assert distance <= plan.sup_error_bound(m)
+            assert distance == plan.sup_error_bound(m)
 
     def test_two_cycle_alternation(self):
         region = feasible_region(3)
@@ -255,7 +283,7 @@ class TestRealize:
             sigma, plan = region.realize(target, m)
             assert len(sigma) == plan.size_for(m)
             distance = proportion_vector(3, sigma, "consecutive").linf_distance(target)
-            assert distance <= plan.sup_error_bound(m)
+            assert distance == plan.sup_error_bound(m)
 
     def test_sizes_strictly_increase(self):
         region = feasible_region(3)
@@ -283,7 +311,7 @@ class TestRealize:
                 sigma = plan.generate(m)
                 assert len(sigma) == m * len(cycle) + k - 1
                 distance = proportion_vector(k, sigma, "consecutive").linf_distance(target)
-                assert distance <= plan.sup_error_bound(m)
+                assert distance == plan.sup_error_bound(m)
 
     def test_uniform_target_at_size_four(self):
         region = feasible_region(4)
@@ -294,7 +322,7 @@ class TestRealize:
             sigma = plan.generate(m)
             assert len(sigma) == plan.size_for(m)
             distance = proportion_vector(4, sigma, "consecutive").linf_distance(target)
-            assert distance <= plan.sup_error_bound(m)
+            assert distance == plan.sup_error_bound(m)
 
     def test_plan_json(self):
         region = feasible_region(3)
