@@ -1,73 +1,59 @@
 """Consecutive pattern statistics of permutations and the exact geometry of
-their feasible region, the cycle polytope of the overlap graph."""
+their feasible region, the cycle polytope of the overlap graph.
 
-from .errors import (
-    ArityError,
-    CapacityError,
-    DistinctnessError,
-    DistributionError,
-    EmptyError,
-    EmptyPolytopeError,
-    NotFullError,
-    NotInPolytopeError,
-    PermutopeError,
-    RationalityError,
-    SizeError,
-)
-from .feasible import (
-    ConvergenceReport,
-    FeasibleRegion,
-    RealizationPlan,
-    convergence_report,
-    derandomize,
-    derandomize_weights,
-    feasible_region,
-    mix,
-    monotone_sum_generator,
-)
-from .graphs import (
-    Multigraph,
-    SimpleCycle,
-    Walk,
-    WalkDecomposition,
-    decompose_walk,
-    eulerian_circuit,
-    iter_simple_cycles,
-)
-from .overlap import (
-    OverlapGraph,
-    begin_pattern,
-    build_overlap_graph,
-    end_pattern,
-    eulerian_universal_permutation,
-    hamiltonian_cycle,
-    walk_of,
-)
-from .perms import (
-    PatternVector,
-    Permutation,
-    all_patterns,
-    cocc,
-    cocc_proportion,
-    direct_sum,
-    is_interval,
-    occ,
-    occ_proportion,
-    pattern_at,
-    proportion_vector,
-    repeat_sum,
-    standardize,
-    substitute,
-    window_pattern,
-)
-from .polytope import (
-    CyclePolytope,
-    CycleVector,
-    FaceHandle,
-    FacePoset,
-    MembershipResult,
-)
+The public names below are loaded on first use: ``permutope.mix`` imports
+``permutope.perms``, ``permutope.feasible_region`` imports the geometry
+layers, and ``import permutope`` alone imports none of them.  Each access
+reads the name from its defining module, so the package never holds a copy
+that could go stale.
+"""
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The public names of each module, all of them re-exported here.
+_PUBLIC = {
+    "errors": (
+        "ArityError", "CapacityError", "DistinctnessError", "DistributionError", "EmptyError",
+        "EmptyPolytopeError", "NotFullError", "NotInPolytopeError", "PermutopeError",
+        "RationalityError", "SizeError",
+    ),
+    "feasible": (
+        "ConvergenceReport", "FeasibleRegion", "RealizationPlan", "convergence_report",
+        "derandomize", "derandomize_weights", "feasible_region", "monotone_sum_generator",
+    ),
+    "graphs": (
+        "Multigraph", "SimpleCycle", "Walk", "WalkDecomposition", "decompose_walk",
+        "eulerian_circuit", "iter_simple_cycles",
+    ),
+    "overlap": (
+        "OverlapGraph", "begin_pattern", "build_overlap_graph", "end_pattern",
+        "eulerian_universal_permutation", "hamiltonian_cycle", "walk_of",
+    ),
+    "perms": (
+        "PatternVector", "Permutation", "all_patterns", "cocc", "cocc_proportion", "direct_sum",
+        "is_interval", "mix", "occ", "occ_proportion", "pattern_at", "proportion_vector",
+        "repeat_sum", "standardize", "substitute", "window_pattern",
+    ),
+    "polytope": ("CyclePolytope", "CycleVector", "FaceHandle", "FacePoset", "MembershipResult"),
+}
+_MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}
+_SUBMODULES = (
+    "cli", "errors", "feasible", "graphs", "limits", "overlap", "perms", "polytope", "rationals"
+)
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return _import_module(f"{__name__}.{name}")
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MODULE_OF, *_SUBMODULES})

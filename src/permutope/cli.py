@@ -16,17 +16,19 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import limits
 from .errors import PermutopeError
-from .feasible import FeasibleRegion, convergence_report, decomposition_json, mix
-from .graphs import Multigraph
-from .overlap import build_overlap_graph, eulerian_universal_permutation
-from .perms import PatternVector, Permutation, proportion_vector
-from .polytope import CyclePolytope
 from .rationals import float_str
+
+if TYPE_CHECKING:
+    from .graphs import Multigraph
+    from .perms import PatternVector
+
+# Each verb imports the layers it uses when it runs, so a cold process loads
+# only those: stats and mix load perms alone, and a malformed --vector fails
+# before any geometry is built.
 
 
 def _fmt(value: Fraction, args: argparse.Namespace) -> str:
@@ -37,32 +39,49 @@ def _dump(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True)
 
 
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
+
+
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.write(text)
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
 def _load_graph(args: argparse.Namespace) -> Multigraph:
     if getattr(args, "graph", None):
-        return Multigraph.from_json(Path(args.graph).read_text(encoding="utf-8"))
+        from .graphs import Multigraph
+
+        return Multigraph.from_json(_read(args.graph))
     if getattr(args, "k", None):
+        from .overlap import build_overlap_graph
+
         return build_overlap_graph(args.k).graph
     raise ValueError("pass --k or --graph")
 
 
 def _parse_vector(spec: str, k: int) -> PatternVector:
+    from .perms import PatternVector
+
     if spec == "uniform":
         return PatternVector.uniform(k)
-    if spec.startswith("@"):
-        data = json.loads(Path(spec[1:]).read_text(encoding="utf-8"))
-    else:
-        data = json.loads(spec)
+    data = json.loads(_read(spec[1:]) if spec.startswith("@") else spec)
     vector = PatternVector.from_json_dict(data)
     if vector.k != k:
         raise ValueError(f"vector is over S_{vector.k}, expected S_{k}")
     return vector
+
+
+def _region_and_vector(args: argparse.Namespace):
+    """The --vector, parsed before the region of size --k is built."""
+    vector = _parse_vector(args.vector, args.k)
+    from .feasible import FeasibleRegion
+
+    return FeasibleRegion(args.k), vector
 
 
 def _vector_json(vector: PatternVector, args: argparse.Namespace) -> dict:
@@ -76,6 +95,8 @@ def _vector_json(vector: PatternVector, args: argparse.Namespace) -> dict:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from .perms import Permutation, proportion_vector
+
     sigma = Permutation.parse(args.perm)
     vector = proportion_vector(args.k, sigma, args.kind)
     print(_dump(_vector_json(vector, args)))
@@ -83,6 +104,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_overlap(args: argparse.Namespace) -> int:
+    from .overlap import build_overlap_graph
+
     og = build_overlap_graph(args.k)
     g = og.graph
     if args.dot:
@@ -100,6 +123,8 @@ def _cmd_overlap(args: argparse.Namespace) -> int:
 
 
 def _cmd_vertices(args: argparse.Namespace) -> int:
+    from .polytope import CyclePolytope
+
     graph = _load_graph(args)
     poly = CyclePolytope(graph)
     vertices = poly.vertices()
@@ -120,14 +145,17 @@ def _cmd_vertices(args: argparse.Namespace) -> int:
 
 
 def _cmd_dim(args: argparse.Namespace) -> int:
+    from .polytope import CyclePolytope
+
     graph = _load_graph(args)
     print(CyclePolytope(graph).dimension())
     return 0
 
 
 def _cmd_member(args: argparse.Namespace) -> int:
-    region = FeasibleRegion(args.k)
-    vector = _parse_vector(args.vector, args.k)
+    region, vector = _region_and_vector(args)
+    from .feasible import decomposition_json
+
     result = region.membership(vector)
     print("true" if result.member else "false")
     if result.member:
@@ -139,8 +167,9 @@ def _cmd_member(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    region = FeasibleRegion(args.k)
-    vector = _parse_vector(args.vector, args.k)
+    region, vector = _region_and_vector(args)
+    from .feasible import decomposition_json
+
     decomposition = region.polytope.convex_decomposition(region.point_of(vector))
     rows = decomposition_json(decomposition, lambda w: _fmt(w, args))
     print(_dump({"decomposition": rows}))
@@ -148,8 +177,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_realize(args: argparse.Namespace) -> int:
-    region = FeasibleRegion(args.k)
-    vector = _parse_vector(args.vector, args.k)
+    region, vector = _region_and_vector(args)
     plan = region.plan(vector)
     sigma = plan.generate(args.m)
     print(sigma)
@@ -159,6 +187,8 @@ def _cmd_realize(args: argparse.Namespace) -> int:
 
 
 def _cmd_mix(args: argparse.Namespace) -> int:
+    from .perms import Permutation, mix
+
     inner = Permutation.parse(args.perm_a)
     outer = Permutation.parse(args.perm_b)
     mixed = mix(lambda m: inner, lambda m: outer, 1)
@@ -167,11 +197,15 @@ def _cmd_mix(args: argparse.Namespace) -> int:
 
 
 def _cmd_universal(args: argparse.Namespace) -> int:
+    from .overlap import eulerian_universal_permutation
+
     print(eulerian_universal_permutation(args.k))
     return 0
 
 
 def _cmd_faces(args: argparse.Namespace) -> int:
+    from .polytope import CyclePolytope
+
     graph = _load_graph(args)
     poly = CyclePolytope(graph)
     poset = poly.face_poset()
@@ -190,8 +224,9 @@ def _cmd_faces(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    region = FeasibleRegion(args.k)
-    vector = _parse_vector(args.vector, args.k)
+    region, vector = _region_and_vector(args)
+    from .feasible import convergence_report
+
     plan = region.plan(vector)
     if args.m_values:
         m_values = [int(part) for part in args.m_values.split(",")]

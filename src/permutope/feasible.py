@@ -5,33 +5,36 @@ membership reduces to the flow equations over the patterns of size k.  This
 module adds the constructive side: given a feasible rational target, build
 explicit permutations whose consecutive proportions approach it, each
 certified by its exact sup distance to the target, derandomize a finitely
-supported distribution into a single block permutation, and combine a
-consecutive target with a classical one through substitution.
+supported distribution into a single block permutation, and evaluate the
+convergence of a witness family.  ``mix``, which combines a consecutive
+witness with a classical one through substitution, is defined in ``perms``
+and importable from here as well.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import limits
+from ._record import Record
 from .errors import CapacityError, DistributionError, NotInPolytopeError
 from .graphs import SimpleCycle, Walk
 from .overlap import build_overlap_graph
 from .perms import (
     PatternVector,
     Permutation,
+    _check_mix_size,
     _pattern_ids,
     _std_word,
     all_patterns,
     direct_sum,
+    mix,  # noqa: F401  re-exported; defined in perms, so the mix verb loads no geometry
     proportion_vector,
     repeat_sum,
-    substitute,
 )
 from .polytope import CyclePolytope, MembershipResult
 from .rationals import as_fraction, integer_numerators
@@ -211,8 +214,7 @@ def decomposition_json(
     ]
 
 
-@dataclass(frozen=True)
-class RealizationPlan:
+class RealizationPlan(Record, hidden=("region", "parts", "boundary", "boundary_error")):
     """Block construction realizing a feasible target.
 
     The target x = n/d is the convex combination of the decomposition's
@@ -233,14 +235,9 @@ class RealizationPlan:
     |b_e * d - n_e * c(k-1)|, the exact-mode error times N * d.
     """
 
-    region: FeasibleRegion = field(repr=False)
-    target: PatternVector
-    decomposition: tuple[tuple[Fraction, SimpleCycle], ...]
-    flows: tuple[int, ...]
-    parts: tuple[tuple[tuple[tuple[int, ...], int | None], ...], ...] = field(repr=False)
-    scale: int
-    boundary: tuple[tuple[int, int], ...] = field(repr=False)
-    boundary_error: int = field(repr=False)
+    __slots__ = (
+        "region", "target", "decomposition", "flows", "parts", "scale", "boundary", "boundary_error"
+    )
 
     def multiplicities(self, m: int) -> tuple[int, ...]:
         """g_C(m), the traversals of each decomposition cycle: m * f_C in
@@ -364,14 +361,6 @@ def derandomize_weights(
     return {p: q // shrink for p, q in weights.items()}
 
 
-def _check_mix_size(what: str, size: int) -> None:
-    cap = limits.cap("mix")
-    if size > cap:
-        raise CapacityError(
-            f"{what} would have size {size}, over the mix cap {cap} (PERMUTOPE_CAP key 'mix')"
-        )
-
-
 def derandomize(
     distribution: Mapping[Permutation, object], epsilon: Fraction | None = None
 ) -> Permutation:
@@ -385,24 +374,6 @@ def derandomize(
     return direct_sum(*[repeat_sum(q, p) for p, q in sorted(weights.items()) if q > 0])
 
 
-def mix(
-    generator_consecutive: Callable[[int], Permutation],
-    generator_classical: Callable[[int], Permutation],
-    m: int,
-) -> Permutation:
-    """Substitute copies of the consecutive-side permutation into the
-    classical-side permutation.
-
-    The result inherits the consecutive statistics of A = generator_consecutive(m)
-    up to |pattern|/|A| and the classical statistics of B = generator_classical(m)
-    up to C(|pattern|, 2)/|B|, both exactly in rational arithmetic.
-    """
-    inner = generator_consecutive(m)
-    outer = generator_classical(m)
-    _check_mix_size("mixed permutation", len(inner) * len(outer))
-    return substitute(outer, [inner] * len(outer))
-
-
 def monotone_sum_generator(block: Permutation) -> Callable[[int], Permutation]:
     """m -> direct sum of m copies of ``block``; a basic classical-side witness."""
 
@@ -412,20 +383,16 @@ def monotone_sum_generator(block: Permutation) -> Callable[[int], Permutation]:
     return gen
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    m: int
-    size: int
-    consecutive: PatternVector
-    classical: PatternVector | None
-    linf_consecutive: Fraction | None
-    linf_classical: Fraction | None
+class ReportRow(Record):
+    """One m of a convergence report: the witness size, its consecutive and
+    classical proportion vectors (classical None when not counted) and their
+    sup distances to the targets (None without a target)."""
+
+    __slots__ = ("m", "size", "consecutive", "classical", "linf_consecutive", "linf_classical")
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    k: int
-    rows: tuple[ReportRow, ...]
+class ConvergenceReport(Record):
+    __slots__ = ("k", "rows")
 
     def sizes_strictly_increasing(self) -> bool:
         sizes = [row.size for row in self.rows]

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from . import limits
+from ._record import Record, refuse_change
 from .errors import CapacityError
 
 
@@ -209,16 +209,21 @@ class Multigraph:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
 class Walk:
-    """A non-empty chained sequence of edge ids on a fixed graph."""
+    """A non-empty chained sequence of edge ids on a fixed graph.  Immutable;
+    equal to a walk of the same class on the same graph with the same ids."""
 
-    graph: Multigraph = field(repr=False)
-    edge_ids: tuple[int, ...]
+    __slots__ = ("graph", "edge_ids")
+
+    def __init__(self, graph: Multigraph, edge_ids: Iterable[int]) -> None:
+        _set_graph(self, graph)
+        _set_edge_ids(self, edge_ids)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """Check the ids and store them as a tuple."""
         ids = _int_ids(self.edge_ids)
-        object.__setattr__(self, "edge_ids", ids)
+        _set_edge_ids(self, ids)
         if not ids:
             raise ValueError("walks are non-empty")
         st, ar = self.graph._st, self.graph._ar
@@ -245,9 +250,25 @@ class Walk:
         """Wrap edge ids that already form a non-empty chained walk on
         ``graph`` (for a SimpleCycle, in canonical rotation), skipping the checks."""
         walk = object.__new__(cls)
-        object.__setattr__(walk, "graph", graph)
-        object.__setattr__(walk, "edge_ids", edge_ids)
+        _set_graph(walk, graph)
+        _set_edge_ids(walk, edge_ids)
         return walk
+
+    __setattr__ = __delattr__ = refuse_change
+
+    def __reduce__(self):
+        return type(self), (self.graph, self.edge_ids)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.graph is other.graph and self.edge_ids == other.edge_ids
+
+    def __hash__(self) -> int:
+        return hash((self.graph, self.edge_ids))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(edge_ids={self.edge_ids!r})"
 
     def __len__(self) -> int:
         return len(self.edge_ids)
@@ -266,6 +287,10 @@ class Walk:
         return g.st(self.edge_ids[0]) == g.ar(self.edge_ids[-1])
 
 
+# Set through the slots themselves, as perms does for Permutation.
+_set_graph, _set_edge_ids = Walk.graph.__set__, Walk.edge_ids.__set__
+
+
 def _int_ids(edge_ids: Iterable) -> tuple[int, ...]:
     """The ids as a tuple, rejecting any that is not an ``int`` (a bool would
     pass the range checks, a float or string fail them with a TypeError)."""
@@ -282,18 +307,19 @@ def _canonical_rotation(edge_ids: Sequence[int]) -> tuple[int, ...]:
     return tuple(edge_ids[pivot:] + edge_ids[:pivot] if pivot else edge_ids)
 
 
-@dataclass(frozen=True)
 class SimpleCycle(Walk):
     """A closed walk with all edges and all visited vertices distinct.
 
     Stored in canonical rotation: the smallest edge id comes first.
     """
 
+    __slots__ = ()
+
     def __post_init__(self) -> None:
         ids = _int_ids(self.edge_ids)
         if ids:
             ids = _canonical_rotation(ids)
-        object.__setattr__(self, "edge_ids", ids)
+        _set_edge_ids(self, ids)
         super().__post_init__()
         st = self.graph._st
         if st[ids[0]] != self.graph._ar[ids[-1]]:
@@ -363,12 +389,11 @@ def iter_simple_cycles(g: Multigraph) -> Iterator[SimpleCycle]:
                     barriers.setdefault(ar[eid], set()).add(v)
 
 
-@dataclass(frozen=True)
-class WalkDecomposition:
-    """A walk's edge multiset split into simple cycles plus a vertex-distinct tail."""
+class WalkDecomposition(Record):
+    """A walk's edge multiset split into simple cycles plus a vertex-distinct tail:
+    ``cycles``, a tuple of SimpleCycle, and ``tail``, a Walk or None."""
 
-    cycles: tuple[SimpleCycle, ...]
-    tail: Walk | None
+    __slots__ = ("cycles", "tail")
 
     def edge_multiset(self) -> dict[int, int]:
         counts: dict[int, int] = {}

@@ -36,13 +36,13 @@ import itertools
 import math
 from bisect import bisect_left, insort
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from operator import add, and_, mul, rshift, sub
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import limits
+from ._record import refuse_change
 from .errors import (
     ArityError,
     CapacityError,
@@ -53,27 +53,44 @@ from .errors import (
 from .rationals import as_fraction, integer_numerators
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class Permutation:
-    """A permutation of ``{1..n}`` stored as its one-line word."""
+    """A permutation of ``{1..n}`` stored as its one-line word.  Immutable;
+    equal, hashed and ordered by the word."""
 
-    word: tuple[int, ...]
+    __slots__ = ("word",)
 
-    def __post_init__(self) -> None:
-        word = tuple(self.word)
-        object.__setattr__(self, "word", word)
+    def __init__(self, word: Iterable[int]) -> None:
+        word = tuple(word)
         if not word:
             raise ValueError("permutations are non-empty")
         if {*map(type, word)} != {int} or sorted(word) != list(range(1, len(word) + 1)):
             raise ValueError(f"not a permutation word: {word!r}")
+        _set_word(self, word)
 
     @classmethod
     def _trusted(cls, word: tuple[int, ...]) -> "Permutation":
         """Wrap a word that is already a non-empty tuple of the ints
         ``1..len(word)``, each once, skipping the checks."""
         perm = object.__new__(cls)
-        object.__setattr__(perm, "word", word)
+        _set_word(perm, word)
         return perm
+
+    __setattr__ = __delattr__ = refuse_change
+
+    def __reduce__(self):
+        return type(self), (self.word,)
+
+    def __eq__(self, other: object) -> bool:
+        return self.word == other.word if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        # Of (word,), not word: a set of permutations iterates in hash
+        # order, so the value is kept stable for callers.
+        return hash((self.word,))
+
+    def __lt__(self, other: "Permutation") -> bool:
+        return self.word < other.word if other.__class__ is self.__class__ else NotImplemented
 
     def __len__(self) -> int:
         return len(self.word)
@@ -83,9 +100,7 @@ class Permutation:
 
     def __str__(self) -> str:
         # Digit strings stay unambiguous only up to size 9.
-        if len(self.word) <= 9:
-            return "".join(str(v) for v in self.word)
-        return ",".join(str(v) for v in self.word)
+        return ("" if len(self.word) <= 9 else ",").join(map(str, self.word))
 
     def __repr__(self) -> str:
         return f"Permutation({str(self)!r})"
@@ -114,6 +129,11 @@ class Permutation:
         if n < 1:
             raise ValueError("permutations are non-empty")
         return cls._trusted(tuple(range(1, n + 1)))
+
+
+# Set through the slot itself: object.__setattr__ would first check it against
+# the refusing __setattr__, which costs more than the assignment.
+_set_word = Permutation.word.__set__
 
 
 @lru_cache(maxsize=None)
@@ -297,10 +317,17 @@ def _step_table(k: int) -> tuple[tuple, tuple[int, ...]]:
     0-based rank of head u's first entry.
     """
     head_id = _pattern_ids(k - 1)
+    # The patterns with first entry f have the ids (f-1)(k-1)! .. f(k-1)! - 1,
+    # and their last k-1 entries run through the heads in order, so the tail
+    # of pattern e is head e mod (k-1)!.
+    block = math.factorial(k - 1)
     step = [[None] * k for _ in head_id]
     for eid, p in enumerate(all_patterns(k)):
+        # Dropping the last entry leaves a gap at its value; closing it lowers
+        # each value above by one, so the head needs no sort.
         w = p.word
-        step[head_id[_std_word(w[:-1])]][w[-1] - 1] = (eid, head_id[_std_word(w[1:])])
+        last = w[-1]
+        step[head_id[tuple([v - (v > last) for v in w[:-1]])]][last - 1] = (eid, eid % block)
     lead = tuple(w[0] - 1 for w in head_id)
     return tuple(map(tuple, step)), lead
 
@@ -457,6 +484,9 @@ class PatternVector:
             and self.numerators == other.numerators
         )
 
+    def __hash__(self) -> int:
+        return hash((self.k, self.denominator, self.numerators))
+
     def __repr__(self) -> str:
         inner = ", ".join(f"{p}: {v}" for p, v in self.items())
         return f"PatternVector(k={self.k}, {{{inner}}})"
@@ -585,3 +615,29 @@ def substitute(skeleton: Permutation, blocks: Sequence[Permutation]) -> Permutat
     return Permutation._trusted(
         tuple(v + offset for block, offset in zip(blocks, value_offset) for v in block.word)
     )
+
+
+def _check_mix_size(what: str, size: int) -> None:
+    cap = limits.cap("mix")
+    if size > cap:
+        raise CapacityError(
+            f"{what} would have size {size}, over the mix cap {cap} (PERMUTOPE_CAP key 'mix')"
+        )
+
+
+def mix(
+    generator_consecutive: Callable[[int], Permutation],
+    generator_classical: Callable[[int], Permutation],
+    m: int,
+) -> Permutation:
+    """Substitute copies of the consecutive-side permutation into the
+    classical-side permutation.
+
+    The result inherits the consecutive statistics of A = generator_consecutive(m)
+    up to |pattern|/|A| and the classical statistics of B = generator_classical(m)
+    up to C(|pattern|, 2)/|B|, both exactly in rational arithmetic.
+    """
+    inner = generator_consecutive(m)
+    outer = generator_classical(m)
+    _check_mix_size("mixed permutation", len(inner) * len(outer))
+    return substitute(outer, [inner] * len(outer))

@@ -17,23 +17,22 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from . import limits
+from ._record import Record
 from .errors import CapacityError, EmptyError, EmptyPolytopeError, NotFullError, NotInPolytopeError
 from .graphs import Multigraph, SimpleCycle, _canonical_rotation, _int_ids, iter_simple_cycles
 from .rationals import as_fraction, integer_numerators
 
 
-@dataclass(frozen=True)
-class CycleVector:
+class CycleVector(Record):
     """The point of the polytope carried by one simple cycle: entry 1/|C| on
     each cycle edge, 0 elsewhere.  Only the cycle is stored; the dense
     ``entries`` are built on each access."""
 
-    cycle: SimpleCycle
+    __slots__ = ("cycle",)
 
     @classmethod
     def from_cycle(cls, graph: Multigraph, cycle: SimpleCycle) -> "CycleVector":
@@ -50,26 +49,28 @@ class CycleVector:
         return tuple(entries)
 
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(Record):
     """Outcome of a membership test, with a certificate either way: the
     violated constraint, or a convex decomposition into cycle vectors."""
 
-    member: bool
-    violation: str | None = None
-    decomposition: tuple[tuple[Fraction, SimpleCycle], ...] | None = None
+    __slots__ = ("member", "violation", "decomposition")
+
+    def __init__(
+        self,
+        member: bool,
+        violation: str | None = None,
+        decomposition: tuple[tuple[Fraction, SimpleCycle], ...] | None = None,
+    ) -> None:
+        super().__init__(member, violation, decomposition)
 
     def __bool__(self) -> bool:
         return self.member
 
 
-@dataclass(frozen=True)
-class FaceHandle:
+class FaceHandle(Record, hidden=("polytope", "_dimension"), uncompared=("_dimension",)):
     """A face of the polytope, identified by the full subgraph carrying it."""
 
-    polytope: "CyclePolytope" = field(repr=False)
-    edge_ids: tuple[int, ...]
-    _dimension: int = field(repr=False, compare=False)
+    __slots__ = ("polytope", "edge_ids", "_dimension")
 
     def dimension(self) -> int:
         return self._dimension
@@ -78,12 +79,10 @@ class FaceHandle:
         return len(self.edge_ids)
 
 
-@dataclass(frozen=True)
-class FacePoset:
+class FacePoset(Record, hidden=("polytope",)):
     """All non-empty full subgraphs of the graph, ordered by inclusion."""
 
-    polytope: "CyclePolytope" = field(repr=False)
-    faces: tuple[FaceHandle, ...]
+    __slots__ = ("polytope", "faces")
 
     @staticmethod
     def leq(a: FaceHandle, b: FaceHandle) -> bool:

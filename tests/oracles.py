@@ -121,6 +121,22 @@ def classical_counts_small(sigma: Sequence[int]) -> dict[tuple[int, ...], int]:
 # -- walks to permutations ---------------------------------------------------
 
 
+def step_table_by_sorting(k: int) -> tuple[tuple, tuple[int, ...]]:
+    """The overlap-graph transition table in the layout of
+    ``perms._step_table``, for k >= 2: both ends of every size-k pattern
+    standardized by sorting their values."""
+
+    def standardized(values: Sequence[int]) -> tuple[int, ...]:
+        order = sorted(values)
+        return tuple(order.index(v) + 1 for v in values)
+
+    head_id = {w: i for i, w in enumerate(itertools.permutations(range(1, k)))}
+    step = [[None] * k for _ in head_id]
+    for eid, w in enumerate(itertools.permutations(range(1, k + 1))):
+        step[head_id[standardized(w[:-1])]][w[-1] - 1] = (eid, head_id[standardized(w[1:])])
+    return tuple(map(tuple, step)), tuple(w[0] - 1 for w in head_id)
+
+
 def walk_to_word(labels: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """The greedy permutation of a walk, given by its edge label words.
 

@@ -148,6 +148,14 @@ class TestMembership:
 
 
 class TestRealize:
+    def test_plan_hashes_and_keys_a_dict(self):
+        region = feasible_region(3)
+        plan, again = region.plan(PatternVector.uniform(3)), region.plan(PatternVector.uniform(3))
+        assert plan == again and hash(plan) == hash(again)
+        assert {plan: "uniform"}[again] == "uniform"
+        other = region.plan(PatternVector.from_values(3, ["1/3", "0", "1/3", "1/3", "0", "0"]))
+        assert other != plan and len({plan, again, other}) == 2
+
     def test_size_cap_checked_before_building(self, monkeypatch):
         assert feasible_region(6).plan(PatternVector.uniform(6)).size_for(1) == 725
         plan = feasible_region(7).plan(PatternVector.uniform(7))

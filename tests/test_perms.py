@@ -27,7 +27,13 @@ from permutope import (
     standardize,
     substitute,
 )
-from oracles import classical_counts_small, merge_sort_smaller_before, naive_cocc, naive_occ
+from oracles import (
+    classical_counts_small,
+    merge_sort_smaller_before,
+    naive_cocc,
+    naive_occ,
+    step_table_by_sorting,
+)
 from permutope import limits
 from permutope import perms as perms_module
 
@@ -87,6 +93,14 @@ class TestPermutation:
     def test_all_patterns_is_lexicographic(self):
         assert [str(p) for p in all_patterns(3)] == ["123", "132", "213", "231", "312", "321"]
 
+    def test_equality_hash_and_order_follow_the_word(self):
+        a, b = P("132"), P("213")
+        assert (a < b, a <= b, a != b) == (True, True, True)
+        assert not (a > b or a >= b or a == b)
+        assert P("132") == a and hash(P("132")) == hash(a) == hash((a.word,))
+        assert sorted([b, a, P("1")]) == [P("1"), a, b]
+        assert a != (1, 3, 2) and a.__lt__((1, 3, 2)) is NotImplemented
+
 
 class TestStandardize:
     def test_worked_example(self):
@@ -126,6 +140,12 @@ class TestPatternAt:
     def test_is_interval(self):
         assert is_interval((3, 4, 5))
         assert not is_interval((3, 5))
+
+
+class TestStepTable:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
+    def test_value_shifts_match_sorting(self, k):
+        assert perms_module._step_table(k) == step_table_by_sorting(k)
 
 
 class TestCounts:
@@ -516,6 +536,13 @@ class TestPatternVector:
         assert set(data) == {"k", "entries"}
         assert len(data["entries"]) == 6
         assert PatternVector.from_json_dict(data) == vec
+
+    def test_equal_vectors_hash_equal(self):
+        thirds = PatternVector(2, {P("12"): Fraction(1, 3), P("21"): Fraction(2, 3)})
+        same = PatternVector.from_values(2, ["2/6", "4/6"])
+        assert same == thirds and hash(same) == hash(thirds)
+        assert hash(thirds) == hash((2, 3, (1, 2)))
+        assert len({thirds, same, PatternVector.uniform(2)}) == 2
 
     def test_distance(self):
         u = PatternVector.uniform(2)
