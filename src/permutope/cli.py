@@ -77,7 +77,9 @@ def _parse_vector(spec: str, k: int) -> PatternVector:
 
 
 def _region_and_vector(args: argparse.Namespace):
-    """The --vector, parsed before the region of size --k is built."""
+    """The --vector, parsed once --k is checked against the overlap cap and
+    before the region of size --k is built."""
+    limits.check_overlap_k(args.k)
     vector = _parse_vector(args.vector, args.k)
     from .feasible import FeasibleRegion
 

@@ -13,12 +13,15 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
+from .errors import CapacityError
+
 # The caps ``PERMUTOPE_CAP`` can set, by key, with their defaults.
 DEFAULTS = {
     # Maximum number of simple cycles emitted by one enumeration.
     "cycles": 10**6,
-    # Classical occurrence counting falls back to subset enumeration for
-    # pattern sizes >= 4; permutations longer than this are rejected there.
+    # Classical occurrence counting for pattern sizes >= 4 visits the
+    # C(n-1, k-1) subsets of k-1 positions that have a later point, in
+    # C-level passes; permutations longer than this are rejected there.
     "enum": 30,
     # Largest overlap graph built (7! = 5040 edges).
     "overlap": 7,
@@ -43,6 +46,18 @@ def caps() -> Mapping[str, int]:
 def cap(name: str) -> int:
     """The size guard ``name``: its ``PERMUTOPE_CAP`` entry, else its default."""
     return caps()[name]
+
+
+def check_overlap_k(k: int) -> None:
+    """Refuse a pattern size k outside 2..the ``overlap`` cap: no overlap
+    graph of that size is built.  Callers check before they allocate
+    anything of size k! (the CLI, before a uniform ``--vector``)."""
+    limit = cap("overlap")
+    if k < 2 or k > limit:
+        raise CapacityError(
+            f"overlap graphs are built for 2 <= k <= the overlap cap {limit} "
+            f"(PERMUTOPE_CAP key 'overlap'), got {k}"
+        )
 
 
 @lru_cache(maxsize=16)

@@ -133,12 +133,7 @@ class OverlapGraph:
 def build_overlap_graph(k: int) -> OverlapGraph:
     """Construct (and cache) the overlap graph for size ``k``.  The cap is
     checked on every call, so a cached graph is refused under a lower cap."""
-    cap = limits.cap("overlap")
-    if k < 2 or k > cap:
-        raise CapacityError(
-            f"overlap graphs are built for 2 <= k <= the overlap cap {cap} "
-            f"(PERMUTOPE_CAP key 'overlap'), got {k}"
-        )
+    limits.check_overlap_k(k)
     return _cached_overlap_graph(k)
 
 

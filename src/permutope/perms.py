@@ -25,9 +25,14 @@ patterns of size k:
   per entry: about half the time of a pure-Python Fenwick pass at n = 10^5
   (CPython 3.11, 2-vCPU Xeon).  k = 2 is the sum of these counts; for k = 3
   the other three side counts follow from identities;
-- classical, k >= 4: one pass over the C(n, k) subsets, each keyed by its
-  argsort, then at most k! keys placed in pattern order.  Guarded by a
-  length cap.
+- classical, k >= 4 (in :mod:`permutope._heads`): every k-subset is a
+  (k-1)-subset T, its head, plus one later point, whose pattern is fixed by
+  T's pattern and the later value's rank among T's values.  So the kernel
+  visits the C(n-1, k-1) heads that have a later point, in batches, and never
+  the C(n, k) subsets: per batch, C-level passes over heads packed into big
+  integers compare the values and count the later points below each one,
+  and a tally sums those counts per head pattern.  The size-k counts are
+  differences of those sums.  The ``enum`` cap still bounds n.
 """
 
 from __future__ import annotations
@@ -287,6 +292,10 @@ def _occ_counts_small(sigma: Permutation, k: int) -> list[int]:
 
 
 def _occ_counts_enumerated(sigma: Permutation, k: int) -> list[int]:
+    """Exact classical counts for all patterns of size k >= 3, for a
+    permutation no longer than the ``enum`` cap, from its (k-1)-subsets:
+    see :mod:`permutope._heads`, loaded on the first call because most
+    processes that import perms never count there."""
     n, cap = len(sigma), limits.cap("enum")
     if n > cap:
         raise CapacityError(
@@ -294,16 +303,9 @@ def _occ_counts_enumerated(sigma: Permutation, k: int) -> list[int]:
             f"permutation size {n} exceeds the enum cap {cap} "
             f"(PERMUTOPE_CAP key 'enum')"
         )
-    positions = range(k)
-    orders = Counter(
-        tuple(sorted(positions, key=comb.__getitem__))
-        for comb in itertools.combinations(sigma.word, k)
-    )
-    counts = [0] * math.factorial(k)
-    ids = _pattern_ids(k)
-    for order, count in orders.items():
-        counts[ids[_invert(order)]] = count
-    return counts
+    from ._heads import classical_counts
+
+    return classical_counts(sigma.word, k)
 
 
 @lru_cache(maxsize=None)

@@ -3,20 +3,21 @@
 Everything here is deliberately written from the definitions, sharing no code
 with the implementations under test: occurrence counting by explicit pairwise
 order comparison, classical size-2 and size-3 counts from merge-sort
-smaller-before counts split by the middle position, simple cycles by
-edge-subset filtering, rank by its own Gaussian elimination, convex-hull
-membership by an exact phase-1 simplex over the vertex list, membership and
-its greedy cycle decomposition in ``Fraction`` arithmetic, the greedy
-walk-to-permutation construction by rewriting the whole word at every step,
-the signed incidence matrix, and the worst-case realization error bound
-that charges every block-boundary window to every edge.  The one exception
-is ``cocc_via_walk``, which counts on the package's own window walk to
-cross-check ``cocc``.
+smaller-before counts split by the middle position, classical counts of any
+size by one argsort per subset, simple cycles by edge-subset filtering, rank
+by its own Gaussian elimination, convex-hull membership by an exact phase-1
+simplex over the vertex list, membership and its greedy cycle decomposition
+in ``Fraction`` arithmetic, the greedy walk-to-permutation construction by
+rewriting the whole word at every step, the signed incidence matrix, and the
+worst-case realization error bound that charges every block-boundary window
+to every edge.  The one exception is ``cocc_via_walk``, which counts on the
+package's own window walk to cross-check ``cocc``.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
@@ -116,6 +117,21 @@ def classical_counts_small(sigma: Sequence[int]) -> dict[tuple[int, ...], int]:
         (3, 1, 2): valley - occ213,
         (3, 2, 1): occ321,
     }
+
+
+def classical_counts_by_subsets(sigma: Sequence[int], k: int) -> list[int]:
+    """Classical counts of every size-k pattern in a permutation word, in
+    lexicographic pattern order: one argsort per k-subset, C(n, k) Python
+    steps, so suited to short words only."""
+    orders = Counter(
+        tuple(sorted(range(k), key=comb.__getitem__))
+        for comb in itertools.combinations(sigma, k)
+    )
+    counts = []
+    for pattern in itertools.permutations(range(1, k + 1)):
+        # the argsort of a pattern lists its positions by increasing value
+        counts.append(orders[tuple(sorted(range(k), key=pattern.__getitem__))])
+    return counts
 
 
 # -- walks to permutations ---------------------------------------------------

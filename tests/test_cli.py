@@ -3,12 +3,21 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import time
 from fractions import Fraction
 
 import pytest
 
-from permutope import PatternVector, Permutation, feasible_region, limits
+from oracles import classical_counts_by_subsets
+from permutope import (
+    CapacityError,
+    PatternVector,
+    Permutation,
+    build_overlap_graph,
+    feasible_region,
+    limits,
+)
 from permutope.cli import run
 
 F = Fraction
@@ -185,6 +194,34 @@ class TestReport:
         assert [row["m"] for row in rows] == ["1", "2", "4", "8", "16", "32"]
         assert all(int(row["size"]) <= 200 for row in rows)
 
+    def test_classical_columns_at_k4(self, capsys):
+        # m = 1 gives the 27-point witness of the uniform target, under the
+        # enum cap 30: its classical columns are its counts over C(27, 4)
+        argv = ("report", "--k", "4", "--vector", "uniform", "--m-values", "1")
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0
+        (row,) = csv.DictReader(io.StringIO(out))
+        witness = feasible_region(4).plan(PatternVector.uniform(4)).generate(1)
+        assert row["size"] == "27" and len(witness) == 27
+        counts = classical_counts_by_subsets(witness.word, 4)
+        words = ["".join(map(str, p)) for p in itertools.permutations(range(1, 5))]
+        assert [F(row[f"occ_{w}"]) for w in words] == [F(c, math.comb(27, 4)) for c in counts]
+
+    def test_classical_columns_empty_past_the_enum_cap(self, capsys):
+        # m = 2 gives 51 points, over the enum cap 30: the consecutive columns
+        # are filled and the classical ones left empty
+        argv = ("report", "--k", "4", "--vector", "uniform", "--m-values", "1,2")
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0
+        first, second = csv.DictReader(io.StringIO(out))
+        assert (first["size"], second["size"]) == ("27", "51")
+        occ = [name for name in second if name.startswith("occ_")]
+        cocc = [name for name in second if name.startswith("cocc_")]
+        assert len(occ) == len(cocc) == 24
+        assert all(first[name] != "" for name in occ) and first["linf_class"] == ""
+        assert all(second[name] == "" for name in occ) and second["linf_class"] == ""
+        assert sum(F(second[name]) for name in cocc) == F(51 - 3, 51)
+
     def test_default_schedule_stops_at_the_realize_cap(self, capsys, monkeypatch):
         # the uniform target at k=4 needs 27, 51, 99 and 195 points at m = 1, 2, 4, 8
         monkeypatch.setenv("PERMUTOPE_CAP", "realize=100")
@@ -304,6 +341,22 @@ class TestErrorsAndCaps:
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert f"{key} cap {value} (PERMUTOPE_CAP key '{key}')" in err
+
+    @pytest.mark.parametrize("verb", ["member", "decompose", "realize", "report"])
+    def test_overlap_cap_refuses_before_the_uniform_vector(self, capsys, monkeypatch, verb):
+        # k = 8 is over the default overlap cap 7: the refusal comes before
+        # the 40,320-entry uniform vector, in the words build_overlap_graph uses
+        def refuse(cls, k):
+            raise AssertionError("built the uniform vector")
+
+        monkeypatch.setattr(PatternVector, "uniform", classmethod(refuse))
+        argv = [verb, "--k", "8", "--vector", "uniform"]
+        argv += ["--m", "1"] if verb == "realize" else []
+        code, out, err = invoke(capsys, *argv)
+        with pytest.raises(CapacityError) as refusal:
+            build_overlap_graph(8)
+        assert code == 1 and out == ""
+        assert err == f"error: {refusal.value}\n"
 
     def test_realize_over_the_cap_is_refused_before_building(self, capsys):
         # size_for(2000) of the uniform target at k=7 is 10,080,006 points

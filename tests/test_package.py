@@ -189,3 +189,25 @@ def test_cold_process_loads_only_what_its_verb_uses():
     )
     assert done.returncode == 0, done.stderr
     assert done.stderr.count("error:") == 3 and "cold imports ok" in done.stderr
+
+
+def test_overlap_refusal_loads_no_layer():
+    # member --k 8 is refused at the overlap cap before the vector is parsed,
+    # so neither the counting layer nor the geometry is imported
+    script = (
+        "import sys\n"
+        "from permutope import cli\n"
+        "assert cli.run(['member', '--k', '8', '--vector', 'uniform']) == 1\n"
+        "layers = ('permutope.perms', 'permutope.graphs', 'permutope.overlap')\n"
+        "assert not [name for name in layers if name in sys.modules]\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PERMUTOPE_CAP", None)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == (
+        "error: overlap graphs are built for 2 <= k <= the overlap cap 7 "
+        "(PERMUTOPE_CAP key 'overlap'), got 8\n"
+    )

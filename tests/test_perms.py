@@ -28,12 +28,14 @@ from permutope import (
     substitute,
 )
 from oracles import (
+    classical_counts_by_subsets,
     classical_counts_small,
     merge_sort_smaller_before,
     naive_cocc,
     naive_occ,
     step_table_by_sorting,
 )
+from permutope import _heads as heads_module
 from permutope import limits
 from permutope import perms as perms_module
 
@@ -399,6 +401,58 @@ class TestChunkedClassicalKernel:
         others = [0] * (math.factorial(k) - 1)
         assert proportion_vector(k, rising, "classical").values_by_pattern() == [1, *others]
         assert proportion_vector(k, falling, "classical").values_by_pattern() == [*others, 1]
+
+
+class TestHeadKernel:
+    """Classical k >= 4 counts, built from (k-1)-subsets and one later
+    point, against the argsort-per-subset oracle and, on short words, the
+    from-the-definition counter."""
+
+    @staticmethod
+    def kernel(word, k):
+        return perms_module._occ_counts_enumerated(Permutation(tuple(word)), k)
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_every_permutation_up_to_size_7(self, k):
+        for n in range(k, 8):
+            for word in itertools.permutations(range(1, n + 1)):
+                assert self.kernel(word, k) == classical_counts_by_subsets(word, k), word
+
+    @pytest.mark.parametrize("k", [4, 5, 6, 7, 8])
+    def test_seeded_sizes(self, k):
+        # The oracle takes C(n, k) steps: C(30, 8) is 5.9 million, so k = 7
+        # and 8 stop at n = 24.  At k = 6 and n = 30 the C(28, 4) = 20,475
+        # heads that end at position 29 take five batches.
+        assert math.comb(28, 4) > 4 * heads_module._BATCH
+        rng = random.Random(1800 + k)
+        patterns = all_patterns(k)
+        for n in (k, k + 1, 12, 20, 30 if k <= 6 else 24):
+            word = rng.sample(range(1, n + 1), n)
+            counts = self.kernel(word, k)
+            assert counts == classical_counts_by_subsets(word, k), (n, word)
+            assert sum(counts) == math.comb(n, k)
+            if n <= 12:
+                for i in {0, len(patterns) - 1, rng.randrange(len(patterns))}:
+                    assert counts[i] == naive_occ(patterns[i].word, word), (n, word, i)
+
+    @pytest.mark.parametrize("batch", [1, 2, 7])
+    def test_small_batches(self, monkeypatch, batch):
+        # a batch of one head, batches that split every head list, and a
+        # tally folded after nearly every batch
+        monkeypatch.setattr(heads_module, "_BATCH", batch)
+        rng = random.Random(1807 + batch)
+        for k in (3, 4, 5, 6):
+            for n in (k, k + 1, 11):
+                word = rng.sample(range(1, n + 1), n)
+                assert self.kernel(word, k) == classical_counts_by_subsets(word, k), (k, word)
+
+    @pytest.mark.parametrize("k", [4, 5, 6, 7, 8])
+    def test_monotone_words(self, k):
+        for n in (k, 30 if k <= 6 else 16):
+            rising = list(range(1, n + 1))
+            only = [0] * (math.factorial(k) - 1)
+            assert self.kernel(rising, k) == [math.comb(n, k), *only]
+            assert self.kernel(rising[::-1], k) == [*only, math.comb(n, k)]
 
 
 class TestCompositions:

@@ -226,7 +226,7 @@ class TestPatternVectors:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_proportion_vectors(self, kind, k):
         rng = random.Random(1300 + k)
-        # classical k >= 4 enumerates subsets, so it stays under the enum cap
+        # classical k >= 4 is refused above the enum cap, so it stays under it
         top = 30 if kind == "classical" and k >= 4 else 300
         for n in [k, k, k + 1] + [rng.randint(k, top) for _ in range(12)]:
             assert_vector_passes(proportion_vector(k, random_permutation(rng, n), kind))
