@@ -15,26 +15,24 @@ __version__ = "0.1.0"
 # The public names of each module, all of them re-exported here.
 _PUBLIC = {
     "errors": (
-        "ArityError", "CapacityError", "DistinctnessError", "DistributionError", "EmptyError",
-        "EmptyPolytopeError", "NotFullError", "NotInPolytopeError", "PermutopeError",
-        "RationalityError", "SizeError",
+        "ArityError", "CapacityError", "DistinctnessError", "EmptyError", "EmptyPolytopeError",
+        "NotFullError", "NotInPolytopeError", "PermutopeError", "RationalityError", "SizeError",
     ),
     "feasible": (
         "ConvergenceReport", "FeasibleRegion", "RealizationPlan", "convergence_report",
-        "derandomize", "derandomize_weights", "feasible_region", "monotone_sum_generator",
+        "feasible_region", "monotone_sum_generator",
     ),
     "graphs": (
         "Multigraph", "SimpleCycle", "Walk", "WalkDecomposition", "decompose_walk",
         "eulerian_circuit", "iter_simple_cycles",
     ),
     "overlap": (
-        "OverlapGraph", "begin_pattern", "build_overlap_graph", "end_pattern",
-        "eulerian_universal_permutation", "hamiltonian_cycle", "walk_of",
+        "OverlapGraph", "build_overlap_graph", "eulerian_universal_permutation", "walk_of",
     ),
     "perms": (
         "PatternVector", "Permutation", "all_patterns", "cocc", "cocc_proportion", "direct_sum",
-        "is_interval", "mix", "occ", "occ_proportion", "pattern_at", "proportion_vector",
-        "repeat_sum", "standardize", "substitute", "window_pattern",
+        "mix", "occ", "occ_proportion", "pattern_at", "proportion_vector", "repeat_sum",
+        "standardize", "substitute",
     ),
     "polytope": ("CyclePolytope", "CycleVector", "FaceHandle", "FacePoset", "MembershipResult"),
 }

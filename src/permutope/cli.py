@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from . import limits
-from .errors import PermutopeError
+from .errors import NotInPolytopeError, PermutopeError
 from .rationals import float_str
 
 if TYPE_CHECKING:
@@ -172,8 +172,10 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     region, vector = _region_and_vector(args)
     from .feasible import decomposition_json
 
-    decomposition = region.polytope.convex_decomposition(region.point_of(vector))
-    rows = decomposition_json(decomposition, lambda w: _fmt(w, args))
+    result = region.membership(vector)
+    if not result.member:
+        raise NotInPolytopeError(result.violation)
+    rows = decomposition_json(result.decomposition, lambda w: _fmt(w, args))
     print(_dump({"decomposition": rows}))
     return 0
 

@@ -44,7 +44,3 @@ class NotInPolytopeError(PermutopeError):
 
 class NotFullError(PermutopeError):
     """An edge subset does not form a full subgraph (some edge lies on no cycle)."""
-
-
-class DistributionError(PermutopeError):
-    """A probability assignment does not define a distribution."""

@@ -4,8 +4,7 @@ For each k the region is the cycle polytope of the overlap graph, so
 membership reduces to the flow equations over the patterns of size k.  This
 module adds the constructive side: given a feasible rational target, build
 explicit permutations whose consecutive proportions approach it, each
-certified by its exact sup distance to the target, derandomize a finitely
-supported distribution into a single block permutation, and evaluate the
+certified by its exact sup distance to the target, and evaluate the
 convergence of a witness family.  ``mix``, which combines a consecutive
 witness with a classical one through substitution, is defined in ``perms``
 and importable from here as well.
@@ -14,20 +13,18 @@ and importable from here as well.
 from __future__ import annotations
 
 import json
-import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import limits
 from ._record import Record
-from .errors import CapacityError, DistributionError, NotInPolytopeError
+from .errors import CapacityError, NotInPolytopeError
 from .graphs import SimpleCycle, Walk
 from .overlap import build_overlap_graph
 from .perms import (
     PatternVector,
     Permutation,
-    _check_mix_size,
     _pattern_ids,
     _std_word,
     all_patterns,
@@ -37,7 +34,6 @@ from .perms import (
     repeat_sum,
 )
 from .polytope import CyclePolytope, MembershipResult
-from .rationals import as_fraction, integer_numerators
 
 # A plan walks each cycle exactly m * f_C times while its target denominator
 # d is at most this multiple of c(k-1), that is while the exact m = 1 witness
@@ -319,59 +315,6 @@ class RealizationPlan(Record, hidden=("region", "parts", "boundary", "boundary_e
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-
-
-def derandomize_weights(
-    distribution: Mapping[Permutation, object], epsilon: Fraction | None = None
-) -> dict[Permutation, int]:
-    """Integer multiplicities q approximating a distribution: |q/sum(q) - p|
-    is zero when the exact denominators are affordable, and at most epsilon
-    after largest-remainder rounding otherwise."""
-    if not distribution:
-        raise DistributionError("empty distribution")
-    support = sorted(distribution, key=lambda p: p.word)
-    sizes = {len(p) for p in support}
-    if len(sizes) != 1:
-        raise DistributionError(f"support mixes sizes {sorted(sizes)}")
-    probs = {p: as_fraction(distribution[p]) for p in support}
-    if any(v < 0 for v in probs.values()):
-        raise DistributionError("negative probability")
-    total = sum(probs.values(), Fraction(0))
-    if total != 1:
-        raise DistributionError(f"probabilities sum to {total}, not 1")
-    if epsilon is None:
-        epsilon = Fraction(1, len(support) * 10**6)
-    epsilon = as_fraction(epsilon)
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
-    numerators, exact_denominator = integer_numerators(list(probs.values()))
-    if epsilon == 0 or exact_denominator <= math.ceil(1 / epsilon):
-        weights = dict(zip(support, numerators))
-    else:
-        scale = math.ceil(1 / epsilon)
-        floors = {p: math.floor(v * scale) for p, v in probs.items()}
-        remainders = sorted(
-            support, key=lambda p: (probs[p] * scale - floors[p], p.word), reverse=True
-        )
-        deficit = scale - sum(floors.values())
-        weights = dict(floors)
-        for p in remainders[:deficit]:
-            weights[p] += 1
-    shrink = math.gcd(*weights.values())
-    return {p: q // shrink for p, q in weights.items()}
-
-
-def derandomize(
-    distribution: Mapping[Permutation, object], epsilon: Fraction | None = None
-) -> Permutation:
-    """A single permutation built from integer-weighted blocks of the support,
-    whose consecutive proportions match the distribution's expectation up to
-    epsilon plus a boundary term of |pattern|/n."""
-    weights = derandomize_weights(distribution, epsilon)
-    block_size = len(next(iter(weights)))
-    total_copies = sum(weights.values())
-    _check_mix_size("derandomized permutation", block_size * total_copies)
-    return direct_sum(*[repeat_sum(q, p) for p, q in sorted(weights.items()) if q > 0])
 
 
 def monotone_sum_generator(block: Permutation) -> Callable[[int], Permutation]:

@@ -73,10 +73,6 @@ class Multigraph:
     def label(self, eid: int) -> str:
         return self.edges[eid][2]
 
-    def is_loop(self, eid: int) -> bool:
-        st, ar, _ = self.edges[eid]
-        return st == ar
-
     def out_edges(self, v: int) -> tuple[int, ...]:
         return self._out[v]
 
@@ -88,12 +84,6 @@ class Multigraph:
 
     def in_degree(self, v: int) -> int:
         return len(self._in[v])
-
-    def continuations(self, eid: int) -> tuple[int, ...]:
-        """Edge ids that can follow ``eid`` in a walk (a loop continues itself)."""
-        if not 0 <= eid < self.n_edges:
-            raise IndexError(f"no edge with id {eid}")
-        return self._out[self.ar(eid)]
 
     def __repr__(self) -> str:
         return f"Multigraph({self.n_vertices} vertices, {self.n_edges} edges)"

@@ -18,25 +18,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import limits
-from .errors import CapacityError, SizeError
-from .graphs import Multigraph, SimpleCycle, Walk, eulerian_circuit
-from .perms import Permutation, _pattern_ids, _step_table, _window_ids, all_patterns, pattern_at
-
-
-def begin_pattern(pattern: Permutation) -> Permutation:
-    """Pattern of the first k-1 entries."""
-    k = len(pattern)
-    if k < 2:
-        raise SizeError("need size >= 2 to drop an endpoint")
-    return pattern_at(pattern, range(1, k))
-
-
-def end_pattern(pattern: Permutation) -> Permutation:
-    """Pattern of the last k-1 entries."""
-    k = len(pattern)
-    if k < 2:
-        raise SizeError("need size >= 2 to drop an endpoint")
-    return pattern_at(pattern, range(2, k + 1))
+from .errors import SizeError
+from .graphs import Multigraph, Walk, eulerian_circuit
+from .perms import Permutation, _step_table, _window_ids, all_patterns
 
 
 class OverlapGraph:
@@ -65,9 +49,6 @@ class OverlapGraph:
 
     def edge_permutation(self, eid: int) -> Permutation:
         return self._edge_perms[eid]
-
-    def edge_of(self, pattern: Permutation) -> int:
-        return _pattern_ids(self.k)[pattern.word]
 
     def walk_of(self, sigma: Permutation) -> Walk:
         """The walk traced by the width-k windows of ``sigma``.
@@ -150,42 +131,3 @@ def eulerian_universal_permutation(k: int) -> Permutation:
     og = build_overlap_graph(k)
     circuit = eulerian_circuit(og.graph, 0)
     return og.permutation_of_walk(circuit)
-
-
-def hamiltonian_cycle(k: int) -> SimpleCycle:
-    """A simple cycle through every vertex of the overlap graph exactly once.
-
-    Depth-first search in lexicographic vertex order; the graph is rich enough
-    that this is fast for every buildable k.
-    """
-    og = build_overlap_graph(k)
-    g = og.graph
-    n = g.n_vertices
-    if n == 1:
-        loop = min(eid for eid in range(g.n_edges) if g.is_loop(eid))
-        return SimpleCycle(g, (loop,))
-    visited = [False] * n
-    visited[0] = True
-    edges: list[int] = []
-
-    def extend(v: int) -> bool:
-        if len(edges) == n - 1:
-            for eid in g.out_edges(v):
-                if g.ar(eid) == 0:
-                    edges.append(eid)
-                    return True
-            return False
-        for eid in g.out_edges(v):
-            w = g.ar(eid)
-            if not visited[w]:
-                visited[w] = True
-                edges.append(eid)
-                if extend(w):
-                    return True
-                edges.pop()
-                visited[w] = False
-        return False
-
-    if not extend(0):
-        raise CapacityError(f"no Hamiltonian cycle found in the overlap graph for k={k}")
-    return SimpleCycle(g, tuple(edges))

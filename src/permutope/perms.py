@@ -186,11 +186,6 @@ def standardize(values: Sequence) -> Permutation:
     return Permutation._trusted(_std_word(values))
 
 
-def is_interval(indices: Sequence[int]) -> bool:
-    """True when a sorted index set is contiguous."""
-    return bool(indices) and indices[-1] - indices[0] == len(indices) - 1
-
-
 def pattern_at(sigma: Permutation, indices: Iterable[int]) -> Permutation:
     """The pattern induced by ``sigma`` on a set of 1-based positions."""
     idx = sorted(indices)
@@ -201,13 +196,6 @@ def pattern_at(sigma: Permutation, indices: Iterable[int]) -> Permutation:
     if idx[0] < 1 or idx[-1] > len(sigma):
         raise IndexError(f"index set {idx!r} out of range for size {len(sigma)}")
     return Permutation._trusted(_std_word([sigma.word[i - 1] for i in idx]))
-
-
-def window_pattern(sigma: Permutation, start: int, k: int) -> Permutation:
-    """Pattern of the width-``k`` window beginning at 1-based position ``start``."""
-    if start < 1 or start + k - 1 > len(sigma):
-        raise IndexError(f"window [{start}, {start + k - 1}] out of range")
-    return Permutation(_std_word(sigma.word[start - 1 : start - 1 + k]))
 
 
 # The classical k <= 3 kernel takes positions in chunks of _CHUNK and
@@ -520,12 +508,6 @@ class PatternVector:
         return cls._trusted(k, (1,) * size, size)
 
     @classmethod
-    def point_mass(cls, pattern: Permutation) -> "PatternVector":
-        k = len(pattern)
-        _check_vector_k(k)
-        return cls._trusted(k, [int(p == pattern) for p in all_patterns(k)], 1)
-
-    @classmethod
     def from_values(cls, k: int, values: Sequence) -> "PatternVector":
         """Build from entries listed in lexicographic pattern order."""
         _check_vector_k(k)
@@ -619,14 +601,6 @@ def substitute(skeleton: Permutation, blocks: Sequence[Permutation]) -> Permutat
     )
 
 
-def _check_mix_size(what: str, size: int) -> None:
-    cap = limits.cap("mix")
-    if size > cap:
-        raise CapacityError(
-            f"{what} would have size {size}, over the mix cap {cap} (PERMUTOPE_CAP key 'mix')"
-        )
-
-
 def mix(
     generator_consecutive: Callable[[int], Permutation],
     generator_classical: Callable[[int], Permutation],
@@ -641,5 +615,10 @@ def mix(
     """
     inner = generator_consecutive(m)
     outer = generator_classical(m)
-    _check_mix_size("mixed permutation", len(inner) * len(outer))
+    size, cap = len(inner) * len(outer), limits.cap("mix")
+    if size > cap:
+        raise CapacityError(
+            f"mixed permutation would have size {size}, over the mix cap {cap} "
+            f"(PERMUTOPE_CAP key 'mix')"
+        )
     return substitute(outer, [inner] * len(outer))

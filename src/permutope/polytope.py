@@ -34,12 +34,6 @@ class CycleVector(Record):
 
     __slots__ = ("cycle",)
 
-    @classmethod
-    def from_cycle(cls, graph: Multigraph, cycle: SimpleCycle) -> "CycleVector":
-        if cycle.graph is not graph:
-            raise IndexError("cycle references edges of a different graph")
-        return cls(cycle)
-
     @property
     def entries(self) -> tuple[Fraction, ...]:
         weight = Fraction(1, len(self.cycle))
@@ -83,10 +77,6 @@ class FacePoset(Record, hidden=("polytope",)):
     """All non-empty full subgraphs of the graph, ordered by inclusion."""
 
     __slots__ = ("polytope", "faces")
-
-    @staticmethod
-    def leq(a: FaceHandle, b: FaceHandle) -> bool:
-        return set(a.edge_ids) <= set(b.edge_ids)
 
     def by_dimension(self) -> dict[int, tuple[FaceHandle, ...]]:
         grouped: dict[int, list[FaceHandle]] = {}

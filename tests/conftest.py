@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from permutope import Multigraph, Walk
+from permutope import Multigraph, PatternVector, Permutation, Walk, all_patterns
 
 
 @pytest.fixture
@@ -41,13 +41,19 @@ def random_multigraph(rng: random.Random, max_vertices: int = 5, max_edges: int 
     return Multigraph([f"v{i}" for i in range(nv)], edges)
 
 
+def point_mass(pattern: Permutation) -> PatternVector:
+    """The target with all its mass on ``pattern``."""
+    k = len(pattern)
+    return PatternVector.from_values(k, [int(p == pattern) for p in all_patterns(k)])
+
+
 def random_walk(rng: random.Random, graph: Multigraph, max_len: int = 50) -> Walk | None:
     if graph.n_edges == 0:
         return None
     edge = rng.randrange(graph.n_edges)
     ids = [edge]
     for _ in range(rng.randint(0, max_len - 1)):
-        options = graph.continuations(ids[-1])
+        options = graph.out_edges(graph.ar(ids[-1]))
         if not options:
             break
         ids.append(rng.choice(options))

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here is deliberately written from the definitions, sharing no code
-with the implementations under test: occurrence counting by explicit pairwise
+with the implementations under test: the pattern of a window or of an
+overlap edge's ends by sorting, occurrence counting by explicit pairwise
 order comparison, classical size-2 and size-3 counts from merge-sort
 smaller-before counts split by the middle position, classical counts of any
 size by one argsort per subset, simple cycles by edge-subset filtering, rank
@@ -23,6 +24,29 @@ from typing import Sequence
 
 
 # -- pattern counting ------------------------------------------------------
+
+
+def standardized(values: Sequence) -> tuple[int, ...]:
+    """The pattern of distinct values, by sorting: each value becomes its rank."""
+    order = sorted(values)
+    return tuple(order.index(v) + 1 for v in values)
+
+
+def window_pattern(sigma: Sequence[int], start: int, k: int) -> tuple[int, ...]:
+    """The pattern of the width-k window at 0-based position ``start``."""
+    return standardized(sigma[start : start + k])
+
+
+def begin_pattern(pattern: Sequence[int]) -> tuple[int, ...]:
+    """The pattern of the first k-1 entries: the start vertex of the
+    pattern's overlap-graph edge."""
+    return standardized(pattern[:-1])
+
+
+def end_pattern(pattern: Sequence[int]) -> tuple[int, ...]:
+    """The pattern of the last k-1 entries: the end vertex of the pattern's
+    overlap-graph edge."""
+    return standardized(pattern[1:])
 
 
 def order_isomorphic(values: Sequence, pattern: Sequence[int]) -> bool:
@@ -141,15 +165,10 @@ def step_table_by_sorting(k: int) -> tuple[tuple, tuple[int, ...]]:
     """The overlap-graph transition table in the layout of
     ``perms._step_table``, for k >= 2: both ends of every size-k pattern
     standardized by sorting their values."""
-
-    def standardized(values: Sequence[int]) -> tuple[int, ...]:
-        order = sorted(values)
-        return tuple(order.index(v) + 1 for v in values)
-
     head_id = {w: i for i, w in enumerate(itertools.permutations(range(1, k)))}
     step = [[None] * k for _ in head_id]
     for eid, w in enumerate(itertools.permutations(range(1, k + 1))):
-        step[head_id[standardized(w[:-1])]][w[-1] - 1] = (eid, head_id[standardized(w[1:])])
+        step[head_id[begin_pattern(w)]][w[-1] - 1] = (eid, head_id[end_pattern(w)])
     return tuple(map(tuple, step)), tuple(w[0] - 1 for w in head_id)
 
 
@@ -274,8 +293,7 @@ def cocc_via_walk(pattern, sigma) -> int:
     if len(sigma) < k:
         raise SizeError(f"pattern size {k} exceeds permutation size {len(sigma)}")
     og = build_overlap_graph(k)
-    target = og.edge_of(pattern)
-    return sum(1 for eid in og.walk_of(sigma).edge_ids if eid == target)
+    return sum(1 for label in og.walk_labels(og.walk_of(sigma)) if label == pattern)
 
 
 # -- realization error --------------------------------------------------------

@@ -22,6 +22,13 @@ from permutope.cli import run
 
 F = Fraction
 
+# Well formed but infeasible: all mass on 132, so flow leaves vertex 12 and
+# never comes back.
+INFEASIBLE = json.dumps(
+    {"k": 3, "entries": {"123": "0", "132": "1", "213": "0", "231": "0", "312": "0", "321": "0"}}
+)
+VIOLATION = "flow not conserved at vertex '12': out 1 != in 0"
+
 
 def invoke(capsys, *argv):
     code = run(list(argv))
@@ -73,12 +80,9 @@ class TestSimpleVerbs:
         assert [d["weight"] for d in data["decomposition"]] == ["1/6", "1/3", "1/3", "1/6"]
 
     def test_member_non_member(self, capsys):
-        vector = {"k": 3, "entries": {w: "0" for w in ["123", "213", "231", "312", "321"]}}
-        vector["entries"]["132"] = "1"
-        code, out, _ = invoke(capsys, "member", "--k", "3", "--vector", json.dumps(vector))
-        assert code == 0
-        assert out.splitlines()[0] == "false"
-        assert "violation" in out
+        code, out, err = invoke(capsys, "member", "--k", "3", "--vector", INFEASIBLE)
+        assert code == 0 and err == ""
+        assert out == "false\n" + json.dumps({"violation": VIOLATION}, indent=2) + "\n"
 
     def test_decompose(self, capsys):
         code, out, _ = invoke(capsys, "decompose", "--k", "3", "--vector", "uniform")
@@ -414,6 +418,13 @@ class TestErrorsAndCaps:
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv", [["decompose"], ["realize", "--m", "1"], ["report", "--m-values", "1"]]
+    )
+    def test_infeasible_vector_is_one_line_error(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv, "--k", "3", "--vector", INFEASIBLE)
+        assert (code, out, err) == (1, "", f"error: {VIOLATION}\n")
 
     @pytest.mark.parametrize("k", [3.9, True])
     def test_vector_k_must_be_an_integer(self, capsys, k):

@@ -7,7 +7,6 @@ import pytest
 
 from permutope import (
     CapacityError,
-    DistributionError,
     NotInPolytopeError,
     PatternVector,
     Permutation,
@@ -15,8 +14,6 @@ from permutope import (
     all_patterns,
     cocc_proportion,
     convergence_report,
-    derandomize,
-    derandomize_weights,
     feasible_region,
     mix,
     monotone_sum_generator,
@@ -24,7 +21,14 @@ from permutope import (
     proportion_vector,
     repeat_sum,
 )
-from oracles import loose_error_bound, naive_cocc_counts, straddling_window_counts
+from conftest import point_mass
+from oracles import (
+    begin_pattern,
+    end_pattern,
+    loose_error_bound,
+    naive_cocc_counts,
+    straddling_window_counts,
+)
 from test_polytope import planted_point
 
 P = Permutation.parse
@@ -104,7 +108,7 @@ class TestMembership:
         assert weights == {(0,): F(1, 6), (1, 2): F(1, 3), (3, 4): F(1, 3), (5,): F(1, 6)}
 
     def test_point_mass_on_132_fails_conservation(self):
-        result = feasible_region(3).membership(PatternVector.point_mass(P("132")))
+        result = feasible_region(3).membership(point_mass(P("132")))
         assert not result.member
         assert "12" in result.violation
 
@@ -132,8 +136,6 @@ class TestMembership:
     def test_equation_system_is_the_endpoint_balance(self, k):
         # one row per pattern rho of size k-1: (sum over patterns starting
         # with rho) = (sum over patterns ending with rho), plus the sum row
-        from permutope import begin_pattern, end_pattern
-
         region = feasible_region(k)
         rows, rhs = region.polytope.equation_system()
         patterns = all_patterns(k)
@@ -141,7 +143,8 @@ class TestMembership:
         assert len(rows) == len(vertex_patterns) + 1
         for vid, rho in enumerate(vertex_patterns):
             for eid, pattern in enumerate(patterns):
-                expected = int(end_pattern(pattern) == rho) - int(begin_pattern(pattern) == rho)
+                w = pattern.word
+                expected = int(end_pattern(w) == rho.word) - int(begin_pattern(w) == rho.word)
                 assert rows[vid][eid] == expected
             assert rhs[vid] == 0
         assert rows[-1] == tuple([1] * len(patterns)) and rhs[-1] == 1
@@ -301,7 +304,7 @@ class TestRealize:
 
     def test_non_member_rejected(self):
         with pytest.raises(NotInPolytopeError):
-            feasible_region(3).realize(PatternVector.point_mass(P("132")), 3)
+            feasible_region(3).realize(point_mass(P("132")), 3)
 
     def test_bad_m(self):
         with pytest.raises(ValueError):
@@ -340,80 +343,6 @@ class TestRealize:
         assert data["scale"] == 6  # d = 6: exact mode
         assert [d["weight"] for d in data["decomposition"]] == ["1/6", "1/3", "1/3", "1/6"]
         assert plan.to_json() == plan.to_json()
-
-
-def all_rational_distributions(patterns, denominator):
-    """Every probability assignment with the given common denominator."""
-    n = len(patterns)
-    for cuts in itertools.combinations(range(denominator + n - 1), n - 1):
-        parts = []
-        prev = -1
-        for c in cuts:
-            parts.append(c - prev - 1)
-            prev = c
-        parts.append(denominator + n - 2 - prev)
-        yield {
-            p: F(a, denominator) for p, a in zip(patterns, parts) if a > 0
-        }
-
-
-class TestDerandomize:
-    def test_point_mass(self):
-        rho = P("231")
-        assert derandomize({rho: 1}) == rho
-
-    def test_uniform_pair_exact(self):
-        nu = derandomize({P("12"): F(1, 2), P("21"): F(1, 2)})
-        assert nu == P("1243")
-        weights = derandomize_weights({P("12"): F(1, 2), P("21"): F(1, 2)})
-        assert weights == {P("12"): 1, P("21"): 1}
-
-    def test_two_to_one_blocks(self):
-        nu = derandomize({P("123"): F(2, 3), P("321"): F(1, 3)})
-        assert nu == P("123456987")
-
-    def test_errors(self):
-        with pytest.raises(DistributionError):
-            derandomize({})
-        with pytest.raises(DistributionError):
-            derandomize({P("12"): F(1, 2)})
-        with pytest.raises(DistributionError):
-            derandomize({P("12"): F(1, 2), P("123"): F(1, 2)})
-
-    def test_size_cap_names_the_mix_key(self, monkeypatch):
-        message = r"size 4, over the mix cap 3 \(PERMUTOPE_CAP key 'mix'\)"
-        monkeypatch.setenv("PERMUTOPE_CAP", "mix=3")
-        with pytest.raises(CapacityError, match=message):
-            derandomize({P("12"): F(1, 2), P("21"): F(1, 2)})
-
-    def test_rounding_path_respects_epsilon(self):
-        # denominators too large for the exact path at this epsilon
-        probs = {P("12"): F(333333333, 10**9), P("21"): F(666666667, 10**9)}
-        eps = F(1, 100)
-        weights = derandomize_weights(probs, eps)
-        total = sum(weights.values())
-        for p, q in weights.items():
-            assert abs(F(q, total) - probs[p]) <= eps
-
-    def test_expectation_bound_exhaustive_s3(self):
-        patterns = all_patterns(3)
-        seen = set()
-        for denominator in range(1, 7):
-            for dist in all_rational_distributions(patterns, denominator):
-                key = tuple(sorted((str(p), v) for p, v in dist.items()))
-                if key in seen:
-                    continue
-                seen.add(key)
-                nu = derandomize(dist)
-                n = 3
-                for pattern in list(all_patterns(2)) + list(patterns):
-                    expected = sum(
-                        (prob * cocc_proportion(pattern, rho) for rho, prob in dist.items()),
-                        F(0),
-                    )
-                    actual = cocc_proportion(pattern, nu)
-                    # exact integer weights: the epsilon term vanishes
-                    assert abs(actual - expected) <= F(len(pattern), n)
 
 
 class TestMix:
@@ -513,7 +442,7 @@ class TestConvergenceReport:
             return mix(plan.generate, outer_gen, m)
 
         # a long sum of descents looks classically like the identity at size 3
-        classical_target = PatternVector.point_mass(P("123"))
+        classical_target = point_mass(P("123"))
         report = convergence_report(
             mixed_gen,
             3,

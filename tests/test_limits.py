@@ -8,7 +8,6 @@ from permutope import (
     PatternVector,
     Permutation,
     build_overlap_graph,
-    derandomize,
     feasible_region,
     iter_simple_cycles,
     limits,
@@ -72,15 +71,6 @@ def test_guard_reads_the_variable(monkeypatch, key):
     assert str(refusal.value) == message
     monkeypatch.setenv("PERMUTOPE_CAP", f"{key}={value + 100}")
     call()
-
-
-def test_derandomize_reads_the_mix_key(monkeypatch):
-    monkeypatch.setenv("PERMUTOPE_CAP", "mix=1")
-    with pytest.raises(CapacityError) as refusal:
-        derandomize({P("12"): 1})
-    assert str(refusal.value) == (
-        "derandomized permutation would have size 2, over the mix cap 1 (PERMUTOPE_CAP key 'mix')"
-    )
 
 
 def test_defaults_without_the_variable():

@@ -8,37 +8,32 @@ from permutope import (
     Permutation,
     SizeError,
     Walk,
-    begin_pattern,
     build_overlap_graph,
     cocc,
     direct_sum,
-    end_pattern,
     eulerian_circuit,
     eulerian_universal_permutation,
-    hamiltonian_cycle,
     walk_of,
-    window_pattern,
 )
-from oracles import cocc_via_walk, naive_cocc, order_isomorphic, walk_to_word
+from oracles import cocc_via_walk, naive_cocc, order_isomorphic, walk_to_word, window_pattern
 
 P = Permutation.parse
 
 
+def edge_ends(pattern: Permutation) -> tuple[str, str]:
+    """The vertex names at the start and the end of a pattern's edge."""
+    g = build_overlap_graph(len(pattern)).graph
+    st, ar, _ = next(edge for edge in g.edges if edge[2] == str(pattern))
+    return g.vertex_names[st], g.vertex_names[ar]
+
+
 class TestEndpointPatterns:
     def test_caption_examples(self):
-        assert begin_pattern(P("3412")) == P("231")
-        assert end_pattern(P("3412")) == P("312")
-        assert begin_pattern(P("2413")) == P("231")
-        assert end_pattern(P("2413")) == P("312")
+        assert edge_ends(P("3412")) == ("231", "312")
+        assert edge_ends(P("2413")) == ("231", "312")
 
     def test_monotone_loop(self):
-        assert begin_pattern(P("123")) == end_pattern(P("123")) == P("12")
-
-    def test_size_one_rejected(self):
-        with pytest.raises(SizeError):
-            begin_pattern(P("1"))
-        with pytest.raises(SizeError):
-            end_pattern(P("1"))
+        assert edge_ends(P("123")) == ("12", "12")
 
 
 class TestBuild:
@@ -62,7 +57,7 @@ class TestBuild:
     def test_k2_single_vertex_two_loops(self):
         g = build_overlap_graph(2).graph
         assert g.n_vertices == 1 and g.n_edges == 2
-        assert all(g.is_loop(e) for e in range(2))
+        assert all(g.st(e) == g.ar(e) for e in range(2))
 
     def test_k4_counts(self):
         g = build_overlap_graph(4).graph
@@ -119,9 +114,9 @@ class TestWalkOf:
             rng.shuffle(word)
             sigma = Permutation(tuple(word))
             ids = walk_of(sigma, k).edge_ids
-            assert ids == tuple(
-                og.edge_of(window_pattern(sigma, i, k)) for i in range(1, n - k + 2)
-            )
+            assert [og.edge_permutation(eid).word for eid in ids] == [
+                window_pattern(word, i, k) for i in range(n - k + 1)
+            ]
             for i, eid in enumerate(ids):
                 assert order_isomorphic(word[i : i + k], og.edge_permutation(eid).word)
 
@@ -166,7 +161,7 @@ class TestPermutationOfWalk:
         for _ in range(200):
             ids = [rng.randrange(g.n_edges)]
             for _ in range(rng.randint(0, 199)):
-                ids.append(rng.choice(g.continuations(ids[-1])))
+                ids.append(rng.choice(g.out_edges(g.ar(ids[-1]))))
             walk = Walk(g, tuple(ids))
             labels = [label.word for label in og.walk_labels(walk)]
             assert og.permutation_of_walk(walk).word == walk_to_word(labels)
@@ -187,7 +182,7 @@ class TestPermutationOfWalk:
         for _ in range(10_000):
             ids = [rng.randrange(g.n_edges)]
             for _ in range(rng.randint(0, 29)):
-                ids.append(rng.choice(g.continuations(ids[-1])))
+                ids.append(rng.choice(g.out_edges(g.ar(ids[-1]))))
             walk = Walk(g, tuple(ids))
             sigma = og.permutation_of_walk(walk)
             assert len(sigma) == len(walk) + k - 1
@@ -248,23 +243,3 @@ class TestUniversalPermutation:
         with pytest.raises(CapacityError):
             eulerian_universal_permutation(9)
 
-
-class TestHamiltonianCycle:
-    def test_k2_loop(self):
-        cycle = hamiltonian_cycle(2)
-        assert len(cycle) == 1
-
-    def test_k3_is_the_opposite_edge_pair(self):
-        og = build_overlap_graph(3)
-        cycle = hamiltonian_cycle(3)
-        assert [str(og.edge_permutation(e)) for e in cycle.edge_ids] == ["132", "213"]
-
-    @pytest.mark.parametrize("k", [3, 4, 5, 6])
-    def test_visits_every_vertex_once(self, k):
-        import math
-
-        og = build_overlap_graph(k)
-        cycle = hamiltonian_cycle(k)
-        assert len(cycle) == math.factorial(k - 1)
-        starts = [og.graph.st(e) for e in cycle.edge_ids]
-        assert sorted(starts) == list(range(og.graph.n_vertices))

@@ -19,19 +19,18 @@ from permutope import (
     walk_of,
 )
 from permutope import perms as perms_module
+from conftest import point_mass
 
 PUBLIC = [
     "ArityError", "CapacityError", "ConvergenceReport", "CyclePolytope", "CycleVector",
-    "DistinctnessError", "DistributionError", "EmptyError", "EmptyPolytopeError", "FaceHandle",
-    "FacePoset", "FeasibleRegion", "MembershipResult", "Multigraph", "NotFullError",
-    "NotInPolytopeError", "OverlapGraph", "PatternVector", "Permutation", "PermutopeError",
-    "RationalityError", "RealizationPlan", "SimpleCycle", "SizeError", "Walk", "WalkDecomposition",
-    "all_patterns", "begin_pattern", "build_overlap_graph", "cocc", "cocc_proportion",
-    "convergence_report", "decompose_walk", "derandomize", "derandomize_weights", "direct_sum",
-    "end_pattern", "eulerian_circuit", "eulerian_universal_permutation", "feasible_region",
-    "hamiltonian_cycle", "is_interval", "iter_simple_cycles", "mix", "monotone_sum_generator",
-    "occ", "occ_proportion", "pattern_at", "proportion_vector", "repeat_sum", "standardize",
-    "substitute", "walk_of", "window_pattern",
+    "DistinctnessError", "EmptyError", "EmptyPolytopeError", "FaceHandle", "FacePoset",
+    "FeasibleRegion", "MembershipResult", "Multigraph", "NotFullError", "NotInPolytopeError",
+    "OverlapGraph", "PatternVector", "Permutation", "PermutopeError", "RationalityError",
+    "RealizationPlan", "SimpleCycle", "SizeError", "Walk", "WalkDecomposition", "all_patterns",
+    "build_overlap_graph", "cocc", "cocc_proportion", "convergence_report", "decompose_walk",
+    "direct_sum", "eulerian_circuit", "eulerian_universal_permutation", "feasible_region",
+    "iter_simple_cycles", "mix", "monotone_sum_generator", "occ", "occ_proportion", "pattern_at",
+    "proportion_vector", "repeat_sum", "standardize", "substitute", "walk_of",
 ]
 SUBMODULES = [
     "cli", "errors", "feasible", "graphs", "limits", "overlap", "perms", "polytope", "rationals",
@@ -41,7 +40,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 class TestNamespace:
     def test_all_is_pinned(self):
-        assert len(PUBLIC) == 54
+        assert len(PUBLIC) == 46
         assert permutope.__all__ == PUBLIC
 
     def test_dir_lists_public_names_and_submodules(self):
@@ -94,7 +93,7 @@ def _records():
         decompose_walk(walk_of(permutope.Permutation.parse("31524"), 3)),
         region.polytope.vertices()[1],
         region.membership(uniform),
-        region.membership(PatternVector.point_mass(permutope.all_patterns(3)[1])),
+        region.membership(point_mass(permutope.all_patterns(3)[1])),
         poset.faces[3],
         poset,
         plan,

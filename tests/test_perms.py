@@ -18,7 +18,6 @@ from permutope import (
     cocc,
     cocc_proportion,
     direct_sum,
-    is_interval,
     occ,
     occ_proportion,
     pattern_at,
@@ -27,6 +26,7 @@ from permutope import (
     standardize,
     substitute,
 )
+from conftest import point_mass
 from oracles import (
     classical_counts_by_subsets,
     classical_counts_small,
@@ -138,10 +138,6 @@ class TestPatternAt:
             pattern_at(P("123"), (1, 4))
         with pytest.raises(EmptyError):
             pattern_at(P("123"), ())
-
-    def test_is_interval(self):
-        assert is_interval((3, 4, 5))
-        assert not is_interval((3, 5))
 
 
 class TestStepTable:
@@ -506,7 +502,7 @@ class TestPatternVector:
     def test_uniform_and_point_mass(self):
         u = PatternVector.uniform(3)
         assert u.total() == 1 and u[P("312")] == Fraction(1, 6)
-        pm = PatternVector.point_mass(P("21"))
+        pm = point_mass(P("21"))
         assert pm[P("21")] == 1 and pm[P("12")] == 0
 
     def test_domain_validation(self):
@@ -600,5 +596,5 @@ class TestPatternVector:
 
     def test_distance(self):
         u = PatternVector.uniform(2)
-        pm = PatternVector.point_mass(P("12"))
+        pm = point_mass(P("12"))
         assert u.linf_distance(pm) == Fraction(1, 2)

@@ -48,22 +48,17 @@ def random_member(rng, poly, vertices):
 class TestCycleVector:
     def test_loop_indicator(self):
         g = Multigraph(["v"], [(0, 0, "loop")])
-        cv = CycleVector.from_cycle(g, SimpleCycle(g, (0,)))
+        cv = CycleVector(SimpleCycle(g, (0,)))
         assert cv.entries == (F(1),)
 
     def test_two_cycle_in_overlap_graph(self):
         og = build_overlap_graph(3)
-        cv = CycleVector.from_cycle(og.graph, SimpleCycle(og.graph, (1, 2)))  # 132, 213
+        cv = CycleVector(SimpleCycle(og.graph, (1, 2)))  # 132, 213
         assert cv.entries == (0, F(1, 2), F(1, 2), 0, 0, 0)
 
     def test_triangle(self, fig2_graph):
-        cv = CycleVector.from_cycle(fig2_graph, SimpleCycle(fig2_graph, (0, 1, 2)))
+        cv = CycleVector(SimpleCycle(fig2_graph, (0, 1, 2)))
         assert cv.entries == (F(1, 3), F(1, 3), F(1, 3))
-
-    def test_foreign_cycle_rejected(self, fig2_graph, fig3_graph):
-        cycle = SimpleCycle(fig3_graph, (0,))
-        with pytest.raises(IndexError):
-            CycleVector.from_cycle(fig2_graph, cycle)
 
     def test_entries_sum_to_one_and_support(self, fig3_graph):
         poly = CyclePolytope(fig3_graph)
@@ -272,8 +267,9 @@ def broken_point(rng, g, point, how):
         point = [v * F(8, 7) for v in point]
     else:
         e = rng.choice([e for e in range(g.n_edges) if point[e] > 0])
-        loops = [f for f in range(g.n_edges) if g.is_loop(f)]
-        f = rng.choice([f for f in range(g.n_edges) if not g.is_loop(f)] if g.is_loop(e) else loops)
+        is_loop = [g.st(f) == g.ar(f) for f in range(g.n_edges)]
+        loops = [f for f in range(g.n_edges) if is_loop[f]]
+        f = rng.choice([f for f in range(g.n_edges) if not is_loop[f]] if is_loop[e] else loops)
         delta = point[e] / 2
         point[e] -= delta
         point[f] += delta
@@ -479,7 +475,7 @@ class TestFaces:
         for a in poset.faces:
             vertices_a = {c.edge_ids for c in cycles if set(c.edge_ids) <= set(a.edge_ids)}
             for b in poset.faces:
-                if poset.leq(a, b):
+                if set(a.edge_ids) <= set(b.edge_ids):
                     vertices_b = {
                         c.edge_ids for c in cycles if set(c.edge_ids) <= set(b.edge_ids)
                     }

@@ -34,7 +34,7 @@ from permutope import (
     standardize,
     substitute,
 )
-from conftest import random_multigraph, random_walk
+from conftest import point_mass, random_multigraph, random_walk
 from oracles import count_simple_cycles_dp
 from test_polytope import planted_point
 
@@ -238,7 +238,7 @@ class TestPatternVectors:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_point_masses(self, k):
         for pattern in all_patterns(k):
-            assert_vector_passes(PatternVector.point_mass(pattern))
+            assert_vector_passes(point_mass(pattern))
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
     def test_vector_of_planted_points(self, k):
