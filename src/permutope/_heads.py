@@ -109,7 +109,7 @@ def _gap_slots(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     above its last entry (or the later points in all), and the one just
     below (or the trailing 0)."""
     m = k - 1
-    step, _ = _step_table(k)
+    step = _step_table(k)
     hi, lo = [0] * math.factorial(k), [0] * math.factorial(k)
     for u, head in enumerate(all_patterns(m)):
         by_rank = sorted(range(m), key=head.word.__getitem__)

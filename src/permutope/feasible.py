@@ -337,10 +337,6 @@ class ReportRow(Record):
 class ConvergenceReport(Record):
     __slots__ = ("k", "rows")
 
-    def sizes_strictly_increasing(self) -> bool:
-        sizes = [row.size for row in self.rows]
-        return all(a < b for a, b in zip(sizes, sizes[1:]))
-
     def to_csv(self) -> str:
         patterns = all_patterns(self.k)
         header = (

@@ -272,10 +272,6 @@ class Walk:
     def labels(self) -> tuple[str, ...]:
         return tuple(self.graph.label(eid) for eid in self.edge_ids)
 
-    def is_cycle(self) -> bool:
-        g = self.graph
-        return g.st(self.edge_ids[0]) == g.ar(self.edge_ids[-1])
-
 
 # Set through the slots themselves, as perms does for Permutation.
 _set_graph, _set_edge_ids = Walk.graph.__set__, Walk.edge_ids.__set__

@@ -35,9 +35,9 @@ class OverlapGraph:
 
     def __init__(self, k: int) -> None:
         edge_perms = all_patterns(k)
-        # The window kernel's step table already holds every edge's ends.
+        # The step table already holds every edge's ends.
         edges: list = [None] * len(edge_perms)
-        for st, row in enumerate(_step_table(k)[0]):
+        for st, row in enumerate(_step_table(k)):
             for eid, ar in row:
                 edges[eid] = (st, ar, str(edge_perms[eid]))
         self.k = k
@@ -55,7 +55,7 @@ class OverlapGraph:
 
         Runs the same window kernel as consecutive counting in ``perms``:
         edge id i is the i-th size-k pattern, which is the id that kernel
-        yields for each window.
+        yields for each window, with no Python step per window.
         """
         k, n = self.k, len(sigma)
         if n < k:

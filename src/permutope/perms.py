@@ -11,11 +11,9 @@ that list, and a ``PatternVector`` keeps it as numerators over one
 denominator.  What each kernel costs, for a permutation of size n and
 patterns of size k:
 
-- consecutive: one window scan, O(n k).  Sliding the window is a walk on the
-  overlap graph: the next window's pattern is fixed by the current window's
-  last k-1 entries (a vertex) and the rank of the one new value, so each step
-  is one bisection into the sorted last k-1 values and one lookup in a cached
-  step table of k! rows;
+- consecutive: O(n k) work in C with no Python step per window.  Lane-wise
+  subtraction on the word packed into big integers, one lane per position,
+  gives every window's id (its Lehmer code) in O(k) operations per pass;
 - classical, k <= 3: one chunked sweep for the earlier-and-smaller counts.
   For each chunk of 512 positions, C ``map`` calls count the smaller entries
   of earlier chunks from per-block prefix sums (blocks of 128 values) and one
@@ -39,7 +37,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left, insort
+import sys
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, total_ordering
@@ -297,14 +296,13 @@ def _occ_counts_enumerated(sigma: Permutation, k: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _step_table(k: int) -> tuple[tuple, tuple[int, ...]]:
+def _step_table(k: int) -> tuple[tuple, ...]:
     """The overlap graph of size ``k`` as a transition table, for k >= 2.
 
     Heads are the patterns of size k-1, numbered in lexicographic order.
     ``step[u][r]`` is ``(e, w)``: e is the id of the size-k pattern whose
     first k-1 entries form head u and whose last entry has 0-based rank r,
-    and w is the head formed by its last k-1 entries.  ``lead[u]`` is the
-    0-based rank of head u's first entry.
+    and w is the head formed by its last k-1 entries.
     """
     head_id = _pattern_ids(k - 1)
     # The patterns with first entry f have the ids (f-1)(k-1)! .. f(k-1)! - 1,
@@ -318,36 +316,46 @@ def _step_table(k: int) -> tuple[tuple, tuple[int, ...]]:
         w = p.word
         last = w[-1]
         step[head_id[tuple([v - (v > last) for v in w[:-1]])]][last - 1] = (eid, eid % block)
-    lead = tuple(w[0] - 1 for w in head_id)
-    return tuple(map(tuple, step)), lead
+    return tuple(map(tuple, step))
 
 
-def _window_ids(word: Sequence[int], k: int) -> list[int]:
+_LANES = 1 << 13  # windows per pass of the window kernel, which bounds its memory
+
+
+def _window_ids(word: Sequence[int], k: int) -> Sequence[int]:
     """Pattern ids (lexicographic indices among the size-k patterns) of the
-    width-k windows of ``word``, left to right; needs 2 <= k <= len(word).
+    width-k windows of ``word``, left to right, for 1 <= k <= len(word).
 
-    This is the walk of ``word`` on the overlap graph.  ``window`` holds the
-    last k-1 values in sorted order: the new value's rank in it and the
-    current head select the step, and the value leaving on the left sits at
-    the head's lead rank.
+    Each id is a Lehmer code: the sum over d of d! times how many of the d
+    values after window entry k-1-d are smaller.  Per pass of _LANES windows,
+    the word is packed into one big integer, one lane per position with a
+    flag bit above every value, so no lane borrows from the next; subtracting
+    the word shifted by d lanes keeps the flag where the value d places on is
+    smaller.  That is O(k) whole-integer operations, no Python step per window.
     """
-    step, lead = _step_table(k)
-    window = sorted(word[: k - 1])
-    u = _pattern_ids(k - 1)[_std_word(word[: k - 1])]
-    ids: list[int] = []
-    append = ids.append
-    for v in word[k - 1 :]:
-        eid, nxt = step[u][bisect_left(window, v)]
-        append(eid)
-        del window[lead[u]]
-        insort(window, v)
-        u = nxt
+    from array import array
+
+    n = len(word)
+    flag = n.bit_length()
+    need = max(flag + 1, (math.factorial(k) - 1).bit_length())
+    code = next(c for c in "HIQ" if array(c).itemsize * 8 >= need)
+    size = array(code).itemsize
+    span = min(n, _LANES + k - 1)
+    top = int.from_bytes(array(code, [1 << flag]).tobytes() * span, sys.byteorder)
+    ids = array(code)
+    for start in range(0, n - k + 1, _LANES):
+        packed = int.from_bytes(array(code, word[start : start + span]).tobytes(), sys.byteorder)
+        raised = packed | top
+        smaller = lehmer = 0
+        for d in range(1, k):
+            smaller += ((raised - (packed >> 8 * size * d)) & top) >> flag
+            lehmer += math.factorial(d) * (smaller >> 8 * size * (k - 1 - d))
+        lanes = lehmer.to_bytes(size * span, sys.byteorder)
+        ids.frombytes(lanes[: size * min(_LANES, n - k + 1 - start)])
     return ids
 
 
 def _cocc_counts(sigma: Permutation, k: int) -> list[int]:
-    if k == 1:
-        return [len(sigma)]
     counts = [0] * math.factorial(k)
     for eid, count in Counter(_window_ids(sigma.word, k)).items():
         counts[eid] = count

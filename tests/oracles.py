@@ -9,7 +9,8 @@ size by one argsort per subset, simple cycles by edge-subset filtering, rank
 by its own Gaussian elimination, convex-hull membership by an exact phase-1
 simplex over the vertex list, membership and its greedy cycle decomposition
 in ``Fraction`` arithmetic, the greedy walk-to-permutation construction by
-rewriting the whole word at every step, the signed incidence matrix, and the
+rewriting the whole word at every step, the window walk one step per window
+through a step table built by sorting, the signed incidence matrix, and the
 worst-case realization error bound that charges every block-boundary window
 to every edge.  The one exception is ``cocc_via_walk``, which counts on the
 package's own window walk to cross-check ``cocc``.
@@ -18,8 +19,10 @@ package's own window walk to cross-check ``cocc``.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, insort
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 
@@ -161,7 +164,8 @@ def classical_counts_by_subsets(sigma: Sequence[int], k: int) -> list[int]:
 # -- walks to permutations ---------------------------------------------------
 
 
-def step_table_by_sorting(k: int) -> tuple[tuple, tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def step_table_by_sorting(k: int) -> tuple[tuple, ...]:
     """The overlap-graph transition table in the layout of
     ``perms._step_table``, for k >= 2: both ends of every size-k pattern
     standardized by sorting their values."""
@@ -169,7 +173,30 @@ def step_table_by_sorting(k: int) -> tuple[tuple, tuple[int, ...]]:
     step = [[None] * k for _ in head_id]
     for eid, w in enumerate(itertools.permutations(range(1, k + 1))):
         step[head_id[begin_pattern(w)]][w[-1] - 1] = (eid, head_id[end_pattern(w)])
-    return tuple(map(tuple, step)), tuple(w[0] - 1 for w in head_id)
+    return tuple(map(tuple, step))
+
+
+def window_ids_by_walk(word: Sequence[int], k: int) -> list[int]:
+    """Pattern ids of the width-k windows of ``word``, left to right, for
+    2 <= k <= len(word), by one step per window on the overlap graph.
+
+    ``window`` holds the last k-1 values in sorted order: the new value's
+    rank in it and the current head select the step in
+    ``step_table_by_sorting(k)``, and the value leaving on the left sits at
+    the rank of the head's first entry.
+    """
+    heads = list(itertools.permutations(range(1, k)))
+    step = step_table_by_sorting(k)
+    window = sorted(word[: k - 1])
+    u = heads.index(standardized(word[: k - 1]))
+    ids = []
+    for v in word[k - 1 :]:
+        eid, nxt = step[u][bisect_left(window, v)]
+        ids.append(eid)
+        del window[heads[u][0] - 1]
+        insort(window, v)
+        u = nxt
+    return ids
 
 
 def walk_to_word(labels: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -282,8 +309,9 @@ def cocc_via_walk(pattern, sigma) -> int:
     """Consecutive occurrences counted as label hits along the window walk.
 
     The one oracle that runs package code: it counts on the package's
-    overlap-graph walk, a route independent of the per-window
-    standardization in ``perms.cocc``.
+    overlap-graph walk and its edge labels.  The walk runs the same window
+    kernel as ``perms.cocc``, so this checks the labels and the count's
+    indexing; ``window_ids_by_walk`` checks the kernel.
     """
     from permutope import SizeError, build_overlap_graph
 

@@ -391,7 +391,8 @@ class TestConvergenceReport:
         report = convergence_report(
             plan.generate, 3, [1, 2, 4, 8], consecutive_target=target
         )
-        assert report.sizes_strictly_increasing()
+        sizes = [row.size for row in report.rows]
+        assert all(a < b for a, b in zip(sizes, sizes[1:]))
         for row in report.rows:
             assert row.linf_consecutive == F(2, row.m + 2)
         distances = [row.linf_consecutive for row in report.rows]
@@ -400,7 +401,8 @@ class TestConvergenceReport:
     def test_constant_generator_constant_rows(self):
         sigma = P("35142")
         report = convergence_report(lambda m: sigma, 3, [1, 2, 3])
-        assert not report.sizes_strictly_increasing()
+        sizes = [row.size for row in report.rows]
+        assert not all(a < b for a, b in zip(sizes, sizes[1:]))
         vectors = {tuple(row.consecutive.values_by_pattern()) for row in report.rows}
         assert len(vectors) == 1
 
@@ -450,7 +452,8 @@ class TestConvergenceReport:
             consecutive_target=PatternVector.uniform(3),
             classical_target=classical_target,
         )
-        assert report.sizes_strictly_increasing()
+        sizes = [row.size for row in report.rows]
+        assert all(a < b for a, b in zip(sizes, sizes[1:]))
         consec = [row.linf_consecutive for row in report.rows]
         classic = [row.linf_classical for row in report.rows]
         assert consec[0] > consec[-1]

@@ -15,6 +15,7 @@ from permutope import (
     RationalityError,
     SizeError,
     all_patterns,
+    build_overlap_graph,
     cocc,
     cocc_proportion,
     direct_sum,
@@ -34,6 +35,7 @@ from oracles import (
     naive_cocc,
     naive_occ,
     step_table_by_sorting,
+    window_ids_by_walk,
 )
 from permutope import _heads as heads_module
 from permutope import limits
@@ -144,6 +146,55 @@ class TestStepTable:
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
     def test_value_shifts_match_sorting(self, k):
         assert perms_module._step_table(k) == step_table_by_sorting(k)
+
+
+class TestWindowKernel:
+    """Consecutive window ids from the packed-lane kernel against the walk
+    that takes one step per window, id for id and in order."""
+
+    # Both sides of each lane-type switch: 16-bit lanes hold values up to
+    # 2**15 - 1 below their flag bit, 32-bit lanes the larger ones.
+    LANE_EDGES = (2**15 - 1, 2**15, 2**16 + 1)
+    # One full pass of windows, and one more window in a second pass.
+    PASS_EDGES = (perms_module._LANES, perms_module._LANES + 1)
+
+    @staticmethod
+    def assert_matches_walk(word, k):
+        expected = window_ids_by_walk(word, k)
+        assert list(perms_module._window_ids(word, k)) == expected, (len(word), k)
+
+    def test_every_permutation_up_to_size_7(self):
+        for n in range(2, 8):
+            for word in itertools.permutations(range(1, n + 1)):
+                for k in range(2, n + 1):
+                    self.assert_matches_walk(word, k)
+
+    @pytest.mark.parametrize("k", range(2, limits.VECTOR_K_CAP + 1))
+    def test_seeded_sizes_across_lane_types(self, k):
+        rng = random.Random(k)
+        for n in (k, k + 1, *(w + k - 1 for w in self.PASS_EDGES), *self.LANE_EDGES):
+            self.assert_matches_walk(random_perm(rng, n).word, k)
+
+    @pytest.mark.parametrize("k", range(2, limits.VECTOR_K_CAP + 1))
+    def test_monotone_words_give_the_extreme_ids(self, k):
+        for n in (k, 100, self.LANE_EDGES[1]):
+            rising = tuple(range(1, n + 1))
+            assert list(perms_module._window_ids(rising, k)) == [0] * (n - k + 1)
+            assert list(perms_module._window_ids(rising[::-1], k)) == [
+                math.factorial(k) - 1
+            ] * (n - k + 1)
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 7])
+    def test_walk_and_counts_read_the_same_ids(self, k):
+        rng = random.Random(100 + k)
+        og = build_overlap_graph(k)
+        for n in (k, 50, 3000):
+            sigma = random_perm(rng, n)
+            expected = window_ids_by_walk(sigma.word, k)
+            assert og.walk_of(sigma).edge_ids == tuple(expected)
+            counts = perms_module._cocc_counts(sigma, k)
+            assert sum(counts) == n - k + 1
+            assert counts == [expected.count(eid) for eid in range(math.factorial(k))]
 
 
 class TestCounts:
