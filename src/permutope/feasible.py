@@ -35,16 +35,6 @@ from .perms import (
 )
 from .polytope import CyclePolytope, MembershipResult
 
-# A plan walks each cycle exactly m * f_C times while its target denominator
-# d is at most this multiple of c(k-1), that is while the exact m = 1 witness
-# is no finer than 1/257; past it the multiplicities are rounded.  On the
-# realize benchmark (k = 3..6, 15 s runs, seeds 1-6) 64 and 256 read the same
-# throughput (median 480 and 491 op/s) and 1024 reads 12% less (431 op/s);
-# 256 is the larger of the two equal ratios, so more targets keep the exact
-# witness, whose error is at most c(k-1)/N.
-EXACT_MODE_RATIO = 256
-
-
 class FeasibleRegion:
     """P_k as the cycle polytope of the overlap graph, with pattern-vector I/O.
 
@@ -81,12 +71,6 @@ class FeasibleRegion:
         self._check_k(vector)
         return self.polytope._membership(list(vector.numerators), vector.denominator)
 
-    def realize(self, vector: PatternVector, m: int) -> tuple[Permutation, "RealizationPlan"]:
-        """A permutation whose consecutive proportions at size k approximate
-        the feasible target ``vector``, plus the reusable plan behind it."""
-        plan = self.plan(vector)
-        return plan.generate(m), plan
-
     def plan(self, vector: PatternVector) -> "RealizationPlan":
         result = self.membership(vector)
         if not result.member:
@@ -97,24 +81,14 @@ class FeasibleRegion:
         d = vector.denominator
         flows = tuple(int(w * d) // len(c) for w, c in decomposition)
         parts = _splice_parts(self.overlap.graph._st, [c.edge_ids for _, c in decomposition])
-        # Past the ratio s = d only if d <= sum of |C|, where rounding at s = d
-        # gives m * f_C anyway, so s == d is exact mode either way.
-        extra_points = len(parts) * (self.k - 1)  # each block has k - 1 more points than edges
-        exact = d <= EXACT_MODE_RATIO * extra_points
-        scale = d if exact else min(d, sum(len(c) for _, c in decomposition))
-        boundary = _boundary_counts(self.k, self.overlap.graph._st, parts)
-        # Every edge off the cycles and the boundary windows has n_e = b_e = 0.
-        b, n = dict(boundary), vector.numerators
-        support = b.keys() | {e for _, c in decomposition for e in c.edge_ids}
         return RealizationPlan(
             region=self,
             target=vector,
             decomposition=decomposition,
             flows=flows,
             parts=parts,
-            scale=scale,
-            boundary=boundary,
-            boundary_error=max(abs(b.get(e, 0) * d - n[e] * extra_points) for e in support),
+            scale=min(d, sum(len(c) for _, c in decomposition)),
+            boundary=_boundary_counts(self.k, self.overlap.graph._st, parts),
         )
 
 
@@ -210,7 +184,7 @@ def decomposition_json(
     ]
 
 
-class RealizationPlan(Record, hidden=("region", "parts", "boundary", "boundary_error")):
+class RealizationPlan(Record, hidden=("region", "parts", "boundary")):
     """Block construction realizing a feasible target.
 
     The target x = n/d is the convex combination of the decomposition's
@@ -221,45 +195,38 @@ class RealizationPlan(Record, hidden=("region", "parts", "boundary", "boundary_e
     block realizing a closed walk through its cycles, and the blocks are
     joined by direct sums.
 
-    The ``scale`` s sets g_C(m) = max(1, round(m * s * f_C / d)).  It is d
-    (exact mode, g_C = m * f_C) when d <= 256 c(k-1), and min(d, sum of |C|)
-    otherwise, so the witness size follows the accuracy asked for, not d.
+    The ``scale`` s = min(d, sum of |C|) sets g_C(m) = max(1, round(m * s * f_C / d)),
+    so the witness size follows the accuracy asked for, not d.  Where every
+    f_C is 1 (every uniform and single-cycle target), s = d and g_C = m * f_C.
 
     ``boundary`` holds (e, b_e) for the b_e windows of pattern e that straddle
     a block boundary; they depend on the part order and each part's start
-    vertex, not on m.  ``boundary_error`` is max over e of
-    |b_e * d - n_e * c(k-1)|, the exact-mode error times N * d.
+    vertex, not on m.
     """
 
-    __slots__ = (
-        "region", "target", "decomposition", "flows", "parts", "scale", "boundary", "boundary_error"
-    )
+    __slots__ = ("region", "target", "decomposition", "flows", "parts", "scale", "boundary")
 
     def multiplicities(self, m: int) -> tuple[int, ...]:
-        """g_C(m), the traversals of each decomposition cycle: m * f_C in
-        exact mode, else max(1, round(m * s * f_C / d)).  Since s >= d / max f_C,
-        the heaviest cycle gains at least one traversal per step of m, and
-        since s <= d, g_C(m) <= m * f_C, so no witness is larger than in exact mode."""
+        """g_C(m) = max(1, round(m * s * f_C / d)), the traversals of each cycle.
+        As d = sum of f_C * |C| <= max f_C * sum of |C|, s >= d / max f_C, so the
+        heaviest cycle gains at least one traversal per step of m; as s <= d,
+        g_C(m) <= m * f_C, so no witness has more than m * d + c(k-1) points."""
         d, s = self.target.denominator, self.scale
         return tuple(max(1, (2 * m * s * f + d) // (2 * d)) for f in self.flows)
-
-    def _walk_length(self, g: Sequence[int]) -> int:
-        """Y = sum of g_C * |C|, the edges of the c walks together."""
-        return sum(gi * len(c) for gi, (_, c) in zip(g, self.decomposition))
 
     def size_for(self, m: int) -> int:
         """N = Y + c(k-1) for c parts and Y = sum of g_C(m) * |C|: a walk of L
         edges is realized by a permutation of L + k - 1 points, and the c walks
-        have Y edges (m * d in exact mode, at most m * d otherwise)."""
-        return self._walk_length(self.multiplicities(m)) + len(self.parts) * (self.region.k - 1)
+        have Y <= m * d edges."""
+        walks = sum(g * len(c) for g, (_, c) in zip(self.multiplicities(m), self.decomposition))
+        return walks + len(self.parts) * (self.region.k - 1)
 
     def sup_error_bound(self, m: int) -> Fraction:
         """The exact sup distance between the size-k consecutive proportions
         of generate(m) and the target, the witness's certificate:
         max over e of |(y_e + b_e) * d - n_e * N| / (N * d), where
         N = size_for(m), y_e = sum of g_C(m) over the cycles C through e and
-        b_e is the ``boundary`` count of e.  In exact mode y_e = m * n_e, so it
-        is ``boundary_error`` / (N * d), at most c(k-1)/N.
+        b_e is the ``boundary`` count of e.
 
         Proof.  Each window lying inside a block is one edge of its part's walk, and
         the walks traverse every edge of cycle C exactly g_C times, so edge e is
@@ -269,18 +236,15 @@ class RealizationPlan(Record, hidden=("region", "parts", "boundary", "boundary_e
         parts' start vertices).  Proportions divide by N = Y + c(k-1), hence
         p_e - x_e = (y_e + b_e - x_e * N)/N.  Every edge off the cycles and the
         boundary windows has y_e = b_e = n_e = 0, so only the others are scanned.
-        In exact mode Y = m * d, so (y_e + b_e) * d - n_e * N = b_e * d - n_e * c(k-1),
-        and both b_e * d and n_e * c(k-1) lie in [0, c(k-1) * d].
+        Where s = d, y_e = m * n_e and Y = m * d, so the distance is at most
+        c(k-1)/N: b_e * d and n_e * c(k-1) both lie in [0, c(k-1) * d].
         """
-        d, g = self.target.denominator, self.multiplicities(m)
-        size = self._walk_length(g) + len(self.parts) * (self.region.k - 1)
-        if self.scale == d:
-            return Fraction(self.boundary_error, size * d)
-        count = dict(self.boundary)
-        for gi, (_, cycle) in zip(g, self.decomposition):
+        d, n = self.target.denominator, self.target.numerators
+        size, count = len(self.parts) * (self.region.k - 1), dict(self.boundary)
+        for gi, (_, cycle) in zip(self.multiplicities(m), self.decomposition):
+            size += gi * len(cycle)
             for e in cycle.edge_ids:
                 count[e] = count.get(e, 0) + gi
-        n = self.target.numerators
         return Fraction(max(abs(y * d - n[e] * size) for e, y in count.items()), size * d)
 
     def generate(self, m: int) -> Permutation:

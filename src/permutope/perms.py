@@ -457,7 +457,9 @@ class PatternVector:
         slots = [entries[perm] if perm in entries else _MISSING for perm in domain]
         extra = set(entries) - set(domain) if len(entries) != len(domain) else set()
         numerators, denominator = _checked_numerators(k, slots, extra)
-        self.k, self.numerators, self.denominator = k, tuple(numerators), denominator
+        _set_k(self, k)
+        _set_numerators(self, tuple(numerators))
+        _set_denominator(self, denominator)
 
     @classmethod
     def _trusted(cls, k: int, numerators: Sequence[int], denominator: int) -> "PatternVector":
@@ -466,10 +468,15 @@ class PatternVector:
         the common factor is divided out."""
         g = math.gcd(denominator, *numerators)
         vector = object.__new__(cls)
-        vector.k = k
-        vector.numerators = tuple(n // g for n in numerators) if g > 1 else tuple(numerators)
-        vector.denominator = denominator // g
+        _set_k(vector, k)
+        _set_numerators(vector, tuple(n // g for n in numerators) if g > 1 else tuple(numerators))
+        _set_denominator(vector, denominator // g)
         return vector
+
+    __setattr__ = __delattr__ = refuse_change
+
+    def __reduce__(self):
+        return type(self)._trusted, (self.k, self.numerators, self.denominator)
 
     def __getitem__(self, pattern: Permutation) -> Fraction:
         return Fraction(self.numerators[_pattern_ids(self.k)[pattern.word]], self.denominator)
@@ -560,6 +567,12 @@ class PatternVector:
                     continue
             slots[index] = value
         return cls._trusted(k, *_checked_numerators(k, slots, extra))
+
+
+# Set through the slots themselves, as ``_set_word`` does for a Permutation.
+_set_k = PatternVector.k.__set__
+_set_numerators = PatternVector.numerators.__set__
+_set_denominator = PatternVector.denominator.__set__
 
 
 def proportion_vector(k: int, sigma: Permutation, kind: str) -> PatternVector:

@@ -185,14 +185,15 @@ def test_criterion_06_realization_convergence():
             targets.append(region.vector_of(values))
         targets.append(PatternVector.uniform(3))
         for target in targets:
-            sigma, plan = region.realize(target, m)
+            plan = region.plan(target)
+            sigma = plan.generate(m)
             distance = proportion_vector(3, sigma, "consecutive").linf_distance(target)
             assert distance <= F(1, 100)
             assert distance == plan.sup_error_bound(m)
         # the monotone loop target: distance is exactly 2/(m+2)
         loop_target = targets[0]
         assert loop_target[P("123")] == 1
-        sigma, _ = region.realize(loop_target, m)
+        sigma = region.plan(loop_target).generate(m)
         assert sigma == Permutation.identity(m + 2)
         distance = proportion_vector(3, sigma, "consecutive").linf_distance(loop_target)
         assert distance == F(2, m + 2)

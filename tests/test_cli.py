@@ -558,8 +558,8 @@ class TestGoldenOutput:
         code, out, err = invoke(capsys, *argv, "--plan", str(plan))
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "e48c1035b73caf905d1351038d64196a245dc9a014a65e2dab35f9b48784371d"
+            "ee6857f2ffb0e5320792443e344ee8f3cfa215a8d755d2c310ae5bf0b6afb829"
         )
         assert hashlib.sha256(plan.read_bytes()).hexdigest() == (
-            "8397b76a7904c17a53b13238d961a9affd686459639b9556aa46a91f454316f6"
+            "41459b9f77b9910cd704cad0604276f17cd60a7e75ccc1547c66565d4b5805da"
         )

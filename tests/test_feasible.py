@@ -69,16 +69,16 @@ def assert_parts_bound(region, target, ms=(1, 2)):
 
 
 def assert_rounded_bound(region, target, ms=(1, 2, 4)):
-    """Plan a target with d > 256 c(k-1) and check that it is in rounded
-    mode at scale s = min(d, sum of |C|), that generate(m) has size_for(m)
-    points, no more than the exact m * d + c(k-1), that its window recount
-    is exactly sup_error_bound(m) from the target, that
+    """Plan a target whose scale s = min(d, sum of |C|) is below d and check
+    that its multiplicities are m * s * f_C / d rounded half up, that
+    generate(m) has size_for(m) points, no more than m * d + c(k-1), that its
+    window recount is exactly sup_error_bound(m) from the target, that
     size_for(1) <= 2 * sum of |C| + c(k-1), and that sizes increase in m."""
     k = region.k
     plan = region.plan(target)
     c = len(plan.parts)
     d = target.denominator
-    assert d > 256 * c * (k - 1)
+    assert plan.scale < d
     total = sum(len(cycle) for _, cycle in plan.decomposition)
     assert plan.scale == min(d, total)
     words = [p.word for p in all_patterns(k)]
@@ -86,7 +86,7 @@ def assert_rounded_bound(region, target, ms=(1, 2, 4)):
         # g_C = max(1, m s f_C / d rounded half up)
         half_up = [math.floor(F(m * plan.scale * f, d) + F(1, 2)) for f in plan.flows]
         assert plan.multiplicities(m) == tuple(max(1, g) for g in half_up)
-        # s <= d and f_C >= 1, so no cycle is walked more often than in exact mode
+        # s <= d and f_C >= 1, so no cycle is walked more than m * f_C times
         assert all(g <= m * f for g, f in zip(plan.multiplicities(m), plan.flows))
         sigma = plan.generate(m)
         n = plan.size_for(m)
@@ -177,18 +177,18 @@ class TestRealize:
         rng = random.Random(1100 + k)
         region = feasible_region(k)
         rounded = 0
-        # more cycles at k = 5, 6 plant denominators past 256 c(k-1)
+        # more cycles at k = 5, 6 plant larger denominators
         for n_cycles in range(1, 9 if k <= 4 else 13):
             target = region.vector_of(planted_point(rng, region.overlap.graph, n_cycles))
             plan = region.plan(target)
             d = math.lcm(*(x.denominator for x in region.point_of(target)))
             cycles = [c for _, c in plan.decomposition]
             assert sum(f * len(c) for f, c in zip(plan.flows, cycles)) == d
-            if d > 256 * len(plan.parts) * (k - 1):
+            if plan.scale != d:
                 rounded += 1
                 assert_rounded_bound(region, target, (1, 2, 4))
             else:
-                assert plan.scale == d
+                assert d == sum(map(len, cycles)) and set(plan.flows) == {1}
                 # the oracle recount at k = 6, m = 4 costs seconds; proportion_vector covers it
                 assert_parts_bound(region, target, (1, 2, 4) if k <= 5 else (1, 2))
             # the closed form of the lcm sizing that the integer flows replaced
@@ -227,7 +227,7 @@ class TestRealize:
                 straddling = straddling_window_counts(sigma.word, blocks, k)
                 assert sum(straddling.values()) == (c - 1) * (k - 1)
                 assert tuple(sorted((index[w], b) for w, b in straddling.items())) == plan.boundary
-        assert modes == ({True} if k <= 4 else {True, False})
+        assert modes == {True, False}
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_parts_bound_on_every_vertex_pair_target(self, k):
@@ -239,7 +239,9 @@ class TestRealize:
             for cycle in (a, b):
                 for eid in cycle.edge_ids:
                     values[eid] += F(1, 2 * len(cycle))
-            plan = assert_parts_bound(region, region.vector_of(values), (1,))
+            target = region.vector_of(values)
+            exact = region.plan(target).scale == target.denominator
+            plan = (assert_parts_bound if exact else assert_rounded_bound)(region, target, (1,))
             shared = {st(e) for e in a.edge_ids} & {st(e) for e in b.edge_ids}
             assert len(plan.parts) == (1 if shared else 2)
 
@@ -270,11 +272,27 @@ class TestRealize:
         assert len(plan.decomposition) == 4 and len(plan.parts) == 1
         assert plan.size_for(1) == 8
 
+    def test_scale_is_the_smaller_of_d_and_the_cycle_lengths(self):
+        # loops 123 and 321 at 1/3 and 2/3: d = 3, flows (1, 2), sum of |C| = 2, c = 2
+        region = feasible_region(3)
+        target = region.vector_of([F(1, 3), 0, 0, 0, 0, F(2, 3)])
+        plan = region.plan(target)
+        assert plan.flows == (1, 2) and len(plan.parts) == 2
+        assert plan.scale == 2
+        # g_C = round(2 f_C / 3): 2/3 and 4/3 both round to 1
+        assert plan.multiplicities(1) == (1, 1)
+        assert plan.size_for(1) == 6
+        assert plan.generate(1) == P("123654")
+        for m in range(1, 5):
+            distance = proportion_vector(3, plan.generate(m), "consecutive").linf_distance(target)
+            assert distance == plan.sup_error_bound(m)
+
     def test_monotone_loop_gives_identity(self):
         region = feasible_region(3)
         target = vertex_vector(region, (0,))  # loop labeled 123
+        plan = region.plan(target)
         for m in (1, 5, 40):
-            sigma, plan = region.realize(target, m)
+            sigma = plan.generate(m)
             assert sigma == Permutation.identity(m + 2)
             distance = proportion_vector(3, sigma, "consecutive").linf_distance(target)
             assert distance == F(2, m + 2)
@@ -283,32 +301,35 @@ class TestRealize:
     def test_two_cycle_alternation(self):
         region = feasible_region(3)
         target = vertex_vector(region, (1, 2))  # labels 132, 213
-        sigma, plan = region.realize(target, 1)
+        plan = region.plan(target)
+        sigma = plan.generate(1)
         assert sigma == P("1324")
         assert len(sigma) == 1 * 2 + 2
 
     def test_uniform_converges_within_bound(self):
         region = feasible_region(3)
         target = PatternVector.uniform(3)
+        plan = region.plan(target)
         for m in (1, 10, 100):
-            sigma, plan = region.realize(target, m)
+            sigma = plan.generate(m)
             assert len(sigma) == plan.size_for(m)
             distance = proportion_vector(3, sigma, "consecutive").linf_distance(target)
             assert distance == plan.sup_error_bound(m)
 
     def test_sizes_strictly_increase(self):
         region = feasible_region(3)
-        _, plan = region.realize(PatternVector.uniform(3), 1)
+        plan = region.plan(PatternVector.uniform(3))
         sizes = [plan.size_for(m) for m in range(1, 8)]
         assert all(a < b for a, b in zip(sizes, sizes[1:]))
 
     def test_non_member_rejected(self):
         with pytest.raises(NotInPolytopeError):
-            feasible_region(3).realize(point_mass(P("132")), 3)
+            feasible_region(3).plan(point_mass(P("132")))
 
     def test_bad_m(self):
+        plan = feasible_region(3).plan(PatternVector.uniform(3))
         with pytest.raises(ValueError):
-            feasible_region(3).realize(PatternVector.uniform(3), 0)
+            plan.generate(0)
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_error_bound_for_every_vertex_target(self, k):
@@ -340,7 +361,7 @@ class TestRealize:
         plan = region.plan(PatternVector.uniform(3))
         data = plan.to_json_dict()
         assert data["k"] == 3
-        assert data["scale"] == 6  # d = 6: exact mode
+        assert data["scale"] == 6  # d = 6 = sum of |C|, so s = d
         assert [d["weight"] for d in data["decomposition"]] == ["1/6", "1/3", "1/3", "1/6"]
         assert plan.to_json() == plan.to_json()
 

@@ -99,11 +99,12 @@ def _records():
         plan,
         report.rows[0],
         report,
+        uniform,
     ]
 
 
 class TestRecords:
-    @pytest.mark.parametrize("index", range(12))
+    @pytest.mark.parametrize("index", range(13))
     def test_immutable_equal_copies(self, index):
         record = _records()[index]
         name = type(record).__slots__[0] if type(record).__slots__ else "edge_ids"
