@@ -54,6 +54,18 @@ class Multigraph:
         self._out = tuple(tuple(ids) for ids in out)
         self._in = tuple(tuple(ids) for ids in inc)
 
+    @classmethod
+    def _trusted(
+        cls, names: tuple, edges: tuple, st: tuple, ar: tuple, out: tuple, inc: tuple
+    ) -> "Multigraph":
+        """Wrap parts that already agree, skipping the checks: unique names,
+        ``(st, ar, label)`` edges in range with ``str`` labels, their ends, and
+        each vertex's out- and in-edge ids in increasing order."""
+        graph = object.__new__(cls)
+        graph.vertex_names, graph.edges, graph._st, graph._ar = names, edges, st, ar
+        graph._out, graph._in = out, inc
+        return graph
+
     # -- basic accessors ---------------------------------------------------
 
     @property

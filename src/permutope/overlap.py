@@ -10,7 +10,8 @@ the value order as a linked list of points and reads the word off it once at
 the end.
 
 Vertex ids and edge ids follow the lexicographic order of the one-line words,
-so edge id i always denotes the i-th pattern of size k.
+so edge id i always denotes the i-th pattern of size k.  The graph is built
+from these ids by arithmetic, with no pattern built and no edge checked.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import lru_cache
 from . import limits
 from .errors import SizeError
 from .graphs import Multigraph, Walk, eulerian_circuit
-from .perms import Permutation, _step_table, _window_ids, all_patterns
+from .perms import Permutation, _pattern_ends, _pattern_strings, _window_ids, all_patterns
 
 
 class OverlapGraph:
@@ -29,26 +30,35 @@ class OverlapGraph:
     (k-1)! vertices, k! edges, strongly connected, every vertex has in- and
     out-degree k.  Edge labels are the size-k pattern words and are unique,
     so the label doubles as the edge identity.
+
+    Edge e starts where ``perms._pattern_ends(k)`` says and arrives at
+    e mod (k-1)!, so vertex w's in-edges are range(w, k!, (k-1)!) and a stable
+    sort of the ids by start gives the out-edges.  Labels and vertex names
+    are spelled by ``perms._pattern_strings``.
     """
 
-    __slots__ = ("k", "graph", "_edge_perms")
+    __slots__ = ("k", "graph")
 
     def __init__(self, k: int) -> None:
-        edge_perms = all_patterns(k)
-        # The step table already holds every edge's ends.
-        edges: list = [None] * len(edge_perms)
-        for st, row in enumerate(_step_table(k)):
-            for eid, ar in row:
-                edges[eid] = (st, ar, str(edge_perms[eid]))
+        starts = _pattern_ends(k)[0]
+        size = len(starts)
+        block = size // k
+        arrivals = tuple(range(block)) * k
+        edges = tuple(zip(starts, arrivals, _pattern_strings(k)))
+        # Every vertex starts exactly k edges: cut the sorted ids into rows of k.
+        by_start = iter(sorted(range(size), key=starts.__getitem__))
+        out = tuple(zip(*[by_start] * k))
+        inc = tuple(tuple(range(w, size, block)) for w in range(block))
         self.k = k
-        self.graph = Multigraph([str(p) for p in all_patterns(k - 1)], edges)
-        self._edge_perms = edge_perms
+        self.graph = Multigraph._trusted(
+            tuple(_pattern_strings(k - 1)), edges, starts, arrivals, out, inc
+        )
 
     def __repr__(self) -> str:
         return f"OverlapGraph(k={self.k})"
 
     def edge_permutation(self, eid: int) -> Permutation:
-        return self._edge_perms[eid]
+        return all_patterns(self.k)[eid]
 
     def walk_of(self, sigma: Permutation) -> Walk:
         """The walk traced by the width-k windows of ``sigma``.
@@ -63,7 +73,7 @@ class OverlapGraph:
         return Walk._trusted(self.graph, tuple(_window_ids(sigma.word, k)))
 
     def walk_labels(self, walk: Walk) -> tuple[Permutation, ...]:
-        return tuple(self._edge_perms[eid] for eid in walk.edge_ids)
+        return tuple(map(all_patterns(self.k).__getitem__, walk.edge_ids))
 
     def permutation_of_walk(self, walk: Walk) -> Permutation:
         """A permutation of size |walk| + k - 1 whose window walk is ``walk``.
@@ -82,7 +92,7 @@ class OverlapGraph:
         if walk.graph is not self.graph:
             raise ValueError("walk does not live on this overlap graph")
         k = self.k
-        labels = self._edge_perms
+        labels = all_patterns(k)
         first = labels[walk.edge_ids[0]].word
         n = len(walk) + k - 1
         above = [-1] * n

@@ -154,10 +154,16 @@ def _pattern_ids(k: int) -> dict[tuple[int, ...], int]:
     return {p.word: i for i, p in enumerate(all_patterns(k))}
 
 
+def _pattern_strings(k: int) -> Iterator[str]:
+    """The ``str`` of every size-k pattern, in lexicographic order, spelled
+    from the digit strings without building the patterns."""
+    return map(("" if k <= 9 else ",").join, itertools.permutations(map(str, range(1, k + 1))))
+
+
 @lru_cache(maxsize=None)
 def _pattern_names(k: int) -> dict[str, int]:
     """Each size-k pattern's ``str`` and its lexicographic index, in order."""
-    return {str(p): i for i, p in enumerate(all_patterns(k))}
+    return dict(zip(_pattern_strings(k), itertools.count()))
 
 
 def _invert(order: Sequence[int]) -> tuple[int, ...]:
@@ -296,26 +302,43 @@ def _occ_counts_enumerated(sigma: Permutation, k: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
+def _pattern_ends(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For every size-k pattern, in order, the id of the pattern its first k-1
+    entries form and its last entry, by arithmetic on ids: no pattern is built.
+
+    Pattern f(k-1)! + t is f + 1 before pattern t with its values above f
+    raised by one.  If t ends in L, it therefore ends in L + [L > f], and its
+    first k-1 entries start with f + [L > f] and go on in the order of t's
+    first k-2: their pattern has id (f - [L <= f])(k-2)! plus the id of the
+    pattern of t's first k-2 entries.
+    """
+    if k == 1:  # the empty pattern before the pattern 1 has id 0
+        return (0,), (1,)
+    heads, lasts = _pattern_ends(k - 1)
+    block = math.factorial(k - 2)
+    starts, ends = [], []
+    for f in range(k):
+        starts += [(f - (last <= f)) * block + head for head, last in zip(heads, lasts)]
+        ends += [last + (last > f) for last in lasts]
+    return tuple(starts), tuple(ends)
+
+
+@lru_cache(maxsize=None)
 def _step_table(k: int) -> tuple[tuple, ...]:
     """The overlap graph of size ``k`` as a transition table, for k >= 2.
 
     Heads are the patterns of size k-1, numbered in lexicographic order.
     ``step[u][r]`` is ``(e, w)``: e is the id of the size-k pattern whose
     first k-1 entries form head u and whose last entry has 0-based rank r,
-    and w is the head formed by its last k-1 entries.
+    and w is the head formed by its last k-1 entries: u and r come from
+    ``_pattern_ends(k)``, and w is e mod (k-1)! because the patterns with one
+    first entry have consecutive ids and their last k-1 entries run through
+    the heads in order.
     """
-    head_id = _pattern_ids(k - 1)
-    # The patterns with first entry f have the ids (f-1)(k-1)! .. f(k-1)! - 1,
-    # and their last k-1 entries run through the heads in order, so the tail
-    # of pattern e is head e mod (k-1)!.
     block = math.factorial(k - 1)
-    step = [[None] * k for _ in head_id]
-    for eid, p in enumerate(all_patterns(k)):
-        # Dropping the last entry leaves a gap at its value; closing it lowers
-        # each value above by one, so the head needs no sort.
-        w = p.word
-        last = w[-1]
-        step[head_id[tuple([v - (v > last) for v in w[:-1]])]][last - 1] = (eid, eid % block)
+    step = [[None] * k for _ in range(block)]
+    for eid, (head, last) in enumerate(zip(*_pattern_ends(k))):
+        step[head][last - 1] = (eid, eid % block)
     return tuple(map(tuple, step))
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from permutope import (
     CapacityError,
+    Multigraph,
     Permutation,
     SizeError,
     Walk,
@@ -15,7 +16,14 @@ from permutope import (
     eulerian_universal_permutation,
     walk_of,
 )
-from oracles import cocc_via_walk, naive_cocc, order_isomorphic, walk_to_word, window_pattern
+from oracles import (
+    cocc_via_walk,
+    naive_cocc,
+    order_isomorphic,
+    step_table_by_sorting,
+    walk_to_word,
+    window_pattern,
+)
 
 P = Permutation.parse
 
@@ -68,6 +76,22 @@ class TestBuild:
             build_overlap_graph(1)
         with pytest.raises(CapacityError):
             build_overlap_graph(8)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8])
+    def test_equals_the_checked_construction(self, k, monkeypatch):
+        """The graph built from edge-id arithmetic, against the checked
+        ``Multigraph`` constructor given the ends found by sorting."""
+        monkeypatch.setenv("PERMUTOPE_CAP", "overlap=8")  # k = 8 is past the default
+        names = [str(Permutation(w)) for w in itertools.permutations(range(1, k))]
+        labels = [str(Permutation(w)) for w in itertools.permutations(range(1, k + 1))]
+        edges = [None] * len(labels)
+        for st, row in enumerate(step_table_by_sorting(k)):
+            for eid, ar in row:
+                edges[eid] = (st, ar, labels[eid])
+        checked = Multigraph(names, edges)
+        built = build_overlap_graph(k).graph
+        for part in Multigraph.__slots__:
+            assert getattr(built, part) == getattr(checked, part), part
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_regularity_and_connectivity(self, k):

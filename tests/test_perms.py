@@ -143,9 +143,21 @@ class TestPatternAt:
 
 
 class TestStepTable:
-    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8])
     def test_value_shifts_match_sorting(self, k):
         assert perms_module._step_table(k) == step_table_by_sorting(k)
+
+
+class TestPatternStrings:
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_every_pattern_spelled_as_str(self, k):
+        assert list(perms_module._pattern_strings(k)) == [str(p) for p in all_patterns(k)]
+
+    def test_comma_spelling_past_size_nine(self):
+        # Only the first 1,000 words: nothing of size 10! is built.
+        words = itertools.islice(itertools.permutations(range(1, 11)), 1000)
+        strings = itertools.islice(perms_module._pattern_strings(10), 1000)
+        assert list(strings) == [str(Permutation(w)) for w in words]
 
 
 class TestWindowKernel:
