@@ -7,7 +7,10 @@ simple-cycle enumeration, the cycle polytope) identifies edges by id.
 The simple-cycle enumerator is an iterative Johnson-style search adapted to
 multigraphs: parallel edges are distinguished by id, a loop is a cycle of
 length one, and each cycle is reported once in canonical rotation (smallest
-edge id first) and in lexicographic order of the edge-id tuples.
+edge id first) and in lexicographic order of the edge-id tuples.  It and the
+walk splitter keep their state in flat lists indexed by vertex, allocated
+once per call; the enumerator resets after each search only the vertices
+that search touched.
 """
 
 from __future__ import annotations
@@ -334,23 +337,32 @@ def iter_simple_cycles(g: Multigraph) -> Iterator[SimpleCycle]:
     and in lexicographic order of the edge-id tuples.
 
     For each edge e in increasing order, a depth-first search from ``ar(e)``
-    back to ``st(e)`` over the edges above e (a bisection into each ascending
-    out-edge list), taken in increasing id order, finds the cycles starting
-    at e; a loop e is the cycle ``(e,)``.  Each search keeps Johnson's blocked
-    set and barriers.  Raises CapacityError when asked for a cycle past the
-    ``cycles`` cap, read when the enumeration starts.
+    back to ``st(e)`` over the edges above e, taken in increasing id order,
+    finds the cycles starting at e; a loop e is the cycle ``(e,)``.  Each
+    search keeps Johnson's blocked vertices and barriers.  The search state
+    is flat and per vertex: a blocked flag, a barrier set or None, and the
+    vertex's out-edges above e (cut from its ascending out-edge list on the
+    vertex's first push in that search).  These lists are allocated once per
+    enumeration; after each search only the vertices it touched are reset,
+    so a search that ends at once costs O(1) however large the graph.
+    Raises CapacityError when asked for a cycle past the ``cycles`` cap,
+    read when the enumeration starts.
     """
     st, ar, out, cap = g._st, g._ar, g._out, limits.cap("cycles")
+    n = g.n_vertices
+    blocked = [False] * n
+    barriers: list[set[int] | None] = [None] * n
+    above: list[tuple[int, ...] | None] = [None] * n
+    touched: list[int] = []  # s and every vertex whose ``above`` is filled
     emitted = 0
     for e in range(g.n_edges):
         s = st[e]  # the DFS leaves s only by e
-        blocked: set[int] = {s}
-        barriers: dict[int, set[int]] = {}
+        blocked[s] = True
+        touched.append(s)
         epath: list[int] = []
         stack: list[Iterator[int]] = [iter((e,))]
-        closed: list[bool] = [False]
+        pushed_at: list[int] = [emitted]  # the cycle count when each frame was pushed
         while stack:
-            advanced = False
             for eid in stack[-1]:
                 w = ar[eid]
                 if w == s:
@@ -361,30 +373,43 @@ def iter_simple_cycles(g: Multigraph) -> Iterator[SimpleCycle]:
                             f"{cap} (PERMUTOPE_CAP key 'cycles')"
                         )
                     yield SimpleCycle._trusted(g, (*epath, eid))
-                    closed[-1] = True
-                elif w not in blocked:
+                elif not blocked[w]:
                     epath.append(eid)
-                    blocked.add(w)
-                    stack.append(iter(out[w][bisect_right(out[w], e) :]))
-                    closed.append(False)
-                    advanced = True
+                    blocked[w] = True
+                    successors = above[w]
+                    if successors is None:
+                        ids = out[w]
+                        successors = above[w] = ids[bisect_right(ids, e) :]
+                        touched.append(w)
+                    stack.append(iter(successors))
+                    pushed_at.append(emitted)
                     break
-            if advanced:
-                continue
-            stack.pop()
-            v = ar[epath.pop()] if epath else s
-            if closed.pop():
-                if closed:
-                    closed[-1] = True
-                pending = {v}
-                while pending:
-                    u = pending.pop()
-                    if u in blocked:
-                        blocked.discard(u)
-                        pending.update(barriers.pop(u, ()))
             else:
-                for eid in out[v][bisect_right(out[v], e) :]:
-                    barriers.setdefault(ar[eid], set()).add(v)
+                stack.pop()
+                if not epath:  # the search from e is over
+                    break
+                v = ar[epath.pop()]
+                if pushed_at.pop() != emitted:  # a cycle was found below v: unblock it
+                    pending = [v]
+                    while pending:
+                        u = pending.pop()
+                        if blocked[u]:
+                            blocked[u] = False
+                            waiting = barriers[u]
+                            if waiting is not None:
+                                barriers[u] = None
+                                pending.extend(waiting)
+                else:
+                    for eid in above[v]:
+                        waiting = barriers[ar[eid]]
+                        if waiting is None:
+                            barriers[ar[eid]] = {v}
+                        else:
+                            waiting.add(v)
+        for v in touched:
+            blocked[v] = False
+            barriers[v] = above[v] = None
+        touched.clear()
 
 
 class WalkDecomposition(Record):
@@ -410,29 +435,40 @@ def decompose_walk(walk: Walk) -> WalkDecomposition:
 
     The identity ``walk = C_1 + ... + C_l + tail`` holds as edge multisets;
     the pruned pieces are generally not contiguous in the original walk.
+    The path of distinct vertices left after pruning, its edges and each
+    vertex's depth on it live in flat lists of |V| entries, allocated once;
+    pruning only lowers the depth.  A depth entry left behind by a pruned
+    vertex is told apart by reading the path at that depth, so nothing is
+    reset.  A cycle pruned again with the same edges in the same order is
+    the same SimpleCycle object.
     """
     g = walk.graph
-    ar = g._ar
+    ar, ids = g._ar, walk.edge_ids
+    n = g.n_vertices
+    vertices = [0] * n  # vertices[:depth + 1] is the path, all distinct
+    edges = [0] * n  # edges[i] runs from vertices[i] to vertices[i + 1]
+    position = [0] * n  # v's depth while v is on the path
+    vertices[0] = g._st[ids[0]]
+    depth = 0
+    known: dict[tuple[int, ...], SimpleCycle] = {}  # keyed by the ids as pruned
     cycles: list[SimpleCycle] = []
-    stack_edges: list[int] = []
-    stack_vertices: list[int] = [g.st(walk.edge_ids[0])]
-    position: dict[int, int] = {stack_vertices[0]: 0}
-    for eid in walk.edge_ids:
+    for eid in ids:
         v = ar[eid]
-        stack_edges.append(eid)
-        if v in position:
-            # Everything pushed since the earlier visit of v closes a cycle.
-            at = position[v]
-            cycle_edges = stack_edges[at:]
-            del stack_edges[at:]
-            for u in stack_vertices[at + 1 :]:
-                del position[u]
-            del stack_vertices[at + 1 :]
-            cycles.append(SimpleCycle._trusted(g, _canonical_rotation(cycle_edges)))
+        edges[depth] = eid
+        at = position[v]
+        if at <= depth and vertices[at] == v:
+            # The path since the earlier visit of v closes a cycle.
+            pruned = tuple(edges[at : depth + 1])
+            depth = at
+            cycle = known.get(pruned)
+            if cycle is None:
+                cycle = known[pruned] = SimpleCycle._trusted(g, _canonical_rotation(pruned))
+            cycles.append(cycle)
         else:
-            stack_vertices.append(v)
-            position[v] = len(stack_vertices) - 1
-    tail = Walk._trusted(g, tuple(stack_edges)) if stack_edges else None
+            depth += 1
+            vertices[depth] = v
+            position[v] = depth
+    tail = Walk._trusted(g, tuple(edges[:depth])) if depth else None
     return WalkDecomposition(tuple(cycles), tail)
 
 

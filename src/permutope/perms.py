@@ -423,6 +423,8 @@ def cocc_proportion(pattern: Permutation, sigma: Permutation) -> Fraction:
 
 
 def _check_vector_k(k: int) -> None:
+    if k < 1:
+        raise ValueError("pattern size must be >= 1")
     if k > limits.VECTOR_K_CAP:
         raise CapacityError(
             f"pattern vectors carry k! entries; k={k} exceeds the vector cap "
@@ -430,11 +432,12 @@ def _check_vector_k(k: int) -> None:
         )
 
 
-def _unit_fraction(pattern: Permutation, value) -> Fraction:
-    """``value`` as an exact rational in [0, 1], the entry for ``pattern``."""
+def _unit_fraction(name: str, value) -> Fraction:
+    """``value`` as an exact rational in [0, 1], the entry for the pattern
+    spelled ``name``."""
     value = as_fraction(value)
     if value.numerator < 0 or value.numerator > value.denominator:
-        raise ValueError(f"entry for {pattern} not in [0, 1]: {value}")
+        raise ValueError(f"entry for {name} not in [0, 1]: {value}")
     return value
 
 
@@ -448,15 +451,15 @@ def _checked_numerators(k: int, slots: Sequence, extra: set) -> tuple[list[int],
     _check_vector_k(k)
     values = []
     parsed: dict[str, Fraction] = {}  # entry strings repeat; each is read once
-    for perm, value in zip(all_patterns(k), slots):
+    for name, value in zip(_pattern_strings(k), slots):
         if value is _MISSING:
-            raise ValueError(f"missing entry for pattern {perm}")
+            raise ValueError(f"missing entry for pattern {name}")
         if type(value) is str:
             if value not in parsed:
-                parsed[value] = _unit_fraction(perm, value)
+                parsed[value] = _unit_fraction(name, value)
             values.append(parsed[value])
         else:
-            values.append(_unit_fraction(perm, value))
+            values.append(_unit_fraction(name, value))
     if extra:
         raise ValueError(f"entries outside S_{k}: {sorted(map(str, extra))}")
     return integer_numerators(values)
@@ -542,17 +545,19 @@ class PatternVector:
     @classmethod
     def uniform(cls, k: int) -> "PatternVector":
         _check_vector_k(k)
-        size = len(all_patterns(k))
+        size = math.factorial(k)
         return cls._trusted(k, (1,) * size, size)
 
     @classmethod
     def from_values(cls, k: int, values: Sequence) -> "PatternVector":
         """Build from entries listed in lexicographic pattern order."""
         _check_vector_k(k)
-        domain = all_patterns(k)
-        if len(values) != len(domain):
-            raise ValueError(f"expected {len(domain)} entries, got {len(values)}")
-        return cls._trusted(k, *integer_numerators(list(map(_unit_fraction, domain, values))))
+        size = math.factorial(k)
+        if len(values) != size:
+            raise ValueError(f"expected {size} entries, got {len(values)}")
+        return cls._trusted(
+            k, *integer_numerators(list(map(_unit_fraction, _pattern_strings(k), values)))
+        )
 
     def to_json_dict(self) -> dict:
         d = self.denominator
@@ -606,8 +611,6 @@ def proportion_vector(k: int, sigma: Permutation, kind: str) -> PatternVector:
     """
     if kind not in ("classical", "consecutive"):
         raise ValueError(f"kind must be 'classical' or 'consecutive', got {kind!r}")
-    if k < 1:
-        raise ValueError("pattern size must be >= 1")
     return PatternVector._trusted(k, *_counts(k, sigma, kind))
 
 

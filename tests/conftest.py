@@ -41,6 +41,16 @@ def random_multigraph(rng: random.Random, max_vertices: int = 5, max_edges: int 
     return Multigraph([f"v{i}" for i in range(nv)], edges)
 
 
+def random_multigraph_with_extras(rng: random.Random) -> Multigraph:
+    """A random multigraph of at most 5 vertices and 10 edges, plus a loop at a
+    random vertex u, two parallel edges u -> v and one edge v -> u."""
+    base = random_multigraph(rng, max_vertices=5, max_edges=10)
+    n = base.n_vertices
+    u, v = rng.randrange(n), rng.randrange(n)
+    extra = [(u, u, "loop"), (u, v, "p1"), (u, v, "p2"), (v, u, "back")]
+    return Multigraph(base.vertex_names, list(base.edges) + extra)
+
+
 def point_mass(pattern: Permutation) -> PatternVector:
     """The target with all its mass on ``pattern``."""
     k = len(pattern)

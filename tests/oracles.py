@@ -5,8 +5,9 @@ with the implementations under test: the pattern of a window or of an
 overlap edge's ends by sorting, occurrence counting by explicit pairwise
 order comparison, classical size-2 and size-3 counts from merge-sort
 smaller-before counts split by the middle position, classical counts of any
-size by one argsort per subset, simple cycles by edge-subset filtering, rank
-by its own Gaussian elimination, convex-hull membership by an exact phase-1
+size by one argsort per subset, simple cycles by edge-subset filtering, the
+simple-cycle search and the walk split with sets and dicts where the graph
+kernels keep flat per-vertex lists, rank by its own Gaussian elimination, convex-hull membership by an exact phase-1
 simplex over the vertex list, membership and its greedy cycle decomposition
 in ``Fraction`` arithmetic, the greedy walk-to-permutation construction by
 rewriting the whole word at every step, the window walk one step per window
@@ -19,7 +20,7 @@ package's own window walk to cross-check ``cocc``.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -288,6 +289,83 @@ def count_simple_cycles_dp(g) -> int:
                         nxt = paths.setdefault(mask | (1 << w), {})
                         nxt[w] = nxt.get(w, 0) + ways * adjacency[v][w]
     return total
+
+
+# -- the graph kernels' slow routes ------------------------------------------
+
+
+def simple_cycles_by_sets(g):
+    """Yield every simple cycle's edge-id tuple, in the order the package's
+    enumerator must give them: Johnson's search from each edge e in turn,
+    over the edges above e (a bisection into each out-edge list, on every
+    push and every barrier pass), with the blocked vertices in a set and
+    the barriers in a dict of sets, both built afresh for each e."""
+    for e in range(g.n_edges):
+        s = g.st(e)  # the DFS leaves s only by e
+        blocked = {s}
+        barriers: dict[int, set[int]] = {}
+        epath: list[int] = []
+        stack = [iter((e,))]
+        closed = [False]
+        while stack:
+            advanced = False
+            for eid in stack[-1]:
+                w = g.ar(eid)
+                if w == s:
+                    yield (*epath, eid)
+                    closed[-1] = True
+                elif w not in blocked:
+                    epath.append(eid)
+                    blocked.add(w)
+                    out = g.out_edges(w)
+                    stack.append(iter(out[bisect_right(out, e) :]))
+                    closed.append(False)
+                    advanced = True
+                    break
+            if advanced:
+                continue
+            stack.pop()
+            v = g.ar(epath.pop()) if epath else s
+            if closed.pop():
+                if closed:
+                    closed[-1] = True
+                pending = {v}
+                while pending:
+                    u = pending.pop()
+                    if u in blocked:
+                        blocked.discard(u)
+                        pending.update(barriers.pop(u, ()))
+            else:
+                out = g.out_edges(v)
+                for eid in out[bisect_right(out, e) :]:
+                    barriers.setdefault(g.ar(eid), set()).add(v)
+
+
+def walk_split_by_dict(g, edge_ids: Sequence[int]):
+    """(cycles, tail) of a walk split by pruning the cycle closed at the
+    first vertex repetition, with the stack positions in a dict that is
+    emptied of each pruned cycle's vertices: each cycle an edge-id tuple
+    rotated to start at its smallest id, the tail a tuple or None."""
+    cycles = []
+    stack_edges: list[int] = []
+    stack_vertices = [g.st(edge_ids[0])]
+    position = {stack_vertices[0]: 0}
+    for eid in edge_ids:
+        v = g.ar(eid)
+        stack_edges.append(eid)
+        if v in position:
+            at = position[v]
+            cycle = stack_edges[at:]
+            del stack_edges[at:]
+            for u in stack_vertices[at + 1 :]:
+                del position[u]
+            del stack_vertices[at + 1 :]
+            pivot = cycle.index(min(cycle))
+            cycles.append(tuple(cycle[pivot:] + cycle[:pivot]))
+        else:
+            stack_vertices.append(v)
+            position[v] = len(stack_vertices) - 1
+    return cycles, tuple(stack_edges) or None
 
 
 # -- routes that cross-check the package ---------------------------------------

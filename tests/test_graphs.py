@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -7,6 +8,7 @@ from permutope import (
     CapacityError,
     CyclePolytope,
     Multigraph,
+    Permutation,
     SimpleCycle,
     Walk,
     build_overlap_graph,
@@ -14,8 +16,14 @@ from permutope import (
     eulerian_circuit,
     iter_simple_cycles,
 )
-from conftest import random_multigraph, random_walk
-from oracles import brute_force_simple_cycles, incidence_matrix
+from conftest import random_multigraph, random_multigraph_with_extras, random_walk
+from oracles import (
+    brute_force_simple_cycles,
+    count_simple_cycles_dp,
+    incidence_matrix,
+    simple_cycles_by_sets,
+    walk_split_by_dict,
+)
 
 
 class TestConstruction:
@@ -191,6 +199,115 @@ class TestCycleEnumeration:
         first = [c.edge_ids for c in iter_simple_cycles(fig3_graph)]
         second = [c.edge_ids for c in iter_simple_cycles(fig3_graph)]
         assert first == second
+
+    def test_sparse_graph_costs_what_its_searches_touch(self):
+        # A 50,000-vertex path with edges pointing to lower ids, plus a loop on
+        # every 100th vertex: every search ends at once, so the enumeration
+        # must not pay O(|V|) per start edge.
+        n = 50_000
+        edges = [(n - 2 - j, n - 1 - j, f"p{j}") for j in range(n - 1)]
+        edges += [(v, v, f"l{v}") for v in range(0, n, 100)]
+        graph = Multigraph([f"v{i}" for i in range(n)], edges)
+        start = time.perf_counter()
+        count = sum(1 for _ in iter_simple_cycles(graph))
+        elapsed = time.perf_counter() - start
+        assert count == 500
+        assert elapsed < 3.0, f"{elapsed:.2f} s for 500 loops"
+
+    def test_blocking_keeps_a_dead_end_chain_linear(self):
+        # From s, a chain of 22 diamonds a_i -> {b_i, c_i} -> a_(i+1) ends in
+        # a dead end: without Johnson's blocking each search would try all
+        # 2^22 paths through it.  The only cycle is the loop at s.
+        m = 22
+        edges = [(0, 1, "s")]
+        for i in range(m):
+            a, b, c, nxt = 3 * i + 1, 3 * i + 2, 3 * i + 3, 3 * i + 4
+            edges += [(a, b, f"ab{i}"), (a, c, f"ac{i}"), (b, nxt, f"b{i}"), (c, nxt, f"c{i}")]
+        edges.append((0, 0, "loop"))
+        graph = Multigraph([f"v{i}" for i in range(3 * m + 2)], edges)
+        start = time.perf_counter()
+        cycles = [c.edge_ids for c in iter_simple_cycles(graph)]
+        elapsed = time.perf_counter() - start
+        assert cycles == [(len(edges) - 1,)]
+        assert elapsed < 1.0, f"{elapsed:.2f} s"
+
+
+def assert_same_split(walk) -> int:
+    """The split equals the slow route's, cycle by cycle; the cycle count."""
+    split = decompose_walk(walk)
+    cycles, tail = walk_split_by_dict(walk.graph, walk.edge_ids)
+    assert [c.edge_ids for c in split.cycles] == cycles
+    assert (split.tail.edge_ids if split.tail is not None else None) == tail
+    return len(cycles)
+
+
+class TestAgainstSlowRoutes:
+    """The kernels give what the set-and-dict routes in ``oracles`` give: the
+    same cycles in the same order and rotation, and the same splits."""
+
+    @pytest.mark.parametrize(
+        "k, prefix", [(2, None), (3, None), (4, None), (5, 20_000), (6, 2_000)]
+    )
+    def test_cycles_on_overlap_graphs(self, k, prefix):
+        graph = build_overlap_graph(k).graph
+        fast = [c.edge_ids for c in itertools.islice(iter_simple_cycles(graph), prefix)]
+        slow = list(itertools.islice(simple_cycles_by_sets(graph), prefix))
+        assert fast == slow
+        assert len(fast) == (prefix or count_simple_cycles_dp(graph))
+
+    def test_cycles_on_random_multigraphs(self):
+        rng = random.Random(71)
+        graphs = [random_multigraph_with_extras(rng) for _ in range(60)]
+        graphs += [random_multigraph(rng, max_vertices=7, max_edges=25) for _ in range(20)]
+        total = 0
+        for graph in graphs:
+            fast = [c.edge_ids for c in iter_simple_cycles(graph)]
+            assert fast == list(simple_cycles_by_sets(graph))
+            total += len(fast)
+        assert total > 500
+
+    @pytest.mark.parametrize("cap", [0, 1, 37, 159, 160])
+    def test_cap_fires_on_the_cycle_past_it(self, cap, monkeypatch):
+        # k = 4 has 160 cycles, so a cap of 160 lets them all out.
+        monkeypatch.setenv("PERMUTOPE_CAP", f"cycles={cap}")
+        graph = build_overlap_graph(4).graph
+        stream = iter_simple_cycles(graph)
+        first = [next(stream).edge_ids for _ in range(cap)]
+        assert first == list(itertools.islice(simple_cycles_by_sets(graph), cap))
+        if cap < 160:
+            with pytest.raises(CapacityError, match=f"cycles cap {cap} "):
+                next(stream)
+        else:
+            assert next(stream, None) is None
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
+    def test_walk_splits_on_overlap_graphs(self, k):
+        rng = random.Random(1300 + k)
+        og = build_overlap_graph(k)
+        cycles = 0
+        for n in (k, k + 1, k + 5, 300, 3_000, 12_000):
+            word = list(range(1, n + 1))
+            rng.shuffle(word)
+            cycles += assert_same_split(og.walk_of(Permutation(tuple(word))))
+        assert cycles > 0
+
+    def test_walk_splits_on_random_multigraphs(self):
+        rng = random.Random(73)
+        checked = 0
+        while checked < 500:
+            walk = random_walk(rng, random_multigraph_with_extras(rng), max_len=80)
+            if walk is not None:
+                assert_same_split(walk)
+                checked += 1
+
+    def test_a_repeated_cycle_is_one_object(self):
+        # k = 2: one vertex and two loops, so every step closes a loop.
+        rng = random.Random(5)
+        word = list(range(1, 1_001))
+        rng.shuffle(word)
+        split = decompose_walk(build_overlap_graph(2).walk_of(Permutation(tuple(word))))
+        assert len(split.cycles) == 999 and split.tail is None
+        assert len({id(c) for c in split.cycles}) == 2
 
 
 # (class, graph fixture, edge ids, exception type, message), as raised before

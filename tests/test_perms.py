@@ -586,6 +586,36 @@ class TestPatternVector:
         with pytest.raises(ValueError) as info:
             PatternVector(2, {P("12"): first, P("21"): second})
         assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            PatternVector.from_values(2, [first, second])
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            PatternVector.from_json_dict({"k": 2, "entries": {"12": str(first), "21": str(second)}})
+        assert str(info.value) == message
+
+    def test_out_of_range_message_at_k7(self):
+        values = [Fraction(1, 5040)] * 5040
+        values[5039] = Fraction(-1, 3)
+        with pytest.raises(ValueError, match=r"^entry for 7654321 not in \[0, 1\]: -1/3$"):
+            PatternVector.from_values(7, values)
+        with pytest.raises(ValueError, match="^expected 5040 entries, got 5039$"):
+            PatternVector.from_values(7, values[1:])
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_sizes_below_one_rejected(self, k):
+        for build in (PatternVector.uniform, lambda k: PatternVector.from_values(k, [1])):
+            with pytest.raises(ValueError, match="^pattern size must be >= 1$"):
+                build(k)
+
+    def test_k7_vectors_build_no_patterns(self):
+        # uniform, from_values and from_json_dict name the k! patterns by
+        # their strings, so they never call all_patterns.
+        before = all_patterns.cache_info()
+        u = PatternVector.uniform(7)
+        assert PatternVector.from_values(7, u.values_by_pattern()) == u
+        assert PatternVector.from_json_dict(u.to_json_dict()) == u
+        after = all_patterns.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
 
     def test_missing_and_extra_entry_messages(self):
         with pytest.raises(ValueError, match="^missing entry for pattern 21$"):

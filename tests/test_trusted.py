@@ -17,7 +17,6 @@ import pytest
 
 from permutope import (
     CyclePolytope,
-    Multigraph,
     PatternVector,
     Permutation,
     SimpleCycle,
@@ -34,7 +33,7 @@ from permutope import (
     standardize,
     substitute,
 )
-from conftest import point_mass, random_multigraph, random_walk
+from conftest import point_mass, random_multigraph, random_multigraph_with_extras, random_walk
 from oracles import count_simple_cycles_dp
 from test_polytope import planted_point
 
@@ -82,11 +81,7 @@ class TestCycles:
         rng = random.Random(71)
         total = 0
         for _ in range(60):
-            base = random_multigraph(rng, max_vertices=5, max_edges=10)
-            n = base.n_vertices
-            u, v = rng.randrange(n), rng.randrange(n)
-            extra = [(u, u, "loop"), (u, v, "p1"), (u, v, "p2"), (v, u, "back")]
-            graph = Multigraph(base.vertex_names, list(base.edges) + extra)
+            graph = random_multigraph_with_extras(rng)
             total += assert_cycles_pass(iter_simple_cycles(graph))
         assert total > 300
 
