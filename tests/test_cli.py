@@ -519,6 +519,11 @@ GOLDEN_STDOUT = {
         ("decompose", "--k", "4", "--vector", _golden_vector(True)),
         "b534d6549677ba3ed7248927d7a14f2b2eef8a0526b555825b55a07b639fa45f",
     ),
+    # every one of the 5,040 edges in the support: the longest greedy peel
+    "decompose.k7.uniform": (
+        ("decompose", "--k", "7", "--vector", "uniform"),
+        "4b92c3d29e55bff3fd710bc5451efe6cbe4a10d7184b3cfe7087a7409955db2f",
+    ),
     "faces.k3": (
         ("faces", "--k", "3"),
         "efc8b0ebf2b0b65a2c278e811db9b04a250d8b7ff5ed3062ecfadfb0e0dc35d7",
