@@ -10,7 +10,10 @@ subset is full and gives the dimension of its face.  Points enter and weights
 leave as ``Fraction``.  In between, the checks and the decomposition run on
 integer numerators over one common denominator: a ``Sequence`` point is
 scaled once to that form, and the feasible region hands over a
-``PatternVector``'s stored numerators.
+``PatternVector``'s stored numerators.  A membership test makes two C-level
+passes over all |E| entries (``min`` and ``sum``); the flow balance, the
+support check and the decomposition then do Python work only over the
+point's support and the edges of the cycles they peel.
 """
 
 from __future__ import annotations
@@ -177,8 +180,11 @@ class CyclePolytope:
             )
         return values
 
-    def _equation_violation(self, n: Sequence[int], d: int) -> str | None:
-        """The first violated constraint of the point n / d, or None."""
+    def _equation_violation(self, n: Sequence[int], d: int, support: Sequence[int]) -> str | None:
+        """The first violated constraint of the point n / d, or None.
+
+        ``support`` lists the ids of the non-zero entries in ascending order.
+        """
         g = self.graph
         if n and min(n) < 0:
             eid = next(eid for eid, value in enumerate(n) if value < 0)
@@ -186,19 +192,25 @@ class CyclePolytope:
         total = sum(n)
         if total != d:
             return f"entries sum to {Fraction(total, d)}, not 1"
-        at = n.__getitem__
-        for v in range(g.n_vertices):
-            outflow = sum(map(at, g.out_edges(v)))
-            inflow = sum(map(at, g.in_edges(v)))
-            if outflow != inflow:
-                return (
-                    f"flow not conserved at vertex {g.vertex_names[v]!r}: "
-                    f"out {Fraction(outflow, d)} != in {Fraction(inflow, d)}"
-                )
+        st, ar = g._st, g._ar
+        balance = [0] * g.n_vertices
+        for eid in support:
+            value = n[eid]
+            balance[ar[eid]] += value
+            balance[st[eid]] -= value
+        if any(balance):
+            v = next(itertools.compress(range(g.n_vertices), balance))
+            at = n.__getitem__
+            outflow = sum(map(at, g._out[v]))
+            inflow = sum(map(at, g._in[v]))
+            return (
+                f"flow not conserved at vertex {g.vertex_names[v]!r}: "
+                f"out {Fraction(outflow, d)} != in {Fraction(inflow, d)}"
+            )
         # Implied by the equations; kept as an explicit consistency check.
         if len(self.full_edge_ids) < len(n):
-            for eid, value in enumerate(n):
-                if value > 0 and eid not in self.full_edge_ids:
+            for eid in support:
+                if eid not in self.full_edge_ids:
                     return f"support edge {eid} lies on no cycle"
         return None
 
@@ -209,10 +221,12 @@ class CyclePolytope:
     def _membership(self, n: list[int], d: int) -> MembershipResult:
         """Membership of the point n / d: one integer per edge over a positive
         d.  Consumes ``n``."""
-        violation = self._equation_violation(n, d)
+        support = list(itertools.compress(range(len(n)), n))
+        violation = self._equation_violation(n, d, support)
         if violation is not None:
             return MembershipResult(False, violation=violation)
-        return MembershipResult(True, decomposition=tuple(self._greedy_decomposition(n, d)))
+        decomposition = tuple(self._greedy_decomposition(n, d, support))
+        return MembershipResult(True, decomposition=decomposition)
 
     def convex_decomposition(self, point: Sequence) -> tuple[tuple[Fraction, SimpleCycle], ...]:
         """Write a member point as an exact convex combination of cycle vectors.
@@ -220,43 +234,56 @@ class CyclePolytope:
         Greedy flow extraction: walk the support along smallest-id
         continuations until a vertex repeats, peel that simple cycle off with
         the largest weight keeping all entries non-negative.  Uses at most |E|
-        cycles since every round zeroes at least one edge.
+        cycles since every round zeroes at least one edge.  After the C-level
+        ``min`` and ``sum`` over all entries, the equation check and the peel
+        touch only the support and the edges of the peeled cycles.
         """
         result = self._membership(*integer_numerators(self._coerce_point(point)))
         if not result.member:
             raise NotInPolytopeError(result.violation)
         return result.decomposition
 
-    def _greedy_decomposition(self, n: list[int], d: int) -> list[tuple[Fraction, SimpleCycle]]:
-        """Peel cycles off the member point n / d; consumes ``n``."""
+    def _greedy_decomposition(
+        self, n: list[int], d: int, support: Sequence[int]
+    ) -> list[tuple[Fraction, SimpleCycle]]:
+        """Peel cycles off the member point n / d, whose non-zero entries are at
+        the ascending ids ``support``; consumes ``n``."""
         g = self.graph
-        ar, out_edges = g.ar, g.out_edges
+        st, ar, out = g._st, g._ar, g._out
         remaining = n
         result: list[tuple[Fraction, SimpleCycle]] = []
-        start = 0  # the smallest positive edge id never decreases
+        # support[pos] is the smallest positive edge id, which never decreases
+        pos, edges = 0, []
         while True:
-            while start < len(remaining) and not remaining[start]:
-                start += 1
-            if start == len(remaining):
-                break
-            seen = {g.st(start): 0}
-            edges = [start]
-            v = ar(start)
+            if not edges:
+                while pos < len(support) and not remaining[support[pos]]:
+                    pos += 1
+                if pos == len(support):
+                    break
+                start = support[pos]
+                seen = {st[start]: 0}
+                edges = [start]
+                v = ar[start]
             while v not in seen:
                 seen[v] = len(edges)
                 # Out-edges come in ascending id order, so this is the
                 # smallest-id continuation along the support.
-                for e in out_edges(v):
+                for e in out[v]:
                     if remaining[e]:
                         break
                 else:
                     raise AssertionError("conservation guarantees an outgoing support edge")
                 edges.append(e)
-                v = ar(e)
-            cycle_edges = edges[seen[v] :]
+                v = ar[e]
+            at = seen[v]
+            cycle_edges = edges[at:]
             flow = min([remaining[e] for e in cycle_edges])
             for e in cycle_edges:
                 remaining[e] -= flow
+                del seen[st[e]]
+            # Only edges leaving cycle vertices fell and the path meets the cycle
+            # only at v, so a fresh walk from start retraces it; at == 0 restarts.
+            del edges[at:]
             cycle = SimpleCycle._trusted(g, _canonical_rotation(cycle_edges))
             result.append((Fraction(flow * len(cycle_edges), d), cycle))
         return result

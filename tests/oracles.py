@@ -493,6 +493,11 @@ def fraction_membership(graph, full_edge_ids, x: Sequence[Fraction]):
     from greedy flow extraction: walk the support along smallest-id
     continuations until a vertex repeats, peel that simple cycle off with the
     largest weight keeping all entries non-negative.
+
+    The checked slow route for ``CyclePolytope._membership``: it scans every
+    entry and every vertex, and each round walks afresh from the smallest
+    positive edge, where the fast route works over the support and resumes
+    the walk at the vertex where the last cycle closed.
     """
     g = graph
     for eid, value in enumerate(x):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -323,6 +324,55 @@ class TestFractionOracle:
                 if total > 0 and all(v >= 0 for v in x):
                     assert_matches_fraction_oracle(poly, [v / total for v in x])
 
+    def test_k7_planted_and_broken(self):
+        rng = random.Random(507)
+        poly = CyclePolytope(build_overlap_graph(7).graph)
+        g = poly.graph
+        points = [planted_point(rng, g, n_cycles) for n_cycles in (1, 6, 17, 40)]
+        for point in points:
+            assert_matches_fraction_oracle(poly, point)
+        for how, expected in (("negative", "negative"), ("sum", "sum"), ("flow", "conserved")):
+            broken = broken_point(rng, g, points[-1], how)
+            assert_matches_fraction_oracle(poly, broken)
+            assert expected in poly.membership(broken).violation
+
+    @pytest.mark.parametrize("back_at", [0, 4, 10])
+    def test_path_into_loops_and_back(self, back_at):
+        # Vertex 50 ends a 50-edge path and carries 10 loops and the back edge
+        # to vertex 0, which sits at position back_at among its out-edges, so
+        # the walk peels back_at loops from the end of the path first.
+        rng = random.Random(back_at)
+        out_50 = [(50, 50, f"l{j}") for j in range(10)]
+        out_50.insert(back_at, (50, 0, "back"))
+        path = [(i, i + 1, f"p{i}") for i in range(50)]
+        g = Multigraph([f"v{i}" for i in range(51)], path + out_50)
+        x = [F(1)] * 50 + [F(1) if head == 0 else F(rng.randint(1, 9)) for _, head, _ in out_50]
+        total = sum(x)
+        x = [v / total for v in x]
+        poly = CyclePolytope(g)
+        assert_matches_fraction_oracle(poly, x)
+        assert len(poly.convex_decomposition(x)) == 11
+
+    def test_resumed_prefix_through_parallel_edges(self):
+        # Parallel edges 0 -> 1 have the two smallest ids, and vertex 1 carries
+        # two loops: a walk from edge 0 keeps its prefix while it peels loops.
+        rng = random.Random(29)
+        resumed = 0
+        for _ in range(60):
+            base = random_multigraph(rng, max_vertices=5, max_edges=10)
+            n = max(base.n_vertices, 2)
+            edges = [(0, 1, "p1"), (0, 1, "p2"), (1, 1, "l1"), (1, 1, "l2")]
+            edges += list(base.edges) + [(1, 0, "back"), (1, 0, "back2")]
+            edges += [(v, 0, f"home{v}") for v in range(2, n)]
+            g = Multigraph([f"v{i}" for i in range(n)], edges)
+            poly = CyclePolytope(g)
+            for _ in range(5):
+                x = planted_point(rng, g, rng.randint(2, 8))
+                assert_matches_fraction_oracle(poly, x)
+                first = poly.convex_decomposition(x)[0][1].edge_ids
+                resumed += x[0] > 0 and 0 not in first
+        assert resumed > 20
+
     def test_edge_on_no_cycle(self):
         # y and w lie on no cycle; the loops x and z do
         g = Multigraph(["a", "b", "c"], [(0, 0, "x"), (0, 1, "y"), (1, 1, "z"), (1, 2, "w")])
@@ -345,6 +395,24 @@ class TestFractionOracle:
 
 
 class TestConvexDecomposition:
+    def test_long_path_into_many_loops_is_linear(self):
+        # A path of L edges ends at a vertex with J loops and the back edge.
+        # Each loop is peeled at the end of the path; walking the path again
+        # after every peel would cost L * J steps.
+        length, n_loops = 20_000, 2_000
+        edges = [(i, i + 1, f"p{i}") for i in range(length)]
+        edges += [(length, length, f"l{j}") for j in range(n_loops)]
+        edges.append((length, 0, "back"))
+        g = Multigraph([f"v{i}" for i in range(length + 1)], edges)
+        poly = CyclePolytope(g)
+        on_path = F(1, 2 * (length + 1))
+        x = [on_path] * length + [F(1, 2 * n_loops)] * n_loops + [on_path]
+        start = time.perf_counter()
+        result = poly.membership(x)
+        elapsed = time.perf_counter() - start
+        assert len(result.decomposition) == n_loops + 1
+        assert elapsed < 2.0, f"{elapsed:.2f} s"
+
     def test_vertex_decomposes_to_itself(self, fig3_graph):
         poly = CyclePolytope(fig3_graph)
         cv = poly.vertices()[0]
