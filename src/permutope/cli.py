@@ -19,8 +19,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from . import limits
-from .errors import NotInPolytopeError, PermutopeError
-from .rationals import float_str
+from .errors import PermutopeError
 
 if TYPE_CHECKING:
     from .graphs import Multigraph
@@ -31,8 +30,13 @@ if TYPE_CHECKING:
 # before any geometry is built.
 
 
+def _float_str(value: Fraction) -> str:
+    """Decimal rendering for display only (never used in decisions)."""
+    return f"{float(value):.12g}"
+
+
 def _fmt(value: Fraction, args: argparse.Namespace) -> str:
-    return float_str(value) if getattr(args, "float", False) else str(value)
+    return _float_str(value) if getattr(args, "float", False) else str(value)
 
 
 def _dump(data) -> str:
@@ -89,7 +93,7 @@ def _region_and_vector(args: argparse.Namespace):
 def _vector_json(vector: PatternVector, args: argparse.Namespace) -> dict:
     data = vector.to_json_dict()
     if getattr(args, "float", False):
-        data["entries"] = {w: float_str(Fraction(v)) for w, v in data["entries"].items()}
+        data["entries"] = {w: _float_str(Fraction(v)) for w, v in data["entries"].items()}
     return data
 
 
@@ -154,15 +158,18 @@ def _cmd_dim(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_member(args: argparse.Namespace) -> int:
-    region, vector = _region_and_vector(args)
+def _decomposition_text(decomposition, args: argparse.Namespace) -> str:
     from .feasible import decomposition_json
 
+    return _dump({"decomposition": decomposition_json(decomposition, lambda w: _fmt(w, args))})
+
+
+def _cmd_member(args: argparse.Namespace) -> int:
+    region, vector = _region_and_vector(args)
     result = region.membership(vector)
     print("true" if result.member else "false")
     if result.member:
-        rows = decomposition_json(result.decomposition, lambda w: _fmt(w, args))
-        print(_dump({"decomposition": rows}))
+        print(_decomposition_text(result.decomposition, args))
     else:
         print(_dump({"violation": result.violation}))
     return 0
@@ -170,13 +177,7 @@ def _cmd_member(args: argparse.Namespace) -> int:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     region, vector = _region_and_vector(args)
-    from .feasible import decomposition_json
-
-    result = region.membership(vector)
-    if not result.member:
-        raise NotInPolytopeError(result.violation)
-    rows = decomposition_json(result.decomposition, lambda w: _fmt(w, args))
-    print(_dump({"decomposition": rows}))
+    print(_decomposition_text(region.polytope.convex_decomposition(region.point_of(vector)), args))
     return 0
 
 

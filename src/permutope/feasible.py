@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import limits
 from ._record import Record
-from .errors import CapacityError, NotInPolytopeError
+from .errors import CapacityError
 from .graphs import SimpleCycle, Walk
 from .overlap import build_overlap_graph
 from .perms import (
@@ -34,13 +34,15 @@ from .perms import (
     repeat_sum,
 )
 from .polytope import CyclePolytope, MembershipResult
+from .rationals import ExactPoint
 
 class FeasibleRegion:
     """P_k as the cycle polytope of the overlap graph, with pattern-vector I/O.
 
     Edge id i of the overlap graph is the i-th pattern of size k in
     lexicographic order, the order of a PatternVector's numerators, so
-    membership hands the stored numerators and denominator to the polytope.
+    ``point_of`` is those numerators over the vector's denominator, and
+    membership and ``plan`` pass it to the polytope's public entries.
     """
 
     __slots__ = ("k", "overlap", "polytope")
@@ -56,26 +58,21 @@ class FeasibleRegion:
     def dimension(self) -> int:
         return self.polytope.dimension()
 
-    def _check_k(self, vector: PatternVector) -> None:
+    def point_of(self, vector: PatternVector) -> ExactPoint:
+        """The vector as a point of the polytope: its stored numerators over
+        its denominator, one entry per edge; no Fraction is built."""
         if vector.k != self.k:
             raise IndexError(f"vector over S_{vector.k}, region over S_{self.k}")
-
-    def point_of(self, vector: PatternVector) -> list[Fraction]:
-        self._check_k(vector)
-        return vector.values_by_pattern()
+        return ExactPoint(vector.numerators, vector.denominator)
 
     def vector_of(self, point: Sequence) -> PatternVector:
         return PatternVector.from_values(self.k, point)
 
     def membership(self, vector: PatternVector) -> MembershipResult:
-        self._check_k(vector)
-        return self.polytope._membership(list(vector.numerators), vector.denominator)
+        return self.polytope.membership(self.point_of(vector))
 
     def plan(self, vector: PatternVector) -> "RealizationPlan":
-        result = self.membership(vector)
-        if not result.member:
-            raise NotInPolytopeError(result.violation)
-        decomposition = result.decomposition
+        decomposition = self.polytope.convex_decomposition(self.point_of(vector))
         # The greedy peeled flow f units of 1/d off each cycle C, where d is
         # the target's denominator, so its weight is f|C|/d.
         d = vector.denominator

@@ -54,7 +54,7 @@ from .errors import (
     EmptyError,
     SizeError,
 )
-from .rationals import as_fraction, integer_numerators
+from .rationals import ExactPoint, as_fraction, excerpt, integer_numerators
 
 
 @total_ordering
@@ -435,10 +435,10 @@ def _check_vector_k(k: int) -> None:
 def _unit_fraction(name: str, value) -> Fraction:
     """``value`` as an exact rational in [0, 1], the entry for the pattern
     spelled ``name``."""
-    value = as_fraction(value)
-    if value.numerator < 0 or value.numerator > value.denominator:
-        raise ValueError(f"entry for {name} not in [0, 1]: {value}")
-    return value
+    fraction = as_fraction(value)
+    if fraction.numerator < 0 or fraction.numerator > fraction.denominator:
+        raise ValueError(f"entry for {name} not in [0, 1]: {excerpt(value)}")
+    return fraction
 
 
 _MISSING = object()  # the slot of a pattern with no entry
@@ -527,10 +527,7 @@ class PatternVector:
 
     def values_by_pattern(self) -> list[Fraction]:
         """Entries in lexicographic pattern order."""
-        d = self.denominator
-        # Numerators repeat, so each distinct Fraction is built once.
-        fractions = {n: Fraction(n, d) for n in set(self.numerators)}
-        return list(map(fractions.__getitem__, self.numerators))
+        return list(ExactPoint(self.numerators, self.denominator))
 
     def total(self) -> Fraction:
         return Fraction(sum(self.numerators), self.denominator)

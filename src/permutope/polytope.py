@@ -8,9 +8,9 @@ cycle vectors, and faces are handled through the full subgraphs that index
 them: one strong-component pass over an edge subset of G decides whether the
 subset is full and gives the dimension of its face.  Points enter and weights
 leave as ``Fraction``.  In between, the checks and the decomposition run on
-integer numerators over one common denominator: a ``Sequence`` point is
-scaled once to that form, and the feasible region hands over a
-``PatternVector``'s stored numerators.  A membership test makes two C-level
+integer numerators over one common denominator: an ``ExactPoint`` (the
+feasible region's ``point_of``) is read as it is, and any other ``Sequence``
+point is scaled once to that form.  A membership test makes two C-level
 passes over all |E| entries (``min`` and ``sum``); the flow balance, the
 support check and the decomposition then do Python work only over the
 point's support and the edges of the cycles they peel.
@@ -19,7 +19,6 @@ point's support and the edges of the cycles they peel.
 from __future__ import annotations
 
 import itertools
-import json
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -27,7 +26,7 @@ from . import limits
 from ._record import Record
 from .errors import CapacityError, EmptyError, EmptyPolytopeError, NotFullError, NotInPolytopeError
 from .graphs import Multigraph, SimpleCycle, _canonical_rotation, _int_ids, iter_simple_cycles
-from .rationals import as_fraction, integer_numerators
+from .rationals import ExactPoint, as_fraction, integer_numerators
 
 
 class CycleVector(Record):
@@ -48,17 +47,10 @@ class CycleVector(Record):
 
 class MembershipResult(Record):
     """Outcome of a membership test, with a certificate either way: the
-    violated constraint, or a convex decomposition into cycle vectors."""
+    violated constraint (``violation``), or a convex decomposition into cycle
+    vectors (``decomposition``); the other field is None."""
 
     __slots__ = ("member", "violation", "decomposition")
-
-    def __init__(
-        self,
-        member: bool,
-        violation: str | None = None,
-        decomposition: tuple[tuple[Fraction, SimpleCycle], ...] | None = None,
-    ) -> None:
-        super().__init__(member, violation, decomposition)
 
     def __bool__(self) -> bool:
         return self.member
@@ -172,26 +164,24 @@ class CyclePolytope:
             self._equations = (tuple(rows), (0,) * g.n_vertices + (1,))
         return self._equations
 
-    def _coerce_point(self, point: Sequence) -> list[Fraction]:
-        values = [as_fraction(x) for x in point]
-        if len(values) != self.graph.n_edges:
-            raise IndexError(
-                f"point has {len(values)} entries, graph has {self.graph.n_edges} edges"
-            )
-        return values
+    def _exact(self, point: Sequence) -> tuple[list[int], int]:
+        """(n, d) with point[i] = n[i] / d: a fresh list of an ``ExactPoint``'s
+        numerators, or any other sequence's entries over their lcm denominator."""
+        if type(point) is ExactPoint:
+            n, d = list(point.numerators), point.denominator
+        else:
+            n, d = integer_numerators([as_fraction(x) for x in point])
+        if len(n) != self.graph.n_edges:
+            raise IndexError(f"point has {len(n)} entries, graph has {self.graph.n_edges} edges")
+        return n, d
 
     def _equation_violation(self, n: Sequence[int], d: int, support: Sequence[int]) -> str | None:
-        """The first violated constraint of the point n / d, or None.
+        """The first unbalanced vertex, or support edge on no cycle, of a point
+        n / d with non-negative entries summing to 1, or None.
 
         ``support`` lists the ids of the non-zero entries in ascending order.
         """
         g = self.graph
-        if n and min(n) < 0:
-            eid = next(eid for eid, value in enumerate(n) if value < 0)
-            return f"negative entry x[{eid}] = {Fraction(n[eid], d)}"
-        total = sum(n)
-        if total != d:
-            return f"entries sum to {Fraction(total, d)}, not 1"
         st, ar = g._st, g._ar
         balance = [0] * g.n_vertices
         for eid in support:
@@ -216,17 +206,23 @@ class CyclePolytope:
 
     def membership(self, point: Sequence) -> MembershipResult:
         """Exact test of the defining equations, with a certificate."""
-        return self._membership(*integer_numerators(self._coerce_point(point)))
+        return self._membership(*self._exact(point))
 
     def _membership(self, n: list[int], d: int) -> MembershipResult:
         """Membership of the point n / d: one integer per edge over a positive
-        d.  Consumes ``n``."""
-        support = list(itertools.compress(range(len(n)), n))
-        violation = self._equation_violation(n, d, support)
+        d.  Consumes ``n``.  The support is listed only once the sign and sum
+        checks pass."""
+        if n and min(n) < 0:
+            eid = next(eid for eid, value in enumerate(n) if value < 0)
+            violation = f"negative entry x[{eid}] = {Fraction(n[eid], d)}"
+        elif sum(n) != d:
+            violation = f"entries sum to {Fraction(sum(n), d)}, not 1"
+        else:
+            support = list(itertools.compress(range(len(n)), n))
+            violation = self._equation_violation(n, d, support)
         if violation is not None:
-            return MembershipResult(False, violation=violation)
-        decomposition = tuple(self._greedy_decomposition(n, d, support))
-        return MembershipResult(True, decomposition=decomposition)
+            return MembershipResult(False, violation, None)
+        return MembershipResult(True, None, tuple(self._greedy_decomposition(n, d, support)))
 
     def convex_decomposition(self, point: Sequence) -> tuple[tuple[Fraction, SimpleCycle], ...]:
         """Write a member point as an exact convex combination of cycle vectors.
@@ -238,7 +234,7 @@ class CyclePolytope:
         ``min`` and ``sum`` over all entries, the equation check and the peel
         touch only the support and the edges of the peeled cycles.
         """
-        result = self._membership(*integer_numerators(self._coerce_point(point)))
+        result = self._membership(*self._exact(point))
         if not result.member:
             raise NotInPolytopeError(result.violation)
         return result.decomposition
@@ -336,35 +332,3 @@ class CyclePolytope:
         if set(c1.edge_ids) == set(c2.edge_ids):
             return False
         return self.face(set(c1.edge_ids) | set(c2.edge_ids)).dimension() == 1
-
-    # -- export ----------------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        rows, rhs = self.equation_system()
-        return {
-            "edge_labels": [label for _, _, label in self.graph.edges],
-            "equations": [
-                {"coefficients": [str(c) for c in row], "rhs": str(b)}
-                for row, b in zip(rows, rhs)
-            ],
-            "vertices": {
-                ",".join(map(str, cv.cycle.edge_ids)): [str(v) for v in cv.entries]
-                for cv in self.vertices()
-            },
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-
-    def hrep_text(self) -> str:
-        """H-representation interchange text: 'A x >= b' block, 'C x = d' block."""
-        lines = ["A x >= b"]
-        for eid in range(self.graph.n_edges):
-            row = ["0"] * self.graph.n_edges
-            row[eid] = "1"
-            lines.append(" ".join(row) + " >= 0")
-        lines.append("C x = d")
-        rows, rhs = self.equation_system()
-        for row, b in zip(rows, rhs):
-            lines.append(" ".join(str(c) for c in row) + f" = {b}")
-        return "\n".join(lines) + "\n"

@@ -419,6 +419,16 @@ class TestErrorsAndCaps:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("entry", ["1e10000000", "9" * 5000], ids=["exponent", "5000_digits"])
+    def test_entry_is_read_in_bounded_time_and_quoted_in_one_line(self, capsys, entry):
+        body = {"k": 3, "entries": {w: "0" for w in ["123", "132", "213", "231", "312", "321"]}}
+        body["entries"]["123"] = entry
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "member", "--k", "3", "--vector", json.dumps(body))
+        assert time.perf_counter() - start < 0.1
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and len(err) < 200
+
     @pytest.mark.parametrize(
         "argv", [["decompose"], ["realize", "--m", "1"], ["report", "--m-values", "1"]]
     )

@@ -1,12 +1,14 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from permutope import (
     CapacityError,
+    CyclePolytope,
     NotInPolytopeError,
     PatternVector,
     Permutation,
@@ -29,7 +31,8 @@ from oracles import (
     naive_cocc_counts,
     straddling_window_counts,
 )
-from test_polytope import planted_point
+from permutope.cli import run
+from test_polytope import broken_point, planted_point
 
 P = Permutation.parse
 F = Fraction
@@ -148,6 +151,78 @@ class TestMembership:
                 assert rows[vid][eid] == expected
             assert rhs[vid] == 0
         assert rows[-1] == tuple([1] * len(patterns)) and rhs[-1] == 1
+
+
+class TestSingleRoute:
+    """Every membership answer for a pattern vector is the polytope's public
+    answer on ``point_of`` of the vector."""
+
+    @pytest.fixture
+    def entries(self, monkeypatch):
+        """The names of the polytope's membership methods, in call order."""
+        calls = []
+        for name in ("membership", "convex_decomposition", "_membership"):
+
+            def counted(self, *args, _name=name, _original=getattr(CyclePolytope, name)):
+                calls.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(CyclePolytope, name, counted)
+        return calls
+
+    def test_callers_reach_the_public_entries(self, entries, capsys):
+        region = feasible_region(3)
+        region.membership(PatternVector.uniform(3))
+        assert entries == ["membership", "_membership"]
+        entries.clear()
+        region.membership(point_mass(P("132")))
+        assert entries == ["membership", "_membership"]
+        entries.clear()
+        region.plan(PatternVector.uniform(3))
+        assert entries == ["convex_decomposition", "_membership"]
+        entries.clear()
+        with pytest.raises(NotInPolytopeError):
+            region.plan(point_mass(P("132")))
+        assert entries == ["convex_decomposition", "_membership"]
+        entries.clear()
+        assert run(["decompose", "--k", "3", "--vector", "uniform"]) == 0
+        assert entries == ["convex_decomposition", "_membership"]
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
+    def test_exact_point_answers_as_its_fractions(self, k):
+        rng = random.Random(2600 + k)
+        region = feasible_region(k)
+        polytope, graph = region.polytope, region.overlap.graph
+        for n_cycles in (1, 3, 8):
+            planted = planted_point(rng, graph, n_cycles)
+            vector = region.vector_of(planted)
+            point = region.point_of(vector)
+            assert len(point) == math.factorial(k) == graph.n_edges
+            assert list(point) == vector.values_by_pattern() == planted
+            assert [point[i] for i in (0, -1)] == [planted[0], planted[-1]]
+            assert polytope.convex_decomposition(point) == polytope.convex_decomposition(planted)
+            assert polytope.membership(point) == polytope.membership(list(point))
+            for how in ("sum", "balance"):
+                broken = region.vector_of(broken_point(rng, graph, planted, how))
+                exact, fractions = region.point_of(broken), broken.values_by_pattern()
+                assert polytope.membership(exact) == polytope.membership(fractions)
+                with pytest.raises(NotInPolytopeError) as info:
+                    polytope.convex_decomposition(fractions)
+                with pytest.raises(NotInPolytopeError, match=f"^{re.escape(str(info.value))}$"):
+                    polytope.convex_decomposition(exact)
+
+    def test_exact_point_is_immutable(self):
+        point = feasible_region(3).point_of(PatternVector.uniform(3))
+        for field, value in (("numerators", (1,) * 6), ("denominator", 1)):
+            with pytest.raises(AttributeError):
+                setattr(point, field, value)
+        assert point.numerators == (1,) * 6 and point.denominator == 6
+
+    def test_wrong_length_exact_point(self):
+        point = feasible_region(3).point_of(PatternVector.uniform(3))
+        with pytest.raises(IndexError, match="^point has 6 entries, graph has 24 edges$"):
+            feasible_region(4).polytope.membership(point)
 
 
 class TestRealize:

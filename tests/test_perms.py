@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,7 @@ from oracles import (
 from permutope import _heads as heads_module
 from permutope import limits
 from permutope import perms as perms_module
+from permutope.rationals import as_fraction
 
 P = Permutation.parse
 
@@ -641,6 +643,41 @@ class TestPatternVector:
     def test_malformed_json_is_value_error(self, data):
         with pytest.raises(ValueError):
             PatternVector.from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("1e10000000", None),
+            ("0.25", None),
+            ("1_0", None),
+            ("1 / 2", None),
+            ("3/-4", None),
+            ("", None),
+            ("-3/4", Fraction(-3, 4)),
+            (" 1/2 ", Fraction(1, 2)),
+            ("+6/4", Fraction(3, 2)),
+            ("007", Fraction(7)),
+        ],
+    )
+    def test_rational_text_grammar(self, text, value):
+        # an optional sign, digits and an optional /digits; nothing else is read
+        if value is not None:
+            assert as_fraction(text) == value
+            return
+        start = time.perf_counter()
+        with pytest.raises(RationalityError, match="optional sign, digits and an optional non-zero /digits"):
+            as_fraction(text)
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize(
+        "entry", ["9" * 4000, "9" * 5000, "1/" + "0" * 5000], ids=["4000", "5000", "over_zero"]
+    )
+    def test_long_entry_refusal_quotes_a_prefix(self, entry):
+        # 4,000 digits parse and lie outside [0, 1]; 5,000 pass the
+        # interpreter's digit limit; the last is a zero denominator
+        with pytest.raises((ValueError, RationalityError)) as info:
+            PatternVector.from_json_dict({"k": 2, "entries": {"12": entry, "21": "0"}})
+        assert len(str(info.value)) < 200 and entry[:30] in str(info.value)
 
     def test_zero_denominator_is_rationality_error(self):
         with pytest.raises(RationalityError):

@@ -606,18 +606,3 @@ class TestEquationSystem:
         # loop, a1, a2 (v1 -> v2), b1, b2 (v2 -> v1); the loop cancels
         assert rows == ((0, -1, -1, 1, 1), (0, 1, 1, -1, -1), (1, 1, 1, 1, 1))
         assert rhs == (0, 0, 1)
-
-
-class TestExport:
-    def test_json_deterministic(self, fig3_graph):
-        poly = CyclePolytope(fig3_graph)
-        text = poly.to_json()
-        assert text == poly.to_json()
-        assert '"vertices"' in text and '"equations"' in text
-
-    def test_hrep_text(self, fig2_graph):
-        text = CyclePolytope(fig2_graph).hrep_text()
-        lines = text.strip().splitlines()
-        assert lines[0] == "A x >= b"
-        assert "C x = d" in lines
-        assert lines[-1] == "1 1 1 = 1"
