@@ -332,6 +332,13 @@ class SimpleCycle(Walk):
             raise ValueError("cycle repeats a vertex")
 
 
+def _over_cycles_cap(cap: int) -> CapacityError:
+    """The refusal of a simple cycle past the ``cycles`` cap ``cap``."""
+    return CapacityError(
+        f"the graph has more simple cycles than the cycles cap {cap} (PERMUTOPE_CAP key 'cycles')"
+    )
+
+
 def iter_simple_cycles(g: Multigraph) -> Iterator[SimpleCycle]:
     """Yield every simple cycle of ``g`` exactly once, in canonical rotation
     and in lexicographic order of the edge-id tuples.
@@ -368,10 +375,7 @@ def iter_simple_cycles(g: Multigraph) -> Iterator[SimpleCycle]:
                 if w == s:
                     emitted += 1
                     if emitted > cap:
-                        raise CapacityError(
-                            f"the graph has more simple cycles than the cycles cap "
-                            f"{cap} (PERMUTOPE_CAP key 'cycles')"
-                        )
+                        raise _over_cycles_cap(cap)
                     yield SimpleCycle._trusted(g, (*epath, eid))
                 elif not blocked[w]:
                     epath.append(eid)

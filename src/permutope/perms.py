@@ -69,7 +69,7 @@ class Permutation:
         if not word:
             raise ValueError("permutations are non-empty")
         if {*map(type, word)} != {int} or sorted(word) != list(range(1, len(word) + 1)):
-            raise ValueError(f"not a permutation word: {word!r}")
+            raise ValueError(f"not a permutation word: {excerpt(word)}")
         _set_word(self, word)
 
     @classmethod
@@ -120,12 +120,10 @@ class Permutation:
         text = text.strip()
         if not text:
             raise ValueError("empty permutation text")
-        if "," in text:
-            word = tuple(int(part) for part in text.split(","))
-        else:
-            if not text.isdigit():
-                raise ValueError(f"not a permutation word: {text!r}")
-            word = tuple(int(ch) for ch in text)
+        try:  # int() refuses a part that is no integer, or one past its digit limit
+            word = tuple(map(int, text.split(",") if "," in text else text))
+        except ValueError:
+            raise ValueError(f"not a permutation word: {excerpt(repr(text))}") from None
         return cls(word)
 
     @classmethod
@@ -461,7 +459,7 @@ def _checked_numerators(k: int, slots: Sequence, extra: set) -> tuple[list[int],
         else:
             values.append(_unit_fraction(name, value))
     if extra:
-        raise ValueError(f"entries outside S_{k}: {sorted(map(str, extra))}")
+        raise ValueError(f"entries outside S_{k}: {excerpt(sorted(map(str, extra)))}")
     return integer_numerators(values)
 
 

@@ -19,14 +19,34 @@ point's support and the edges of the cycles they peel.
 from __future__ import annotations
 
 import itertools
+from _thread import allocate_lock  # threading.Lock, without importing threading
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from . import limits
 from ._record import Record
 from .errors import CapacityError, EmptyError, EmptyPolytopeError, NotFullError, NotInPolytopeError
-from .graphs import Multigraph, SimpleCycle, _canonical_rotation, _int_ids, iter_simple_cycles
+from .graphs import (
+    Multigraph,
+    SimpleCycle,
+    _canonical_rotation,
+    _int_ids,
+    _over_cycles_cap,
+    iter_simple_cycles,
+)
 from .rationals import ExactPoint, as_fraction, integer_numerators
+
+# The kept prefix of simple cycles stops growing once it holds this many
+# 8-byte slots, so it takes about 8 MiB however long the cycles are (plus at
+# most one batch).  A cycle of L edges counts L + 12 of them: its L edge ids
+# (the ints are the graph's own), plus 96 bytes for its tuple header, its
+# object and its list slot.  At k = 5 (about 22 edges a cycle) the budget
+# keeps some 30,000 cycles; at k = 7 (about 710) some 1,500.  Without it,
+# streaming k = 7 cycles would grow the prefix by about 450 MB a second.
+_KEPT_SLOTS = 1 << 20
+# Cycles the shared enumerator adds to the kept prefix under one lock: one
+# at a time, the lock and the calls cost about 40% on top of the search.
+_BATCH = 64
 
 
 class CycleVector(Record):
@@ -94,7 +114,18 @@ class CyclePolytope:
     circulations that the polytope spans.
     """
 
-    __slots__ = ("graph", "full_edge_ids", "_dimension", "_n_cycles", "_equations")
+    __slots__ = (
+        "graph",
+        "full_edge_ids",
+        "_dimension",
+        "_n_cycles",
+        "_equations",
+        "_kept",
+        "_kept_slots",
+        "_source",
+        "_source_cap",
+        "_lock",
+    )
 
     def __init__(self, graph: Multigraph) -> None:
         self.graph = graph
@@ -102,11 +133,78 @@ class CyclePolytope:
         self.full_edge_ids = frozenset(full)
         self._n_cycles: int | None = None
         self._equations: tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None = None
+        # The kept prefix of the enumeration, its size in slots, and the
+        # shared enumerator that extends it with the cap it was started under.
+        self._kept: list[SimpleCycle] = []
+        self._kept_slots = 0
+        self._source: Iterator[SimpleCycle] | None = None
+        self._source_cap = 0
+        self._lock = allocate_lock()
+
+    def __reduce__(self):
+        # A copy or a pickle carries the graph only: no lock, no live
+        # enumerator, no kept cycles.
+        return type(self), (self.graph,)
 
     # -- vertices --------------------------------------------------------
 
     def simple_cycles(self) -> Iterator[SimpleCycle]:
-        return iter_simple_cycles(self.graph)
+        """Every simple cycle, in the order of ``iter_simple_cycles``;
+        repeated calls yield the same cycle objects.
+
+        The polytope keeps the prefix of cycles it has enumerated, up to
+        ``_KEPT_SLOTS``, and serves later calls from it: one shared
+        enumerator extends the prefix under a lock, and a call that goes past
+        the budget gets a private enumerator that skips the kept prefix.
+        Each call reads the ``cycles`` cap when it starts and raises
+        CapacityError when asked for a cycle past it.
+        """
+        cap = limits.cap("cycles")
+        kept, emitted = self._kept, 0
+        while emitted < len(kept) or self._extend(emitted, cap):
+            if emitted == cap:
+                raise _over_cycles_cap(cap)
+            stop = min(len(kept), cap)
+            yield from kept[emitted:stop]
+            emitted = stop
+        if emitted == self._n_cycles:
+            return
+        for cycle in itertools.islice(iter_simple_cycles(self.graph), emitted, None):
+            if emitted == cap:
+                raise _over_cycles_cap(cap)
+            emitted += 1
+            yield cycle
+
+    def _extend(self, length: int, cap: int) -> bool:
+        """Make the kept prefix longer than ``length``, the length a call of
+        cap ``cap`` has read; False when the enumeration is over or the
+        prefix holds its budget."""
+        kept = self._kept
+        with self._lock:
+            if len(kept) > length:  # another call extended it meanwhile
+                return True
+            if len(kept) == self._n_cycles or self._kept_slots >= _KEPT_SLOTS:
+                self._source = None
+                return False
+            if self._source is None or self._source_cap < cap:
+                # A fresh enumerator, so that one started under a lower cap
+                # cannot cut this call off.
+                self._source_cap = cap
+                self._source = itertools.islice(iter_simple_cycles(self.graph), length, None)
+            # A batch, but no cycle past the first one over the call's cap:
+            # asking the enumerator for that one may raise.
+            wanted = min(length + _BATCH, max(cap, length + 1)) - length
+            try:
+                kept.extend(itertools.islice(self._source, wanted))
+            except BaseException:
+                self._source = None
+                raise
+            finally:
+                added = kept[length:]
+                self._kept_slots += sum(len(c.edge_ids) for c in added) + 12 * len(added)
+            if len(added) < wanted:  # the enumeration is over
+                self._source, self._n_cycles = None, len(kept)
+            return len(kept) > length
 
     def vertices(self) -> tuple[CycleVector, ...]:
         """One vertex per simple cycle, in the enumerator's order: by
@@ -116,10 +214,11 @@ class CyclePolytope:
         equals the simple-cycle count.  A first pass only counts the cycles,
         so the ``cycles`` cap fires before any of them is held; the count is
         kept, and a later call counts again only when the cap is below it.
+        The vertices are built over the cycles of ``simple_cycles``.
         """
         if self._n_cycles is None or self._n_cycles > limits.cap("cycles"):
             self._n_cycles = sum(1 for _ in iter_simple_cycles(self.graph))
-        return tuple(map(CycleVector, iter_simple_cycles(self.graph)))
+        return tuple(map(CycleVector, self.simple_cycles()))
 
     # -- dimension ---------------------------------------------------------
 

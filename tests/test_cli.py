@@ -430,6 +430,18 @@ class TestErrorsAndCaps:
         assert err.startswith("error:") and err.count("\n") == 1 and len(err) < 200
 
     @pytest.mark.parametrize(
+        "key",
+        ["9" * 5000, "x" * 5000, ",".join(map(str, range(1, 2001)))],
+        ids=["not_a_permutation", "not_digits", "outside_S3"],
+    )
+    def test_long_key_is_quoted_in_one_line(self, capsys, key):
+        body = {"k": 3, "entries": {w: "1/6" for w in ["123", "132", "213", "231", "312", "321"]}}
+        body["entries"][key] = "0"
+        code, out, err = invoke(capsys, "member", "--k", "3", "--vector", json.dumps(body))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and len(err) < 200
+
+    @pytest.mark.parametrize(
         "argv", [["decompose"], ["realize", "--m", "1"], ["report", "--m-values", "1"]]
     )
     def test_infeasible_vector_is_one_line_error(self, capsys, argv):

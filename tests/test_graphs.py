@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import threading
 import time
 
 import pytest
@@ -24,6 +26,7 @@ from oracles import (
     simple_cycles_by_sets,
     walk_split_by_dict,
 )
+from permutope import polytope as polytope_module
 
 
 class TestConstruction:
@@ -250,10 +253,13 @@ class TestAgainstSlowRoutes:
     )
     def test_cycles_on_overlap_graphs(self, k, prefix):
         graph = build_overlap_graph(k).graph
-        fast = [c.edge_ids for c in itertools.islice(iter_simple_cycles(graph), prefix)]
         slow = list(itertools.islice(simple_cycles_by_sets(graph), prefix))
-        assert fast == slow
-        assert len(fast) == (prefix or count_simple_cycles_dp(graph))
+        assert len(slow) == (prefix or count_simple_cycles_dp(graph))
+        polytope = CyclePolytope(graph)
+        # The enumerator, a fresh polytope, then the same polytope from its kept prefix.
+        streams = (iter_simple_cycles(graph), polytope.simple_cycles(), polytope.simple_cycles())
+        for stream in streams:
+            assert [c.edge_ids for c in itertools.islice(stream, prefix)] == slow
 
     def test_cycles_on_random_multigraphs(self):
         rng = random.Random(71)
@@ -269,16 +275,33 @@ class TestAgainstSlowRoutes:
     @pytest.mark.parametrize("cap", [0, 1, 37, 159, 160])
     def test_cap_fires_on_the_cycle_past_it(self, cap, monkeypatch):
         # k = 4 has 160 cycles, so a cap of 160 lets them all out.
-        monkeypatch.setenv("PERMUTOPE_CAP", f"cycles={cap}")
         graph = build_overlap_graph(4).graph
-        stream = iter_simple_cycles(graph)
-        first = [next(stream).edge_ids for _ in range(cap)]
-        assert first == list(itertools.islice(simple_cycles_by_sets(graph), cap))
-        if cap < 160:
-            with pytest.raises(CapacityError, match=f"cycles cap {cap} "):
-                next(stream)
-        else:
-            assert next(stream, None) is None
+        slow = list(itertools.islice(simple_cycles_by_sets(graph), cap))
+        for route in ("enumerator", "fresh", "kept_past_cap", "source_alive", "source_cut"):
+            monkeypatch.delenv("PERMUTOPE_CAP", raising=False)
+            polytope = CyclePolytope(graph)
+            if route == "kept_past_cap":
+                assert len(list(polytope.simple_cycles())) == 160
+            elif route != "fresh":
+                # The shared enumerator starts under a lower cap than the call below.
+                monkeypatch.setenv("PERMUTOPE_CAP", "cycles=1")
+                early = polytope.simple_cycles()
+                next(early)
+                if route == "source_cut":
+                    with pytest.raises(CapacityError, match="cycles cap 1 "):
+                        next(early)
+            monkeypatch.setenv("PERMUTOPE_CAP", f"cycles={cap}")
+            if route == "enumerator":
+                stream = iter_simple_cycles(graph)
+            else:
+                stream = polytope.simple_cycles()
+            first = [next(stream).edge_ids for _ in range(cap)]
+            assert first == slow, route
+            if cap < 160:
+                with pytest.raises(CapacityError, match=f"cycles cap {cap} "):
+                    next(stream)
+            else:
+                assert next(stream, None) is None
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
     def test_walk_splits_on_overlap_graphs(self, k):
@@ -344,6 +367,73 @@ def test_malformed_walk_messages(request, cls, fixture, ids, exc, message):
     with pytest.raises(exc) as info:
         cls(request.getfixturevalue(fixture), ids)
     assert type(info.value) is exc and str(info.value) == message
+
+
+class TestKeptCycles:
+    """A polytope serves repeated ``simple_cycles`` calls from the prefix it
+    has kept: the same sequence as the slow route, and the same objects."""
+
+    @staticmethod
+    def slow(k, count=None):
+        return list(itertools.islice(simple_cycles_by_sets(build_overlap_graph(k).graph), count))
+
+    def test_interleaved_consumers(self):
+        polytope = CyclePolytope(build_overlap_graph(5).graph)
+        a, b = polytope.simple_cycles(), polytope.simple_cycles()
+        got_a, got_b = [], []
+        # Each consumer in turn reads what the other kept, then extends the prefix.
+        turns = ((a, got_a, 1_000), (b, got_b, 2_000), (a, got_a, 2_000), (b, got_b, 1_000))
+        for stream, got, count in turns:
+            got += itertools.islice(stream, count)
+        assert [c.edge_ids for c in got_a] == self.slow(5, 3_000)
+        assert all(x is y for x, y in zip(got_a, got_b)) and len(got_b) == 3_000
+
+    def test_two_threads(self):
+        polytope = CyclePolytope(build_overlap_graph(5).graph)
+        start = threading.Barrier(2, timeout=10)
+        results = [None, None]
+
+        def stream(slot):
+            start.wait()
+            results[slot] = [c.edge_ids for c in itertools.islice(polytope.simple_cycles(), 5_000)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often while both extend the prefix
+        try:
+            threads = [threading.Thread(target=stream, args=(slot,)) for slot in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        slow = self.slow(5, 5_000)
+        assert results[0] == slow and results[1] == slow
+        assert 5_000 <= len(polytope._kept) < 5_000 + polytope_module._BATCH
+
+    def test_calls_past_the_budget(self, monkeypatch):
+        monkeypatch.setattr(polytope_module, "_KEPT_SLOTS", 200)
+        polytope = CyclePolytope(build_overlap_graph(4).graph)
+        slow = self.slow(4)
+        for _ in range(2):
+            assert [c.edge_ids for c in polytope.simple_cycles()] == slow
+        kept = polytope._kept
+        assert 0 < len(kept) < len(slow)
+        assert polytope._kept_slots == sum(len(c) + 12 for c in kept) >= 200
+        # The private enumerator past the budget keeps the call's cap.
+        monkeypatch.setenv("PERMUTOPE_CAP", "cycles=37")
+        stream = polytope.simple_cycles()
+        assert [next(stream).edge_ids for _ in range(37)] == slow[:37]
+        with pytest.raises(CapacityError, match="cycles cap 37 "):
+            next(stream)
+
+    def test_vertices_twice_at_k4(self):
+        polytope = CyclePolytope(build_overlap_graph(4).graph)
+        first, second = polytope.vertices(), polytope.vertices()
+        assert first == second
+        assert all(x.cycle is y.cycle for x, y in zip(first, second))
+        assert [v.cycle.edge_ids for v in first] == self.slow(4)
 
 
 class TestWalks:

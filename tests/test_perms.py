@@ -625,6 +625,15 @@ class TestPatternVector:
         with pytest.raises(ValueError, match=r"^entries outside S_2: \['1'\]$"):
             PatternVector(2, {P("12"): 1, P("21"): 0, P("1"): 0})
 
+    def test_entry_past_the_int_digit_limit_is_quoted_by_its_size(self):
+        # str() refuses ints over the interpreter's 4,300-digit limit
+        for value, size in (
+            (10**5000, "a 5001-digit integer"),
+            (-(10**4400), "a negative 4401-digit integer"),
+        ):
+            with pytest.raises(ValueError, match=rf"^entry for 12 not in \[0, 1\]: {size}$"):
+                PatternVector.from_values(2, [value, 0])
+
     def test_floats_rejected(self):
         with pytest.raises(RationalityError):
             PatternVector(2, {P("12"): 0.5, P("21"): 0.5})
