@@ -14,23 +14,12 @@ patterns of size k:
 - consecutive: O(n k) work in C with no Python step per window.  Lane-wise
   subtraction on the word packed into big integers, one lane per position,
   gives every window's id (its Lehmer code) in O(k) operations per pass;
-- classical, k <= 3: one chunked sweep for the earlier-and-smaller counts.
-  For each chunk of 512 positions, C ``map`` calls count the smaller entries
-  of earlier chunks from per-block prefix sums (blocks of 128 values) and one
-  ``bytearray.count`` within a block; entries of the same chunk are counted
-  by bisection into a sorted list of at most 512 values.  That is
-  O(n^2 / 2^16 + n * 512) work done in C, but only a few Python-level steps
-  per entry: about half the time of a pure-Python Fenwick pass at n = 10^5
-  (CPython 3.11, 2-vCPU Xeon).  k = 2 is the sum of these counts; for k = 3
-  the other three side counts follow from identities;
-- classical, k >= 4 (in :mod:`permutope._heads`): every k-subset is a
-  (k-1)-subset T, its head, plus one later point, whose pattern is fixed by
-  T's pattern and the later value's rank among T's values.  So the kernel
-  visits the C(n-1, k-1) heads that have a later point, in batches, and never
-  the C(n, k) subsets: per batch, C-level passes over heads packed into big
-  integers compare the values and count the later points below each one,
-  and a tally sums those counts per head pattern.  The size-k counts are
-  differences of those sums.  The ``enum`` cap still bounds n.
+- classical (in :mod:`permutope._heads`, loaded on the first classical
+  count): sizes up to 3 at any length, from sums taken per chunk of 512
+  positions by one sweep whose per-entry steps run mostly inside C ``map``
+  calls; sizes 4 and up from the C(n-1, k-1) subsets of k-1 positions that
+  have a later point, never the C(n, k) subsets, with n bounded by the
+  ``enum`` cap.
 """
 
 from __future__ import annotations
@@ -38,11 +27,9 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, total_ordering
-from operator import add, and_, mul, rshift, sub
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import limits
@@ -120,10 +107,15 @@ class Permutation:
         text = text.strip()
         if not text:
             raise ValueError("empty permutation text")
-        try:  # int() refuses a part that is no integer, or one past its digit limit
-            word = tuple(map(int, text.split(",") if "," in text else text))
+        parts = [part.strip() for part in text.split(",")] if "," in text else text
+        refusal = ValueError(f"not a permutation word: {excerpt(repr(text))}")
+        # int() alone would also read signs, "_" and non-ASCII digits
+        if not all(part.isascii() and part.isdigit() for part in parts):
+            raise refusal
+        try:  # int() refuses a part past its digit limit
+            word = tuple(map(int, parts))
         except ValueError:
-            raise ValueError(f"not a permutation word: {excerpt(repr(text))}") from None
+            raise refusal from None
         return cls(word)
 
     @classmethod
@@ -199,104 +191,6 @@ def pattern_at(sigma: Permutation, indices: Iterable[int]) -> Permutation:
     if idx[0] < 1 or idx[-1] > len(sigma):
         raise IndexError(f"index set {idx!r} out of range for size {len(sigma)}")
     return Permutation._trusted(_std_word([sigma.word[i - 1] for i in idx]))
-
-
-# The classical k <= 3 kernel takes positions in chunks of _CHUNK and
-# groups values into blocks of 2**_BLOCK_BITS.
-_CHUNK = 512
-_BLOCK_BITS = 7
-
-
-def _smaller_before(word: Sequence[int]) -> list[int]:
-    """For every position j of a permutation word of 1..n: how many earlier
-    entries are smaller.
-
-    Positions go in chunks.  For the entries of earlier chunks, ``seen`` marks
-    their values and ``block_seen`` counts them per value block; one prefix
-    sum over the blocks per chunk, plus one count of the marks between the
-    block start and v, gives each entry's count, all inside C ``map`` calls.
-    Entries of the same chunk are counted by bisection into the sorted list
-    of the chunk's earlier values.
-    """
-    n = len(word)
-    seen = bytearray(n + 1)
-    block_seen = [0] * ((n >> _BLOCK_BITS) + 1)
-    count = seen.count
-    ones = itertools.repeat(1)
-    shifts = itertools.repeat(_BLOCK_BITS)
-    masks = itertools.repeat(-1 << _BLOCK_BITS)
-    smaller: list[int] = []
-    for start in range(0, n, _CHUNK):
-        chunk = word[start : start + _CHUNK]
-        below_block = list(itertools.accumulate(block_seen, initial=0)).__getitem__
-        across = list(
-            map(
-                add,
-                map(below_block, map(rshift, chunk, shifts)),
-                map(count, ones, map(and_, chunk, masks), chunk),
-            )
-        )
-        inside: list[int] = []
-        insert = inside.insert
-        within: list[int] = []
-        append = within.append
-        for v in chunk:
-            r = bisect_left(inside, v)
-            insert(r, v)
-            append(r)
-            seen[v] = 1
-            block_seen[v >> _BLOCK_BITS] += 1
-        smaller += map(add, across, within)
-    return smaller
-
-
-def _occ_counts_small(sigma: Permutation, k: int) -> list[int]:
-    """Exact classical counts for all patterns of size k <= 3, any length."""
-    word = sigma.word
-    n = len(word)
-    if k == 1:
-        return [n]
-    a = _smaller_before(word)
-    if k == 2:
-        rising = sum(a)
-        return [rising, math.comb(n, 2) - rising]
-    # The value v at position j has j entries before it and v - 1 entries
-    # below it, so the larger-before (b), smaller-after (d) and larger-after
-    # (c) counts follow from a.
-    b = list(map(sub, range(n), a))
-    d = [v - 1 - x for v, x in zip(word, a)]
-    c = [n - 1 - j - x for j, x in enumerate(d)]
-
-    # Size 3: count by the position of the middle element, then split the
-    # remaining patterns by where the extreme value sits.
-    def pairs(x: list[int]) -> int:
-        """Sum of C(x_j, 2)."""
-        return (sum(map(mul, x, x)) - sum(x)) // 2
-
-    occ123 = sum(map(mul, a, c))
-    occ321 = sum(map(mul, b, d))
-    occ213 = pairs(a) - occ123
-    occ132 = pairs(c) - occ123
-    occ312 = pairs(d) - occ321
-    occ231 = pairs(b) - occ321
-    return [occ123, occ132, occ213, occ231, occ312, occ321]
-
-
-def _occ_counts_enumerated(sigma: Permutation, k: int) -> list[int]:
-    """Exact classical counts for all patterns of size k >= 3, for a
-    permutation no longer than the ``enum`` cap, from its (k-1)-subsets:
-    see :mod:`permutope._heads`, loaded on the first call because most
-    processes that import perms never count there."""
-    n, cap = len(sigma), limits.cap("enum")
-    if n > cap:
-        raise CapacityError(
-            f"classical counting of size-{k} patterns enumerates subsets; "
-            f"permutation size {n} exceeds the enum cap {cap} "
-            f"(PERMUTOPE_CAP key 'enum')"
-        )
-    from ._heads import classical_counts
-
-    return classical_counts(sigma.word, k)
 
 
 @lru_cache(maxsize=None)
@@ -392,8 +286,15 @@ def _counts(k: int, sigma: Permutation, kind: str) -> tuple[list[int], int]:
     if k > n:
         raise SizeError(f"pattern size {k} exceeds permutation size {n}")
     if kind == "classical":
-        kernel = _occ_counts_small if k <= 3 else _occ_counts_enumerated
-        return kernel(sigma, k), math.comb(n, k)
+        if k > 3 and n > (cap := limits.cap("enum")):
+            raise CapacityError(
+                f"classical counting of size-{k} patterns enumerates subsets; "
+                f"permutation size {n} exceeds the enum cap {cap} "
+                f"(PERMUTOPE_CAP key 'enum')"
+            )
+        from ._heads import classical_counts
+
+        return classical_counts(sigma.word, k), math.comb(n, k)
     return _cocc_counts(sigma, k), n
 
 

@@ -96,6 +96,26 @@ class TestPermutation:
             with pytest.raises(ValueError):
                 Permutation.parse(bad)
 
+    # int() reads each of these forms, so each part is held to ASCII digits
+    # first, the rule as_fraction applies to entry strings.
+    @pytest.mark.parametrize("text", ["٣٢١", "3,2,١", "١٢"])
+    def test_parse_refuses_non_ascii_digits(self, text):
+        with pytest.raises(ValueError, match="not a permutation word"):
+            Permutation.parse(text)
+
+    @pytest.mark.parametrize("text", ["2,1_0,1,3,4,5,6,7,8,9", "1_0,1,2,3,4,5,6,7,8,9"])
+    def test_parse_refuses_underscores(self, text):
+        with pytest.raises(ValueError, match="not a permutation word"):
+            Permutation.parse(text)
+
+    @pytest.mark.parametrize("text", ["+1,2", "2,+1", "-1,1,2", "+1"])
+    def test_parse_refuses_signs(self, text):
+        with pytest.raises(ValueError, match="not a permutation word"):
+            Permutation.parse(text)
+
+    def test_parse_keeps_spaces_around_parts(self):
+        assert Permutation.parse(" 3, 1 ,2 ") == P("312")
+
     def test_all_patterns_is_lexicographic(self):
         assert [str(p) for p in all_patterns(3)] == ["123", "132", "213", "231", "312", "321"]
 
@@ -282,8 +302,8 @@ class TestProportionVector:
         def refuse(*args):
             raise AssertionError("counted before the size checks")
 
-        for kernel in ("_occ_counts_small", "_occ_counts_enumerated", "_cocc_counts"):
-            monkeypatch.setattr(perms_module, kernel, refuse)
+        monkeypatch.setattr(heads_module, "classical_counts", refuse)
+        monkeypatch.setattr(perms_module, "_cocc_counts", refuse)
         sigma = Permutation.identity(limits.VECTOR_K_CAP + 5)
         with pytest.raises(CapacityError, match="pattern vectors"):
             proportion_vector(limits.VECTOR_K_CAP + 1, sigma, kind)
@@ -395,6 +415,20 @@ class TestChunkedClassicalKernel:
 
     EDGE_SIZES = (1, 2, 3, 127, 128, 129, 511, 512, 513, 1023, 1024, 1025, 4097)
 
+    @staticmethod
+    def assert_sums_match_oracle(word):
+        """The k = 3 sums (of a, a^2, a * j and a * v, j 0-based) and the
+        k = 2 sum of a, with a the merge-sort smaller-before counts."""
+        a = merge_sort_smaller_before(word)
+        expected = (
+            sum(a),
+            sum(x * x for x in a),
+            sum(x * j for j, x in enumerate(a)),
+            sum(x * v for x, v in zip(a, word)),
+        )
+        assert heads_module._smaller_before_sums(word, True) == expected, word
+        assert heads_module._smaller_before_sums(word, False) == expected[:1], word
+
     def assert_vectors_match_oracle(self, sigma):
         n = len(sigma)
         expected = classical_counts_small(sigma.word)
@@ -409,16 +443,25 @@ class TestChunkedClassicalKernel:
             }
 
     def test_constants_are_the_edges_crossed(self):
-        assert perms_module._CHUNK == 512 and 1 << perms_module._BLOCK_BITS == 128
+        assert heads_module._CHUNK == 512 and 1 << heads_module._BLOCK_BITS == 128
 
     def test_edge_sizes(self):
         rng = random.Random(90)
         for n in self.EDGE_SIZES:
             sigma = random_perm(rng, n)
-            assert perms_module._smaller_before(sigma.word) == merge_sort_smaller_before(
-                sigma.word
-            )
+            self.assert_sums_match_oracle(sigma.word)
             self.assert_vectors_match_oracle(sigma)
+
+    def test_sums_on_every_permutation_up_to_size_7(self):
+        for n in range(1, 8):
+            for word in itertools.permutations(range(1, n + 1)):
+                self.assert_sums_match_oracle(word)
+
+    def test_sums_on_rising_and_falling_words(self):
+        for n in self.EDGE_SIZES:
+            rising = tuple(range(1, n + 1))
+            self.assert_sums_match_oracle(rising)
+            self.assert_sums_match_oracle(rising[::-1])
 
     def test_size_three_against_the_enumerator(self):
         # every permutation up to size 6, then ten random ones of each size to 30
@@ -429,10 +472,10 @@ class TestChunkedClassicalKernel:
             else:
                 words = [rng.sample(range(1, n + 1), n) for _ in range(10)]
             for word in words:
-                sigma = Permutation(tuple(word))
-                assert perms_module._occ_counts_small(
-                    sigma, 3
-                ) == perms_module._occ_counts_enumerated(sigma, 3)
+                word = tuple(word)
+                assert heads_module.classical_counts(word, 3) == heads_module._counts_from_heads(
+                    word, 3
+                )
 
     def test_against_naive_up_to_60(self):
         rng = random.Random(91)
@@ -471,7 +514,7 @@ class TestHeadKernel:
 
     @staticmethod
     def kernel(word, k):
-        return perms_module._occ_counts_enumerated(Permutation(tuple(word)), k)
+        return heads_module._counts_from_heads(tuple(word), k)
 
     @pytest.mark.parametrize("k", [4, 5])
     def test_every_permutation_up_to_size_7(self, k):
