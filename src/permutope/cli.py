@@ -2,7 +2,8 @@
 
 Every verb maps to one library operation chain and prints deterministic
 output: exact rational strings by default, decimal only under ``--float``.
-Exit codes: 0 success, 1 domain error, 2 usage error.
+Exit codes: 0 success, 1 domain error, 2 usage error.  Integer options take
+ASCII digits alone (:func:`permutope.limits.natural`).
 
 Size guards are the library's own: each reads the ``PERMUTOPE_CAP``
 environment variable when it checks (see :mod:`permutope.limits`), so the CLI
@@ -20,6 +21,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import limits
 from .errors import PermutopeError
+from .limits import natural
 
 if TYPE_CHECKING:
     from .graphs import Multigraph
@@ -233,8 +235,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from .feasible import convergence_report
 
     plan = region.plan(vector)
-    if args.m_values:
-        m_values = [int(part) for part in args.m_values.split(",")]
+    if args.m_values is not None:
+        m_values = [natural(part.strip()) for part in args.m_values.split(",")]
     else:
         # Default schedule: powers of two while the size fits both limits.
         cap = limits.cap("realize")
@@ -284,42 +286,42 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="pattern proportion vector of a permutation")
     p.add_argument("--perm", required=True, help="permutation (digits, or comma-separated)")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=natural, required=True)
     p.add_argument("--kind", choices=["classical", "consecutive"], required=True)
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("overlap", help="build the overlap graph; summary, DOT or JSON")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=natural, required=True)
     p.add_argument("--dot", metavar="FILE", help="write DOT with pattern edge labels")
     p.add_argument("--json", metavar="FILE", help="write the JSON graph format")
     p.set_defaults(func=_cmd_overlap)
 
     p = sub.add_parser("vertices", help="polytope vertices = simple cycles")
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--k", type=int, help="use the overlap graph of size k")
+    src.add_argument("--k", type=natural, help="use the overlap graph of size k")
     src.add_argument("--graph", metavar="FILE", help="use a JSON graph file")
     p.set_defaults(func=_cmd_vertices)
 
     p = sub.add_parser("dim", help="dimension of the cycle polytope")
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--k", type=int)
+    src.add_argument("--k", type=natural)
     src.add_argument("--graph", metavar="FILE")
     p.set_defaults(func=_cmd_dim)
 
     p = sub.add_parser("member", help="test membership in the feasible region")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=natural, required=True)
     p.add_argument("--vector", required=True, help="'uniform', inline JSON, or @file")
     p.set_defaults(func=_cmd_member)
 
     p = sub.add_parser("decompose", help="convex decomposition of a feasible vector")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=natural, required=True)
     p.add_argument("--vector", required=True)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("realize", help="permutation realizing a feasible vector")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=natural, required=True)
     p.add_argument("--vector", required=True)
-    p.add_argument("--m", type=int, required=True, help="size parameter")
+    p.add_argument("--m", type=natural, required=True, help="size parameter")
     p.add_argument("--plan", metavar="FILE", help="also write the realization plan JSON")
     p.set_defaults(func=_cmd_realize)
 
@@ -329,27 +331,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mix)
 
     p = sub.add_parser("universal", help="permutation with every size-k pattern once")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=natural, required=True)
     p.set_defaults(func=_cmd_universal)
 
     p = sub.add_parser("faces", help="face poset via full-subgraph enumeration")
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--k", type=int)
+    src.add_argument("--k", type=natural)
     src.add_argument("--graph", metavar="FILE")
     p.set_defaults(func=_cmd_faces)
 
     p = sub.add_parser("report", help="convergence CSV for a realization plan")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=natural, required=True)
     p.add_argument("--vector", required=True)
     p.add_argument("--m-values", help="comma-separated m values (default: powers of 2)")
-    p.add_argument("--max-size", type=int, default=4096, help="size cap for the default schedule")
+    p.add_argument("--max-size", type=natural, default=4096, help="size cap of the default m list")
     p.add_argument("--no-classical", action="store_true", help="skip classical columns")
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("export", help="export a graph as DOT or JSON")
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--k", type=int)
+    src.add_argument("--k", type=natural)
     src.add_argument("--graph", metavar="FILE", help="input JSON graph")
     p.add_argument("--format", choices=["dot", "json"], required=True)
     p.add_argument("--out", metavar="FILE")

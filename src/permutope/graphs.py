@@ -20,7 +20,7 @@ from bisect import bisect_right
 from typing import Iterable, Iterator, Sequence
 
 from . import limits
-from ._record import Record, refuse_change
+from ._record import Record
 from .errors import CapacityError
 
 
@@ -214,7 +214,7 @@ class Multigraph:
         return "\n".join(lines) + "\n"
 
 
-class Walk:
+class Walk(Record, hidden=("graph",)):
     """A non-empty chained sequence of edge ids on a fixed graph.  Immutable;
     equal to a walk of the same class on the same graph with the same ids."""
 
@@ -259,22 +259,6 @@ class Walk:
         _set_edge_ids(walk, edge_ids)
         return walk
 
-    __setattr__ = __delattr__ = refuse_change
-
-    def __reduce__(self):
-        return type(self), (self.graph, self.edge_ids)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.graph is other.graph and self.edge_ids == other.edge_ids
-
-    def __hash__(self) -> int:
-        return hash((self.graph, self.edge_ids))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(edge_ids={self.edge_ids!r})"
-
     def __len__(self) -> int:
         return len(self.edge_ids)
 
@@ -288,8 +272,8 @@ class Walk:
         return tuple(self.graph.label(eid) for eid in self.edge_ids)
 
 
-# Set through the slots themselves, as perms does for Permutation.
-_set_graph, _set_edge_ids = Walk.graph.__set__, Walk.edge_ids.__set__
+# Set through the slots themselves, past Record's refusing __setattr__.
+_set_graph, _set_edge_ids = Walk._setters
 
 
 def _int_ids(edge_ids: Iterable) -> tuple[int, ...]:

@@ -1,4 +1,4 @@
-"""Size guards.
+"""Size guards, and :func:`natural`, the package's one reader of integers from text.
 
 All expensive enumerations are capped.  Each guard reads its cap with
 :func:`cap` at the moment it checks: the ``PERMUTOPE_CAP`` environment
@@ -48,6 +48,18 @@ def cap(name: str) -> int:
     return caps()[name]
 
 
+def natural(text: str) -> int:
+    """The integer ``text`` spells in ASCII digits alone: a sign, space, ``_``,
+    another script's digit (all read by ``int()``) or too many digits is refused."""
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    shown = repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
+    raise ValueError(f"invalid literal for int(): {shown}; use ASCII digits only")
+
+
 def check_overlap_k(k: int) -> None:
     """Refuse a pattern size k outside 2..the ``overlap`` cap: no overlap
     graph of that size is built.  Callers check before they allocate
@@ -75,7 +87,10 @@ def _parse(spec: str) -> Mapping[str, int]:
             raise ValueError(
                 f"PERMUTOPE_CAP has no cap {key!r}; the caps are {', '.join(DEFAULTS)}"
             )
-        table[key] = int(value)
-        if table[key] < 0:
-            raise ValueError(f"PERMUTOPE_CAP cap {key!r} is negative: {table[key]}")
+        try:  # the digits of a negative value too, so that its refusal can say so
+            table[key] = natural(value.strip().removeprefix("-"))
+        except ValueError as exc:
+            raise ValueError(f"PERMUTOPE_CAP cap {key!r}: {exc}") from None
+        if value.strip()[:1] == "-":
+            raise ValueError(f"PERMUTOPE_CAP cap {key!r} is negative: {value.strip()}")
     return MappingProxyType(table)

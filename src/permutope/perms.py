@@ -33,7 +33,7 @@ from functools import lru_cache, total_ordering
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import limits
-from ._record import refuse_change
+from ._record import Record
 from .errors import (
     ArityError,
     CapacityError,
@@ -45,7 +45,7 @@ from .rationals import ExactPoint, as_fraction, excerpt, integer_numerators
 
 
 @total_ordering
-class Permutation:
+class Permutation(Record):
     """A permutation of ``{1..n}`` stored as its one-line word.  Immutable;
     equal, hashed and ordered by the word."""
 
@@ -66,19 +66,6 @@ class Permutation:
         perm = object.__new__(cls)
         _set_word(perm, word)
         return perm
-
-    __setattr__ = __delattr__ = refuse_change
-
-    def __reduce__(self):
-        return type(self), (self.word,)
-
-    def __eq__(self, other: object) -> bool:
-        return self.word == other.word if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        # Of (word,), not word: a set of permutations iterates in hash
-        # order, so the value is kept stable for callers.
-        return hash((self.word,))
 
     def __lt__(self, other: "Permutation") -> bool:
         return self.word < other.word if other.__class__ is self.__class__ else NotImplemented
@@ -108,14 +95,10 @@ class Permutation:
         if not text:
             raise ValueError("empty permutation text")
         parts = [part.strip() for part in text.split(",")] if "," in text else text
-        refusal = ValueError(f"not a permutation word: {excerpt(repr(text))}")
-        # int() alone would also read signs, "_" and non-ASCII digits
-        if not all(part.isascii() and part.isdigit() for part in parts):
-            raise refusal
-        try:  # int() refuses a part past its digit limit
-            word = tuple(map(int, parts))
+        try:
+            word = tuple(map(limits.natural, parts))
         except ValueError:
-            raise refusal from None
+            raise ValueError(f"not a permutation word: {excerpt(repr(text))}") from None
         return cls(word)
 
     @classmethod
@@ -125,9 +108,8 @@ class Permutation:
         return cls._trusted(tuple(range(1, n + 1)))
 
 
-# Set through the slot itself: object.__setattr__ would first check it against
-# the refusing __setattr__, which costs more than the assignment.
-_set_word = Permutation.word.__set__
+# Set through the slots themselves, past Record's refusing __setattr__.
+(_set_word,) = Permutation._setters
 
 
 @lru_cache(maxsize=None)
@@ -364,7 +346,7 @@ def _checked_numerators(k: int, slots: Sequence, extra: set) -> tuple[list[int],
     return integer_numerators(values)
 
 
-class PatternVector:
+class PatternVector(Record):
     """An exact rational in [0, 1] for every pattern of size k: the common
     container for proportion vectors and for points of the feasible region.
 
@@ -374,7 +356,8 @@ class PatternVector:
     when entries are read.
     """
 
-    __slots__ = ("k", "numerators", "denominator")
+    # Compared in this order: the two ints before the long tuple.
+    __slots__ = ("k", "denominator", "numerators")
 
     def __init__(self, k: int, entries: Mapping[Permutation, object]) -> None:
         _check_vector_k(k)
@@ -398,24 +381,11 @@ class PatternVector:
         _set_denominator(vector, denominator // g)
         return vector
 
-    __setattr__ = __delattr__ = refuse_change
-
     def __reduce__(self):
         return type(self)._trusted, (self.k, self.numerators, self.denominator)
 
     def __getitem__(self, pattern: Permutation) -> Fraction:
         return Fraction(self.numerators[_pattern_ids(self.k)[pattern.word]], self.denominator)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, PatternVector)
-            and self.k == other.k
-            and self.denominator == other.denominator
-            and self.numerators == other.numerators
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.k, self.denominator, self.numerators))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{p}: {v}" for p, v in self.items())
@@ -471,12 +441,12 @@ class PatternVector:
         ):
             raise ValueError("a pattern vector is an object with a 'k' and an 'entries' object")
         raw = data["k"]
-        try:  # int() would truncate a float and read a bool as 0 or 1
-            k = None if isinstance(raw, (bool, float)) else int(raw)
-        except (TypeError, ValueError):
+        try:  # int() would truncate a float, read a bool as 0 or 1 and "1_0" as 10
+            k = raw if type(raw) is int else limits.natural(raw) if isinstance(raw, str) else None
+        except ValueError:
             k = None
         if k is None:
-            raise ValueError(f"pattern vector 'k' is not an integer: {raw!r}")
+            raise ValueError(f"pattern vector 'k' is not an integer: {excerpt(repr(raw))}")
         # For k outside 1..cap no k! names are built: every key is parsed into
         # ``extra``, so a key error still comes before the cap or size error.
         names = _pattern_names(k) if 1 <= k <= limits.VECTOR_K_CAP else {}
@@ -493,10 +463,7 @@ class PatternVector:
         return cls._trusted(k, *_checked_numerators(k, slots, extra))
 
 
-# Set through the slots themselves, as ``_set_word`` does for a Permutation.
-_set_k = PatternVector.k.__set__
-_set_numerators = PatternVector.numerators.__set__
-_set_denominator = PatternVector.denominator.__set__
+_set_k, _set_denominator, _set_numerators = PatternVector._setters
 
 
 def proportion_vector(k: int, sigma: Permutation, kind: str) -> PatternVector:

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .errors import RationalityError
+from .limits import natural
 
 
 def excerpt(value, limit: int = 40) -> str:
@@ -59,10 +60,8 @@ def as_fraction(value) -> Fraction:
             # No exponent, decimal point or underscore reaches int(), so the
             # work of reading a string is bounded by its length.
             p, slash, q = value.strip().partition("/")
-            for digits in (p[1:] if p[:1] in ("+", "-") else p, q if slash else "1"):
-                if not (digits.isascii() and digits.isdigit()):
-                    raise ValueError(digits)
-            return Fraction(int(p), int(q or 1))
+            numerator = natural(p[1:] if p[:1] in ("+", "-") else p)
+            return Fraction(-numerator if p[:1] == "-" else numerator, natural(q) if slash else 1)
         return Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise RationalityError(

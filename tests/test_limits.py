@@ -90,6 +90,10 @@ def test_unknown_key_is_a_value_error(monkeypatch):
         ("garbage", "PERMUTOPE_CAP entry 'garbage' is not name=value"),
         ("cycles=x", "invalid literal for int"),
         ("cycles=-1", "PERMUTOPE_CAP cap 'cycles' is negative: -1"),
+        # int() reads each of these, as 10, 3 and 7
+        ("cycles=1_0", "PERMUTOPE_CAP cap 'cycles': invalid literal for int"),
+        ("cycles=٣", "PERMUTOPE_CAP cap 'cycles': invalid literal for int"),
+        ("cycles= +7", "PERMUTOPE_CAP cap 'cycles': invalid literal for int"),
     ],
 )
 def test_malformed_variable_is_a_value_error(monkeypatch, spec, message):

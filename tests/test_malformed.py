@@ -1,9 +1,11 @@
-"""Malformed input on the CLI's permutation surfaces: the ``--perm`` of
-``stats``, the ``--perm-a`` and ``--perm-b`` of ``mix``, and the entry keys of
-a ``--vector``.  Every case must end in exit code 1 or 2 with exactly one
-``error:`` line on stderr, no traceback, nothing on stdout, within 1 s.
+"""Malformed input on the CLI's permutation and integer surfaces: the
+``--perm`` of ``stats``, the ``--perm-a`` and ``--perm-b`` of ``mix``, the
+entry keys of a ``--vector``; the integer options ``--k``, ``--m``,
+``--max-size`` and ``--m-values``, a ``PERMUTOPE_CAP`` value and a vector's
+``"k"``.  Every case must end in exit code 1 or 2 with exactly one ``error:``
+line on stderr, no traceback, nothing on stdout, within 1 s.
 
-Each row is one malformed word; the table is meant to grow whenever a new
+Each row is one malformed word; the tables are meant to grow whenever a new
 malformed form is found.
 """
 
@@ -67,3 +69,43 @@ def test_non_ascii_key_does_not_stand_for_a_pattern(capsys):
     # "١٢" once read as 12, so this vector was a member of the k = 2 region
     vector = {"k": 2, "entries": {"١٢": "1/2", "21": "1/2"}}
     assert_refused(capsys, ["member", "--k", "2", "--vector", json.dumps(vector)])
+
+
+# (id, word): each is refused as an integer.  int() reads the first three,
+# as 3, 10 and 3.
+INTEGERS = [
+    ("non_ascii_digit", "٣"),
+    ("underscore", "1_0"),
+    ("sign", "+3"),
+    ("empty", ""),
+    ("5000_digits", "9" * 5000),
+]
+
+
+def integer_surfaces(word: str) -> dict[str, list[str]]:
+    """Every CLI invocation that reads ``word`` as an integer option or a
+    vector's ``"k"``; each is well formed but for ``word``."""
+    vector = {"k": word, "entries": UNIFORM3}
+    report = ["report", "--k", "3", "--vector", "uniform"]
+    return {
+        "dim_k": ["dim", "--k", word],
+        "member_k": ["member", "--k", word, "--vector", "uniform"],
+        "realize_m": ["realize", "--k", "3", "--vector", "uniform", "--m", word],
+        "max_size": [*report, "--max-size", word],
+        "m_values": [*report, "--m-values", word],
+        "m_values_part": [*report, "--m-values", f"1,{word}"],
+        "vector_k": ["member", "--k", "3", "--vector", json.dumps(vector)],
+    }
+
+
+@pytest.mark.parametrize("surface", list(integer_surfaces("")))
+@pytest.mark.parametrize("word", [w for _, w in INTEGERS], ids=[i for i, _ in INTEGERS])
+def test_malformed_integer_is_one_error_line(capsys, surface, word):
+    assert_refused(capsys, integer_surfaces(word)[surface])
+
+
+@pytest.mark.parametrize("word", [w for _, w in INTEGERS], ids=[i for i, _ in INTEGERS])
+def test_malformed_cap_value_is_one_error_line(capsys, monkeypatch, word):
+    # read before any verb runs, so even dim --k 3 is refused
+    monkeypatch.setenv("PERMUTOPE_CAP", f"enum={word}")
+    assert_refused(capsys, ["dim", "--k", "3"])

@@ -19,6 +19,7 @@ from permutope import (
     walk_of,
 )
 from permutope import perms as perms_module
+from permutope._record import Record
 from conftest import point_mass
 
 PUBLIC = [
@@ -139,6 +140,14 @@ class TestRecords:
         assert hash(member) == hash((member.member, member.violation, member.decomposition))
         assert hash(face) == hash((face.polytope, face.edge_ids))  # the dimension is not compared
         assert hash(poset) == hash((poset.polytope, poset.faces))
+
+    @pytest.mark.parametrize(
+        "cls", [permutope.Permutation, Walk, permutope.SimpleCycle, PatternVector]
+    )
+    def test_value_classes_inherit_the_protocol(self, cls):
+        # one record protocol: no hand-written copy of it comes back
+        assert issubclass(cls, Record)
+        assert not {"__eq__", "__hash__", "__setattr__", "__delattr__"} & set(vars(cls))
 
     def test_a_walk_is_not_equal_to_the_same_cycle(self):
         cycle = _records()[2]

@@ -41,6 +41,7 @@ from oracles import (
 from permutope import _heads as heads_module
 from permutope import limits
 from permutope import perms as perms_module
+from permutope.limits import natural
 from permutope.rationals import as_fraction
 
 P = Permutation.parse
@@ -720,6 +721,20 @@ class TestPatternVector:
         with pytest.raises(RationalityError, match="optional sign, digits and an optional non-zero /digits"):
             as_fraction(text)
         assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("text", ["٣", "1_0", "+3", "-3", " 3", "3 ", "", "0x3", "9" * 5000])
+    def test_natural_reads_ascii_digits_alone(self, text):
+        # int() reads the first six; the last is past its digit limit
+        with pytest.raises(ValueError, match="use ASCII digits only") as info:
+            natural(text)
+        assert len(str(info.value)) < 200
+        assert natural("007") == 7 and natural("0") == 0
+
+    @pytest.mark.parametrize("k", ["٣", "1_0", "+3", "", "3.0"])
+    def test_string_k_is_ascii_digits(self, k):
+        with pytest.raises(ValueError, match="pattern vector 'k' is not an integer"):
+            PatternVector.from_json_dict({"k": k, "entries": {}})
+        assert PatternVector.from_json_dict({"k": "2", "entries": {"12": 1, "21": 0}}).k == 2
 
     @pytest.mark.parametrize(
         "entry", ["9" * 4000, "9" * 5000, "1/" + "0" * 5000], ids=["4000", "5000", "over_zero"]
