@@ -3,7 +3,8 @@
 Every verb maps to one library operation chain and prints deterministic
 output: exact rational strings by default, decimal only under ``--float``.
 Exit codes: 0 success, 1 domain error, 2 usage error.  Integer options take
-ASCII digits alone (:func:`permutope.limits.natural`).
+ASCII digits alone (:func:`permutope.limits.natural`); argparse refuses any
+other form before a verb runs.
 
 Size guards are the library's own: each reads the ``PERMUTOPE_CAP``
 environment variable when it checks (see :mod:`permutope.limits`), so the CLI
@@ -75,7 +76,10 @@ def _parse_vector(spec: str, k: int) -> PatternVector:
 
     if spec == "uniform":
         return PatternVector.uniform(k)
-    data = json.loads(_read(spec[1:]) if spec.startswith("@") else spec)
+    try:
+        data = json.loads(_read(spec[1:]) if spec.startswith("@") else spec)
+    except RecursionError:
+        raise ValueError("vector JSON is nested too deeply to parse") from None
     vector = PatternVector.from_json_dict(data)
     if vector.k != k:
         raise ValueError(f"vector is over S_{vector.k}, expected S_{k}")
@@ -186,10 +190,11 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 def _cmd_realize(args: argparse.Namespace) -> int:
     region, vector = _region_and_vector(args)
     plan = region.plan(vector)
-    sigma = plan.generate(args.m)
-    print(sigma)
+    witness = str(plan.generate(args.m))
+    # The plan is written first, so a failed write leaves stdout empty.
     if args.plan:
         _write_or_print(plan.to_json(), args.plan)
+    print(witness)
     return 0
 
 
@@ -235,9 +240,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from .feasible import convergence_report
 
     plan = region.plan(vector)
-    if args.m_values is not None:
-        m_values = [natural(part.strip()) for part in args.m_values.split(",")]
-    else:
+    m_values = args.m_values
+    if m_values is None:
         # Default schedule: powers of two while the size fits both limits.
         cap = limits.cap("realize")
         m_values, m = [], 1
@@ -272,6 +276,21 @@ def _cmd_export(args: argparse.Namespace) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+def _natural(text: str) -> int:
+    """:func:`~permutope.limits.natural` for argparse, which prints this
+    refusal (cut to 40 characters) where it would quote a ValueError's whole
+    value."""
+    try:
+        return natural(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _naturals(text: str) -> list[int]:
+    """A comma-separated list of :func:`_natural` values."""
+    return [_natural(part.strip()) for part in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permutope",
@@ -286,42 +305,42 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="pattern proportion vector of a permutation")
     p.add_argument("--perm", required=True, help="permutation (digits, or comma-separated)")
-    p.add_argument("--k", type=natural, required=True)
+    p.add_argument("--k", type=_natural, required=True)
     p.add_argument("--kind", choices=["classical", "consecutive"], required=True)
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("overlap", help="build the overlap graph; summary, DOT or JSON")
-    p.add_argument("--k", type=natural, required=True)
+    p.add_argument("--k", type=_natural, required=True)
     p.add_argument("--dot", metavar="FILE", help="write DOT with pattern edge labels")
     p.add_argument("--json", metavar="FILE", help="write the JSON graph format")
     p.set_defaults(func=_cmd_overlap)
 
     p = sub.add_parser("vertices", help="polytope vertices = simple cycles")
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--k", type=natural, help="use the overlap graph of size k")
+    src.add_argument("--k", type=_natural, help="use the overlap graph of size k")
     src.add_argument("--graph", metavar="FILE", help="use a JSON graph file")
     p.set_defaults(func=_cmd_vertices)
 
     p = sub.add_parser("dim", help="dimension of the cycle polytope")
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--k", type=natural)
+    src.add_argument("--k", type=_natural)
     src.add_argument("--graph", metavar="FILE")
     p.set_defaults(func=_cmd_dim)
 
     p = sub.add_parser("member", help="test membership in the feasible region")
-    p.add_argument("--k", type=natural, required=True)
+    p.add_argument("--k", type=_natural, required=True)
     p.add_argument("--vector", required=True, help="'uniform', inline JSON, or @file")
     p.set_defaults(func=_cmd_member)
 
     p = sub.add_parser("decompose", help="convex decomposition of a feasible vector")
-    p.add_argument("--k", type=natural, required=True)
+    p.add_argument("--k", type=_natural, required=True)
     p.add_argument("--vector", required=True)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("realize", help="permutation realizing a feasible vector")
-    p.add_argument("--k", type=natural, required=True)
+    p.add_argument("--k", type=_natural, required=True)
     p.add_argument("--vector", required=True)
-    p.add_argument("--m", type=natural, required=True, help="size parameter")
+    p.add_argument("--m", type=_natural, required=True, help="size parameter")
     p.add_argument("--plan", metavar="FILE", help="also write the realization plan JSON")
     p.set_defaults(func=_cmd_realize)
 
@@ -331,27 +350,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mix)
 
     p = sub.add_parser("universal", help="permutation with every size-k pattern once")
-    p.add_argument("--k", type=natural, required=True)
+    p.add_argument("--k", type=_natural, required=True)
     p.set_defaults(func=_cmd_universal)
 
     p = sub.add_parser("faces", help="face poset via full-subgraph enumeration")
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--k", type=natural)
+    src.add_argument("--k", type=_natural)
     src.add_argument("--graph", metavar="FILE")
     p.set_defaults(func=_cmd_faces)
 
     p = sub.add_parser("report", help="convergence CSV for a realization plan")
-    p.add_argument("--k", type=natural, required=True)
+    p.add_argument("--k", type=_natural, required=True)
     p.add_argument("--vector", required=True)
-    p.add_argument("--m-values", help="comma-separated m values (default: powers of 2)")
-    p.add_argument("--max-size", type=natural, default=4096, help="size cap of the default m list")
+    p.add_argument(
+        "--m-values", type=_naturals, help="comma-separated m values (default: powers of 2)"
+    )
+    p.add_argument("--max-size", type=_natural, default=4096, help="size cap of the default m list")
     p.add_argument("--no-classical", action="store_true", help="skip classical columns")
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("export", help="export a graph as DOT or JSON")
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--k", type=natural)
+    src.add_argument("--k", type=_natural)
     src.add_argument("--graph", metavar="FILE", help="input JSON graph")
     p.add_argument("--format", choices=["dot", "json"], required=True)
     p.add_argument("--out", metavar="FILE")

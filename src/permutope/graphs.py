@@ -196,7 +196,11 @@ class Multigraph:
 
     @classmethod
     def from_json(cls, text: str) -> "Multigraph":
-        return cls.from_json_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("graph JSON is nested too deeply to parse") from None
+        return cls.from_json_dict(data)
 
     def to_dot(self, *, name: str = "G") -> str:
         def quote(s: str) -> str:

@@ -17,9 +17,10 @@ patterns of size k:
 - classical (in :mod:`permutope._heads`, loaded on the first classical
   count): sizes up to 3 at any length, from sums taken per chunk of 512
   positions by one sweep whose per-entry steps run mostly inside C ``map``
-  calls; sizes 4 and up from the C(n-1, k-1) subsets of k-1 positions that
-  have a later point, never the C(n, k) subsets, with n bounded by the
-  ``enum`` cap.
+  calls, in two halves at once (one in a forked child) on a long word and a
+  free second CPU; sizes 4 and up from the C(n-1, k-1) subsets of k-1
+  positions that have a later point, never the C(n, k) subsets, with n
+  bounded by the ``enum`` cap.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
-"""Malformed input on the CLI's permutation and integer surfaces: the
+"""Malformed input on the CLI's permutation, integer and JSON surfaces: the
 ``--perm`` of ``stats``, the ``--perm-a`` and ``--perm-b`` of ``mix``, the
 entry keys of a ``--vector``; the integer options ``--k``, ``--m``,
 ``--max-size`` and ``--m-values``, a ``PERMUTOPE_CAP`` value and a vector's
-``"k"``.  Every case must end in exit code 1 or 2 with exactly one ``error:``
-line on stderr, no traceback, nothing on stdout, within 1 s.
+``"k"``; JSON nested too deeply for the parser in a ``--vector`` or a
+``--graph``; and a ``realize --plan`` path that cannot be written.  Every case
+must end in exit code 1 or 2 with exactly one ``error:`` line, under 200
+bytes, on stderr, no traceback, nothing on stdout, within 1 s.
 
 Each row is one malformed word; the tables are meant to grow whenever a new
 malformed form is found.
@@ -54,7 +56,10 @@ def assert_refused(capsys, argv: list[str]) -> None:
     out, err = capsys.readouterr()
     assert code in (1, 2), (code, err)
     assert out == ""
-    assert sum("error:" in line for line in err.splitlines()) == 1, err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1, err
+    # a refusal quotes at most 40 characters of the value, however long
+    assert len(errors[0].encode()) < 200, len(errors[0].encode())
     assert "Traceback" not in err
     assert elapsed < 1.0, elapsed
 
@@ -104,8 +109,41 @@ def test_malformed_integer_is_one_error_line(capsys, surface, word):
     assert_refused(capsys, integer_surfaces(word)[surface])
 
 
+@pytest.mark.parametrize("surface", ["m_values", "m_values_part"])
+@pytest.mark.parametrize("word", [w for _, w in INTEGERS], ids=[i for i, _ in INTEGERS])
+def test_malformed_m_values_is_a_usage_error(capsys, surface, word):
+    # refused by argparse, exit 2, like every other integer option: before
+    # the plan is built
+    assert run(integer_surfaces(word)[surface]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("word", [w for _, w in INTEGERS], ids=[i for i, _ in INTEGERS])
 def test_malformed_cap_value_is_one_error_line(capsys, monkeypatch, word):
     # read before any verb runs, so even dim --k 3 is refused
     monkeypatch.setenv("PERMUTOPE_CAP", f"enum={word}")
     assert_refused(capsys, ["dim", "--k", "3"])
+
+
+def nested(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+@pytest.mark.parametrize("surface", ["vector_inline", "vector_file", "graph_file"])
+def test_deeply_nested_json_is_one_error_line(capsys, tmp_path, surface):
+    # json.loads raises RecursionError, which is not a ValueError
+    deep = tmp_path / "deep.json"
+    deep.write_text(nested(100_000), encoding="utf-8")
+    argv = {
+        "vector_inline": ["member", "--k", "3", "--vector", nested(5_000)],
+        "vector_file": ["member", "--k", "3", "--vector", f"@{deep}"],
+        "graph_file": ["dim", "--graph", str(deep)],
+    }[surface]
+    assert_refused(capsys, argv)
+
+
+def test_unwritable_plan_prints_no_witness(capsys, tmp_path):
+    # the plan is written before the witness is printed
+    plan = tmp_path / "missing" / "plan.json"
+    argv = ["realize", "--k", "3", "--vector", "uniform", "--m", "1", "--plan", str(plan)]
+    assert_refused(capsys, argv)

@@ -1,6 +1,8 @@
 import itertools
 import math
+import os
 import random
+import threading
 import time
 from fractions import Fraction
 
@@ -506,6 +508,115 @@ class TestChunkedClassicalKernel:
         others = [0] * (math.factorial(k) - 1)
         assert proportion_vector(k, rising, "classical").values_by_pattern() == [1, *others]
         assert proportion_vector(k, falling, "classical").values_by_pattern() == [*others, 1]
+
+
+class TestSplitSweep:
+    """The k <= 3 sweep of a word of ``_SPLIT`` entries or more, in two halves
+    at once with the first in a forked child, gives the one-process sums,
+    falls back to sweeping the first half here when the child cannot help,
+    forks nothing while another thread runs, and leaves no child behind."""
+
+    SPLIT = heads_module._SPLIT
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Splits whenever the word is long enough, and records each fork."""
+        calls = []
+        fork = os.fork
+
+        def counted():
+            calls.append(1)
+            return fork()
+
+        monkeypatch.setattr(heads_module, "_second_cpu_free", lambda: True)
+        monkeypatch.setattr(os, "fork", counted)
+        return calls
+
+    @staticmethod
+    def word(n):
+        return random_perm(random.Random(n), n).word
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("n", [SPLIT - 1, SPLIT, SPLIT + 1, 3 * SPLIT + 3])
+    def test_sums_across_the_threshold(self, forks, monkeypatch, n):
+        # this process sweeps only the second half when the child's sums arrive
+        here = []
+        sweep = heads_module._sweep
+        parent = os.getpid()
+
+        def recorded(word, lo, hi, moments):
+            if os.getpid() == parent:
+                here.append((lo, hi))
+            return sweep(word, lo, hi, moments)
+
+        monkeypatch.setattr(heads_module, "_sweep", recorded)
+        TestChunkedClassicalKernel.assert_sums_match_oracle(self.word(n))
+        split = n >= self.SPLIT
+        assert len(forks) == (2 if split else 0)
+        assert here == [(n // 2 if split else 0, n)] * 2
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("call", ["fork", "pipe"])
+    def test_same_sums_when_the_fork_fails(self, forks, monkeypatch, call):
+        def refuse(*args):
+            raise OSError("no more processes")
+
+        monkeypatch.setattr(os, call, refuse)
+        TestChunkedClassicalKernel.assert_sums_match_oracle(self.word(self.SPLIT + 1))
+        self.assert_no_child_left()
+
+    def test_same_sums_when_the_child_exits_without_writing(self, forks, monkeypatch):
+        parent = os.getpid()
+        sweep = heads_module._sweep
+
+        def failing_in_the_child(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("the child ends in os._exit(1) and writes nothing")
+            return sweep(*args)
+
+        monkeypatch.setattr(heads_module, "_sweep", failing_in_the_child)
+        TestChunkedClassicalKernel.assert_sums_match_oracle(self.word(self.SPLIT + 1))
+        assert len(forks) == 2
+        self.assert_no_child_left()
+
+    def test_child_is_reaped_when_this_sweep_raises(self, forks, monkeypatch):
+        parent = os.getpid()
+        sweep = heads_module._sweep
+
+        def failing_here(word, lo, hi, moments):
+            if os.getpid() != parent:
+                time.sleep(60)  # a child still at work: it is killed, not awaited
+            elif lo > 0:
+                raise MemoryError("the second half")
+            return sweep(word, lo, hi, moments)
+
+        monkeypatch.setattr(heads_module, "_sweep", failing_here)
+        start = time.perf_counter()
+        with pytest.raises(MemoryError, match="the second half"):
+            heads_module._smaller_before_sums(self.word(self.SPLIT), True)
+        assert time.perf_counter() - start < 10
+        assert len(forks) == 1
+        self.assert_no_child_left()
+
+    def test_no_fork_while_another_thread_runs(self, monkeypatch):
+        def refuse():
+            raise AssertionError("forked beside a running thread")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,))
+        other.start()
+        try:
+            TestChunkedClassicalKernel.assert_sums_match_oracle(self.word(self.SPLIT))
+        finally:
+            release.set()
+            other.join(timeout=30)
+        assert not other.is_alive()
+        self.assert_no_child_left()
 
 
 class TestHeadKernel:
