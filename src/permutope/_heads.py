@@ -28,7 +28,8 @@ Sizes 4 and up come from (k-1)-subsets.  Every k-subset of positions is a
 with values u_1 < ... < u_{k-1}, and let Q(x) be the number of positions
 after p holding a value below x.  Then Q(u_{r+1}) - Q(u_r) later points fall
 between u_r and u_{r+1} (u_0 = 0 and u_k = n + 1), and each makes the size-k
-pattern ``perms._step_table(k)`` gives for T's pattern and rank r.  So each
+pattern whose head and last entry, as ``perms._pattern_ends(k)`` gives them,
+are T's pattern and r + 1.  So each
 count is a difference of two sums of Q over the heads of one pattern, and
 only the C(n-1, k-1) heads with a later point are visited, never the C(n, k)
 subsets.
@@ -56,7 +57,7 @@ from operator import add, and_, mul, rshift, sub
 from typing import Callable
 
 from .limits import natural
-from .perms import _step_table, all_patterns
+from .perms import _pattern_ends, all_patterns
 
 # Heads per batch, and the tally size that triggers a fold.
 _BATCH = 1 << 12
@@ -310,11 +311,11 @@ def _gap_slots(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     above its last entry (or the later points in all), and the one just
     below (or the trailing 0)."""
     m = k - 1
-    step = _step_table(k)
-    hi, lo = [0] * math.factorial(k), [0] * math.factorial(k)
+    slots = []
     for u, head in enumerate(all_patterns(m)):
         by_rank = sorted(range(m), key=head.word.__getitem__)
-        slots = [-1, *(u * (m + 1) + c for c in by_rank), u * (m + 1) + m]
-        for r, (eid, _) in enumerate(step[u]):
-            lo[eid], hi[eid] = slots[r], slots[r + 1]
-    return tuple(hi), tuple(lo)
+        slots.append((-1, *(u * (m + 1) + c for c in by_rank), u * (m + 1) + m))
+    heads, lasts = _pattern_ends(k)
+    hi = tuple(slots[u][last] for u, last in zip(heads, lasts))
+    lo = tuple(slots[u][last - 1] for u, last in zip(heads, lasts))
+    return hi, lo

@@ -391,7 +391,11 @@ def run(argv: Sequence[str] | None = None) -> int:
         limits.caps()
         return args.func(args)
     except (PermutopeError, ValueError, IndexError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            # str(exc) would quote the whole path, however long
+            message = f"[Errno {exc.errno}] {exc.strerror}: {limits.excerpt(repr(exc.filename))}"
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -13,6 +13,7 @@ and importable from here as well.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
@@ -25,8 +26,7 @@ from .overlap import build_overlap_graph
 from .perms import (
     PatternVector,
     Permutation,
-    _pattern_ids,
-    _std_word,
+    _window_ids,
     all_patterns,
     direct_sum,
     mix,  # noqa: F401  re-exported; defined in perms, so the mix verb loads no geometry
@@ -132,18 +132,6 @@ def _splice_parts(st: Sequence[int], cycles: Sequence[tuple[int, ...]]) -> tuple
     return tuple(parts)
 
 
-@lru_cache(maxsize=None)
-def _boundary_halves(k: int) -> tuple[tuple, tuple]:
-    """Per vertex u (pattern of size k-1) and j = 1..k-1: std of u's last j
-    entries, and std of u's first k-j entries shifted up by j."""
-    words = [p.word for p in all_patterns(k - 1)]
-    low = tuple(tuple(_std_word(w[-j:]) for j in range(1, k)) for w in words)
-    high = tuple(
-        tuple(tuple(v + j for v in _std_word(w[: k - j])) for j in range(1, k)) for w in words
-    )
-    return low, high
-
-
 def _boundary_counts(k: int, st: Sequence[int], parts: Sequence) -> tuple[tuple[int, int], ...]:
     """(e, b_e) for the edges e that label some of the (c-1)(k-1) windows
     straddling a block boundary of a plan's witness, b_e of them, by edge id.
@@ -151,19 +139,17 @@ def _boundary_counts(k: int, st: Sequence[int], parts: Sequence) -> tuple[tuple[
     Part i's closed walk starts and ends at the vertex v_i where its first
     non-empty step starts (the first step, a slice of the root cycle, may be
     empty; the steps after it are walked in order).  So block i's first and
-    last k-1 points both have pattern v_i, and the window of the last j points
-    of block i and the first k-j of block i+1 has pattern std(last j of v_i)
-    followed by std(first k-j of v_{i+1}) shifted up by j: whatever m is.
+    last k-1 points both have pattern v_i, and the straddling windows are the
+    width-k windows of v_1 + ... + v_c (direct sum), whatever m is: each of
+    them meets two blocks, as k points do not fit in k-1.
     """
-    low, high = _boundary_halves(k)
-    ids = _pattern_ids(k)
+    if len(parts) < 2:
+        return ()
+    heads = all_patterns(k - 1)
     starts = [st[next(edges for edges, _ in steps if edges)[0]] for steps in parts]
-    counts: dict[int, int] = {}
-    for u, v in zip(starts, starts[1:]):
-        for lo, hi in zip(low[u], high[v]):
-            e = ids[lo + hi]
-            counts[e] = counts.get(e, 0) + 1
-    return tuple(sorted(counts.items()))
+    # Built inline: direct_sum is traced as a witness (its perms.sum span).
+    word = [v + i * (k - 1) for i, u in enumerate(starts) for v in heads[u].word]
+    return tuple(sorted(Counter(_window_ids(word, k)).items()))
 
 
 @lru_cache(maxsize=None)

@@ -43,7 +43,9 @@ class Multigraph:
             if type(st) is not int or type(ar) is not int:
                 raise ValueError(f"edge ends must be integers, got ({st!r}, {ar!r})")
             if not (0 <= st < n and 0 <= ar < n):
-                raise IndexError(f"edge ({st}, {ar}) references a missing vertex")
+                raise IndexError(
+                    f"edge ({limits.excerpt(st)}, {limits.excerpt(ar)}) references a missing vertex"
+                )
             checked.append((st, ar, str(label)))
         self.vertex_names = names
         self.edges = tuple(checked)
@@ -189,7 +191,8 @@ class Multigraph:
                 and "label" in e
             ):
                 raise ValueError(
-                    f"a graph edge is an object with integer 'st' and 'ar' and a 'label': {e!r}"
+                    "a graph edge is an object with integer 'st' and 'ar' and a 'label': "
+                    + limits.excerpt(repr(e))
                 )
             edges.append((e["st"], e["ar"], e["label"]))
         return cls(data["vertices"], edges)

@@ -1,4 +1,5 @@
-"""Size guards, and :func:`natural`, the package's one reader of integers from text.
+"""Size guards; :func:`natural`, the package's one reader of integers from text;
+and :func:`excerpt`, which bounds what an error message quotes.
 
 All expensive enumerations are capped.  Each guard reads its cap with
 :func:`cap` at the moment it checks: the ``PERMUTOPE_CAP`` environment
@@ -8,6 +9,7 @@ the defaults below, for library callers and the CLI alike.
 
 from __future__ import annotations
 
+import math
 import os
 from functools import lru_cache
 from types import MappingProxyType
@@ -58,6 +60,30 @@ def natural(text: str) -> int:
             pass
     shown = repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
     raise ValueError(f"invalid literal for int(): {shown}; use ASCII digits only")
+
+
+def excerpt(value, limit: int = 40) -> str:
+    """``str(value)`` cut after ``limit`` characters, for an error message
+    that must not grow with the input it quotes.  An int past the
+    interpreter's digit limit for ``str`` is quoted by its size, and any
+    other value that holds one by its type."""
+    try:
+        text = str(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"a {'negative ' if value < 0 else ''}{_decimal_digits(value)}-digit integer"
+        return f"a {type(value).__name__} too long to print"
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
+def _decimal_digits(n: int) -> int:
+    """The number of decimal digits of |n|, without ``str``."""
+    n = abs(n)
+    # A lower bound on floor(log10 n), from n >= 2 ** (bit_length - 1).
+    digits = max(0, int((n.bit_length() - 1) * math.log10(2)) - 1)
+    while n >= 10 ** (digits + 1):
+        digits += 1
+    return digits + 1
 
 
 def check_overlap_k(k: int) -> None:

@@ -42,7 +42,8 @@ from .errors import (
     EmptyError,
     SizeError,
 )
-from .rationals import ExactPoint, as_fraction, excerpt, integer_numerators
+from .limits import excerpt
+from .rationals import ExactPoint, as_fraction, integer_numerators
 
 
 @total_ordering
@@ -84,10 +85,6 @@ class Permutation(Record):
     def __repr__(self) -> str:
         return f"Permutation({str(self)!r})"
 
-    @property
-    def size(self) -> int:
-        return len(self.word)
-
     @classmethod
     def parse(cls, text: str) -> "Permutation":
         """Parse the text format produced by ``str``: digits up to size 9,
@@ -119,12 +116,6 @@ def all_patterns(k: int) -> tuple[Permutation, ...]:
     if k < 1:
         raise ValueError("pattern size must be >= 1")
     return tuple(map(Permutation._trusted, itertools.permutations(range(1, k + 1))))
-
-
-@lru_cache(maxsize=None)
-def _pattern_ids(k: int) -> dict[tuple[int, ...], int]:
-    """Each size-k pattern word's lexicographic index (its overlap-graph edge id)."""
-    return {p.word: i for i, p in enumerate(all_patterns(k))}
 
 
 def _pattern_strings(k: int) -> Iterator[str]:
@@ -198,25 +189,6 @@ def _pattern_ends(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(starts), tuple(ends)
 
 
-@lru_cache(maxsize=None)
-def _step_table(k: int) -> tuple[tuple, ...]:
-    """The overlap graph of size ``k`` as a transition table, for k >= 2.
-
-    Heads are the patterns of size k-1, numbered in lexicographic order.
-    ``step[u][r]`` is ``(e, w)``: e is the id of the size-k pattern whose
-    first k-1 entries form head u and whose last entry has 0-based rank r,
-    and w is the head formed by its last k-1 entries: u and r come from
-    ``_pattern_ends(k)``, and w is e mod (k-1)! because the patterns with one
-    first entry have consecutive ids and their last k-1 entries run through
-    the heads in order.
-    """
-    block = math.factorial(k - 1)
-    step = [[None] * k for _ in range(block)]
-    for eid, (head, last) in enumerate(zip(*_pattern_ends(k))):
-        step[head][last - 1] = (eid, eid % block)
-    return tuple(map(tuple, step))
-
-
 _LANES = 1 << 13  # windows per pass of the window kernel, which bounds its memory
 
 
@@ -284,13 +256,13 @@ def _counts(k: int, sigma: Permutation, kind: str) -> tuple[list[int], int]:
 def occ(pattern: Permutation, sigma: Permutation) -> int:
     """Number of classical occurrences of ``pattern`` in ``sigma``."""
     k = len(pattern)
-    return _counts(k, sigma, "classical")[0][_pattern_ids(k)[pattern.word]]
+    return _counts(k, sigma, "classical")[0][_pattern_names(k)[str(pattern)]]
 
 
 def cocc(pattern: Permutation, sigma: Permutation) -> int:
     """Number of consecutive occurrences (contiguous windows) of ``pattern``."""
     k = len(pattern)
-    return _counts(k, sigma, "consecutive")[0][_pattern_ids(k)[pattern.word]]
+    return _counts(k, sigma, "consecutive")[0][_pattern_names(k)[str(pattern)]]
 
 
 def occ_proportion(pattern: Permutation, sigma: Permutation) -> Fraction:
@@ -386,7 +358,7 @@ class PatternVector(Record):
         return type(self)._trusted, (self.k, self.numerators, self.denominator)
 
     def __getitem__(self, pattern: Permutation) -> Fraction:
-        return Fraction(self.numerators[_pattern_ids(self.k)[pattern.word]], self.denominator)
+        return Fraction(self.numerators[_pattern_names(self.k)[str(pattern)]], self.denominator)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{p}: {v}" for p, v in self.items())

@@ -16,31 +16,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .errors import RationalityError
-from .limits import natural
-
-
-def excerpt(value, limit: int = 40) -> str:
-    """``str(value)`` cut after ``limit`` characters, for an error message
-    that must not grow with the input it quotes.  An int past the
-    interpreter's digit limit for ``str`` is quoted by its size, and any
-    other value that holds one by its type."""
-    try:
-        text = str(value)
-    except ValueError:
-        if isinstance(value, int):
-            return f"a {'negative ' if value < 0 else ''}{_decimal_digits(value)}-digit integer"
-        return f"a {type(value).__name__} too long to print"
-    return text if len(text) <= limit else text[:limit] + "..."
-
-
-def _decimal_digits(n: int) -> int:
-    """The number of decimal digits of |n|, without ``str``."""
-    n = abs(n)
-    # A lower bound on floor(log10 n), from n >= 2 ** (bit_length - 1).
-    digits = max(0, int((n.bit_length() - 1) * math.log10(2)) - 1)
-    while n >= 10 ** (digits + 1):
-        digits += 1
-    return digits + 1
+from .limits import excerpt, natural
 
 
 def as_fraction(value) -> Fraction:

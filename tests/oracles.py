@@ -167,9 +167,10 @@ def classical_counts_by_subsets(sigma: Sequence[int], k: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def step_table_by_sorting(k: int) -> tuple[tuple, ...]:
-    """The overlap-graph transition table in the layout of
-    ``perms._step_table``, for k >= 2: both ends of every size-k pattern
-    standardized by sorting their values."""
+    """The overlap graph of size k as a transition table, for k >= 2:
+    ``step[u][r]`` is ``(e, w)`` for the size-k pattern e whose first k-1
+    entries form head u and whose last entry has 0-based rank r, and w the
+    head its last k-1 entries form, both ends standardized by sorting."""
     head_id = {w: i for i, w in enumerate(itertools.permutations(range(1, k)))}
     step = [[None] * k for _ in head_id]
     for eid, w in enumerate(itertools.permutations(range(1, k + 1))):

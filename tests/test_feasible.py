@@ -276,7 +276,7 @@ class TestRealize:
                 assert distance == plan.sup_error_bound(m)
         assert rounded >= (0 if k <= 4 else 4)
 
-    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
     def test_exact_error_against_the_loose_bound(self, k):
         # the planted targets of the sizing test, both modes
         rng = random.Random(1100 + k)

@@ -3,7 +3,8 @@
 entry keys of a ``--vector``; the integer options ``--k``, ``--m``,
 ``--max-size`` and ``--m-values``, a ``PERMUTOPE_CAP`` value and a vector's
 ``"k"``; JSON nested too deeply for the parser in a ``--vector`` or a
-``--graph``; and a ``realize --plan`` path that cannot be written.  Every case
+``--graph``; a ``realize --plan`` path that cannot be written; and the files
+and paths of ``--vector @file``, ``--graph`` and ``--out``.  Every case
 must end in exit code 1 or 2 with exactly one ``error:`` line, under 200
 bytes, on stderr, no traceback, nothing on stdout, within 1 s.
 
@@ -147,3 +148,51 @@ def test_unwritable_plan_prints_no_witness(capsys, tmp_path):
     plan = tmp_path / "missing" / "plan.json"
     argv = ["realize", "--k", "3", "--vector", "uniform", "--m", "1", "--plan", str(plan)]
     assert_refused(capsys, argv)
+
+
+LONG = "a" * 5_000  # a path too long for the file system, or a long label
+
+# one-vertex graphs whose single edge is malformed
+GRAPH_EDGES = {
+    "out_of_range": {"st": 0, "ar": 1, "label": "12"},
+    # 4,000 digits: json.loads reads it, the vertex check refuses it
+    "long_out_of_range": {"st": 0, "ar": int("9" * 4_000), "label": "12"},
+    "boolean_st": {"st": True, "ar": 0, "label": "12"},
+    "long_label_boolean_st": {"st": True, "ar": 0, "label": LONG},
+}
+# (name, contents) of the files the surfaces below read
+FILES = {
+    "bad_utf8.json": b'{"k": 3, "entries": {"\xff": "1"}}',
+    "not_json.json": b"uniform",
+    **{
+        f"{name}.json": json.dumps({"vertices": ["1"], "edges": [edge]}).encode()
+        for name, edge in GRAPH_EDGES.items()
+    },
+}
+
+
+def file_surfaces(root: str) -> dict[str, list[str]]:
+    """CLI invocations whose ``--vector @file``, ``--graph`` or ``--out``
+    under the directory ``root`` cannot be read, parsed or written; each is
+    well formed but for that."""
+    vector = ["member", "--k", "3", "--vector"]
+    export = ["export", "--k", "3", "--format", "dot", "--out"]
+    graphs = {f"graph_{name}": ["dim", "--graph", f"{root}/{name}.json"] for name in GRAPH_EDGES}
+    return {
+        "vector_missing": [*vector, f"@{root}/missing.json"],
+        "vector_directory": [*vector, f"@{root}"],
+        "vector_bad_utf8": [*vector, f"@{root}/bad_utf8.json"],
+        "vector_not_json": [*vector, f"@{root}/not_json.json"],
+        "vector_long_path": [*vector, f"@{LONG}"],
+        **graphs,
+        "graph_long_path": ["dim", "--graph", LONG],
+        "out_unwritable": [*export, f"{root}/missing/graph.dot"],
+        "out_long_path": [*export, LONG],
+    }
+
+
+@pytest.mark.parametrize("surface", list(file_surfaces("")))
+def test_unreadable_file_or_path_is_one_error_line(capsys, tmp_path, surface):
+    for name, data in FILES.items():
+        (tmp_path / name).write_bytes(data)
+    assert_refused(capsys, file_surfaces(str(tmp_path))[surface])

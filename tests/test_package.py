@@ -149,6 +149,12 @@ class TestRecords:
         assert issubclass(cls, Record)
         assert not {"__eq__", "__hash__", "__setattr__", "__delattr__"} & set(vars(cls))
 
+    def test_iteration_truth_and_length_read_the_fields(self):
+        perm, *_, member, nonmember, face = _records()[:8]
+        assert list(perm) == [2, 4, 1, 3]
+        assert member and not nonmember
+        assert len(face) == len(face.edge_ids) > 0
+
     def test_a_walk_is_not_equal_to_the_same_cycle(self):
         cycle = _records()[2]
         assert Walk(cycle.graph, cycle.edge_ids) != cycle

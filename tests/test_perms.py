@@ -37,7 +37,6 @@ from oracles import (
     merge_sort_smaller_before,
     naive_cocc,
     naive_occ,
-    step_table_by_sorting,
     window_ids_by_walk,
 )
 from permutope import _heads as heads_module
@@ -165,12 +164,6 @@ class TestPatternAt:
             pattern_at(P("123"), (1, 4))
         with pytest.raises(EmptyError):
             pattern_at(P("123"), ())
-
-
-class TestStepTable:
-    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8])
-    def test_value_shifts_match_sorting(self, k):
-        assert perms_module._step_table(k) == step_table_by_sorting(k)
 
 
 class TestPatternStrings:
