@@ -23,6 +23,19 @@ ends in ``os._exit`` and is always reaped (killed first if this process's
 own sweep raised), so none outlives the call; if the fork fails or the child
 does not hand back its sums, this process sweeps the first half itself.
 
+A word that is a direct sum c_1 + ... + c_r of sum components is counted
+from them instead, sweeping each distinct component shape once: the
+classical occurrences of a direct sum split over its components (Albert &
+Atkinson 2005), and ``_counts_by_components`` has the closed forms.  A split
+p, the end of a component, has word[:p] = {1..p}, so max(word[:p]) = p <
+min(word[p:]).  The edge test reads at most ``_EDGE`` entries at each end:
+when the largest of the first is at least the smallest of the last and no
+split lies among them, the word has none and goes straight to the sweep, as
+a uniformly random word does.  Otherwise one C-level pass per chunk finds the
+splits, where word[:p] sums to p(p+1)/2, skipping each chunk that comes after
+a value above its own end.  An indecomposable word whose ends pass the test
+pays for that pass on top of its sweep.
+
 Sizes 4 and up come from (k-1)-subsets.  Every k-subset of positions is a
 (k-1)-subset T, its head, plus one later point.  Let T end at position p
 with values u_1 < ... < u_{k-1}, and let Q(x) be the number of positions
@@ -53,8 +66,8 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache, partial
-from operator import add, and_, mul, rshift, sub
-from typing import Callable
+from operator import add, and_, eq, gt, mul, rshift, sub
+from typing import Callable, Iterator, Sequence
 
 from .limits import natural
 from .perms import _pattern_ends, all_patterns
@@ -74,18 +87,32 @@ _BLOCK_BITS = 7
 # 1.48x / 1.50x at 16,384.  The VM's drift asks for the margin.
 _SPLIT = 1 << 14
 
+# The edge test reads this many entries at each end of a word.  The
+# components route keeps the counts of distinct component shapes of up to
+# _SHAPES points in all, and sweeps a component larger than that in place.
+_EDGE = 16
+_SHAPES = 1 << 12
+
 
 def classical_counts(word: tuple[int, ...], k: int) -> list[int]:
     """The classical count of every size-k pattern in a permutation word, in
     pattern order, for 1 <= k <= len(word)."""
-    n = len(word)
     if k == 1:
-        return [n]
-    if k == 2:
-        (rising,) = _smaller_before_sums(word, False)
-        return [rising, math.comb(n, 2) - rising]
+        return [len(word)]
     if k > 3:
         return _counts_from_heads(word, k)
+    if _may_split(word):
+        return _counts_by_components(word, k)
+    return _swept_counts(word, k)[1]
+
+
+def _swept_counts(word: Sequence[int], k: int) -> tuple[int, list[int]]:
+    """For k = 2 or 3: the number of 12 occurrences in a permutation word, and
+    the count of every size-k pattern, in pattern order, by one sweep."""
+    n = len(word)
+    if k == 2:
+        (rising,) = _smaller_before_sums(word, False)
+        return rising, [rising, math.comb(n, 2) - rising]
     # With 0-based position j and value w = v - 1, the smaller-before count
     # a gives the larger-before b = j - a, the smaller-after d = w - a and the
     # larger-after c = n - 1 - j - w + a.  Counting by the middle entry gives
@@ -105,10 +132,141 @@ def classical_counts(word: tuple[int, ...], k: int) -> list[int]:
     pairs_d = (q - 2 * sw + s2 - t + s1) // 2
     pairs_c = (2 * q + 2 * jw - n * (n - 1) ** 2 + 2 * occ123 - s2 - s1) // 2
     occ132, occ213 = pairs_c - occ123, pairs_a - occ123
-    return [occ123, occ132, occ213, pairs_b - occ321, pairs_d - occ321, occ321]
+    return s1, [occ123, occ132, occ213, pairs_b - occ321, pairs_d - occ321, occ321]
 
 
-def _smaller_before_sums(word: tuple[int, ...], moments: bool) -> tuple[int, ...]:
+def _may_split(word: tuple[int, ...]) -> bool:
+    """The edge test, for len(word) >= 2: False when no p in 1..n-1 has
+    word[:p] = {1..p}.  Such a split p has max(word[:p]) = p < min(word[p:]),
+    so none lies between the first and last ``_EDGE`` entries once the
+    largest of the first is at least the smallest of the last, and those
+    nearer an end are read from the running extremes there."""
+    n = len(word)
+    e = min(n - 1, _EDGE)
+    head, tail = word[:e], word[n - e :]
+    return (
+        max(head) < min(tail)
+        or any(map(eq, itertools.accumulate(head, max), range(1, e + 1)))
+        or any(map(eq, itertools.accumulate(reversed(tail), min), range(n, n - e, -1)))
+    )
+
+
+def _splits(word: tuple[int, ...]) -> Iterator[list[int]]:
+    """The ends of the sum components of a permutation word in order, as one
+    list per chunk of ``_CHUNK`` positions: the p with word[:p] = {1..p},
+    which holds exactly when word[:p] sums to p(p+1)/2.  A chunk that comes
+    after a value above its own last position holds none, and is skipped."""
+    n = len(word)
+    top = excess = 0  # the largest value so far, and the sum of v_j - j so far
+    for start in range(0, n, _CHUNK):
+        chunk = word[start : start + _CHUNK]
+        end = start + len(chunk)
+        if top <= end:
+            ends = range(start + 1, end + 1)
+            running = itertools.accumulate(map(sub, chunk, ends))
+            yield list(itertools.compress(ends, map(eq, running, itertools.repeat(-excess))))
+        top = max(top, max(chunk))
+        excess += sum(chunk) - (end * (end + 1) - start * (start + 1)) // 2
+
+
+def _counts_by_components(word: tuple[int, ...], k: int) -> list[int]:
+    """``classical_counts`` at k = 2 or 3, from the sum components of the
+    word: each distinct component shape is swept once, and the counts of the
+    whole follow from the components' by closed forms.
+
+    With sigma = c_1 + ... + c_r (direct sum), the 21, 231, 312 and 321
+    counts are sums over the components, since those patterns do not split
+    into sum parts.  The others gain terms across components: 12 gains
+    |c_i||c_j| for each pair i < j; 132 = 1 + 21 gains |c_i| occ21(c_j), so
+    occ21(c_j) times the points before c_j; 213 = 21 + 1 gains occ21(c_i)
+    times the points after c_i; and 123 gains, for i < j, occ12(c_i)|c_j| +
+    |c_i| occ12(c_j), which is occ12(c_i) times the points outside c_i, plus
+    |c_i||c_j||c_l| for i < j < l.  The pair and triple sums over the sizes
+    are closed forms in n and the sums of |c_i|^2 and |c_i|^3."""
+    n = len(word)
+    # Per distinct shape: its 12 count, its counts, its copies and the sum of
+    # the points before each copy.  Only shapes of up to _SHAPES points in all
+    # are kept; the rest are folded in as they come.
+    shapes: dict[tuple[int, ...], list] = {}
+    kept = 0
+    # The counts less the size terms, then the sums of |c|^2 - |c| and |c|^3 - |c|.
+    acc = [0] * (math.factorial(k) + 2)
+
+    def fold(size: int, rising: int, counts: list[int], copies: int, before: int) -> None:
+        falling = size * (size - 1) // 2 - rising
+        outside = n - size
+        if k == 2:
+            terms = [copies * rising, copies * falling]
+        else:
+            terms = [copies * x for x in counts]
+            terms[0] += copies * rising * outside
+            terms[1] += falling * before
+            terms[2] += falling * (copies * outside - before)
+        terms += [copies * (size * size - size), copies * (size**3 - size)]
+        acc[:] = map(add, acc, terms)
+
+    def fold_shapes() -> None:
+        for shape, group in shapes.items():
+            fold(len(shape), *group)
+        shapes.clear()
+
+    lo = 0
+    ones = itertools.repeat(1)
+    for ends in _splits(word):
+        starts = [lo, *ends[:-1]]
+        # Components of one point hold no pattern of size 2 or more.
+        for a, b in itertools.compress(zip(starts, ends), map(gt, map(sub, ends, starts), ones)):
+            size = b - a
+            if size == n:  # one component: the word itself
+                return _swept_counts(word, k)[1]
+            if size > _SHAPES:
+                fold(size, *_swept_counts(_Shifted(word, a, b), k), 1, a)
+                continue
+            shape = tuple(map(sub, word[a:b], itertools.repeat(a)))
+            group = shapes.get(shape)
+            if group is None:
+                if kept + size > _SHAPES:
+                    fold_shapes()
+                    kept = 0
+                group = shapes[shape] = [*_swept_counts(shape, k), 0, 0]
+                kept += size
+            group[2] += 1
+            group[3] += a
+        if ends:
+            lo = ends[-1]
+    fold_shapes()
+    *counts, squares, cubes = acc
+    # The pairs (and at k = 3 the triples) of points in distinct components:
+    # the sums of |c_i|^2 and |c_i|^3 are n + squares and n + cubes.
+    if k == 2:
+        counts[0] += (n * n - n - squares) // 2
+    else:
+        counts[0] += (n**3 - 3 * n * (n + squares) + 2 * (n + cubes)) // 6
+    return counts
+
+
+class _Shifted:
+    """The component word[lo:hi] of a direct sum, as a word of 1..hi-lo for
+    the sweep, which reads it whole only by iteration and otherwise by
+    slices: no copy as long as the component is held."""
+
+    __slots__ = ("word", "lo", "hi")
+
+    def __init__(self, word: tuple[int, ...], lo: int, hi: int) -> None:
+        self.word, self.lo, self.hi = word, lo, hi
+
+    def __len__(self) -> int:
+        return self.hi - self.lo
+
+    def __iter__(self) -> Iterator[int]:
+        return map(sub, itertools.islice(self.word, self.lo, self.hi), itertools.repeat(self.lo))
+
+    def __getitem__(self, part: slice) -> tuple[int, ...]:
+        start, stop, _ = part.indices(self.hi - self.lo)
+        return tuple(map(sub, self.word[self.lo + start : self.lo + stop], itertools.repeat(self.lo)))
+
+
+def _smaller_before_sums(word: Sequence[int], moments: bool) -> tuple[int, ...]:
     """For a permutation word of 1..n, with a_j the number of entries before
     position j that are smaller: the sum of a_j, and with ``moments`` also
     the sums of a_j^2, a_j * j (j 0-based) and a_j * v_j."""
@@ -126,7 +284,7 @@ def _smaller_before_sums(word: tuple[int, ...], moments: bool) -> tuple[int, ...
     return tuple(map(add, first, second))
 
 
-def _sweep(word: tuple[int, ...], lo: int, hi: int, moments: bool) -> tuple[int, ...]:
+def _sweep(word: Sequence[int], lo: int, hi: int, moments: bool) -> tuple[int, ...]:
     """The sums of ``_smaller_before_sums`` over positions lo..hi-1 alone."""
     n = len(word)
     seen = bytearray(n + 1)

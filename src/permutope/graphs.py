@@ -41,7 +41,9 @@ class Multigraph:
         checked = []
         for st, ar, label in edges:
             if type(st) is not int or type(ar) is not int:
-                raise ValueError(f"edge ends must be integers, got ({st!r}, {ar!r})")
+                raise ValueError(
+                    f"edge ends must be integers, got ({limits.excerpt(st)}, {limits.excerpt(ar)})"
+                )
             if not (0 <= st < n and 0 <= ar < n):
                 raise IndexError(
                     f"edge ({limits.excerpt(st)}, {limits.excerpt(ar)}) references a missing vertex"

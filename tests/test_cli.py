@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import classical_counts_by_subsets
+from oracles import classical_counts_by_subsets, classical_counts_small
 from permutope import (
     CapacityError,
     PatternVector,
@@ -17,6 +17,8 @@ from permutope import (
     build_overlap_graph,
     feasible_region,
     limits,
+    mix,
+    monotone_sum_generator,
 )
 from permutope.cli import run
 
@@ -60,6 +62,19 @@ class TestStats:
         )
         assert code == 0
         assert json.loads(out)["entries"]["21"] == "0.666666666667"
+
+    def test_classical_vector_of_a_mix(self, capsys):
+        inner, block = Permutation.parse("13254687"), Permutation.parse("231")
+        sigma = mix(lambda _: inner, monotone_sum_generator(block), 40)
+        code, out, _ = invoke(
+            capsys, "stats", "--perm", str(sigma), "--k", "3", "--kind", "classical"
+        )
+        assert code == 0
+        expected = classical_counts_small(sigma.word)
+        total = math.comb(len(sigma), 3)
+        assert json.loads(out)["entries"] == {
+            "".join(map(str, p)): str(F(c, total)) for p, c in expected.items() if len(p) == 3
+        }
 
     def test_bad_permutation_is_domain_error(self, capsys):
         code, _, err = invoke(capsys, "stats", "--perm", "113", "--k", "2", "--kind", "classical")
@@ -188,6 +203,27 @@ class TestReport:
         assert len(rows) >= 5
         for row in rows:
             assert F(row["linf_consec"]) == plan.sup_error_bound(int(row["m"]))
+
+    def test_report_classical_columns_of_a_direct_sum_witness(self, capsys):
+        # loops 123 at 1/3 and 321 at 2/3: two parts, joined by a direct sum
+        region = feasible_region(3)
+        target = region.vector_of([F(1, 3), 0, 0, 0, 0, F(2, 3)])
+        plan = region.plan(target)
+        assert len(plan.parts) == 2
+        vector = json.dumps(target.to_json_dict())
+        code, out, _ = invoke(
+            capsys, "report", "--k", "3", "--vector", vector, "--m-values", "1,2,4"
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [row["m"] for row in rows] == ["1", "2", "4"]
+        for row in rows:
+            witness = plan.generate(int(row["m"])).word
+            expected = classical_counts_small(witness)
+            total = math.comb(len(witness), 3)
+            for pattern in itertools.permutations((1, 2, 3)):
+                name = "".join(map(str, pattern))
+                assert F(row[f"occ_{name}"]) == F(expected[pattern], total), (row["m"], name)
 
     def test_report_default_schedule(self, capsys):
         code, out, _ = invoke(

@@ -43,6 +43,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="edge ends must be integers"):
             Multigraph(["a", "b"], [(st, ar, "e")])
 
+    @pytest.mark.parametrize("st, ar", [("x" * 5000, 0), (0, ["y"] * 5000)])
+    def test_long_non_integer_edge_end_is_quoted_in_part(self, st, ar):
+        with pytest.raises(ValueError, match="edge ends must be integers") as refusal:
+            Multigraph(["1"], [(st, ar, "l")])
+        assert len(str(refusal.value)) < 200
+
     def test_degrees_and_continuations(self, fig2_graph):
         g = fig2_graph
         assert g.out_degree(0) == g.in_degree(0) == 1

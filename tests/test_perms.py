@@ -22,6 +22,8 @@ from permutope import (
     cocc,
     cocc_proportion,
     direct_sum,
+    mix,
+    monotone_sum_generator,
     occ,
     occ_proportion,
     pattern_at,
@@ -503,6 +505,147 @@ class TestChunkedClassicalKernel:
         assert proportion_vector(k, falling, "classical").values_by_pattern() == [*others, 1]
 
 
+class TestComponentsRoute:
+    """Classical k = 2, 3 counts of a direct sum, taken once per distinct
+    component shape, against the subset enumerator, against the one-sweep
+    route on long words, and the edge test and split finder that pick it."""
+
+    @staticmethod
+    def swept(word, k):
+        return heads_module._swept_counts(word, k)[1]
+
+    @staticmethod
+    def merge_sorted(word, k):
+        expected = classical_counts_small(word)
+        return [expected[p] for p in itertools.permutations(range(1, k + 1))]
+
+    @staticmethod
+    def has_split(word):
+        return any(max(word[:p]) == p for p in range(1, len(word)))
+
+    @staticmethod
+    def sum_of(*words):
+        return direct_sum(*map(Permutation, words)).word
+
+    def test_direct_sums_against_the_enumerator(self):
+        rng = random.Random(36)
+        for _ in range(320):
+            blocks = [random_perm(rng, rng.randint(1, 7)) for _ in range(rng.randint(1, 6))]
+            word = direct_sum(*blocks).word
+            for k in (2, 3):
+                if k <= len(word):
+                    assert heads_module.classical_counts(word, k) == classical_counts_by_subsets(
+                        word, k
+                    ), (word, k)
+
+    def test_edge_test_is_exact_up_to_33_points(self):
+        # every split is then within _EDGE entries of an end
+        for n in range(2, 8):
+            for word in itertools.permutations(range(1, n + 1)):
+                assert heads_module._may_split(word) == self.has_split(word), word
+        rng = random.Random(37)
+        for n in (15, 16, 17, 31, 32, 33):
+            for _ in range(200):
+                parts = sorted(rng.sample(range(1, n), rng.randint(0, 3)))
+                word = self.sum_of(
+                    *(random_perm(rng, b - a).word for a, b in zip([0, *parts], [*parts, n]))
+                )
+                assert heads_module._may_split(word) == self.has_split(word), word
+
+    def test_random_words_go_straight_to_the_sweep(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the components route ran on a random word")
+
+        monkeypatch.setattr(heads_module, "_counts_by_components", refuse)
+        rng = random.Random(38)
+        for n in (40, 1000, 20_000):
+            word = random_perm(rng, n).word
+            assert not heads_module._may_split(word)
+            for k in (2, 3):
+                assert sum(heads_module.classical_counts(word, k)) == math.comb(n, k)
+
+    @pytest.mark.parametrize("n", [1, 2, 511, 512, 513, 1025, 5000])
+    def test_splits_are_the_component_ends(self, n):
+        rng = random.Random(n)
+        for _ in range(20):
+            ends = sorted({*rng.sample(range(1, n + 1), min(n, rng.randint(1, 40))), n})
+            word = self.sum_of(
+                *(random_perm(rng, b - a).word for a, b in zip([0, *ends], ends))
+            )
+            found = [p for chunk in heads_module._splits(word) for p in chunk]
+            tops = itertools.accumulate(word, max)
+            assert found == [p for p, top in enumerate(tops, 1) if top == p]
+
+    @pytest.mark.parametrize(
+        "name",
+        ["repeat_sum", "mix", "identity", "reverse", "edges", "past the edges", "big component"],
+    )
+    def test_long_words_match_one_sweep(self, name):
+        rng = random.Random(39)
+        n = 200_000
+        if name == "repeat_sum":
+            word = repeat_sum(200, random_perm(rng, 1000)).word
+        elif name == "mix":
+            inner = P("13254687")
+            word = mix(lambda _: inner, monotone_sum_generator(P("3142")), 6000).word
+        elif name == "identity":
+            word = Permutation.identity(n).word
+        elif name == "reverse":
+            word = Permutation.identity(n).word[::-1]
+        else:
+            cuts = {
+                "edges": (1, 5, 16, n - 16, n - 2),
+                "past the edges": (17, 18, n - 18, n - 17),
+                "big component": (3, 3 + 2 * heads_module._SHAPES + 1, n - 1),
+            }[name]
+            word = self.sum_of(
+                *(random_perm(rng, b - a).word for a, b in zip([0, *cuts], [*cuts, n]))
+            )
+            assert heads_module._may_split(word)
+        for k in (2, 3):
+            assert heads_module.classical_counts(word, k) == self.swept(word, k), k
+
+    def test_indecomposable_word_whose_ends_pass_the_edge_test(self):
+        # the smallest 16 values but 1 lead and the largest but n end the
+        # word, but n comes just before 1 in the middle, so no prefix is 1..p
+        n, h = 20_000, 10_000
+        word = (*range(2, h + 1), n, 1, *range(h + 1, n))
+        assert heads_module._may_split(word) and not any(
+            p < n for chunk in heads_module._splits(word) for p in chunk
+        )
+        for k in (2, 3):
+            assert heads_module.classical_counts(word, k) == self.swept(word, k)
+
+    def test_each_distinct_shape_is_swept_once(self, monkeypatch):
+        swept = []
+        counts = heads_module._swept_counts
+
+        def recorded(word, k):
+            swept.append(tuple(word))
+            return counts(word, k)
+
+        monkeypatch.setattr(heads_module, "_swept_counts", recorded)
+        block = P("2413")
+        word = self.sum_of(
+            repeat_sum(300, block).word, *[(1,), (2, 1), (3, 1, 2)] * 50, block.word
+        )
+        for k in (2, 3):
+            swept.clear()
+            assert heads_module.classical_counts(word, k) == self.merge_sorted(word, k)
+            assert sorted(swept) == [(2, 1), (2, 4, 1, 3), (3, 1, 2)]
+
+    def test_shapes_past_the_kept_points(self, monkeypatch):
+        # distinct shapes overflow the kept counts, and a component larger
+        # than _SHAPES is swept in place
+        monkeypatch.setattr(heads_module, "_SHAPES", 12)
+        rng = random.Random(41)
+        for _ in range(60):
+            blocks = [random_perm(rng, rng.randint(1, 16)) for _ in range(rng.randint(2, 8))]
+            word = direct_sum(*blocks).word
+            for k in (2, 3):
+                assert heads_module.classical_counts(word, k) == self.merge_sorted(word, k)
+
+
 class TestSplitSweep:
     """The k <= 3 sweep of a word of ``_SPLIT`` entries or more, in two halves
     at once with the first in a forked child, gives the one-process sums,
@@ -551,6 +694,25 @@ class TestSplitSweep:
         split = n >= self.SPLIT
         assert len(forks) == (2 if split else 0)
         assert here == [(n // 2 if split else 0, n)] * 2
+        self.assert_no_child_left()
+
+    def test_no_fork_for_a_sum_of_components_below_the_threshold(self, forks):
+        rng = random.Random(42)
+        word = repeat_sum(3, random_perm(rng, self.SPLIT - 1)).word
+        for k in (2, 3):
+            assert heads_module.classical_counts(word, k) == TestComponentsRoute.merge_sorted(
+                word, k
+            )
+        assert forks == []
+        self.assert_no_child_left()
+
+    def test_a_component_at_the_threshold_still_forks(self, forks):
+        word = direct_sum(P("21"), Permutation(self.word(self.SPLIT))).word
+        for k in (2, 3):
+            assert heads_module.classical_counts(word, k) == TestComponentsRoute.merge_sorted(
+                word, k
+            )
+        assert len(forks) == 2
         self.assert_no_child_left()
 
     @pytest.mark.parametrize("call", ["fork", "pipe"])
