@@ -63,7 +63,12 @@ class TestArithmetic:
 
     @pytest.mark.parametrize(
         "better, change, worse",
-        [("lower", 12.4, False), ("lower", 12.6, True), ("higher", 7.6, False), ("higher", 7.4, True)],
+        [
+            ("lower", 12.4, False),
+            ("lower", 12.6, True),
+            ("higher", 7.6, False),
+            ("higher", 7.4, True),
+        ],
     )
     def test_worse_than_bound(self, better, change, worse):
         result = bench.compare([10.0, 10.0, 10.0], [change] * 3, better, 0.25)
@@ -75,7 +80,8 @@ class TestArithmetic:
             bench.compare([1.0, 2.0], [1.0], "lower", 0.25)
 
     @pytest.mark.parametrize(
-        "text, seeds", [("1-10", list(range(1, 11))), ("11-13", [11, 12, 13]), ("1,4-5,9", [1, 4, 5, 9])]
+        "text, seeds",
+        [("1-10", list(range(1, 11))), ("11-13", [11, 12, 13]), ("1,4-5,9", [1, 4, 5, 9])],
     )
     def test_seed_lists(self, text, seeds):
         assert bench.seed_list(text) == seeds
@@ -110,7 +116,8 @@ class TestReport:
         report = bench.summarize(self.runs(), END_TO_END)
         tail = report["realize"]["seeds"]["metrics"]["op_tail_ms"]
         offset = [m["name"] for m in END_TO_END].index("op_tail_ms")
-        assert tail["parent"]["median"] == 15.5 + offset and tail["change"]["median"] == 14.5 + offset
+        assert tail["parent"]["median"] == 15.5 + offset
+        assert tail["change"]["median"] == 14.5 + offset
         assert tail["won"] == {"change": 10, "parent": 0}
         # a gap of 1 against the parent's spread of 4.5
         assert tail["unresolved"] and not tail["worse_than_bound"]

@@ -147,7 +147,9 @@ def run_in_session(argv: list[str], cwd: Path, env: dict) -> str:
     raises.  Output goes through files, so a leftover process that holds
     them open does not hold this up."""
     with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
-        proc = subprocess.Popen(argv, cwd=cwd, env=env, stdout=out, stderr=err, start_new_session=True)
+        proc = subprocess.Popen(
+            argv, cwd=cwd, env=env, stdout=out, stderr=err, start_new_session=True
+        )
         try:
             proc.wait(timeout=RUN_TIMEOUT_S)
         finally:
@@ -252,7 +254,10 @@ def main(argv: list[str] | None = None) -> int:
         "bytecode": args.bytecode,
         "seconds": args.seconds,
         "parent": {"rev": args.against, "commit": parent_commit},
-        "change": {"commit": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))},
+        "change": {
+            "commit": git("rev-parse", "HEAD"),
+            "uncommitted": git("status", "--porcelain").splitlines(),
+        },
         "seed_sets": seed_sets,
         "runs": runs,
         "summary": summarize(runs, end_to_end),
