@@ -33,8 +33,9 @@ when the largest of the first is at least the smallest of the last and no
 split lies among them, the word has none and goes straight to the sweep, as
 a uniformly random word does.  Otherwise one C-level pass per chunk finds the
 splits, where word[:p] sums to p(p+1)/2, skipping each chunk that comes after
-a value above its own end.  An indecomposable word whose ends pass the test
-pays for that pass on top of its sweep.
+a value above its own end.  A word with a component of more than half its
+points is swept whole; so is an indecomposable word whose ends pass the
+test, which pays for the splits pass on top of its sweep.
 
 Sizes 4 and up come from (k-1)-subsets.  Every k-subset of positions is a
 (k-1)-subset T, its head, plus one later point.  Let T end at position p
@@ -89,7 +90,7 @@ _SPLIT = 1 << 14
 
 # The edge test reads this many entries at each end of a word.  The
 # components route keeps the counts of distinct component shapes of up to
-# _SHAPES points in all, and sweeps a component larger than that in place.
+# _SHAPES points in all, and sweeps a larger component without keeping it.
 _EDGE = 16
 _SHAPES = 1 << 12
 
@@ -182,12 +183,17 @@ def _counts_by_components(word: tuple[int, ...], k: int) -> list[int]:
     times the points after c_i; and 123 gains, for i < j, occ12(c_i)|c_j| +
     |c_i| occ12(c_j), which is occ12(c_i) times the points outside c_i, plus
     |c_i||c_j||c_l| for i < j < l.  The pair and triple sums over the sizes
-    are closed forms in n and the sums of |c_i|^2 and |c_i|^3."""
+    are closed forms in n and the sums of |c_i|^2 and |c_i|^3.
+
+    A word with a component of more than half its points is swept whole
+    instead: the sweep's cost grows about linearly, so that costs little more
+    than sweeping the component, and copies nothing."""
     n = len(word)
-    # Per distinct shape: its 12 count, its counts, its copies and the sum of
-    # the points before each copy.  Only shapes of up to _SHAPES points in all
-    # are kept; the rest are folded in as they come.
-    shapes: dict[tuple[int, ...], list] = {}
+    # Per distinct shape, keyed by the bytes of its word: its size, 12 count
+    # and counts, its copies and the sum of the points before each copy.  Only
+    # shapes of up to _SHAPES points in all are kept; the rest are folded in as
+    # they come.
+    shapes: dict[bytes, list] = {}
     kept = 0
     # The counts less the size terms, then the sums of |c|^2 - |c| and |c|^3 - |c|.
     acc = [0] * (math.factorial(k) + 2)
@@ -206,10 +212,14 @@ def _counts_by_components(word: tuple[int, ...], k: int) -> list[int]:
         acc[:] = map(add, acc, terms)
 
     def fold_shapes() -> None:
-        for shape, group in shapes.items():
-            fold(len(shape), *group)
+        for group in shapes.values():
+            fold(*group)
         shapes.clear()
 
+    # Components are read off one iterator over the word into arrays, never
+    # sliced out: CPython 3.11 puts a freed 20-entry tuple on a free list it
+    # never takes from, so a tuple per component could hold 2,000 of them.
+    entries, read = iter(word), 0
     lo = 0
     ones = itertools.repeat(1)
     for ends in _splits(word):
@@ -217,21 +227,24 @@ def _counts_by_components(word: tuple[int, ...], k: int) -> list[int]:
         # Components of one point hold no pattern of size 2 or more.
         for a, b in itertools.compress(zip(starts, ends), map(gt, map(sub, ends, starts), ones)):
             size = b - a
-            if size == n:  # one component: the word itself
+            if 2 * size > n:
                 return _swept_counts(word, k)[1]
+            next(itertools.islice(entries, a - read, a - read), None)
+            shape = array("I", map(sub, itertools.islice(entries, size), itertools.repeat(a)))
+            read = b
             if size > _SHAPES:
-                fold(size, *_swept_counts(_Shifted(word, a, b), k), 1, a)
+                fold(size, *_swept_counts(shape, k), 1, a)
                 continue
-            shape = tuple(map(sub, word[a:b], itertools.repeat(a)))
-            group = shapes.get(shape)
+            key = shape.tobytes()
+            group = shapes.get(key)
             if group is None:
                 if kept + size > _SHAPES:
                     fold_shapes()
                     kept = 0
-                group = shapes[shape] = [*_swept_counts(shape, k), 0, 0]
+                group = shapes[key] = [size, *_swept_counts(shape, k), 0, 0]
                 kept += size
-            group[2] += 1
-            group[3] += a
+            group[3] += 1
+            group[4] += a
         if ends:
             lo = ends[-1]
     fold_shapes()
@@ -243,27 +256,6 @@ def _counts_by_components(word: tuple[int, ...], k: int) -> list[int]:
     else:
         counts[0] += (n**3 - 3 * n * (n + squares) + 2 * (n + cubes)) // 6
     return counts
-
-
-class _Shifted:
-    """The component word[lo:hi] of a direct sum, as a word of 1..hi-lo for
-    the sweep, which reads it whole only by iteration and otherwise by
-    slices: no copy as long as the component is held."""
-
-    __slots__ = ("word", "lo", "hi")
-
-    def __init__(self, word: tuple[int, ...], lo: int, hi: int) -> None:
-        self.word, self.lo, self.hi = word, lo, hi
-
-    def __len__(self) -> int:
-        return self.hi - self.lo
-
-    def __iter__(self) -> Iterator[int]:
-        return map(sub, itertools.islice(self.word, self.lo, self.hi), itertools.repeat(self.lo))
-
-    def __getitem__(self, part: slice) -> tuple[int, ...]:
-        start, stop, _ = part.indices(self.hi - self.lo)
-        return tuple(map(sub, self.word[self.lo + start : self.lo + stop], itertools.repeat(self.lo)))
 
 
 def _smaller_before_sums(word: Sequence[int], moments: bool) -> tuple[int, ...]:

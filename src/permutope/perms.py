@@ -18,9 +18,12 @@ patterns of size k:
   count): sizes up to 3 at any length, from sums taken per chunk of 512
   positions by one sweep whose per-entry steps run mostly inside C ``map``
   calls, in two halves at once (one in a forked child) on a long word and a
-  free second CPU; sizes 4 and up from the C(n-1, k-1) subsets of k-1
-  positions that have a later point, never the C(n, k) subsets, with n
-  bounded by the ``enum`` cap.
+  free second CPU.  A direct sum is counted from its sum components, each
+  distinct component shape swept once, with closed forms for the occurrences
+  across components; an edge test on at most 16 entries at each end sends a
+  word with no split, such as a random one, straight to the sweep.  Sizes 4
+  and up from the C(n-1, k-1) subsets of k-1 positions that have a later
+  point, never the C(n, k) subsets, with n bounded by the ``enum`` cap.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import os
 import random
 import threading
@@ -635,15 +636,32 @@ class TestComponentsRoute:
             assert sorted(swept) == [(2, 1), (2, 4, 1, 3), (3, 1, 2)]
 
     def test_shapes_past_the_kept_points(self, monkeypatch):
-        # distinct shapes overflow the kept counts, and a component larger
-        # than _SHAPES is swept in place
+        # with 12 points kept, distinct shapes overflow them and each component
+        # of 13 to 16 points is swept without being kept; a component of more
+        # than half the word has the word swept whole
         monkeypatch.setattr(heads_module, "_SHAPES", 12)
+        swept = []
+        counts = heads_module._swept_counts
+
+        def recorded(word, k):
+            swept.append(len(word))
+            return counts(word, k)
+
+        monkeypatch.setattr(heads_module, "_swept_counts", recorded)
         rng = random.Random(41)
-        for _ in range(60):
+        for _ in range(80):
             blocks = [random_perm(rng, rng.randint(1, 16)) for _ in range(rng.randint(2, 8))]
             word = direct_sum(*blocks).word
+            tops = itertools.accumulate(word, max)
+            ends = [p for p, top in enumerate(tops, 1) if top == p]
+            sizes = list(map(operator.sub, ends, [0, *ends[:-1]]))
             for k in (2, 3):
+                swept.clear()
                 assert heads_module.classical_counts(word, k) == self.merge_sorted(word, k)
+                if 2 * max(sizes) > len(word):
+                    assert swept[-1] == len(word) and sum(swept) < 2 * len(word)
+                else:
+                    assert sorted(n for n in swept if n > 12) == sorted(n for n in sizes if n > 12)
 
 
 class TestSplitSweep:
@@ -706,13 +724,24 @@ class TestSplitSweep:
         assert forks == []
         self.assert_no_child_left()
 
-    def test_a_component_at_the_threshold_still_forks(self, forks):
-        word = direct_sum(P("21"), Permutation(self.word(self.SPLIT))).word
+    def test_a_component_at_the_threshold_still_forks(self, forks, monkeypatch):
+        # each half is swept on its own, in two halves at once
+        half = Permutation(self.word(self.SPLIT))
+        word = direct_sum(half, half).word
+        swept = []
+        counts = heads_module._swept_counts
+
+        def recorded(word, k):
+            swept.append(len(word))
+            return counts(word, k)
+
+        monkeypatch.setattr(heads_module, "_swept_counts", recorded)
         for k in (2, 3):
             assert heads_module.classical_counts(word, k) == TestComponentsRoute.merge_sorted(
                 word, k
             )
-        assert len(forks) == 2
+        assert swept == [self.SPLIT] * 4
+        assert len(forks) == 4
         self.assert_no_child_left()
 
     @pytest.mark.parametrize("call", ["fork", "pipe"])
