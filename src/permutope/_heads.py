@@ -33,9 +33,11 @@ when the largest of the first is at least the smallest of the last and no
 split lies among them, the word has none and goes straight to the sweep, as
 a uniformly random word does.  Otherwise one C-level pass per chunk finds the
 splits, where word[:p] sums to p(p+1)/2, skipping each chunk that comes after
-a value above its own end.  A word with a component of more than half its
-points is swept whole; so is an indecomposable word whose ends pass the
-test, which pays for the splits pass on top of its sweep.
+a value above its own end.  A word whose distinct component shapes hold
+more than ``_SHAPES`` points is swept whole after all, as soon as that shows:
+at worst it pays for sweeping ``_SHAPES`` points and for the splits pass so
+far on top of its sweep.  An indecomposable word whose ends pass the edge
+test is found out within ``_SHAPES + _CHUNK`` positions.
 
 Sizes 4 and up come from (k-1)-subsets.  Every k-subset of positions is a
 (k-1)-subset T, its head, plus one later point.  Let T end at position p
@@ -89,8 +91,8 @@ _BLOCK_BITS = 7
 _SPLIT = 1 << 14
 
 # The edge test reads this many entries at each end of a word.  The
-# components route keeps the counts of distinct component shapes of up to
-# _SHAPES points in all, and sweeps a larger component without keeping it.
+# components route sweeps distinct component shapes of up to _SHAPES points
+# in all; a word that needs more is swept whole.
 _EDGE = 16
 _SHAPES = 1 << 12
 
@@ -156,13 +158,16 @@ def _splits(word: tuple[int, ...]) -> Iterator[list[int]]:
     """The ends of the sum components of a permutation word in order, as one
     list per chunk of ``_CHUNK`` positions: the p with word[:p] = {1..p},
     which holds exactly when word[:p] sums to p(p+1)/2.  A chunk that comes
-    after a value above its own last position holds none, and is skipped."""
+    after a value above its own last position holds none: its list is empty
+    without a look."""
     n = len(word)
     top = excess = 0  # the largest value so far, and the sum of v_j - j so far
     for start in range(0, n, _CHUNK):
         chunk = word[start : start + _CHUNK]
         end = start + len(chunk)
-        if top <= end:
+        if top > end:
+            yield []
+        else:
             ends = range(start + 1, end + 1)
             running = itertools.accumulate(map(sub, chunk, ends))
             yield list(itertools.compress(ends, map(eq, running, itertools.repeat(-excess))))
@@ -185,20 +190,47 @@ def _counts_by_components(word: tuple[int, ...], k: int) -> list[int]:
     |c_i||c_j||c_l| for i < j < l.  The pair and triple sums over the sizes
     are closed forms in n and the sums of |c_i|^2 and |c_i|^3.
 
-    A word with a component of more than half its points is swept whole
-    instead: the sweep's cost grows about linearly, so that costs little more
-    than sweeping the component, and copies nothing."""
+    The distinct shapes swept hold at most ``_SHAPES`` points in all.  A word
+    that needs more is swept whole instead: sweeping its components one by
+    one would cost about as much, on one CPU, where the whole sweep may split
+    over two."""
     n = len(word)
     # Per distinct shape, keyed by the bytes of its word: its size, 12 count
-    # and counts, its copies and the sum of the points before each copy.  Only
-    # shapes of up to _SHAPES points in all are kept; the rest are folded in as
-    # they come.
+    # and counts, its copies and the sum of the points before each copy.
     shapes: dict[bytes, list] = {}
     kept = 0
+    # Components are read off one iterator over the word into arrays, never
+    # sliced out: CPython 3.11 puts a freed 20-entry tuple on a free list it
+    # never takes from, so a tuple per component could hold 2,000 of them.
+    entries, read = iter(word), 0
+    lo = 0
+    ones = itertools.repeat(1)
+    for last, ends in zip(range(_CHUNK, n + _CHUNK, _CHUNK), _splits(word)):
+        if not ends:
+            if last - lo > _SHAPES:  # the component open at lo is too large
+                return _swept_counts(word, k)[1]
+            continue
+        starts = [lo, *ends[:-1]]
+        # Components of one point hold no pattern of size 2 or more.
+        for a, b in itertools.compress(zip(starts, ends), map(gt, map(sub, ends, starts), ones)):
+            size = b - a
+            if size > _SHAPES:
+                return _swept_counts(word, k)[1]
+            next(itertools.islice(entries, a - read, a - read), None)
+            shape = array("I", map(sub, itertools.islice(entries, size), itertools.repeat(a)))
+            read = b
+            group = shapes.get(key := shape.tobytes())
+            if group is None:
+                kept += size
+                if kept > _SHAPES:
+                    return _swept_counts(word, k)[1]
+                group = shapes[key] = [size, *_swept_counts(shape, k), 0, 0]
+            group[3] += 1
+            group[4] += a
+        lo = ends[-1]
     # The counts less the size terms, then the sums of |c|^2 - |c| and |c|^3 - |c|.
     acc = [0] * (math.factorial(k) + 2)
-
-    def fold(size: int, rising: int, counts: list[int], copies: int, before: int) -> None:
+    for size, rising, counts, copies, before in shapes.values():
         falling = size * (size - 1) // 2 - rising
         outside = n - size
         if k == 2:
@@ -210,44 +242,6 @@ def _counts_by_components(word: tuple[int, ...], k: int) -> list[int]:
             terms[2] += falling * (copies * outside - before)
         terms += [copies * (size * size - size), copies * (size**3 - size)]
         acc[:] = map(add, acc, terms)
-
-    def fold_shapes() -> None:
-        for group in shapes.values():
-            fold(*group)
-        shapes.clear()
-
-    # Components are read off one iterator over the word into arrays, never
-    # sliced out: CPython 3.11 puts a freed 20-entry tuple on a free list it
-    # never takes from, so a tuple per component could hold 2,000 of them.
-    entries, read = iter(word), 0
-    lo = 0
-    ones = itertools.repeat(1)
-    for ends in _splits(word):
-        starts = [lo, *ends[:-1]]
-        # Components of one point hold no pattern of size 2 or more.
-        for a, b in itertools.compress(zip(starts, ends), map(gt, map(sub, ends, starts), ones)):
-            size = b - a
-            if 2 * size > n:
-                return _swept_counts(word, k)[1]
-            next(itertools.islice(entries, a - read, a - read), None)
-            shape = array("I", map(sub, itertools.islice(entries, size), itertools.repeat(a)))
-            read = b
-            if size > _SHAPES:
-                fold(size, *_swept_counts(shape, k), 1, a)
-                continue
-            key = shape.tobytes()
-            group = shapes.get(key)
-            if group is None:
-                if kept + size > _SHAPES:
-                    fold_shapes()
-                    kept = 0
-                group = shapes[key] = [size, *_swept_counts(shape, k), 0, 0]
-                kept += size
-            group[3] += 1
-            group[4] += a
-        if ends:
-            lo = ends[-1]
-    fold_shapes()
     *counts, squares, cubes = acc
     # The pairs (and at k = 3 the triples) of points in distinct components:
     # the sums of |c_i|^2 and |c_i|^3 are n + squares and n + cubes.

@@ -1,6 +1,5 @@
 import itertools
 import math
-import operator
 import os
 import random
 import threading
@@ -635,10 +634,9 @@ class TestComponentsRoute:
             assert heads_module.classical_counts(word, k) == self.merge_sorted(word, k)
             assert sorted(swept) == [(2, 1), (2, 4, 1, 3), (3, 1, 2)]
 
-    def test_shapes_past_the_kept_points(self, monkeypatch):
-        # with 12 points kept, distinct shapes overflow them and each component
-        # of 13 to 16 points is swept without being kept; a component of more
-        # than half the word has the word swept whole
+    def test_words_past_the_shape_budget_are_swept_whole(self, monkeypatch):
+        # with a budget of 12 points, a word whose distinct component shapes
+        # hold more is swept whole, after at most 12 points of shapes
         monkeypatch.setattr(heads_module, "_SHAPES", 12)
         swept = []
         counts = heads_module._swept_counts
@@ -649,19 +647,22 @@ class TestComponentsRoute:
 
         monkeypatch.setattr(heads_module, "_swept_counts", recorded)
         rng = random.Random(41)
-        for _ in range(80):
-            blocks = [random_perm(rng, rng.randint(1, 16)) for _ in range(rng.randint(2, 8))]
+        for _ in range(100):
+            blocks = [random_perm(rng, rng.randint(1, 8)) for _ in range(rng.randint(2, 8))]
+            blocks += blocks[: rng.randint(0, len(blocks))]
             word = direct_sum(*blocks).word
             tops = itertools.accumulate(word, max)
             ends = [p for p, top in enumerate(tops, 1) if top == p]
-            sizes = list(map(operator.sub, ends, [0, *ends[:-1]]))
+            shapes = {
+                standardize(word[a:b]).word for a, b in zip([0, *ends], ends) if b - a > 1
+            }
             for k in (2, 3):
                 swept.clear()
                 assert heads_module.classical_counts(word, k) == self.merge_sorted(word, k)
-                if 2 * max(sizes) > len(word):
-                    assert swept[-1] == len(word) and sum(swept) < 2 * len(word)
+                if sum(map(len, shapes)) > 12:
+                    assert swept[-1] == len(word) and sum(swept[:-1]) <= 12
                 else:
-                    assert sorted(n for n in swept if n > 12) == sorted(n for n in sizes if n > 12)
+                    assert sorted(swept) == sorted(map(len, shapes))
 
 
 class TestSplitSweep:
@@ -715,8 +716,8 @@ class TestSplitSweep:
         self.assert_no_child_left()
 
     def test_no_fork_for_a_sum_of_components_below_the_threshold(self, forks):
-        rng = random.Random(42)
-        word = repeat_sum(3, random_perm(rng, self.SPLIT - 1)).word
+        block = random_perm(random.Random(42), heads_module._SHAPES)
+        word = repeat_sum(self.SPLIT // len(block) + 1, block).word
         for k in (2, 3):
             assert heads_module.classical_counts(word, k) == TestComponentsRoute.merge_sorted(
                 word, k
@@ -725,7 +726,8 @@ class TestSplitSweep:
         self.assert_no_child_left()
 
     def test_a_component_at_the_threshold_still_forks(self, forks, monkeypatch):
-        # each half is swept on its own, in two halves at once
+        # a component past the shape budget has the word swept whole, in two
+        # halves at once
         half = Permutation(self.word(self.SPLIT))
         word = direct_sum(half, half).word
         swept = []
@@ -740,8 +742,8 @@ class TestSplitSweep:
             assert heads_module.classical_counts(word, k) == TestComponentsRoute.merge_sorted(
                 word, k
             )
-        assert swept == [self.SPLIT] * 4
-        assert len(forks) == 4
+        assert swept == [len(word)] * 2
+        assert len(forks) == 2
         self.assert_no_child_left()
 
     @pytest.mark.parametrize("call", ["fork", "pipe"])
