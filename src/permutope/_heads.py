@@ -207,15 +207,13 @@ def _counts_by_components(word: tuple[int, ...], k: int) -> list[int]:
     ones = itertools.repeat(1)
     for last, ends in zip(range(_CHUNK, n + _CHUNK, _CHUNK), _splits(word)):
         if not ends:
-            if last - lo > _SHAPES:  # the component open at lo is too large
+            if last - lo > _SHAPES:  # the component open at lo is too large to keep
                 return _swept_counts(word, k)[1]
             continue
         starts = [lo, *ends[:-1]]
         # Components of one point hold no pattern of size 2 or more.
         for a, b in itertools.compress(zip(starts, ends), map(gt, map(sub, ends, starts), ones)):
             size = b - a
-            if size > _SHAPES:
-                return _swept_counts(word, k)[1]
             next(itertools.islice(entries, a - read, a - read), None)
             shape = array("I", map(sub, itertools.islice(entries, size), itertools.repeat(a)))
             read = b

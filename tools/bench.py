@@ -165,10 +165,6 @@ def run_in_session(argv: list[str], cwd: Path, env: dict) -> str:
         return out.read()
 
 
-def last_json_line(out: str) -> dict:
-    return json.loads(out.strip().splitlines()[-1])
-
-
 def prepare(tree: Path, bytecode: str, env: dict) -> None:
     """Put a tree in the declared bytecode mode."""
     for folder in ("src", "perfbench"):
@@ -230,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
                  "--seconds", str(args.seconds), "--trace", str(trace)],
                 trees[side], env,
             )
-            return last_json_line(out)
+            return json.loads(out.strip().splitlines()[-1])  # run.py's last line
 
         runs = []
         for workload in workloads:
