@@ -505,6 +505,20 @@ class TestChunkedClassicalKernel:
         assert proportion_vector(k, falling, "classical").values_by_pattern() == [*others, 1]
 
 
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Records each word the k <= 3 sweep counts, as a tuple."""
+    words = []
+    counts = heads_module._swept_counts
+
+    def recorded(word, k):
+        words.append(tuple(word))
+        return counts(word, k)
+
+    monkeypatch.setattr(heads_module, "_swept_counts", recorded)
+    return words
+
+
 class TestComponentsRoute:
     """Classical k = 2, 3 counts of a direct sum, taken once per distinct
     component shape, against the subset enumerator, against the one-sweep
@@ -606,8 +620,8 @@ class TestComponentsRoute:
             assert heads_module.classical_counts(word, k) == self.swept(word, k), k
 
     def test_indecomposable_word_whose_ends_pass_the_edge_test(self):
-        # the smallest 16 values but 1 lead and the largest but n end the
-        # word, but n comes just before 1 in the middle, so no prefix is 1..p
+        # small values lead and large ones end the word, so the edge test
+        # passes it; n comes just before 1 in the middle, so no prefix is 1..p
         n, h = 20_000, 10_000
         word = (*range(2, h + 1), n, 1, *range(h + 1, n))
         assert heads_module._may_split(word) and not any(
@@ -616,36 +630,20 @@ class TestComponentsRoute:
         for k in (2, 3):
             assert heads_module.classical_counts(word, k) == self.swept(word, k)
 
-    def test_each_distinct_shape_is_swept_once(self, monkeypatch):
-        swept = []
-        counts = heads_module._swept_counts
-
-        def recorded(word, k):
-            swept.append(tuple(word))
-            return counts(word, k)
-
-        monkeypatch.setattr(heads_module, "_swept_counts", recorded)
+    def test_each_distinct_shape_is_swept_once(self, sweeps):
         block = P("2413")
         word = self.sum_of(
             repeat_sum(300, block).word, *[(1,), (2, 1), (3, 1, 2)] * 50, block.word
         )
         for k in (2, 3):
-            swept.clear()
+            sweeps.clear()
             assert heads_module.classical_counts(word, k) == self.merge_sorted(word, k)
-            assert sorted(swept) == [(2, 1), (2, 4, 1, 3), (3, 1, 2)]
+            assert sorted(sweeps) == [(2, 1), (2, 4, 1, 3), (3, 1, 2)]
 
-    def test_words_past_the_shape_budget_are_swept_whole(self, monkeypatch):
+    def test_words_past_the_shape_budget_are_swept_whole(self, monkeypatch, sweeps):
         # with a budget of 12 points, a word whose distinct component shapes
         # hold more is swept whole, after at most 12 points of shapes
         monkeypatch.setattr(heads_module, "_SHAPES", 12)
-        swept = []
-        counts = heads_module._swept_counts
-
-        def recorded(word, k):
-            swept.append(len(word))
-            return counts(word, k)
-
-        monkeypatch.setattr(heads_module, "_swept_counts", recorded)
         rng = random.Random(41)
         for _ in range(100):
             blocks = [random_perm(rng, rng.randint(1, 8)) for _ in range(rng.randint(2, 8))]
@@ -657,8 +655,9 @@ class TestComponentsRoute:
                 standardize(word[a:b]).word for a, b in zip([0, *ends], ends) if b - a > 1
             }
             for k in (2, 3):
-                swept.clear()
+                sweeps.clear()
                 assert heads_module.classical_counts(word, k) == self.merge_sorted(word, k)
+                swept = list(map(len, sweeps))
                 if sum(map(len, shapes)) > 12:
                     assert swept[-1] == len(word) and sum(swept[:-1]) <= 12
                 else:
@@ -725,24 +724,16 @@ class TestSplitSweep:
         assert forks == []
         self.assert_no_child_left()
 
-    def test_a_component_at_the_threshold_still_forks(self, forks, monkeypatch):
+    def test_a_component_at_the_threshold_still_forks(self, forks, sweeps):
         # a component past the shape budget has the word swept whole, in two
         # halves at once
         half = Permutation(self.word(self.SPLIT))
         word = direct_sum(half, half).word
-        swept = []
-        counts = heads_module._swept_counts
-
-        def recorded(word, k):
-            swept.append(len(word))
-            return counts(word, k)
-
-        monkeypatch.setattr(heads_module, "_swept_counts", recorded)
         for k in (2, 3):
             assert heads_module.classical_counts(word, k) == TestComponentsRoute.merge_sorted(
                 word, k
             )
-        assert swept == [len(word)] * 2
+        assert sweeps == [word] * 2
         assert len(forks) == 2
         self.assert_no_child_left()
 
