@@ -23,21 +23,20 @@ ends in ``os._exit`` and is always reaped (killed first if this process's
 own sweep raised), so none outlives the call; if the fork fails or the child
 does not hand back its sums, this process sweeps the first half itself.
 
-A word that is a direct sum c_1 + ... + c_r of sum components is counted
-from them instead, sweeping each distinct component shape once: the
-classical occurrences of a direct sum split over its components (Albert &
-Atkinson 2005), and ``_counts_by_components`` has the closed forms.  A split
-p, the end of a component, has word[:p] = {1..p}, so max(word[:p]) = p <
-min(word[p:]).  The edge test reads at most ``_EDGE`` entries at each end:
-when the largest of the first is at least the smallest of the last and no
-split lies among them, the word has none and goes straight to the sweep, as
-a uniformly random word does.  Otherwise one C-level pass per chunk finds the
-splits, where word[:p] sums to p(p+1)/2, skipping each chunk that comes after
-a value above its own end.  A word whose distinct component shapes hold
-more than ``_SHAPES`` points is swept whole after all, as soon as that shows:
-at worst it pays for sweeping ``_SHAPES`` points and for the splits pass so
-far on top of its sweep.  An indecomposable word whose ends pass the edge
-test is found out within ``_SHAPES + _CHUNK`` positions.
+A word that repeats one block, sigma = tau + ... + tau (the direct sum of r
+copies of a P-point tau, as a mix whose classical side is a monotone sum is),
+is counted from one sweep of tau by closed forms: the classical occurrences of
+a direct sum split over its sum components (Albert & Atkinson 2005).  Its
+period P is a split: word[:P] = {1..P}, so max(word[:P]) = P < min(word[P:]).
+The edge test reads at most ``_EDGE`` entries at each end: when the largest
+of the first is at least the smallest of the last and no split lies among
+them, the word has none and goes straight to the sweep, as a uniformly
+random word does.  Otherwise ``_period`` looks for P among the splits in the
+first half of the word, found by one C-level pass per chunk; each candidate
+costs O(P + ``_CHUNK``) work in C, and the first to pass is confirmed by one
+lazy pass over the word.  So a word that is not a repeat pays, on top of its
+sweep, at most the splits pass over half of it, O(P + ``_CHUNK``) for each
+divisor P of n, and one full pass.
 
 Sizes 4 and up come from (k-1)-subsets.  Every k-subset of positions is a
 (k-1)-subset T, its head, plus one later point.  Let T end at position p
@@ -69,7 +68,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache, partial
-from operator import add, and_, eq, gt, mul, rshift, sub
+from operator import add, and_, eq, mul, rshift, sub
 from typing import Callable, Iterator, Sequence
 
 from .limits import natural
@@ -90,11 +89,8 @@ _BLOCK_BITS = 7
 # 1.48x / 1.50x at 16,384.  The VM's drift asks for the margin.
 _SPLIT = 1 << 14
 
-# The edge test reads this many entries at each end of a word.  The
-# components route sweeps distinct component shapes of up to _SHAPES points
-# in all; a word that needs more is swept whole.
+# The edge test reads this many entries at each end of a word.
 _EDGE = 16
-_SHAPES = 1 << 12
 
 
 def classical_counts(word: tuple[int, ...], k: int) -> list[int]:
@@ -104,9 +100,10 @@ def classical_counts(word: tuple[int, ...], k: int) -> list[int]:
         return [len(word)]
     if k > 3:
         return _counts_from_heads(word, k)
-    if _may_split(word):
-        return _counts_by_components(word, k)
-    return _swept_counts(word, k)[1]
+    p = _period(word) if _may_split(word) else None
+    if p is None:
+        return _swept_counts(word, k)[1]
+    return _repeat_counts(word[:p], len(word) // p, k)
 
 
 def _swept_counts(word: Sequence[int], k: int) -> tuple[int, list[int]]:
@@ -175,78 +172,56 @@ def _splits(word: tuple[int, ...]) -> Iterator[list[int]]:
         excess += sum(chunk) - (end * (end + 1) - start * (start + 1)) // 2
 
 
-def _counts_by_components(word: tuple[int, ...], k: int) -> list[int]:
-    """``classical_counts`` at k = 2 or 3, from the sum components of the
-    word: each distinct component shape is swept once, and the counts of the
-    whole follow from the components' by closed forms.
-
-    With sigma = c_1 + ... + c_r (direct sum), the 21, 231, 312 and 321
-    counts are sums over the components, since those patterns do not split
-    into sum parts.  The others gain terms across components: 12 gains
-    |c_i||c_j| for each pair i < j; 132 = 1 + 21 gains |c_i| occ21(c_j), so
-    occ21(c_j) times the points before c_j; 213 = 21 + 1 gains occ21(c_i)
-    times the points after c_i; and 123 gains, for i < j, occ12(c_i)|c_j| +
-    |c_i| occ12(c_j), which is occ12(c_i) times the points outside c_i, plus
-    |c_i||c_j||c_l| for i < j < l.  The pair and triple sums over the sizes
-    are closed forms in n and the sums of |c_i|^2 and |c_i|^3.
-
-    The distinct shapes swept hold at most ``_SHAPES`` points in all.  A word
-    that needs more is swept whole instead: sweeping its components one by
-    one would cost about as much, on one CPU, where the whole sweep may split
-    over two."""
+def _period(word: tuple[int, ...]) -> int | None:
+    """The least P <= n/2 at which the word repeats, word[i + P] = word[i] + P
+    at every i, or None.  Candidates are the splits P <= n/2 that divide n,
+    in order.  Each is first checked on its first and last span of max(P,
+    ``_CHUNK``) positions: its second and last copies, and more when P is
+    small, since a small P can agree with a longer period for a while.  Only
+    the first candidate to pass is checked in full, and a miss there gives
+    None: a word costs at most one full pass of ``_repeats``, and a word that
+    repeats only at a later candidate is swept whole."""
     n = len(word)
-    # Per distinct shape, keyed by the bytes of its word: its size, 12 count
-    # and counts, its copies and the sum of the points before each copy.
-    shapes: dict[bytes, list] = {}
-    kept = 0
-    # Components are read off one iterator over the word into arrays, never
-    # sliced out: CPython 3.11 puts a freed 20-entry tuple on a free list it
-    # never takes from, so a tuple per component could hold 2,000 of them.
-    entries, read = iter(word), 0
-    lo = 0
-    ones = itertools.repeat(1)
-    for last, ends in zip(range(_CHUNK, n + _CHUNK, _CHUNK), _splits(word)):
-        if not ends:
-            if last - lo > _SHAPES:  # the component open at lo is too large to keep
-                return _swept_counts(word, k)[1]
-            continue
-        starts = [lo, *ends[:-1]]
-        # Components of one point hold no pattern of size 2 or more.
-        for a, b in itertools.compress(zip(starts, ends), map(gt, map(sub, ends, starts), ones)):
-            size = b - a
-            next(itertools.islice(entries, a - read, a - read), None)
-            shape = array("I", map(sub, itertools.islice(entries, size), itertools.repeat(a)))
-            read = b
-            group = shapes.get(key := shape.tobytes())
-            if group is None:
-                kept += size
-                if kept > _SHAPES:
-                    return _swept_counts(word, k)[1]
-                group = shapes[key] = [size, *_swept_counts(shape, k), 0, 0]
-            group[3] += 1
-            group[4] += a
-        lo = ends[-1]
-    # The counts less the size terms, then the sums of |c|^2 - |c| and |c|^3 - |c|.
-    acc = [0] * (math.factorial(k) + 2)
-    for size, rising, counts, copies, before in shapes.values():
-        falling = size * (size - 1) // 2 - rising
-        outside = n - size
-        if k == 2:
-            terms = [copies * rising, copies * falling]
-        else:
-            terms = [copies * x for x in counts]
-            terms[0] += copies * rising * outside
-            terms[1] += falling * before
-            terms[2] += falling * (copies * outside - before)
-        terms += [copies * (size * size - size), copies * (size**3 - size)]
-        acc[:] = map(add, acc, terms)
-    *counts, squares, cubes = acc
-    # The pairs (and at k = 3 the triples) of points in distinct components:
-    # the sums of |c_i|^2 and |c_i|^3 are n + squares and n + cubes.
+    for _, ends in zip(range(0, n // 2, _CHUNK), _splits(word)):
+        for p in ends:
+            if 2 * p > n:
+                return None
+            span = min(max(p, _CHUNK), n - p)
+            shift = itertools.repeat(p)
+            if n % p == 0 and all(
+                word[i + p : i + p + span] == tuple(map(add, word[i : i + span], shift))
+                for i in (0, n - p - span)
+            ):
+                return p if _repeats(word, p) else None
+    return None
+
+
+def _repeats(word: tuple[int, ...], p: int) -> bool:
+    """Whether word[i + p] == word[i] + p at every position i, by one lazy
+    pass in C that stops at the first miss."""
+    return all(map(eq, itertools.islice(word, p, None), map(add, word, itertools.repeat(p))))
+
+
+def _repeat_counts(block: tuple[int, ...], r: int, k: int) -> list[int]:
+    """``classical_counts`` at k = 2 or 3 of the direct sum of r copies of a
+    permutation word, from one sweep of the word.
+
+    With sigma = c_1 + ... + c_r, the 21, 231, 312 and 321 counts are sums
+    over the copies, since those patterns do not split into sum parts.  The
+    others gain terms across copies: 12 gains |c|^2 for each of the C(r, 2)
+    pairs of copies; 132 = 1 + 21 and 213 = 21 + 1 each gain |c| occ21(c) per
+    pair; and 123 gains occ12(c)|c| twice per pair, plus |c|^3 for each of the
+    C(r, 3) triples."""
+    size = len(block)
+    rising, counts = _swept_counts(block, k)
+    falling = size * (size - 1) // 2 - rising
+    pairs = math.comb(r, 2)
     if k == 2:
-        counts[0] += (n * n - n - squares) // 2
-    else:
-        counts[0] += (n**3 - 3 * n * (n + squares) + 2 * (n + cubes)) // 6
+        return [r * rising + pairs * size * size, r * falling]
+    counts = [r * x for x in counts]
+    counts[0] += 2 * pairs * rising * size + math.comb(r, 3) * size**3
+    counts[1] += pairs * size * falling
+    counts[2] += pairs * size * falling
     return counts
 
 

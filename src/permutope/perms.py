@@ -18,10 +18,11 @@ patterns of size k:
   count): sizes up to 3 at any length, from sums taken per chunk of 512
   positions by one sweep whose per-entry steps run mostly inside C ``map``
   calls, in two halves at once (one in a forked child) on a long word and a
-  free second CPU.  A direct sum is counted from its sum components, each
-  distinct component shape swept once, with closed forms for the occurrences
-  across components; an edge test on at most 16 entries at each end sends a
-  word with no split, such as a random one, straight to the sweep.  Sizes 4
+  free second CPU.  A repeated direct sum tau + ... + tau is counted from one
+  sweep of tau, with closed forms for the occurrences across copies; an edge
+  test on at most 16 entries at each end sends a word with no split, such as
+  a random one, straight to the sweep, and any other word pays at most one
+  pass over it before its sweep.  Sizes 4
   and up from the C(n-1, k-1) subsets of k-1 positions that have a later
   point, never the C(n, k) subsets, with n bounded by the ``enum`` cap.
 """
@@ -373,9 +374,6 @@ class PatternVector(Record):
     def values_by_pattern(self) -> list[Fraction]:
         """Entries in lexicographic pattern order."""
         return list(ExactPoint(self.numerators, self.denominator))
-
-    def total(self) -> Fraction:
-        return Fraction(sum(self.numerators), self.denominator)
 
     def linf_distance(self, other: "PatternVector") -> Fraction:
         if other.k != self.k:

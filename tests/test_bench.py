@@ -130,6 +130,49 @@ class TestReport:
         assert "(10/10, unresolved)" in lines[2]
 
 
+class TestSetupProbes:
+    """``setup_s`` from alternating ``--setup-probe`` processes, on synthetic
+    probe outputs."""
+
+    def test_sides_take_turns(self):
+        assert [bench.order(i)[0] for i in range(4)] == ["parent", "change"] * 2
+        assert all(sorted(bench.order(i)) == ["change", "parent"] for i in range(4))
+
+    def test_a_probe_reads_its_last_line(self):
+        # run.py --setup-probe prints repr() of the seconds
+        assert float(bench.last_line("note\n0.0123\n")) == 0.0123
+
+    def probes(self, shift):
+        parent = [0.010 + 0.0001 * (i % 4) for i in range(12)]
+        return {"realize": {"parent": parent, "change": [x + shift for x in parent]}}
+
+    def summary(self):
+        runs = [fake_run("realize", "seeds", s, 10.0, 9.0) for s in range(1, 11)]
+        return bench.summarize(runs, END_TO_END)
+
+    @pytest.mark.parametrize("shift, unresolved", [(0.0001, True), (0.0005, False)])
+    def test_probes_get_the_unresolved_rule(self, shift, unresolved):
+        # the parent's 12 probes have quartiles 0.010075 and 0.010225
+        setup = bench.setup_report(self.probes(shift), self.summary(), END_TO_END)
+        probes = setup["realize"]["probes"]
+        assert probes["pairs"] == 12 and probes["won"] == {"change": 0, "parent": 12}
+        assert probes["parent"]["median"] == pytest.approx(0.01015)
+        assert probes["parent"]["q1"] == pytest.approx(0.010075)
+        assert probes["parent"]["q3"] == pytest.approx(0.010225)
+        assert probes["unresolved"] is unresolved and not probes["worse_than_bound"]
+        # the run-level value sits beside it
+        runs = setup["realize"]["runs"]
+        assert runs == self.summary()["realize"]["seeds"]["metrics"]["setup_s"]
+        json.dumps(setup)
+
+    def test_setup_table(self):
+        setup = bench.setup_report(self.probes(0.0005), self.summary(), END_TO_END)
+        lines = bench.setup_table(setup).splitlines()
+        assert lines[0] == "| workload | setup_s, probes | setup_s, runs |"
+        assert len(lines) == 3 and lines[2].startswith("| realize | 0.01015 [0.01008, 0.01023] -> ")
+        assert "-> 0.01065 (0/12) |" in lines[2] and "(10/10) |" in lines[2]
+
+
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
 def test_run_in_session_leaves_no_process(tmp_path):
     # the command exits at once, leaving a grandchild asleep in its session

@@ -67,6 +67,11 @@ def assert_counts_match(vector, sigma, den, total, naive):
         assert count == naive(pattern.word, sigma.word), pattern
 
 
+def vector_sum(vector):
+    """The sum of a pattern vector's entries."""
+    return Fraction(sum(vector.numerators), vector.denominator)
+
+
 def all_perms_upto(n):
     for size in range(1, n + 1):
         for word in itertools.permutations(range(1, size + 1)):
@@ -288,8 +293,8 @@ class TestProportionVector:
             rng.shuffle(word)
             sigma = Permutation(tuple(word))
             for k in (1, 2, 3):
-                assert proportion_vector(k, sigma, "classical").total() == 1
-                assert proportion_vector(k, sigma, "consecutive").total() == Fraction(n - k + 1, n)
+                assert vector_sum(proportion_vector(k, sigma, "classical")) == 1
+                assert vector_sum(proportion_vector(k, sigma, "consecutive")) == Fraction(n - k + 1, n)
 
     def test_bad_kind(self):
         with pytest.raises(ValueError):
@@ -434,7 +439,7 @@ class TestChunkedClassicalKernel:
             if k > n:
                 continue
             vector = proportion_vector(k, sigma, "classical")
-            assert vector.total() == 1
+            assert vector_sum(vector) == 1
             den = math.comb(n, k)
             assert {p.word: v * den for p, v in vector.items()} == {
                 p: c for p, c in expected.items() if len(p) == k
@@ -520,9 +525,10 @@ def sweeps(monkeypatch):
 
 
 class TestComponentsRoute:
-    """Classical k = 2, 3 counts of a direct sum, taken once per distinct
-    component shape, against the subset enumerator, against the one-sweep
-    route on long words, and the edge test and split finder that pick it."""
+    """Classical k = 2, 3 counts of a direct sum, a repeated one from one
+    copy, against the subset enumerator and against the one-sweep route on
+    long words, and the edge test, split finder and period search that pick
+    the route."""
 
     @staticmethod
     def swept(word, k):
@@ -568,9 +574,9 @@ class TestComponentsRoute:
 
     def test_random_words_go_straight_to_the_sweep(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("the components route ran on a random word")
+            raise AssertionError("a random word was searched for splits")
 
-        monkeypatch.setattr(heads_module, "_counts_by_components", refuse)
+        monkeypatch.setattr(heads_module, "_splits", refuse)
         rng = random.Random(38)
         for n in (40, 1000, 20_000):
             word = random_perm(rng, n).word
@@ -610,7 +616,7 @@ class TestComponentsRoute:
             cuts = {
                 "edges": (1, 5, 16, n - 16, n - 2),
                 "past the edges": (17, 18, n - 18, n - 17),
-                "big component": (3, 3 + 2 * heads_module._SHAPES + 1, n - 1),
+                "big component": (3, 3 + 8193, n - 1),
             }[name]
             word = self.sum_of(
                 *(random_perm(rng, b - a).word for a, b in zip([0, *cuts], [*cuts, n]))
@@ -630,38 +636,153 @@ class TestComponentsRoute:
         for k in (2, 3):
             assert heads_module.classical_counts(word, k) == self.swept(word, k)
 
-    def test_each_distinct_shape_is_swept_once(self, sweeps):
-        block = P("2413")
-        word = self.sum_of(
-            repeat_sum(300, block).word, *[(1,), (2, 1), (3, 1, 2)] * 50, block.word
-        )
-        for k in (2, 3):
-            sweeps.clear()
-            assert heads_module.classical_counts(word, k) == self.merge_sorted(word, k)
-            assert sorted(sweeps) == [(2, 1), (2, 4, 1, 3), (3, 1, 2)]
+    @staticmethod
+    def repeats(rng, count):
+        """Seeded repeats: a block of 1-9 points in 2-12 copies.  A third of
+        the blocks are direct sums of two, and a fifth repeats a block of
+        its own, so the word is a nested repeat."""
+        for _ in range(count):
+            size = rng.randint(1, 9)
+            shape = rng.random()
+            if shape < 0.2 and size > 1:
+                inner = rng.choice([d for d in range(1, size) if size % d == 0])
+                block = repeat_sum(size // inner, random_perm(rng, inner))
+            elif shape < 0.5 and size > 1:
+                cut = rng.randint(1, size - 1)
+                block = direct_sum(random_perm(rng, cut), random_perm(rng, size - cut))
+            else:
+                block = random_perm(rng, size)
+            yield block, rng.randint(2, 12)
 
-    def test_words_past_the_shape_budget_are_swept_whole(self, monkeypatch, sweeps):
-        # with a budget of 12 points, a word whose distinct component shapes
-        # hold more is swept whole, after at most 12 points of shapes
-        monkeypatch.setattr(heads_module, "_SHAPES", 12)
+    def assert_counts_match_enumerator(self, word):
+        for k in (2, 3):
+            if k <= len(word):
+                assert heads_module.classical_counts(word, k) == classical_counts_by_subsets(
+                    word, k
+                ), (word, k)
+
+    def test_repeats_against_the_enumerator(self, sweeps):
+        rng = random.Random(37)
+        for block, copies in self.repeats(rng, 80):
+            word = repeat_sum(copies, block).word
+            sweeps.clear()
+            self.assert_counts_match_enumerator(word)
+            # one copy of the least period is swept per count
+            period = next(p for p in range(1, len(word) + 1) if word[p:] == tuple(
+                v + p for v in word[: len(word) - p]
+            ))
+            assert set(sweeps) == {word[:period]}, word
+
+    def test_a_repeat_missed_at_a_smaller_candidate_is_swept_whole(self, monkeypatch, sweeps):
+        # in copies of tau = 1..1000 + 21 + 1..1000, P = 1 passes the cheap
+        # checks, which read ascending runs of 512 at both ends, and fails
+        # the full pass, which ends the search
+        passes = []
+        repeats = heads_module._repeats
+        monkeypatch.setattr(
+            heads_module, "_repeats", lambda word, p: passes.append(p) or repeats(word, p)
+        )
+        run = Permutation.identity(1000)
+        word = repeat_sum(3, direct_sum(run, P("21"), run)).word
+        assert heads_module._period(word) is None and passes == [1]
+        for k in (2, 3):
+            assert heads_module.classical_counts(word, k) == self.merge_sorted(word, k)
+        assert sweeps == [word] * 2
+
+    def test_small_periods_are_checked_past_their_second_copy(self):
+        # 123[1432] repeated: 1, 2 and 3 are splits dividing n whose second
+        # and last copies match, as in realize's mix of A = 123 and B = 1432
+        block = substitute(P("1432"), [P("123")] * 4)
+        for copies in (159, 278):
+            assert heads_module._period(repeat_sum(copies, block).word) == 12
+
+    @pytest.mark.parametrize("block", ["1", "12", "21", "2413", "3142", "231"])
+    def test_period_one_and_half_the_word(self, block, sweeps):
+        block = P(block)
+        for copies in (2, 3, 7):
+            word = repeat_sum(copies, block).word
+            sweeps.clear()
+            self.assert_counts_match_enumerator(word)
+            swept = {len(w) for w in sweeps}
+            if len(block) == 1 or block.word == (1, 2):
+                assert swept == {1}  # the identity repeats at P = 1
+            else:
+                assert swept == {len(block)}
+
+    def test_near_repeats_against_the_enumerator(self, sweeps):
+        rng = random.Random(38)
+        for block, copies in self.repeats(rng, 80):
+            size = len(block)
+            copies = max(copies, 3)
+            word = list(repeat_sum(copies, block).word)
+            miss = rng.randrange(3)
+            if miss == 0 and size > 1:  # one transposition in a middle copy
+                at = size * rng.randrange(1, copies - 1)
+                i, j = sorted(rng.sample(range(at, at + size), 2))
+                word[i], word[j] = word[j], word[i]
+            elif miss == 1:  # an extra block after the copies
+                extra = random_perm(rng, rng.randint(1, 4)).word
+                word += [v + len(word) for v in extra]
+            else:  # n not a multiple of the period: the last copy cut short
+                word = standardize(word[: len(word) - rng.randint(1, size)]).word
+            word = tuple(word)
+            sweeps.clear()
+            self.assert_counts_match_enumerator(word)
+            if sweeps[0] != word:  # counted from one copy: the word repeats it
+                period = len(sweeps[0])
+                assert word == repeat_sum(len(word) // period, Permutation(word[:period])).word
+
+    @pytest.mark.parametrize("n", [4000, 200_000])
+    def test_a_late_miss_costs_one_full_pass(self, monkeypatch, sweeps, n):
+        # in copies of 1243 = 1 + 1 + 21, P = 1 and P = 2 are candidates
+        # that fail their cheap checks; P = 4 passes them, on the first and
+        # last 512 positions, and two entries of a middle copy are swapped,
+        # so only the full pass finds the miss
+        passes = []
+        repeats = heads_module._repeats
+
+        def counted(word, p):
+            passes.append(p)
+            return repeats(word, p)
+
+        monkeypatch.setattr(heads_module, "_repeats", counted)
+        word = list(repeat_sum(n // 4, P("1243")).word)
+        mid = 4 * (n // 8) + 2
+        word[mid], word[mid + 1] = word[mid + 1], word[mid]
+        word = tuple(word)
+        for k in (2, 3):
+            expected = self.swept(word, k)
+            passes.clear()
+            sweeps.clear()
+            assert heads_module.classical_counts(word, k) == expected
+            assert passes == [4] and sweeps == [word]
+
+    def test_words_other_than_repeats_are_swept_whole(self, sweeps):
         rng = random.Random(41)
         for _ in range(100):
             blocks = [random_perm(rng, rng.randint(1, 8)) for _ in range(rng.randint(2, 8))]
-            blocks += blocks[: rng.randint(0, len(blocks))]
             word = direct_sum(*blocks).word
-            tops = itertools.accumulate(word, max)
-            ends = [p for p, top in enumerate(tops, 1) if top == p]
-            shapes = {
-                standardize(word[a:b]).word for a, b in zip([0, *ends], ends) if b - a > 1
-            }
+            n = len(word)
+            if any(word[p:] == tuple(v + p for v in word[: n - p]) for p in range(1, n // 2 + 1)):
+                continue
             for k in (2, 3):
                 sweeps.clear()
                 assert heads_module.classical_counts(word, k) == self.merge_sorted(word, k)
-                swept = list(map(len, sweeps))
-                if sum(map(len, shapes)) > 12:
-                    assert swept[-1] == len(word) and sum(swept[:-1]) <= 12
-                else:
-                    assert sorted(swept) == sorted(map(len, shapes))
+                assert sweeps == [word]
+
+    def test_a_repeat_sweeps_one_copy(self, sweeps):
+        block = P("2413")
+        for word, copy in (
+            (repeat_sum(300, block).word, block.word),
+            (repeat_sum(5, repeat_sum(60, block)).word, block.word),  # a nested repeat
+            # 132[A, A, A] + ... + 132[A, A, A], 100 times
+            (mix(lambda _: block, monotone_sum_generator(P("132")), 100).word,
+             substitute(P("132"), [block] * 3).word),
+        ):
+            for k in (2, 3):
+                sweeps.clear()
+                assert heads_module.classical_counts(word, k) == self.merge_sorted(word, k)
+                assert sweeps == [copy]
 
 
 class TestSplitSweep:
@@ -714,26 +835,28 @@ class TestSplitSweep:
         assert here == [(n // 2 if split else 0, n)] * 2
         self.assert_no_child_left()
 
-    def test_no_fork_for_a_sum_of_components_below_the_threshold(self, forks):
-        block = random_perm(random.Random(42), heads_module._SHAPES)
-        word = repeat_sum(self.SPLIT // len(block) + 1, block).word
+    def test_no_fork_for_a_sum_of_components_below_the_threshold(self, forks, sweeps):
+        # a repeat past the threshold sweeps one copy, below it
+        block = random_perm(random.Random(42), self.SPLIT // 4)
+        word = repeat_sum(5, block).word
         for k in (2, 3):
             assert heads_module.classical_counts(word, k) == TestComponentsRoute.merge_sorted(
                 word, k
             )
+        assert sweeps == [block.word] * 2
         assert forks == []
         self.assert_no_child_left()
 
     def test_a_component_at_the_threshold_still_forks(self, forks, sweeps):
-        # a component past the shape budget has the word swept whole, in two
-        # halves at once
+        # a repeat of a copy at the threshold sweeps that copy, in two halves
+        # at once
         half = Permutation(self.word(self.SPLIT))
         word = direct_sum(half, half).word
         for k in (2, 3):
             assert heads_module.classical_counts(word, k) == TestComponentsRoute.merge_sorted(
                 word, k
             )
-        assert sweeps == [word] * 2
+        assert sweeps == [half.word] * 2
         assert len(forks) == 2
         self.assert_no_child_left()
 
@@ -898,7 +1021,7 @@ class TestCompositions:
 class TestPatternVector:
     def test_uniform_and_point_mass(self):
         u = PatternVector.uniform(3)
-        assert u.total() == 1 and u[P("312")] == Fraction(1, 6)
+        assert vector_sum(u) == 1 and u[P("312")] == Fraction(1, 6)
         pm = point_mass(P("21"))
         assert pm[P("21")] == 1 and pm[P("12")] == 0
 

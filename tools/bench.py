@@ -5,7 +5,10 @@
 Runs ``perfbench/run.py --trace 0`` on each workload and seed once in this
 checkout (the change) and once in a copy of the revision (the parent),
 alternating which side runs first, then one ``--trace 1`` run per side and
-workload on the first seed.  Both trees get the one declared bytecode mode:
+workload on the first seed, and then ``--setup-probes`` alternating pairs of
+``perfbench/run.py --setup-probe <workload>`` processes per workload: a run
+takes ``setup_s`` from only 3 such probes, too few to resolve a shift of half
+a millisecond.  Both trees get the one declared bytecode mode:
 ``none`` deletes their ``__pycache__`` folders and runs with
 ``PYTHONDONTWRITEBYTECODE=1``; ``compiled`` runs ``compileall`` on both first.
 
@@ -15,7 +18,8 @@ for neither), whether the change's median is worse than the parent's by more
 than the metric's bound, and whether the metric is ``unresolved``: its median
 gap lies inside the parent's interquartile spread.  Every run's ``attempted``,
 ``failed`` and ``correct`` are kept too.  The whole report goes to ``--out``
-as JSON, and a table is printed.
+as JSON, and a table is printed.  ``setup_s`` from the probes gets the same
+comparison and a table of its own, beside the run-level value.
 
 The parent's files come from ``git archive`` into a temporary folder, so a
 run that is killed leaves no worktree registered in ``.git``.  Each benchmark
@@ -40,7 +44,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SCHEMA = 1
+SCHEMA = 2
 # A 15 s run takes about 25 s with its set-up probes; a stalled one is cut.
 RUN_TIMEOUT_S = 600
 
@@ -85,6 +89,16 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
     }
 
 
+def order(i: int) -> tuple[str, str]:
+    """Which side runs first in the i-th pair: they take turns."""
+    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
+
+
+def last_line(text: str) -> str:
+    """The last line a benchmark process printed: its result."""
+    return text.strip().splitlines()[-1]
+
+
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     """Per workload and seed set, every end-to-end metric compared over the
     runs of that workload and set, with the runs' outcomes."""
@@ -116,29 +130,56 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     return report
 
 
+def setup_report(probes: dict, summary: dict, end_to_end: list[dict]) -> dict:
+    """Per workload, ``setup_s`` compared over the alternating probe pairs
+    (``probes[workload][side]``, pair i at index i), beside the run-level
+    comparison on the first seed set."""
+    metric = next(m for m in end_to_end if m["name"] == "setup_s")
+    return {
+        workload: {
+            "probes": compare(sides["parent"], sides["change"], metric["better"], metric["bound"]),
+            "runs": summary[workload]["seeds"]["metrics"]["setup_s"],
+        }
+        for workload, sides in probes.items()
+    }
+
+
+def cell(m: dict) -> str:
+    """One comparison: parent median [q1, q3] -> change median (pairs the
+    change won / pairs), with ``unresolved`` and ``WORSE`` (past the bound)
+    marked."""
+    p, c = m["parent"], m["change"]
+    marks = [word for word, on in (("unresolved", m["unresolved"]),
+                                   ("WORSE", m["worse_than_bound"])) if on]
+    return (
+        f"{p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> {c['median']:.4g} "
+        f"({m['won']['change']}/{m['pairs']}{', ' if marks else ''}{', '.join(marks)})"
+    )
+
+
 def table(report: dict, end_to_end: list[dict]) -> str:
-    """The report as a Markdown table, one row per workload and seed set:
-    parent median [q1, q3] -> change median (pairs the change won / pairs),
-    with ``unresolved`` and ``WORSE`` (past the bound) marked."""
+    """The report as a Markdown table of ``cell``s, one row per workload and
+    seed set."""
     names = [metric["name"] for metric in end_to_end]
     lines = []
     for workload, sets in report.items():
         for set_name, summary in sets.items():
-            cells = []
-            for name in names:
-                m = summary["metrics"][name]
-                p, c = m["parent"], m["change"]
-                marks = [word for word, on in (("unresolved", m["unresolved"]),
-                                               ("WORSE", m["worse_than_bound"])) if on]
-                cells.append(
-                    f"{p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> {c['median']:.4g} "
-                    f"({m['won']['change']}/{m['pairs']}{', ' if marks else ''}{', '.join(marks)})"
-                )
+            cells = [cell(summary["metrics"][name]) for name in names]
             outcomes = summary["outcomes"]
             failed = f"{outcomes['parent']['failed']}/{outcomes['change']['failed']}"
             lines.append(f"| {workload} ({set_name}) | " + " | ".join(cells) + f" | {failed} |")
     header = "| workload | " + " | ".join(names) + " | failed (parent/change) |"
     return "\n".join([header, "|" + " --- |" * (len(names) + 2), *lines])
+
+
+def setup_table(setup: dict) -> str:
+    """``setup_report`` as a Markdown table, one row per workload."""
+    lines = [
+        "| workload | setup_s, probes | setup_s, runs |",
+        "| --- | --- | --- |",
+        *(f"| {w} | {cell(m['probes'])} | {cell(m['runs'])} |" for w, m in setup.items()),
+    ]
+    return "\n".join(lines)
 
 
 def run_in_session(argv: list[str], cwd: Path, env: dict) -> str:
@@ -203,6 +244,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workloads", default="stats,certify,realize,cli")
     parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--bytecode", choices=["none", "compiled"], default="none")
+    parser.add_argument("--setup-probes", type=int, default=12, help="probe pairs per workload")
     args = parser.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -226,15 +268,15 @@ def main(argv: list[str] | None = None) -> int:
                  "--seconds", str(args.seconds), "--trace", str(trace)],
                 trees[side], env,
             )
-            return json.loads(out.strip().splitlines()[-1])  # run.py's last line
+            return json.loads(last_line(out))
 
         runs = []
         for workload in workloads:
             for set_name, seeds in seed_sets.items():
                 for seed in seeds:
-                    order = ("parent", "change") if len(runs) % 2 == 0 else ("change", "parent")
-                    run = {"workload": workload, "set": set_name, "seed": seed, "first": order[0]}
-                    for side in order:
+                    sides = order(len(runs))
+                    run = {"workload": workload, "set": set_name, "seed": seed, "first": sides[0]}
+                    for side in sides:
                         run[side] = once(side, workload, seed, 0)
                         print(f"{workload} seed {seed} {side}: done", file=sys.stderr)
                     runs.append(run)
@@ -242,7 +284,18 @@ def main(argv: list[str] | None = None) -> int:
             workload: {side: once(side, workload, args.seeds[0], 1) for side in trees}
             for workload in workloads
         }
+        probes: dict = {workload: {"parent": [], "change": []} for workload in workloads}
+        for workload in workloads:
+            for i in range(args.setup_probes):
+                for side in order(i):
+                    out = run_in_session(
+                        [sys.executable, "perfbench/run.py", "--setup-probe", workload],
+                        trees[side], env,
+                    )
+                    probes[workload][side].append(float(last_line(out)))
+            print(f"{workload} setup probes: done", file=sys.stderr)
 
+    summary = summarize(runs, end_to_end)
     report = {
         "schema": SCHEMA,
         "machine": {"platform": platform.platform(), "cpus": os.cpu_count()},
@@ -256,11 +309,15 @@ def main(argv: list[str] | None = None) -> int:
         },
         "seed_sets": seed_sets,
         "runs": runs,
-        "summary": summarize(runs, end_to_end),
+        "summary": summary,
         "trace": traces,
+        "setup_probes": probes,
+        "setup": setup_report(probes, summary, end_to_end),
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
-    print(table(report["summary"], end_to_end))
+    print(table(summary, end_to_end))
+    print()
+    print(setup_table(report["setup"]))
     return 0
 
 
