@@ -654,6 +654,22 @@ class TestComponentsRoute:
                 block = random_perm(rng, size)
             yield block, rng.randint(2, 12)
 
+    @staticmethod
+    def least_period(word):
+        """The least P with word[i + P] == word[i] + P at every i."""
+        n = len(word)
+        return next(p for p in range(1, n + 1) if word[p:] == tuple(v + p for v in word[: n - p]))
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """Records the P of each full pass of ``_repeats``."""
+        periods = []
+        repeats = heads_module._repeats
+        monkeypatch.setattr(
+            heads_module, "_repeats", lambda word, p: periods.append(p) or repeats(word, p)
+        )
+        return periods
+
     def assert_counts_match_enumerator(self, word):
         for k in (2, 3):
             if k <= len(word):
@@ -668,20 +684,12 @@ class TestComponentsRoute:
             sweeps.clear()
             self.assert_counts_match_enumerator(word)
             # one copy of the least period is swept per count
-            period = next(p for p in range(1, len(word) + 1) if word[p:] == tuple(
-                v + p for v in word[: len(word) - p]
-            ))
-            assert set(sweeps) == {word[:period]}, word
+            assert set(sweeps) == {word[: self.least_period(word)]}, word
 
-    def test_a_repeat_missed_at_a_smaller_candidate_is_swept_whole(self, monkeypatch, sweeps):
+    def test_a_repeat_missed_at_a_smaller_candidate_is_swept_whole(self, passes, sweeps):
         # in copies of tau = 1..1000 + 21 + 1..1000, P = 1 passes the cheap
         # checks, which read ascending runs of 512 at both ends, and fails
         # the full pass, which ends the search
-        passes = []
-        repeats = heads_module._repeats
-        monkeypatch.setattr(
-            heads_module, "_repeats", lambda word, p: passes.append(p) or repeats(word, p)
-        )
         run = Permutation.identity(1000)
         word = repeat_sum(3, direct_sum(run, P("21"), run)).word
         assert heads_module._period(word) is None and passes == [1]
@@ -733,19 +741,11 @@ class TestComponentsRoute:
                 assert word == repeat_sum(len(word) // period, Permutation(word[:period])).word
 
     @pytest.mark.parametrize("n", [4000, 200_000])
-    def test_a_late_miss_costs_one_full_pass(self, monkeypatch, sweeps, n):
+    def test_a_late_miss_costs_one_full_pass(self, passes, sweeps, n):
         # in copies of 1243 = 1 + 1 + 21, P = 1 and P = 2 are candidates
         # that fail their cheap checks; P = 4 passes them, on the first and
         # last 512 positions, and two entries of a middle copy are swapped,
         # so only the full pass finds the miss
-        passes = []
-        repeats = heads_module._repeats
-
-        def counted(word, p):
-            passes.append(p)
-            return repeats(word, p)
-
-        monkeypatch.setattr(heads_module, "_repeats", counted)
         word = list(repeat_sum(n // 4, P("1243")).word)
         mid = 4 * (n // 8) + 2
         word[mid], word[mid + 1] = word[mid + 1], word[mid]
@@ -762,8 +762,7 @@ class TestComponentsRoute:
         for _ in range(100):
             blocks = [random_perm(rng, rng.randint(1, 8)) for _ in range(rng.randint(2, 8))]
             word = direct_sum(*blocks).word
-            n = len(word)
-            if any(word[p:] == tuple(v + p for v in word[: n - p]) for p in range(1, n // 2 + 1)):
+            if self.least_period(word) < len(word):
                 continue
             for k in (2, 3):
                 sweeps.clear()

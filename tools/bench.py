@@ -5,7 +5,7 @@
 Runs ``perfbench/run.py --trace 0`` on each workload and seed once in this
 checkout (the change) and once in a copy of the revision (the parent),
 alternating which side runs first, then one ``--trace 1`` run per side and
-workload on the first seed, and then ``--setup-probes`` alternating pairs of
+workload on the first seed, and then ``SETUP_PROBES`` alternating pairs of
 ``perfbench/run.py --setup-probe <workload>`` processes per workload: a run
 takes ``setup_s`` from only 3 such probes, too few to resolve a shift of half
 a millisecond.  Both trees get the one declared bytecode mode:
@@ -47,6 +47,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = 2
 # A 15 s run takes about 25 s with its set-up probes; a stalled one is cut.
 RUN_TIMEOUT_S = 600
+# Set-up probe pairs per workload; a run takes only 3 probes per side.
+SETUP_PROBES = 12
 
 
 def seed_list(text: str) -> list[int]:
@@ -244,7 +246,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workloads", default="stats,certify,realize,cli")
     parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--bytecode", choices=["none", "compiled"], default="none")
-    parser.add_argument("--setup-probes", type=int, default=12, help="probe pairs per workload")
     args = parser.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -286,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
         }
         probes: dict = {workload: {"parent": [], "change": []} for workload in workloads}
         for workload in workloads:
-            for i in range(args.setup_probes):
+            for i in range(SETUP_PROBES):
                 for side in order(i):
                     out = run_in_session(
                         [sys.executable, "perfbench/run.py", "--setup-probe", workload],
