@@ -23,20 +23,11 @@ ends in ``os._exit`` and is always reaped (killed first if this process's
 own sweep raised), so none outlives the call; if the fork fails or the child
 does not hand back its sums, this process sweeps the first half itself.
 
-A word that repeats one block, sigma = tau + ... + tau (the direct sum of r
-copies of a P-point tau, as a mix whose classical side is a monotone sum is),
-is counted from one sweep of tau by closed forms: the classical occurrences of
-a direct sum split over its sum components (Albert & Atkinson 2005).  Its
-period P is a split: word[:P] = {1..P}, so max(word[:P]) = P < min(word[P:]).
-The edge test reads at most ``_EDGE`` entries at each end: when the largest
-of the first is at least the smallest of the last and no split lies among
-them, the word has none and goes straight to the sweep, as a uniformly
-random word does.  Otherwise ``_period`` looks for P among the splits in the
-first half of the word, found by one C-level pass per chunk; each candidate
-costs O(P + ``_CHUNK``) work in C, and the first to pass is confirmed by one
-lazy pass over the word.  So a word that is not a repeat pays, on top of its
-sweep, at most the splits pass over half of it, O(P + ``_CHUNK``) for each
-divisor P of n, and one full pass.
+A word that carries a period P, word[i + P] = word[i] + P at every i, is the
+direct sum of n/P copies of its first P entries, tau + ... + tau (the sum
+builders of ``perms`` record P).  It is counted from one sweep of tau by
+closed forms: the classical occurrences of a direct sum split over its sum
+components (Albert & Atkinson 2005).
 
 Sizes 4 and up come from (k-1)-subsets.  Every k-subset of positions is a
 (k-1)-subset T, its head, plus one later point.  Let T end at position p
@@ -68,8 +59,8 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache, partial
-from operator import add, and_, eq, mul, rshift, sub
-from typing import Callable, Iterator, Sequence
+from operator import add, and_, mul, rshift, sub
+from typing import Callable, Sequence
 
 from .limits import natural
 from .perms import _pattern_ends, all_patterns
@@ -89,21 +80,19 @@ _BLOCK_BITS = 7
 # 1.48x / 1.50x at 16,384.  The VM's drift asks for the margin.
 _SPLIT = 1 << 14
 
-# The edge test reads this many entries at each end of a word.
-_EDGE = 16
 
-
-def classical_counts(word: tuple[int, ...], k: int) -> list[int]:
+def classical_counts(word: tuple[int, ...], k: int, period: int | None = None) -> list[int]:
     """The classical count of every size-k pattern in a permutation word, in
-    pattern order, for 1 <= k <= len(word)."""
+    pattern order, for 1 <= k <= len(word).  A ``period`` P, with
+    word[i + P] = word[i] + P at every i, has k = 2 and 3 counted from one
+    copy."""
     if k == 1:
         return [len(word)]
     if k > 3:
         return _counts_from_heads(word, k)
-    p = _period(word) if _may_split(word) else None
-    if p is None:
+    if period is None:
         return _swept_counts(word, k)[1]
-    return _repeat_counts(word[:p], len(word) // p, k)
+    return _repeat_counts(word[:period], len(word) // period, k)
 
 
 def _swept_counts(word: Sequence[int], k: int) -> tuple[int, list[int]]:
@@ -133,73 +122,6 @@ def _swept_counts(word: Sequence[int], k: int) -> tuple[int, list[int]]:
     pairs_c = (2 * q + 2 * jw - n * (n - 1) ** 2 + 2 * occ123 - s2 - s1) // 2
     occ132, occ213 = pairs_c - occ123, pairs_a - occ123
     return s1, [occ123, occ132, occ213, pairs_b - occ321, pairs_d - occ321, occ321]
-
-
-def _may_split(word: tuple[int, ...]) -> bool:
-    """The edge test, for len(word) >= 2: False when no p in 1..n-1 has
-    word[:p] = {1..p}.  Such a split p has max(word[:p]) = p < min(word[p:]),
-    so none lies between the first and last ``_EDGE`` entries once the
-    largest of the first is at least the smallest of the last, and those
-    nearer an end are read from the running extremes there."""
-    n = len(word)
-    e = min(n - 1, _EDGE)
-    head, tail = word[:e], word[n - e :]
-    return (
-        max(head) < min(tail)
-        or any(map(eq, itertools.accumulate(head, max), range(1, e + 1)))
-        or any(map(eq, itertools.accumulate(reversed(tail), min), range(n, n - e, -1)))
-    )
-
-
-def _splits(word: tuple[int, ...]) -> Iterator[list[int]]:
-    """The ends of the sum components of a permutation word in order, as one
-    list per chunk of ``_CHUNK`` positions: the p with word[:p] = {1..p},
-    which holds exactly when word[:p] sums to p(p+1)/2.  A chunk that comes
-    after a value above its own last position holds none: its list is empty
-    without a look."""
-    n = len(word)
-    top = excess = 0  # the largest value so far, and the sum of v_j - j so far
-    for start in range(0, n, _CHUNK):
-        chunk = word[start : start + _CHUNK]
-        end = start + len(chunk)
-        if top > end:
-            yield []
-        else:
-            ends = range(start + 1, end + 1)
-            running = itertools.accumulate(map(sub, chunk, ends))
-            yield list(itertools.compress(ends, map(eq, running, itertools.repeat(-excess))))
-        top = max(top, max(chunk))
-        excess += sum(chunk) - (end * (end + 1) - start * (start + 1)) // 2
-
-
-def _period(word: tuple[int, ...]) -> int | None:
-    """The least P <= n/2 at which the word repeats, word[i + P] = word[i] + P
-    at every i, or None.  Candidates are the splits P <= n/2 that divide n,
-    in order.  Each is first checked on its first and last span of max(P,
-    ``_CHUNK``) positions: its second and last copies, and more when P is
-    small, since a small P can agree with a longer period for a while.  Only
-    the first candidate to pass is checked in full, and a miss there gives
-    None: a word costs at most one full pass of ``_repeats``, and a word that
-    repeats only at a later candidate is swept whole."""
-    n = len(word)
-    for _, ends in zip(range(0, n // 2, _CHUNK), _splits(word)):
-        for p in ends:
-            if 2 * p > n:
-                return None
-            span = min(max(p, _CHUNK), n - p)
-            shift = itertools.repeat(p)
-            if n % p == 0 and all(
-                word[i + p : i + p + span] == tuple(map(add, word[i : i + span], shift))
-                for i in (0, n - p - span)
-            ):
-                return p if _repeats(word, p) else None
-    return None
-
-
-def _repeats(word: tuple[int, ...], p: int) -> bool:
-    """Whether word[i + p] == word[i] + p at every position i, by one lazy
-    pass in C that stops at the first miss."""
-    return all(map(eq, itertools.islice(word, p, None), map(add, word, itertools.repeat(p))))
 
 
 def _repeat_counts(block: tuple[int, ...], r: int, k: int) -> list[int]:

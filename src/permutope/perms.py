@@ -18,19 +18,27 @@ patterns of size k:
   count): sizes up to 3 at any length, from sums taken per chunk of 512
   positions by one sweep whose per-entry steps run mostly inside C ``map``
   calls, in two halves at once (one in a forked child) on a long word and a
-  free second CPU.  A repeated direct sum tau + ... + tau is counted from one
-  sweep of tau, with closed forms for the occurrences across copies; an edge
-  test on at most 16 entries at each end sends a word with no split, such as
-  a random one, straight to the sweep, and any other word pays at most one
-  pass over it before its sweep.  Sizes 4
-  and up from the C(n-1, k-1) subsets of k-1 positions that have a later
-  point, never the C(n, k) subsets, with n bounded by the ``enum`` cap.
+  free second CPU.  Sizes 4 and up from the C(n-1, k-1) subsets of k-1
+  positions that have a later point, never the C(n, k) subsets, with n
+  bounded by the ``enum`` cap.
+
+A permutation built by a sum builder may carry its period: a P < n that
+divides n with word[i + P] = word[i] + P at every i.  ``substitute`` records
+P_skeleton * |A| when every block is the same object A over a skeleton with a
+period, and ``Permutation.identity`` records 1, so ``repeat_sum``,
+``direct_sum(a, a, ...)`` and a ``mix`` over a monotone sum carry one.  Such a
+word is the direct sum of n/P copies of its first P entries, and both kernels
+read only its first copies: classical k = 2, 3 sweeps one copy and adds closed
+forms for the occurrences across copies, and consecutive takes the window ids
+of the first ceil((P + k - 1)/P) copies.  A word typed in or built otherwise
+carries none and is swept whole.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -51,11 +59,18 @@ from .rationals import ExactPoint, as_fraction, integer_numerators
 
 
 @total_ordering
-class Permutation(Record):
+class Permutation(Record, hidden=("_period",), uncompared=("_period",)):
     """A permutation of ``{1..n}`` stored as its one-line word.  Immutable;
-    equal, hashed and ordered by the word."""
+    equal, hashed and ordered by the word.
 
-    __slots__ = ("word",)
+    ``_period`` is a P < n that divides n with word[i + P] = word[i] + P at
+    every i, as the sum builders record it, or None.  Nothing compares, shows
+    or pickles it.  Its slot is left unset when it is None, which spares the
+    write on every permutation that has none, so it is read as
+    ``getattr(perm, "_period", None)``.  (A ``__getattr__`` would slow every
+    read of ``word``.)"""
+
+    __slots__ = ("word", "_period")
 
     def __init__(self, word: Iterable[int]) -> None:
         word = tuple(word)
@@ -66,12 +81,18 @@ class Permutation(Record):
         _set_word(self, word)
 
     @classmethod
-    def _trusted(cls, word: tuple[int, ...]) -> "Permutation":
+    def _trusted(cls, word: tuple[int, ...], period: int | None = None) -> "Permutation":
         """Wrap a word that is already a non-empty tuple of the ints
-        ``1..len(word)``, each once, skipping the checks."""
+        ``1..len(word)``, each once, with its period or None, skipping the
+        checks."""
         perm = object.__new__(cls)
         _set_word(perm, word)
+        if period is not None:
+            _set_period(perm, period)
         return perm
+
+    def __reduce__(self):
+        return type(self), (self.word,)
 
     def __lt__(self, other: "Permutation") -> bool:
         return self.word < other.word if other.__class__ is self.__class__ else NotImplemented
@@ -107,11 +128,11 @@ class Permutation(Record):
     def identity(cls, n: int) -> "Permutation":
         if n < 1:
             raise ValueError("permutations are non-empty")
-        return cls._trusted(tuple(range(1, n + 1)))
+        return cls._trusted(tuple(range(1, n + 1)), 1 if n > 1 else None)
 
 
 # Set through the slots themselves, past Record's refusing __setattr__.
-(_set_word,) = Permutation._setters
+_set_word, _set_period = Permutation._setters
 
 
 @lru_cache(maxsize=None)
@@ -230,9 +251,20 @@ def _window_ids(word: Sequence[int], k: int) -> Sequence[int]:
 
 
 def _cocc_counts(sigma: Permutation, k: int) -> list[int]:
+    word, p = sigma.word, getattr(sigma, "_period", None)
+    if p is None:
+        parts = [(1, _window_ids(word, k))]
+    else:
+        # Windows s and s + p have one pattern, so the n - k + 1 windows are q
+        # runs of the first p, then the first r; those need ceil((p + k - 1)/p)
+        # copies.
+        q, r = divmod(len(word) - k + 1, p)
+        ids = _window_ids(word[: min(len(word), -(-(p + k - 1) // p) * p)], k)
+        parts = [(q, ids[:p]), (1, ids[:r])]
     counts = [0] * math.factorial(k)
-    for eid, count in Counter(_window_ids(sigma.word, k)).items():
-        counts[eid] = count
+    for times, ids in parts:
+        for eid, count in Counter(ids).items():
+            counts[eid] += times * count
     return counts
 
 
@@ -253,7 +285,7 @@ def _counts(k: int, sigma: Permutation, kind: str) -> tuple[list[int], int]:
             )
         from ._heads import classical_counts
 
-        return classical_counts(sigma.word, k), math.comb(n, k)
+        return classical_counts(sigma.word, k, getattr(sigma, "_period", None)), math.comb(n, k)
     return _cocc_counts(sigma, k), n
 
 
@@ -461,7 +493,8 @@ def direct_sum(*perms: Permutation) -> Permutation:
 
 
 def repeat_sum(copies: int, sigma: Permutation) -> Permutation:
-    """Direct sum of ``copies`` copies of ``sigma``."""
+    """Direct sum of ``copies`` copies of ``sigma``; from 2 copies on it
+    carries the period |sigma|."""
     return direct_sum(*[sigma] * copies)
 
 
@@ -470,10 +503,15 @@ def substitute(skeleton: Permutation, blocks: Sequence[Permutation]) -> Permutat
 
     Block ``i`` occupies a contiguous column range in input order; the value
     ranges of the blocks are stacked in the order given by the skeleton.
+    When every block is the same object A and the skeleton carries a period
+    p, the result carries the period p|A|: block i + p sits p|A| above block
+    i.
     """
     d = len(skeleton)
     if len(blocks) != d:
         raise ArityError(f"skeleton of size {d} needs {d} blocks, got {len(blocks)}")
+    p = getattr(skeleton, "_period", None)
+    same = p is not None and all(map(operator.is_, blocks, itertools.repeat(blocks[0])))
     # Values below block i: total size of blocks placed at lower skeleton values.
     value_offset = [0] * d
     running = 0
@@ -481,7 +519,8 @@ def substitute(skeleton: Permutation, blocks: Sequence[Permutation]) -> Permutat
         value_offset[i] = running
         running += len(blocks[i])
     return Permutation._trusted(
-        tuple(v + offset for block, offset in zip(blocks, value_offset) for v in block.word)
+        tuple(v + offset for block, offset in zip(blocks, value_offset) for v in block.word),
+        p * len(blocks[0]) if same else None,
     )
 
 
@@ -495,7 +534,10 @@ def mix(
 
     The result inherits the consecutive statistics of A = generator_consecutive(m)
     up to |pattern|/|A| and the classical statistics of B = generator_classical(m)
-    up to C(|pattern|, 2)/|B|, both exactly in rational arithmetic.
+    up to C(|pattern|, 2)/|B|, both exactly in rational arithmetic.  When B
+    carries a period, as a ``monotone_sum_generator`` sum of 2 copies or more
+    does, so does the result, and both its vectors are counted from its
+    first copies.
     """
     inner = generator_consecutive(m)
     outer = generator_classical(m)

@@ -120,9 +120,13 @@ class TestRecords:
         assert _records()[index] == record and hash(_records()[index]) == hash(record)
 
     def test_pickle_round_trip(self):
-        for record in _records():
+        # a permutation that carries a period comes back equal, without it
+        marked = permutope.repeat_sum(3, permutope.Permutation.parse("21"))
+        for record in [*_records(), marked]:
             twin = pickle.loads(pickle.dumps(record))
             assert type(twin) is type(record) and repr(twin) == repr(record)
+        assert marked._period == 2 and twin == marked
+        assert getattr(twin, "_period", None) is None
 
     def test_repr_hides_context_fields(self):
         walk, face, plan = (_records()[i] for i in (1, 7, 9))

@@ -510,6 +510,11 @@ class TestChunkedClassicalKernel:
         assert proportion_vector(k, falling, "classical").values_by_pattern() == [*others, 1]
 
 
+def period_of(perm):
+    """The period a sum builder recorded on ``perm``, or None."""
+    return getattr(perm, "_period", None)
+
+
 @pytest.fixture
 def sweeps(monkeypatch):
     """Records each word the k <= 3 sweep counts, as a tuple."""
@@ -524,11 +529,24 @@ def sweeps(monkeypatch):
     return words
 
 
+@pytest.fixture
+def windows(monkeypatch):
+    """Records the length of each word the window kernel reads."""
+    lengths = []
+    window_ids = perms_module._window_ids
+    monkeypatch.setattr(
+        perms_module, "_window_ids", lambda word, k: lengths.append(len(word)) or window_ids(word, k)
+    )
+    return lengths
+
+
 class TestComponentsRoute:
-    """Classical k = 2, 3 counts of a direct sum, a repeated one from one
-    copy, against the subset enumerator and against the one-sweep route on
-    long words, and the edge test, split finder and period search that pick
-    the route."""
+    """Counts of direct sums.  A permutation that carries a period P, as
+    ``repeat_sum``, ``direct_sum(a, a, ...)``, ``mix`` over a monotone sum and
+    ``Permutation.identity`` record it, is counted from its first copies and
+    gets the counts of its unmarked copy ``Permutation(sigma.word)``; any
+    other word is swept whole.  Checked against the subset enumerator and
+    against one sweep of long words."""
 
     @staticmethod
     def swept(word, k):
@@ -540,12 +558,69 @@ class TestComponentsRoute:
         return [expected[p] for p in itertools.permutations(range(1, k + 1))]
 
     @staticmethod
-    def has_split(word):
-        return any(max(word[:p]) == p for p in range(1, len(word)))
+    def sum_of(*words):
+        return direct_sum(*map(Permutation, words))
 
     @staticmethod
-    def sum_of(*words):
-        return direct_sum(*map(Permutation, words)).word
+    def classical(sigma, k):
+        return perms_module._counts(k, sigma, "classical")[0]
+
+    @staticmethod
+    def assert_counts_as_unmarked(sigma, sweeps, windows):
+        """sigma's classical counts at k = 1..3 and consecutive counts at
+        k = 1..8 (k <= n) equal those of its unmarked copy, and none reads
+        more than ceil((P + k - 1)/P) * P entries."""
+        p, n = period_of(sigma), len(sigma)
+        twin = Permutation(sigma.word)
+        assert p is not None and period_of(twin) is None
+        for kind, top in (("classical", 3), ("consecutive", 8)):
+            for k in range(1, min(top, n) + 1):
+                sweeps.clear()
+                windows.clear()
+                counts = perms_module._counts(k, sigma, kind)
+                read = max([*map(len, sweeps), *windows], default=0)
+                assert counts == perms_module._counts(k, twin, kind), (sigma, kind, k)
+                assert read <= -(-(p + k - 1) // p) * p, (sigma, kind, k, read)
+
+    def test_sum_builders_record_a_period(self):
+        rng = random.Random(43)
+        a, b = random_perm(rng, 5), random_perm(rng, 3)
+        for sigma, period in (
+            (repeat_sum(7, a), 5),
+            (direct_sum(a, a, a), 5),
+            (mix(lambda _: a, monotone_sum_generator(b), 4), 15),
+            (substitute(repeat_sum(3, P("21")), [a] * 6), 10),
+            (Permutation.identity(9), 1),
+            (repeat_sum(3, Permutation.identity(4)), 4),
+        ):
+            word, n = sigma.word, len(sigma)
+            assert period_of(sigma) == period and period < n and n % period == 0
+            assert all(word[i + period] == word[i] + period for i in range(n - period))
+
+    def test_other_permutations_carry_none(self):
+        rng = random.Random(44)
+        a, b = random_perm(rng, 5), random_perm(rng, 3)
+        sigma = repeat_sum(4, a)
+        for other in (
+            direct_sum(a, b),
+            direct_sum(a, Permutation(a.word)),  # equal blocks, but not one object
+            substitute(P("21"), [a, a]),  # a skeleton with no period
+            repeat_sum(1, a),
+            Permutation.identity(1),
+            Permutation(sigma.word),
+            Permutation.parse(str(sigma)),
+            standardize(sigma.word),
+        ):
+            assert period_of(other) is None, other
+
+    def test_the_period_is_neither_compared_nor_shown(self):
+        sigma = repeat_sum(3, P("231"))
+        twin = Permutation(sigma.word)
+        assert period_of(sigma) == 3 and period_of(twin) is None
+        assert sigma == twin and hash(sigma) == hash(twin)
+        assert not sigma < twin and not twin < sigma
+        assert repr(sigma) == repr(twin) == "Permutation('231564897')"
+        assert {twin: 1}[sigma] == 1
 
     def test_direct_sums_against_the_enumerator(self):
         rng = random.Random(36)
@@ -558,83 +633,37 @@ class TestComponentsRoute:
                         word, k
                     ), (word, k)
 
-    def test_edge_test_is_exact_up_to_33_points(self):
-        # every split is then within _EDGE entries of an end
-        for n in range(2, 8):
-            for word in itertools.permutations(range(1, n + 1)):
-                assert heads_module._may_split(word) == self.has_split(word), word
-        rng = random.Random(37)
-        for n in (15, 16, 17, 31, 32, 33):
-            for _ in range(200):
-                parts = sorted(rng.sample(range(1, n), rng.randint(0, 3)))
-                word = self.sum_of(
-                    *(random_perm(rng, b - a).word for a, b in zip([0, *parts], [*parts, n]))
-                )
-                assert heads_module._may_split(word) == self.has_split(word), word
-
-    def test_random_words_go_straight_to_the_sweep(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a random word was searched for splits")
-
-        monkeypatch.setattr(heads_module, "_splits", refuse)
-        rng = random.Random(38)
-        for n in (40, 1000, 20_000):
-            word = random_perm(rng, n).word
-            assert not heads_module._may_split(word)
-            for k in (2, 3):
-                assert sum(heads_module.classical_counts(word, k)) == math.comb(n, k)
-
-    @pytest.mark.parametrize("n", [1, 2, 511, 512, 513, 1025, 5000])
-    def test_splits_are_the_component_ends(self, n):
-        rng = random.Random(n)
-        for _ in range(20):
-            ends = sorted({*rng.sample(range(1, n + 1), min(n, rng.randint(1, 40))), n})
-            word = self.sum_of(
-                *(random_perm(rng, b - a).word for a, b in zip([0, *ends], ends))
-            )
-            found = [p for chunk in heads_module._splits(word) for p in chunk]
-            tops = itertools.accumulate(word, max)
-            assert found == [p for p, top in enumerate(tops, 1) if top == p]
-
     @pytest.mark.parametrize(
         "name",
         ["repeat_sum", "mix", "identity", "reverse", "edges", "past the edges", "big component"],
     )
     def test_long_words_match_one_sweep(self, name):
+        # the first three carry a period; the others, a reversal and direct
+        # sums of unlike blocks cut near the ends or around one big block,
+        # carry none
         rng = random.Random(39)
         n = 200_000
         if name == "repeat_sum":
-            word = repeat_sum(200, random_perm(rng, 1000)).word
+            sigma = repeat_sum(200, random_perm(rng, 1000))
         elif name == "mix":
             inner = P("13254687")
-            word = mix(lambda _: inner, monotone_sum_generator(P("3142")), 6000).word
+            sigma = mix(lambda _: inner, monotone_sum_generator(P("3142")), 6000)
         elif name == "identity":
-            word = Permutation.identity(n).word
+            sigma = Permutation.identity(n)
         elif name == "reverse":
-            word = Permutation.identity(n).word[::-1]
+            sigma = Permutation(Permutation.identity(n).word[::-1])
         else:
             cuts = {
                 "edges": (1, 5, 16, n - 16, n - 2),
                 "past the edges": (17, 18, n - 18, n - 17),
                 "big component": (3, 3 + 8193, n - 1),
             }[name]
-            word = self.sum_of(
+            sigma = self.sum_of(
                 *(random_perm(rng, b - a).word for a, b in zip([0, *cuts], [*cuts, n]))
             )
-            assert heads_module._may_split(word)
+        assert (period_of(sigma) is None) == (name not in ("repeat_sum", "mix", "identity"))
         for k in (2, 3):
-            assert heads_module.classical_counts(word, k) == self.swept(word, k), k
-
-    def test_indecomposable_word_whose_ends_pass_the_edge_test(self):
-        # small values lead and large ones end the word, so the edge test
-        # passes it; n comes just before 1 in the middle, so no prefix is 1..p
-        n, h = 20_000, 10_000
-        word = (*range(2, h + 1), n, 1, *range(h + 1, n))
-        assert heads_module._may_split(word) and not any(
-            p < n for chunk in heads_module._splits(word) for p in chunk
-        )
-        for k in (2, 3):
-            assert heads_module.classical_counts(word, k) == self.swept(word, k)
+            assert self.classical(sigma, k) == self.swept(sigma.word, k), k
 
     @staticmethod
     def repeats(rng, count):
@@ -654,68 +683,47 @@ class TestComponentsRoute:
                 block = random_perm(rng, size)
             yield block, rng.randint(2, 12)
 
-    @staticmethod
-    def least_period(word):
-        """The least P with word[i + P] == word[i] + P at every i."""
-        n = len(word)
-        return next(p for p in range(1, n + 1) if word[p:] == tuple(v + p for v in word[: n - p]))
-
-    @pytest.fixture
-    def passes(self, monkeypatch):
-        """Records the P of each full pass of ``_repeats``."""
-        periods = []
-        repeats = heads_module._repeats
-        monkeypatch.setattr(
-            heads_module, "_repeats", lambda word, p: periods.append(p) or repeats(word, p)
-        )
-        return periods
-
-    def assert_counts_match_enumerator(self, word):
-        for k in (2, 3):
-            if k <= len(word):
-                assert heads_module.classical_counts(word, k) == classical_counts_by_subsets(
-                    word, k
-                ), (word, k)
-
-    def test_repeats_against_the_enumerator(self, sweeps):
+    def test_repeats_against_the_enumerator(self, sweeps, windows):
         rng = random.Random(37)
         for block, copies in self.repeats(rng, 80):
-            word = repeat_sum(copies, block).word
+            sigma = repeat_sum(copies, block)
+            assert period_of(sigma) == len(block)
             sweeps.clear()
-            self.assert_counts_match_enumerator(word)
-            # one copy of the least period is swept per count
-            assert set(sweeps) == {word[: self.least_period(word)]}, word
+            for k in (2, 3):
+                if k <= len(sigma):
+                    assert self.classical(sigma, k) == classical_counts_by_subsets(
+                        sigma.word, k
+                    ), (sigma, k)
+            # one copy of the block is swept per count
+            assert set(sweeps) == {block.word}, sigma
+            self.assert_counts_as_unmarked(sigma, sweeps, windows)
 
-    def test_a_repeat_missed_at_a_smaller_candidate_is_swept_whole(self, passes, sweeps):
-        # in copies of tau = 1..1000 + 21 + 1..1000, P = 1 passes the cheap
-        # checks, which read ascending runs of 512 at both ends, and fails
-        # the full pass, which ends the search
-        run = Permutation.identity(1000)
-        word = repeat_sum(3, direct_sum(run, P("21"), run)).word
-        assert heads_module._period(word) is None and passes == [1]
-        for k in (2, 3):
-            assert heads_module.classical_counts(word, k) == self.merge_sorted(word, k)
-        assert sweeps == [word] * 2
-
-    def test_small_periods_are_checked_past_their_second_copy(self):
-        # 123[1432] repeated: 1, 2 and 3 are splits dividing n whose second
-        # and last copies match, as in realize's mix of A = 123 and B = 1432
-        block = substitute(P("1432"), [P("123")] * 4)
-        for copies in (159, 278):
-            assert heads_module._period(repeat_sum(copies, block).word) == 12
+    def test_mixes_count_as_their_unmarked_copies(self, sweeps, windows):
+        # the realize workload's shape: A of 3-9 points, B a 2-4-point block
+        # in 100-300 copies
+        rng = random.Random(45)
+        for _ in range(12):
+            inner = random_perm(rng, rng.randint(3, 9))
+            block = random_perm(rng, rng.randint(2, 4))
+            sigma = mix(lambda _: inner, monotone_sum_generator(block), rng.randint(100, 300))
+            assert period_of(sigma) == len(inner) * len(block)
+            self.assert_counts_as_unmarked(sigma, sweeps, windows)
 
     @pytest.mark.parametrize("block", ["1", "12", "21", "2413", "3142", "231"])
-    def test_period_one_and_half_the_word(self, block, sweeps):
+    def test_period_one_and_half_the_word(self, block, sweeps, windows):
         block = P(block)
-        for copies in (2, 3, 7):
-            word = repeat_sum(copies, block).word
-            sweeps.clear()
-            self.assert_counts_match_enumerator(word)
-            swept = {len(w) for w in sweeps}
-            if len(block) == 1 or block.word == (1, 2):
-                assert swept == {1}  # the identity repeats at P = 1
-            else:
-                assert swept == {len(block)}
+        for copies in (2, 3, 7):  # at 2 copies the period is half the word
+            sigma = repeat_sum(copies, block)
+            assert period_of(sigma) == len(block)
+            self.assert_counts_as_unmarked(sigma, sweeps, windows)
+            for k in (2, 3):
+                if k <= len(sigma):
+                    sweeps.clear()
+                    assert self.classical(sigma, k) == classical_counts_by_subsets(sigma.word, k)
+                    assert sweeps == [block.word]
+        identity = Permutation.identity(7 * len(block))
+        assert period_of(identity) == 1
+        self.assert_counts_as_unmarked(identity, sweeps, windows)
 
     def test_near_repeats_against_the_enumerator(self, sweeps):
         rng = random.Random(38)
@@ -733,54 +741,54 @@ class TestComponentsRoute:
                 word += [v + len(word) for v in extra]
             else:  # n not a multiple of the period: the last copy cut short
                 word = standardize(word[: len(word) - rng.randint(1, size)]).word
-            word = tuple(word)
+            sigma = Permutation(word)
+            assert period_of(sigma) is None
             sweeps.clear()
-            self.assert_counts_match_enumerator(word)
-            if sweeps[0] != word:  # counted from one copy: the word repeats it
-                period = len(sweeps[0])
-                assert word == repeat_sum(len(word) // period, Permutation(word[:period])).word
+            for k in (2, 3):
+                if k <= len(sigma):
+                    assert self.classical(sigma, k) == classical_counts_by_subsets(
+                        sigma.word, k
+                    ), (sigma, k)
+            assert set(sweeps) == {sigma.word}
 
     @pytest.mark.parametrize("n", [4000, 200_000])
-    def test_a_late_miss_costs_one_full_pass(self, passes, sweeps, n):
-        # in copies of 1243 = 1 + 1 + 21, P = 1 and P = 2 are candidates
-        # that fail their cheap checks; P = 4 passes them, on the first and
-        # last 512 positions, and two entries of a middle copy are swapped,
-        # so only the full pass finds the miss
+    def test_a_late_miss_costs_one_full_pass(self, sweeps, n):
+        # copies of 1243 with two entries of a middle copy swapped: a word
+        # typed in carries no period, so each count is one sweep of it whole
         word = list(repeat_sum(n // 4, P("1243")).word)
         mid = 4 * (n // 8) + 2
         word[mid], word[mid + 1] = word[mid + 1], word[mid]
-        word = tuple(word)
+        sigma = Permutation(word)
         for k in (2, 3):
-            expected = self.swept(word, k)
-            passes.clear()
+            expected = self.swept(sigma.word, k)
             sweeps.clear()
-            assert heads_module.classical_counts(word, k) == expected
-            assert passes == [4] and sweeps == [word]
+            assert self.classical(sigma, k) == expected
+            assert sweeps == [sigma.word]
 
     def test_words_other_than_repeats_are_swept_whole(self, sweeps):
         rng = random.Random(41)
         for _ in range(100):
             blocks = [random_perm(rng, rng.randint(1, 8)) for _ in range(rng.randint(2, 8))]
-            word = direct_sum(*blocks).word
-            if self.least_period(word) < len(word):
-                continue
+            sigma = direct_sum(*blocks)
+            assert period_of(sigma) is None
             for k in (2, 3):
                 sweeps.clear()
-                assert heads_module.classical_counts(word, k) == self.merge_sorted(word, k)
-                assert sweeps == [word]
+                assert self.classical(sigma, k) == self.merge_sorted(sigma.word, k)
+                assert sweeps == [sigma.word]
 
     def test_a_repeat_sweeps_one_copy(self, sweeps):
         block = P("2413")
-        for word, copy in (
-            (repeat_sum(300, block).word, block.word),
-            (repeat_sum(5, repeat_sum(60, block)).word, block.word),  # a nested repeat
+        for sigma, copy in (
+            (repeat_sum(300, block), block.word),
+            # a nested repeat: its copy is the inner sum, the period recorded
+            (repeat_sum(5, repeat_sum(60, block)), repeat_sum(60, block).word),
             # 132[A, A, A] + ... + 132[A, A, A], 100 times
-            (mix(lambda _: block, monotone_sum_generator(P("132")), 100).word,
+            (mix(lambda _: block, monotone_sum_generator(P("132")), 100),
              substitute(P("132"), [block] * 3).word),
         ):
             for k in (2, 3):
                 sweeps.clear()
-                assert heads_module.classical_counts(word, k) == self.merge_sorted(word, k)
+                assert self.classical(sigma, k) == self.merge_sorted(sigma.word, k)
                 assert sweeps == [copy]
 
 
@@ -837,10 +845,10 @@ class TestSplitSweep:
     def test_no_fork_for_a_sum_of_components_below_the_threshold(self, forks, sweeps):
         # a repeat past the threshold sweeps one copy, below it
         block = random_perm(random.Random(42), self.SPLIT // 4)
-        word = repeat_sum(5, block).word
+        sigma = repeat_sum(5, block)
         for k in (2, 3):
-            assert heads_module.classical_counts(word, k) == TestComponentsRoute.merge_sorted(
-                word, k
+            assert TestComponentsRoute.classical(sigma, k) == TestComponentsRoute.merge_sorted(
+                sigma.word, k
             )
         assert sweeps == [block.word] * 2
         assert forks == []
@@ -850,10 +858,10 @@ class TestSplitSweep:
         # a repeat of a copy at the threshold sweeps that copy, in two halves
         # at once
         half = Permutation(self.word(self.SPLIT))
-        word = direct_sum(half, half).word
+        sigma = direct_sum(half, half)
         for k in (2, 3):
-            assert heads_module.classical_counts(word, k) == TestComponentsRoute.merge_sorted(
-                word, k
+            assert TestComponentsRoute.classical(sigma, k) == TestComponentsRoute.merge_sorted(
+                sigma.word, k
             )
         assert sweeps == [half.word] * 2
         assert len(forks) == 2
