@@ -118,19 +118,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_overlap(args: argparse.Namespace) -> int:
     from .overlap import build_overlap_graph
 
-    og = build_overlap_graph(args.k)
-    g = og.graph
-    if args.dot:
-        _write_or_print(g.to_dot(name=f"OV{args.k}"), args.dot)
-    if args.json:
-        _write_or_print(g.to_json(), args.json)
-    if not args.dot and not args.json:
-        degree = g.out_degree(0)
-        print(
-            f"k={args.k}: {g.n_vertices} vertices, {g.n_edges} edges, "
-            f"{'strongly connected' if g.is_strongly_connected() else 'not strongly connected'}, "
-            f"{degree}-regular"
-        )
+    g = build_overlap_graph(args.k).graph
+    print(
+        f"k={args.k}: {g.n_vertices} vertices, {g.n_edges} edges, "
+        f"{'strongly connected' if g.is_strongly_connected() else 'not strongly connected'}, "
+        f"{g.out_degree(0)}-regular"
+    )
     return 0
 
 
@@ -309,10 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["classical", "consecutive"], required=True)
     p.set_defaults(func=_cmd_stats)
 
-    p = sub.add_parser("overlap", help="build the overlap graph; summary, DOT or JSON")
+    p = sub.add_parser("overlap", help="summary of the overlap graph (export writes it)")
     p.add_argument("--k", type=_natural, required=True)
-    p.add_argument("--dot", metavar="FILE", help="write DOT with pattern edge labels")
-    p.add_argument("--json", metavar="FILE", help="write the JSON graph format")
     p.set_defaults(func=_cmd_overlap)
 
     p = sub.add_parser("vertices", help="polytope vertices = simple cycles")

@@ -236,12 +236,8 @@ class RealizationPlan(Record, hidden=("region", "parts", "boundary")):
         before any walk is built."""
         if m < 1:
             raise ValueError(f"size parameter must be >= 1, got {m}")
-        size, cap = self.size_for(m), limits.cap("realize")
-        if size > cap:
-            raise CapacityError(
-                f"realizing permutation would have size {size}, over the realize cap "
-                f"{cap} (PERMUTOPE_CAP key 'realize')"
-            )
+        size = self.size_for(m)
+        limits.check("realize", size, f"realizing permutation would have size {size}, over")
         og, g = self.region.overlap, self.multiplicities(m)
         blocks = []
         for steps in self.parts:

@@ -21,7 +21,6 @@ from typing import Iterable, Iterator, Sequence
 
 from . import limits
 from ._record import Record
-from .errors import CapacityError
 
 
 class Multigraph:
@@ -207,11 +206,11 @@ class Multigraph:
             raise ValueError("graph JSON is nested too deeply to parse") from None
         return cls.from_json_dict(data)
 
-    def to_dot(self, *, name: str = "G") -> str:
+    def to_dot(self) -> str:
         def quote(s: str) -> str:
             return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
-        lines = [f"digraph {name} {{"]
+        lines = ["digraph G {"]
         for v in self.vertex_names:
             lines.append(f"  {quote(v)};")
         for st, ar, label in self.edges:
@@ -325,11 +324,8 @@ class SimpleCycle(Walk):
             raise ValueError("cycle repeats a vertex")
 
 
-def _over_cycles_cap(cap: int) -> CapacityError:
-    """The refusal of a simple cycle past the ``cycles`` cap ``cap``."""
-    return CapacityError(
-        f"the graph has more simple cycles than the cycles cap {cap} (PERMUTOPE_CAP key 'cycles')"
-    )
+# What the refusal of a simple cycle past the ``cycles`` cap says first.
+_MORE_CYCLES = "the graph has more simple cycles than"
 
 
 def iter_simple_cycles(g: Multigraph) -> Iterator[SimpleCycle]:
@@ -368,7 +364,7 @@ def iter_simple_cycles(g: Multigraph) -> Iterator[SimpleCycle]:
                 if w == s:
                     emitted += 1
                     if emitted > cap:
-                        raise _over_cycles_cap(cap)
+                        raise limits.refusal("cycles", cap, _MORE_CYCLES)
                     yield SimpleCycle._trusted(g, (*epath, eid))
                 elif not blocked[w]:
                     epath.append(eid)

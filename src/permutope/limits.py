@@ -4,7 +4,9 @@ and :func:`excerpt`, which bounds what an error message quotes.
 All expensive enumerations are capped.  Each guard reads its cap with
 :func:`cap` at the moment it checks: the ``PERMUTOPE_CAP`` environment
 variable (``name=value`` pairs, comma separated -- see the README) overrides
-the defaults below, for library callers and the CLI alike.
+the defaults below, for library callers and the CLI alike.  Every refusal is
+a :func:`refusal`, raised by :func:`check` or, in a loop that compares an
+int it read once, by the loop itself.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ DEFAULTS = {
     # C(n-1, k-1) subsets of k-1 positions that have a later point, in
     # C-level passes; permutations longer than this are rejected there.
     "enum": 30,
-    # Largest overlap graph built (7! = 5040 edges).
-    "overlap": 7,
+    # Largest pattern size k of any table of k! entries: pattern vectors,
+    # count lists and overlap graphs (8! = 40,320 edges).
+    "overlap": 8,
     # Full-subgraph (face) enumeration is exponential in the edge count.
     "faces": 12,
     # Size |A| * |B| of a substitution product in the mixing construction.
@@ -35,8 +38,9 @@ DEFAULTS = {
     "realize": 10**7,
 }
 
-# Pattern vectors carry k! entries; no PERMUTOPE_CAP key overrides this.
-VECTOR_K_CAP = 8
+# The largest ``overlap`` cap PERMUTOPE_CAP may set: the ids of the k!
+# patterns of size k fit in 64 bits up to k = 20 (20! < 2**63 < 21!).
+OVERLAP_MOST = 20
 
 
 def caps() -> Mapping[str, int]:
@@ -86,16 +90,34 @@ def _decimal_digits(n: int) -> int:
     return digits + 1
 
 
-def check_overlap_k(k: int) -> None:
-    """Refuse a pattern size k outside 2..the ``overlap`` cap: no overlap
-    graph of that size is built.  Callers check before they allocate
+def refusal(key: str, limit: int, what: str) -> CapacityError:
+    """The refusal at the cap ``key``, whose value is ``limit``: ``what``,
+    then the cap and the ``PERMUTOPE_CAP`` key that overrides it."""
+    return CapacityError(f"{what} the {key} cap {limit} (PERMUTOPE_CAP key '{key}')")
+
+
+def check(key: str, size: int, what: str) -> None:
+    """Raise the :func:`refusal` of ``size`` if it is over the cap ``key``,
+    read now."""
+    limit = cap(key)
+    if size > limit:
+        raise refusal(key, limit, what)
+
+
+def check_k(k: int) -> None:
+    """Refuse a pattern size k over the ``overlap`` cap, the largest k of any
+    table of k! entries: a pattern vector, a count list or an overlap graph.
+    Callers check their own lower bound, and check before they allocate
     anything of size k! (the CLI, before a uniform ``--vector``)."""
-    limit = cap("overlap")
-    if k < 2 or k > limit:
-        raise CapacityError(
-            f"overlap graphs are built for 2 <= k <= the overlap cap {limit} "
-            f"(PERMUTOPE_CAP key 'overlap'), got {k}"
-        )
+    check("overlap", k, f"tables of k! entries are refused at k={k}, over")
+
+
+def check_overlap_k(k: int) -> None:
+    """Refuse a pattern size k with no overlap graph: below 2, or over the
+    ``overlap`` cap (:func:`check_k`)."""
+    if k < 2:
+        raise CapacityError(f"overlap graphs are built for k >= 2, got {k}")
+    check_k(k)
 
 
 @lru_cache(maxsize=16)
@@ -119,4 +141,9 @@ def _parse(spec: str) -> Mapping[str, int]:
             raise ValueError(f"PERMUTOPE_CAP cap {key!r}: {exc}") from None
         if value.strip()[:1] == "-":
             raise ValueError(f"PERMUTOPE_CAP cap {key!r} is negative: {value.strip()}")
+        if key == "overlap" and table[key] > OVERLAP_MOST:
+            raise ValueError(
+                f"PERMUTOPE_CAP cap 'overlap' is {excerpt(value.strip())}, over {OVERLAP_MOST}: "
+                f"the ids of k! patterns fit in 64 bits only up to k = {OVERLAP_MOST}"
+            )
     return MappingProxyType(table)

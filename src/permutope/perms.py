@@ -47,13 +47,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import limits
 from ._record import Record
-from .errors import (
-    ArityError,
-    CapacityError,
-    DistinctnessError,
-    EmptyError,
-    SizeError,
-)
+from .errors import ArityError, DistinctnessError, EmptyError, SizeError
 from .limits import excerpt
 from .rationals import ExactPoint, as_fraction, integer_numerators
 
@@ -277,11 +271,12 @@ def _counts(k: int, sigma: Permutation, kind: str) -> tuple[list[int], int]:
     if k > n:
         raise SizeError(f"pattern size {k} exceeds permutation size {n}")
     if kind == "classical":
-        if k > 3 and n > (cap := limits.cap("enum")):
-            raise CapacityError(
+        if k > 3:
+            limits.check(
+                "enum",
+                n,
                 f"classical counting of size-{k} patterns enumerates subsets; "
-                f"permutation size {n} exceeds the enum cap {cap} "
-                f"(PERMUTOPE_CAP key 'enum')"
+                f"permutation size {n} exceeds",
             )
         from ._heads import classical_counts
 
@@ -315,11 +310,7 @@ def cocc_proportion(pattern: Permutation, sigma: Permutation) -> Fraction:
 def _check_vector_k(k: int) -> None:
     if k < 1:
         raise ValueError("pattern size must be >= 1")
-    if k > limits.VECTOR_K_CAP:
-        raise CapacityError(
-            f"pattern vectors carry k! entries; k={k} exceeds the vector cap "
-            f"{limits.VECTOR_K_CAP}, which no PERMUTOPE_CAP key overrides"
-        )
+    limits.check_k(k)
 
 
 def _unit_fraction(name: str, value) -> Fraction:
@@ -381,7 +372,7 @@ class PatternVector(Record):
     @classmethod
     def _trusted(cls, k: int, numerators: Sequence[int], denominator: int) -> "PatternVector":
         """Wrap one integer in [0, denominator] per pattern of size
-        ``k <= limits.VECTOR_K_CAP``, in pattern order, skipping the checks;
+        ``k`` within the ``overlap`` cap, in pattern order, skipping the checks;
         the common factor is divided out."""
         g = math.gcd(denominator, *numerators)
         vector = object.__new__(cls)
@@ -455,7 +446,7 @@ class PatternVector(Record):
             raise ValueError(f"pattern vector 'k' is not an integer: {excerpt(repr(raw))}")
         # For k outside 1..cap no k! names are built: every key is parsed into
         # ``extra``, so a key error still comes before the cap or size error.
-        names = _pattern_names(k) if 1 <= k <= limits.VECTOR_K_CAP else {}
+        names = _pattern_names(k) if 1 <= k <= limits.cap("overlap") else {}
         slots, extra = [_MISSING] * len(names), set()
         for word, value in data["entries"].items():
             index = names.get(word)
@@ -541,10 +532,6 @@ def mix(
     """
     inner = generator_consecutive(m)
     outer = generator_classical(m)
-    size, cap = len(inner) * len(outer), limits.cap("mix")
-    if size > cap:
-        raise CapacityError(
-            f"mixed permutation would have size {size}, over the mix cap {cap} "
-            f"(PERMUTOPE_CAP key 'mix')"
-        )
+    size = len(inner) * len(outer)
+    limits.check("mix", size, f"mixed permutation would have size {size}, over")
     return substitute(outer, [inner] * len(outer))

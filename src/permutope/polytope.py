@@ -25,13 +25,13 @@ from typing import Iterable, Iterator, Sequence
 
 from . import limits
 from ._record import Record
-from .errors import CapacityError, EmptyError, EmptyPolytopeError, NotFullError, NotInPolytopeError
+from .errors import EmptyError, EmptyPolytopeError, NotFullError, NotInPolytopeError
 from .graphs import (
+    _MORE_CYCLES,
     Multigraph,
     SimpleCycle,
     _canonical_rotation,
     _int_ids,
-    _over_cycles_cap,
     iter_simple_cycles,
 )
 from .rationals import ExactPoint, as_fraction, integer_numerators
@@ -163,7 +163,7 @@ class CyclePolytope:
         kept, emitted = self._kept, 0
         while emitted < len(kept) or self._extend(emitted, cap):
             if emitted == cap:
-                raise _over_cycles_cap(cap)
+                raise limits.refusal("cycles", cap, _MORE_CYCLES)
             stop = min(len(kept), cap)
             yield from kept[emitted:stop]
             emitted = stop
@@ -171,7 +171,7 @@ class CyclePolytope:
             return
         for cycle in itertools.islice(iter_simple_cycles(self.graph), emitted, None):
             if emitted == cap:
-                raise _over_cycles_cap(cap)
+                raise limits.refusal("cycles", cap, _MORE_CYCLES)
             emitted += 1
             yield cycle
 
@@ -404,12 +404,8 @@ class CyclePolytope:
 
         Exponential in |E| of the full part, hence guarded by the ``faces`` cap.
         """
-        full, cap = sorted(self.full_edge_ids), limits.cap("faces")
-        if len(full) > cap:
-            raise CapacityError(
-                f"face enumeration over {len(full)} edges exceeds the faces cap "
-                f"{cap} (PERMUTOPE_CAP key 'faces')"
-            )
+        full = sorted(self.full_edge_ids)
+        limits.check("faces", len(full), f"face enumeration over {len(full)} edges exceeds")
         faces: list[FaceHandle] = []
         for r in range(1, len(full) + 1):
             for subset in itertools.combinations(full, r):

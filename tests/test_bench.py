@@ -199,3 +199,41 @@ def test_run_in_session_leaves_no_process(tmp_path):
 def test_run_in_session_raises_on_failure(tmp_path):
     with pytest.raises(RuntimeError, match="exited 3"):
         bench.run_in_session([sys.executable, "-c", "import sys; sys.exit(3)"], tmp_path, {})
+
+
+class TestTracedRuns:
+    """Per-layer figures from ``TRACE_RUNS`` traced runs per side, on
+    synthetic run outputs."""
+
+    def traced(self, parent, change):
+        def run(values):
+            metrics = {
+                "perms.classical.self_s": {"value": values[0], "unit": "s"},
+                "graphs.cycles.count": {"value": values[1], "unit": "count"},
+                "feasible.refused": {"value": 0, "unit": "count"},
+            }
+            return {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}
+
+        return {"realize": {"parent": list(map(run, parent)), "change": list(map(run, change))}}
+
+    def test_three_runs_per_side(self):
+        assert bench.TRACE_RUNS == 3
+
+    def test_each_layer_is_the_median_of_its_side(self):
+        # one run per side reads a third above the rest: the median ignores it
+        traced = self.traced([(0.10, 160), (0.14, 160), (0.11, 160)],
+                             [(0.09, 160), (0.08, 160), (0.12, 170)])
+        layers = bench.layer_medians(traced)
+        assert layers["realize"]["perms.classical.self_s"] == {"parent": 0.11, "change": 0.09}
+        assert layers["realize"]["graphs.cycles.count"] == {"parent": 160, "change": 160}
+        assert layers["realize"]["feasible.refused"] == {"parent": 0, "change": 0}
+        json.dumps(layers)
+
+    def test_layer_table_leaves_out_layers_zero_on_both_sides(self):
+        traced = self.traced([(0.10, 160)] * 3, [(0.05, 160)] * 3)
+        lines = bench.layer_table(bench.layer_medians(traced)).splitlines()
+        assert lines[0] == "| workload | layer | parent | change |"
+        assert lines[2:] == [
+            "| realize | perms.classical.self_s | 0.1 | 0.05 |",
+            "| realize | graphs.cycles.count | 160 | 160 |",
+        ]

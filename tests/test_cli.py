@@ -153,13 +153,15 @@ class TestOverlapAndExport:
         assert code == 0
         assert "6 vertices, 24 edges" in out and "strongly connected" in out
 
-    def test_overlap_dot_file(self, capsys, tmp_path):
+    def test_export_dot_file(self, capsys, tmp_path):
         dot = tmp_path / "ov4.dot"
-        code, _, _ = invoke(capsys, "overlap", "--k", "4", "--dot", str(dot))
+        code, _, _ = invoke(capsys, "export", "--k", "4", "--format", "dot", "--out", str(dot))
         assert code == 0
         text = dot.read_text()
         assert text.count(" -> ") == 24
         assert '[label="3412"]' in text
+        # export is the one graph writer
+        assert invoke(capsys, "overlap", "--k", "4", "--dot", str(dot))[0] == 2
 
     def test_export_json_round_trip_bytes(self, capsys, tmp_path):
         first = tmp_path / "g1.json"
@@ -349,13 +351,37 @@ class TestErrorsAndCaps:
         assert code == 1 and out == "" and err.startswith("error:")
 
     @pytest.mark.parametrize("kind", ["classical", "consecutive"])
-    def test_vector_cap_names_its_value_and_no_key(self, capsys, kind):
+    def test_vector_cap_names_its_value_and_key(self, capsys, monkeypatch, kind):
         perm = ",".join(map(str, range(1, 11)))
-        code, out, err = invoke(capsys, "stats", "--perm", perm, "--k", "9", "--kind", kind)
+        argv = ("stats", "--perm", perm, "--k", "9", "--kind", kind)
+        code, out, err = invoke(capsys, *argv)
         assert code == 1 and out == ""
         assert err == (
-            "error: pattern vectors carry k! entries; k=9 exceeds the vector cap "
-            f"{limits.VECTOR_K_CAP}, which no PERMUTOPE_CAP key overrides\n"
+            "error: tables of k! entries are refused at k=9, over the overlap cap 8 "
+            "(PERMUTOPE_CAP key 'overlap')\n"
+        )
+        monkeypatch.setenv("PERMUTOPE_CAP", "overlap=9")
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0 and json.loads(out)["k"] == 9
+
+    def test_dim_at_and_over_the_default_overlap_cap(self, capsys):
+        code, out, _ = invoke(capsys, "dim", "--k", "8")
+        assert code == 0 and out == "35280\n"
+        assert 35280 == math.factorial(8) - math.factorial(7)
+        code, out, err = invoke(capsys, "dim", "--k", "9")
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert err.endswith("the overlap cap 8 (PERMUTOPE_CAP key 'overlap')\n")
+
+    def test_overlap_cap_over_20_is_refused(self, capsys, monkeypatch):
+        # 21! pattern ids do not fit in 64 bits; the variable is refused
+        # before any verb runs
+        monkeypatch.setenv("PERMUTOPE_CAP", "overlap=21")
+        argv = ("stats", "--perm", ",".join(map(str, range(1, 26))), "--k", "21")
+        code, out, err = invoke(capsys, *argv, "--kind", "consecutive")
+        assert code == 1 and out == ""
+        assert err == (
+            "error: PERMUTOPE_CAP cap 'overlap' is 21, over 20: "
+            "the ids of k! patterns fit in 64 bits only up to k = 20\n"
         )
 
     def test_env_cap_unknown_key(self, capsys, monkeypatch):
@@ -384,17 +410,17 @@ class TestErrorsAndCaps:
 
     @pytest.mark.parametrize("verb", ["member", "decompose", "realize", "report"])
     def test_overlap_cap_refuses_before_the_uniform_vector(self, capsys, monkeypatch, verb):
-        # k = 8 is over the default overlap cap 7: the refusal comes before
-        # the 40,320-entry uniform vector, in the words build_overlap_graph uses
+        # k = 9 is over the default overlap cap 8: the refusal comes before
+        # the 362,880-entry uniform vector, in the words build_overlap_graph uses
         def refuse(cls, k):
             raise AssertionError("built the uniform vector")
 
         monkeypatch.setattr(PatternVector, "uniform", classmethod(refuse))
-        argv = [verb, "--k", "8", "--vector", "uniform"]
+        argv = [verb, "--k", "9", "--vector", "uniform"]
         argv += ["--m", "1"] if verb == "realize" else []
         code, out, err = invoke(capsys, *argv)
         with pytest.raises(CapacityError) as refusal:
-            build_overlap_graph(8)
+            build_overlap_graph(9)
         assert code == 1 and out == ""
         assert err == f"error: {refusal.value}\n"
 

@@ -554,3 +554,28 @@ class TestConvergenceReport:
         classic = [row.linf_classical for row in report.rows]
         assert consec[0] > consec[-1]
         assert classic[0] > classic[-1]
+
+
+class TestAtTheDefaultOverlapCap:
+    """k = 8, the largest k under the default ``overlap`` cap: region,
+    membership certificate and witness."""
+
+    def test_uniform_membership_decomposition_adds_back(self):
+        region = feasible_region(8)
+        uniform = PatternVector.uniform(8)
+        result = region.membership(uniform)
+        assert result.member
+        assert sum(weight for weight, _ in result.decomposition) == 1
+        point = [F(0)] * math.factorial(8)
+        for weight, cycle in result.decomposition:
+            for eid in cycle.edge_ids:
+                point[eid] += weight / len(cycle)
+        assert point == list(region.point_of(uniform))
+
+    def test_m1_witness_counts_at_its_bound(self):
+        uniform = PatternVector.uniform(8)
+        plan = feasible_region(8).plan(uniform)
+        witness = plan.generate(1)
+        assert len(witness) == plan.size_for(1)
+        distance = proportion_vector(8, witness, "consecutive").linf_distance(uniform)
+        assert distance == plan.sup_error_bound(1)

@@ -35,8 +35,8 @@ CASES = {
     "overlap": (
         3,
         lambda: build_overlap_graph(4),
-        "overlap graphs are built for 2 <= k <= the overlap cap 3 "
-        "(PERMUTOPE_CAP key 'overlap'), got 4",
+        "tables of k! entries are refused at k=4, over the overlap cap 3 "
+        "(PERMUTOPE_CAP key 'overlap')",
     ),
     "faces": (
         5,
@@ -69,13 +69,14 @@ def test_guard_reads_the_variable(monkeypatch, key):
     with pytest.raises(CapacityError) as refusal:
         call()
     assert str(refusal.value) == message
-    monkeypatch.setenv("PERMUTOPE_CAP", f"{key}={value + 100}")
+    # each value above is under its default; overlap has no default + 100
+    monkeypatch.setenv("PERMUTOPE_CAP", f"{key}={limits.DEFAULTS[key]}")
     call()
 
 
 def test_defaults_without_the_variable():
     assert dict(limits.caps()) == limits.DEFAULTS
-    assert limits.cap("overlap") == 7 and limits.cap("enum") == 30
+    assert limits.cap("overlap") == 8 and limits.cap("enum") == 30
 
 
 def test_unknown_key_is_a_value_error(monkeypatch):
@@ -94,12 +95,19 @@ def test_unknown_key_is_a_value_error(monkeypatch):
         ("cycles=1_0", "PERMUTOPE_CAP cap 'cycles': invalid literal for int"),
         ("cycles=٣", "PERMUTOPE_CAP cap 'cycles': invalid literal for int"),
         ("cycles= +7", "PERMUTOPE_CAP cap 'cycles': invalid literal for int"),
+        # 21! pattern ids do not fit in 64 bits
+        ("overlap=21", "PERMUTOPE_CAP cap 'overlap' is 21, over 20: the ids of k! patterns"),
     ],
 )
 def test_malformed_variable_is_a_value_error(monkeypatch, spec, message):
     monkeypatch.setenv("PERMUTOPE_CAP", spec)
     with pytest.raises(ValueError, match=message):
         limits.cap("cycles")
+
+
+def test_overlap_cap_ends_at_20(monkeypatch):
+    monkeypatch.setenv("PERMUTOPE_CAP", "overlap=20")
+    assert limits.cap("overlap") == limits.OVERLAP_MOST == 20
 
 
 def test_zero_is_a_cap(monkeypatch):

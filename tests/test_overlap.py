@@ -75,7 +75,7 @@ class TestBuild:
         with pytest.raises(CapacityError):
             build_overlap_graph(1)
         with pytest.raises(CapacityError):
-            build_overlap_graph(8)
+            build_overlap_graph(9)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8])
     def test_equals_the_checked_construction(self, k, monkeypatch):

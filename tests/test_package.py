@@ -211,12 +211,12 @@ def test_cold_process_loads_only_what_its_verb_uses():
 
 
 def test_overlap_refusal_loads_no_layer():
-    # member --k 8 is refused at the overlap cap before the vector is parsed,
+    # member --k 9 is refused at the overlap cap before the vector is parsed,
     # so neither the counting layer nor the geometry is imported
     script = (
         "import sys\n"
         "from permutope import cli\n"
-        "assert cli.run(['member', '--k', '8', '--vector', 'uniform']) == 1\n"
+        "assert cli.run(['member', '--k', '9', '--vector', 'uniform']) == 1\n"
         "layers = ('permutope.perms', 'permutope.graphs', 'permutope.overlap')\n"
         "assert not [name for name in layers if name in sys.modules]\n"
     )
@@ -227,6 +227,6 @@ def test_overlap_refusal_loads_no_layer():
     )
     assert done.returncode == 0, done.stderr
     assert done.stderr == (
-        "error: overlap graphs are built for 2 <= k <= the overlap cap 7 "
-        "(PERMUTOPE_CAP key 'overlap'), got 8\n"
+        "error: tables of k! entries are refused at k=9, over the overlap cap 8 "
+        "(PERMUTOPE_CAP key 'overlap')\n"
     )

@@ -206,13 +206,13 @@ class TestWindowKernel:
                 for k in range(2, n + 1):
                     self.assert_matches_walk(word, k)
 
-    @pytest.mark.parametrize("k", range(2, limits.VECTOR_K_CAP + 1))
+    @pytest.mark.parametrize("k", range(2, limits.DEFAULTS["overlap"] + 1))
     def test_seeded_sizes_across_lane_types(self, k):
         rng = random.Random(k)
         for n in (k, k + 1, *(w + k - 1 for w in self.PASS_EDGES), *self.LANE_EDGES):
             self.assert_matches_walk(random_perm(rng, n).word, k)
 
-    @pytest.mark.parametrize("k", range(2, limits.VECTOR_K_CAP + 1))
+    @pytest.mark.parametrize("k", range(2, limits.DEFAULTS["overlap"] + 1))
     def test_monotone_words_give_the_extreme_ids(self, k):
         for n in (k, 100, self.LANE_EDGES[1]):
             rising = tuple(range(1, n + 1))
@@ -307,15 +307,16 @@ class TestProportionVector:
 
         monkeypatch.setattr(heads_module, "classical_counts", refuse)
         monkeypatch.setattr(perms_module, "_cocc_counts", refuse)
-        sigma = Permutation.identity(limits.VECTOR_K_CAP + 5)
-        with pytest.raises(CapacityError, match="pattern vectors"):
-            proportion_vector(limits.VECTOR_K_CAP + 1, sigma, kind)
+        cap = limits.cap("overlap")
+        sigma = Permutation.identity(cap + 5)
+        with pytest.raises(CapacityError, match="tables of k! entries"):
+            proportion_vector(cap + 1, sigma, kind)
         with pytest.raises(ValueError):
             proportion_vector(0, sigma, kind)
         # occ and cocc read the same k!-entry count lists, under the same cap
         count = occ if kind == "classical" else cocc
-        with pytest.raises(CapacityError, match="pattern vectors"):
-            count(Permutation.identity(limits.VECTOR_K_CAP + 1), sigma)
+        with pytest.raises(CapacityError, match="tables of k! entries"):
+            count(Permutation.identity(cap + 1), sigma)
 
 
 class TestAgreementWithNaiveEnumerator:
@@ -1190,7 +1191,7 @@ class TestPatternVector:
     def test_json_k_errors_come_after_key_errors(self):
         with pytest.raises(ValueError, match="^not a permutation word: 'x'$"):
             PatternVector.from_json_dict({"k": 9, "entries": {"x": "1"}})
-        with pytest.raises(CapacityError, match="vector cap"):
+        with pytest.raises(CapacityError, match="overlap cap"):
             PatternVector.from_json_dict({"k": 9, "entries": {"123456789": "1"}})
         with pytest.raises(ValueError, match="^pattern size must be >= 1$"):
             PatternVector.from_json_dict({"k": 0, "entries": {}})

@@ -4,8 +4,9 @@
 
 Runs ``perfbench/run.py --trace 0`` on each workload and seed once in this
 checkout (the change) and once in a copy of the revision (the parent),
-alternating which side runs first, then one ``--trace 1`` run per side and
-workload on the first seed, and then ``SETUP_PROBES`` alternating pairs of
+alternating which side runs first, then ``--trace 1`` runs in alternating
+pairs on the first ``TRACE_RUNS`` seeds of each workload, and then
+``SETUP_PROBES`` alternating pairs of
 ``perfbench/run.py --setup-probe <workload>`` processes per workload: a run
 takes ``setup_s`` from only 3 such probes, too few to resolve a shift of half
 a millisecond.  Both trees get the one declared bytecode mode:
@@ -19,7 +20,9 @@ than the metric's bound, and whether the metric is ``unresolved``: its median
 gap lies inside the parent's interquartile spread.  Every run's ``attempted``,
 ``failed`` and ``correct`` are kept too.  The whole report goes to ``--out``
 as JSON, and a table is printed.  ``setup_s`` from the probes gets the same
-comparison and a table of its own, beside the run-level value.
+comparison and a table of its own, beside the run-level value.  Each
+per-layer figure is the median of a side's traced runs, since one traced run
+can shift every layer at once; they are written and printed too.
 
 The parent's files come from ``git archive`` into a temporary folder, so a
 run that is killed leaves no worktree registered in ``.git``.  Each benchmark
@@ -44,11 +47,14 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SCHEMA = 2
+SCHEMA = 3
 # A 15 s run takes about 25 s with its set-up probes; a stalled one is cut.
 RUN_TIMEOUT_S = 600
 # Set-up probe pairs per workload; a run takes only 3 probes per side.
 SETUP_PROBES = 12
+# Traced runs per side and workload, one on each of the first seeds: one run
+# moved layers a change did not touch by up to 35%.
+TRACE_RUNS = 3
 
 
 def seed_list(text: str) -> list[int]:
@@ -144,6 +150,33 @@ def setup_report(probes: dict, summary: dict, end_to_end: list[dict]) -> dict:
         }
         for workload, sides in probes.items()
     }
+
+
+def layer_medians(traced: dict) -> dict:
+    """Per workload, each per-layer metric's median over each side's traced
+    runs (``traced[workload][side]``, a list of run outputs)."""
+    return {
+        workload: {
+            name: {
+                side: statistics.median(run["metrics"][name]["value"] for run in runs)
+                for side, runs in sides.items()
+            }
+            for name in sides["parent"][0]["metrics"]
+        }
+        for workload, sides in traced.items()
+    }
+
+
+def layer_table(layers: dict) -> str:
+    """``layer_medians`` as a Markdown table, one row per workload and metric
+    that is not zero on both sides."""
+    lines = ["| workload | layer | parent | change |", "| --- | --- | --- | --- |"]
+    for workload, metrics in layers.items():
+        for name, sides in metrics.items():
+            parent, change = sides["parent"], sides["change"]
+            if parent or change:
+                lines.append(f"| {workload} | {name} | {parent:.4g} | {change:.4g} |")
+    return "\n".join(lines)
 
 
 def cell(m: dict) -> str:
@@ -281,10 +314,12 @@ def main(argv: list[str] | None = None) -> int:
                         run[side] = once(side, workload, seed, 0)
                         print(f"{workload} seed {seed} {side}: done", file=sys.stderr)
                     runs.append(run)
-        traces = {
-            workload: {side: once(side, workload, args.seeds[0], 1) for side in trees}
-            for workload in workloads
-        }
+        traces: dict = {workload: {"parent": [], "change": []} for workload in workloads}
+        for workload in workloads:
+            for i, seed in enumerate(args.seeds[:TRACE_RUNS]):
+                for side in order(i):
+                    traces[workload][side].append(once(side, workload, seed, 1))
+            print(f"{workload} traced runs: done", file=sys.stderr)
         probes: dict = {workload: {"parent": [], "change": []} for workload in workloads}
         for workload in workloads:
             for i in range(SETUP_PROBES):
@@ -312,6 +347,7 @@ def main(argv: list[str] | None = None) -> int:
         "runs": runs,
         "summary": summary,
         "trace": traces,
+        "layers": layer_medians(traces),
         "setup_probes": probes,
         "setup": setup_report(probes, summary, end_to_end),
     }
@@ -319,6 +355,8 @@ def main(argv: list[str] | None = None) -> int:
     print(table(summary, end_to_end))
     print()
     print(setup_table(report["setup"]))
+    print()
+    print(layer_table(report["layers"]))
     return 0
 
 
