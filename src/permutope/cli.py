@@ -388,6 +388,15 @@ def run(argv: Sequence[str] | None = None) -> int:
             message = f"[Errno {exc.errno}] {exc.strerror}: {limits.excerpt(repr(exc.filename))}"
         print(f"error: {message}", file=sys.stderr)
         return 1
+    except MemoryError:
+        # Only a raised overlap cap allows a table near the size of memory.
+        k = limits.cap("overlap")
+        print(
+            f"error: out of memory; the overlap cap {k} (PERMUTOPE_CAP key 'overlap') "
+            f"allows tables of up to {k}! entries",
+            file=sys.stderr,
+        )
+        return 1
 
 
 def main() -> None:

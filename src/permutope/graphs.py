@@ -330,19 +330,30 @@ _MORE_CYCLES = "the graph has more simple cycles than"
 
 def iter_simple_cycles(g: Multigraph) -> Iterator[SimpleCycle]:
     """Yield every simple cycle of ``g`` exactly once, in canonical rotation
-    and in lexicographic order of the edge-id tuples.
+    and in lexicographic order of the edge-id tuples, from the search
+    :func:`_cycle_paths`.  Raises CapacityError when asked for a cycle past
+    the ``cycles`` cap, read when the enumeration starts.
+    """
+    for path in _cycle_paths(g):
+        yield SimpleCycle._trusted(g, tuple(path))
+
+
+def _cycle_paths(g: Multigraph) -> Iterator[list[int]]:
+    """Yield the edge ids of every simple cycle of ``g`` in the order and
+    rotation of :func:`iter_simple_cycles`, as one list that the search
+    changes after each yield: a caller keeps a copy, or only counts.
 
     For each edge e in increasing order, a depth-first search from ``ar(e)``
     back to ``st(e)`` over the edges above e, taken in increasing id order,
-    finds the cycles starting at e; a loop e is the cycle ``(e,)``.  Each
-    search keeps Johnson's blocked vertices and barriers.  The search state
-    is flat and per vertex: a blocked flag, a barrier set or None, and the
-    vertex's out-edges above e (cut from its ascending out-edge list on the
-    vertex's first push in that search).  These lists are allocated once per
-    enumeration; after each search only the vertices it touched are reset,
-    so a search that ends at once costs O(1) however large the graph.
-    Raises CapacityError when asked for a cycle past the ``cycles`` cap,
-    read when the enumeration starts.
+    finds the cycles starting at e, so each starts at its smallest id; a loop
+    e is the cycle ``(e,)``.  Each search keeps Johnson's blocked vertices
+    and barriers.  The search state is flat and per vertex: a blocked flag,
+    a barrier set or None, and the vertex's out-edges above e (cut from its
+    ascending out-edge list on the vertex's first push in that search).
+    These lists are allocated once per enumeration; after each search only
+    the vertices it touched are reset, so a search that ends at once costs
+    O(1) however large the graph.  Raises CapacityError when asked for a
+    cycle past the ``cycles`` cap, read when the enumeration starts.
     """
     st, ar, out, cap = g._st, g._ar, g._out, limits.cap("cycles")
     n = g.n_vertices
@@ -365,7 +376,9 @@ def iter_simple_cycles(g: Multigraph) -> Iterator[SimpleCycle]:
                     emitted += 1
                     if emitted > cap:
                         raise limits.refusal("cycles", cap, _MORE_CYCLES)
-                    yield SimpleCycle._trusted(g, (*epath, eid))
+                    epath.append(eid)
+                    yield epath
+                    epath.pop()
                 elif not blocked[w]:
                     epath.append(eid)
                     blocked[w] = True

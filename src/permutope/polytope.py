@@ -11,9 +11,9 @@ leave as ``Fraction``.  In between, the checks and the decomposition run on
 integer numerators over one common denominator: an ``ExactPoint`` (the
 feasible region's ``point_of``) is read as it is, and any other ``Sequence``
 point is scaled once to that form.  A membership test makes two C-level
-passes over all |E| entries (``min`` and ``sum``); the flow balance, the
-support check and the decomposition then do Python work only over the
-point's support and the edges of the cycles they peel.
+passes over all |E| entries (``min`` and ``sum``); the flow balance and
+the decomposition then do Python work only over the point's support and
+the edges of the cycles they peel.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .graphs import (
     Multigraph,
     SimpleCycle,
     _canonical_rotation,
+    _cycle_paths,
     _int_ids,
     iter_simple_cycles,
 )
@@ -211,13 +212,14 @@ class CyclePolytope:
         canonical cycle ids.
 
         Distinct simple cycles have distinct vectors, so the vertex count
-        equals the simple-cycle count.  A first pass only counts the cycles,
-        so the ``cycles`` cap fires before any of them is held; the count is
-        kept, and a later call counts again only when the cap is below it.
-        The vertices are built over the cycles of ``simple_cycles``.
+        equals the simple-cycle count.  A first pass runs the search alone,
+        building no cycle, so the ``cycles`` cap fires before any of them is
+        built or held; the count is kept, and a later call counts again only
+        when the cap is below it.  The vertices are built over the cycles of
+        ``simple_cycles``.
         """
         if self._n_cycles is None or self._n_cycles > limits.cap("cycles"):
-            self._n_cycles = sum(1 for _ in iter_simple_cycles(self.graph))
+            self._n_cycles = sum(1 for _ in _cycle_paths(self.graph))
         return tuple(map(CycleVector, self.simple_cycles()))
 
     # -- dimension ---------------------------------------------------------
@@ -275,10 +277,12 @@ class CyclePolytope:
         return n, d
 
     def _equation_violation(self, n: Sequence[int], d: int, support: Sequence[int]) -> str | None:
-        """The first unbalanced vertex, or support edge on no cycle, of a point
-        n / d with non-negative entries summing to 1, or None.
+        """The first unbalanced vertex of a point n / d with non-negative
+        entries summing to 1, or None.
 
         ``support`` lists the ids of the non-zero entries in ascending order.
+        A balanced point is a circulation, so every support edge lies on a
+        cycle and no other equation can fail.
         """
         g = self.graph
         st, ar = g._st, g._ar
@@ -296,11 +300,6 @@ class CyclePolytope:
                 f"flow not conserved at vertex {g.vertex_names[v]!r}: "
                 f"out {Fraction(outflow, d)} != in {Fraction(inflow, d)}"
             )
-        # Implied by the equations; kept as an explicit consistency check.
-        if len(self.full_edge_ids) < len(n):
-            for eid in support:
-                if eid not in self.full_edge_ids:
-                    return f"support edge {eid} lies on no cycle"
         return None
 
     def membership(self, point: Sequence) -> MembershipResult:

@@ -4,8 +4,12 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +34,17 @@ INFEASIBLE = json.dumps(
     {"k": 3, "entries": {"123": "0", "132": "1", "213": "0", "231": "0", "312": "0", "321": "0"}}
 )
 VIOLATION = "flow not conserved at vertex '12': out 1 != in 0"
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+CONSECUTIVE = ("--kind", "consecutive")
+# Runs the CLI on its arguments under a 128 MiB address-space limit.
+OUT_OF_MEMORY = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))
+from permutope import cli
+sys.exit(cli.run(sys.argv[1:]))
+"""
 
 
 def invoke(capsys, *argv):
@@ -383,6 +398,33 @@ class TestErrorsAndCaps:
             "error: PERMUTOPE_CAP cap 'overlap' is 21, over 20: "
             "the ids of k! patterns fit in 64 bits only up to k = 20\n"
         )
+
+    @pytest.mark.parametrize(
+        "cap, argv",
+        [
+            (12, ("stats", "--perm", "3,1,4,12,5,9,2,6,11,8,10,7", "--k", "12", *CONSECUTIVE)),
+            (12, ("dim", "--k", "12")),
+            (
+                20,
+                ("stats", "--perm", ",".join(map(str, range(25, 0, -1))), "--k", "20", *CONSECUTIVE),
+            ),
+        ],
+    )
+    def test_out_of_memory_is_one_line(self, cap, argv):
+        # A raised overlap cap allows k! tables that do not fit.  Each run is a
+        # child process that limits its own address space, so that it fails
+        # fast and the test process never builds such a table.
+        env = dict(os.environ, PYTHONPATH=str(SRC), PERMUTOPE_CAP=f"overlap={cap}")
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", OUT_OF_MEMORY, *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr == (
+            f"error: out of memory; the overlap cap {cap} (PERMUTOPE_CAP key 'overlap') "
+            f"allows tables of up to {cap}! entries\n"
+        )
+        assert len(done.stderr.encode()) < 200
 
     def test_env_cap_unknown_key(self, capsys, monkeypatch):
         monkeypatch.setenv("PERMUTOPE_CAP", "cycle=2")

@@ -26,6 +26,7 @@ from oracles import (
     simple_cycles_by_sets,
     walk_split_by_dict,
 )
+from permutope import graphs as graphs_module
 from permutope import polytope as polytope_module
 
 
@@ -267,23 +268,47 @@ class TestAgainstSlowRoutes:
         for stream in streams:
             assert [c.edge_ids for c in itertools.islice(stream, prefix)] == slow
 
-    def test_cycles_on_random_multigraphs(self):
+    @staticmethod
+    def seeded_multigraphs() -> list[Multigraph]:
+        """80 seeded random multigraphs, 60 of them with a loop and parallel edges."""
         rng = random.Random(71)
         graphs = [random_multigraph_with_extras(rng) for _ in range(60)]
         graphs += [random_multigraph(rng, max_vertices=7, max_edges=25) for _ in range(20)]
+        return graphs
+
+    def test_cycles_on_random_multigraphs(self):
         total = 0
-        for graph in graphs:
+        for graph in self.seeded_multigraphs():
             fast = [c.edge_ids for c in iter_simple_cycles(graph)]
             assert fast == list(simple_cycles_by_sets(graph))
             total += len(fast)
         assert total > 500
+
+    def test_count_on_random_multigraphs_and_small_overlap_graphs(self):
+        # The count that vertices() makes runs the search alone.
+        graphs = self.seeded_multigraphs() + [build_overlap_graph(k).graph for k in (2, 3, 4)]
+        for graph in graphs:
+            count = sum(1 for _ in graphs_module._cycle_paths(graph))
+            assert count == len(list(iter_simple_cycles(graph))) == count_simple_cycles_dp(graph)
+            assert len(CyclePolytope(graph).vertices()) == count
+
+    def test_count_builds_no_cycle(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a SimpleCycle was built")
+
+        monkeypatch.setattr(SimpleCycle, "_trusted", refuse)
+        polytope = CyclePolytope(build_overlap_graph(5).graph)
+        with pytest.raises(CapacityError, match="more simple cycles than the cycles cap 1000000 "):
+            polytope.vertices()
 
     @pytest.mark.parametrize("cap", [0, 1, 37, 159, 160])
     def test_cap_fires_on_the_cycle_past_it(self, cap, monkeypatch):
         # k = 4 has 160 cycles, so a cap of 160 lets them all out.
         graph = build_overlap_graph(4).graph
         slow = list(itertools.islice(simple_cycles_by_sets(graph), cap))
-        for route in ("enumerator", "fresh", "kept_past_cap", "source_alive", "source_cut"):
+        refusals = set()
+        routes = ("enumerator", "count", "fresh", "kept_past_cap", "source_alive", "source_cut")
+        for route in routes:
             monkeypatch.delenv("PERMUTOPE_CAP", raising=False)
             polytope = CyclePolytope(graph)
             if route == "kept_past_cap":
@@ -298,16 +323,27 @@ class TestAgainstSlowRoutes:
                         next(early)
             monkeypatch.setenv("PERMUTOPE_CAP", f"cycles={cap}")
             if route == "enumerator":
-                stream = iter_simple_cycles(graph)
+                stream = (c.edge_ids for c in iter_simple_cycles(graph))
+            elif route == "count":
+                # The search vertices() counts with, whose one list changes after each yield.
+                stream = map(tuple, graphs_module._cycle_paths(graph))
             else:
-                stream = polytope.simple_cycles()
-            first = [next(stream).edge_ids for _ in range(cap)]
+                stream = (c.edge_ids for c in polytope.simple_cycles())
+            first = [next(stream) for _ in range(cap)]
             assert first == slow, route
             if cap < 160:
-                with pytest.raises(CapacityError, match=f"cycles cap {cap} "):
+                with pytest.raises(CapacityError, match=f"cycles cap {cap} ") as refusal:
                     next(stream)
+                refusals.add(str(refusal.value))
+                if route == "count":
+                    with pytest.raises(CapacityError) as refusal:
+                        polytope.vertices()
+                    refusals.add(str(refusal.value))
             else:
                 assert next(stream, None) is None
+                if route == "count":
+                    assert len(polytope.vertices()) == 160
+        assert len(refusals) == (cap < 160)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
     def test_walk_splits_on_overlap_graphs(self, k):
