@@ -389,13 +389,20 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(f"error: {message}", file=sys.stderr)
         return 1
     except MemoryError:
-        # Only a raised overlap cap allows a table near the size of memory.
-        k = limits.cap("overlap")
-        print(
-            f"error: out of memory; the overlap cap {k} (PERMUTOPE_CAP key 'overlap') "
-            f"allows tables of up to {k}! entries",
-            file=sys.stderr,
-        )
+        # Only a raised cap allows a request near the size of memory: name each
+        # cap over its default, or the overlap cap when none is.
+        caps = limits.caps()
+        raised = [key for key, value in caps.items() if value > limits.DEFAULTS[key]]
+        named = []
+        for key in raised or ["overlap"]:
+            value = limits.excerpt(caps[key])
+            consent = (
+                f"allows tables of up to {value}! entries"
+                if key == "overlap"
+                else f"is over its default {limits.DEFAULTS[key]}"
+            )
+            named.append(f"the {key} cap {value} (PERMUTOPE_CAP key '{key}') {consent}")
+        print(f"error: out of memory; {'; '.join(named)}", file=sys.stderr)
         return 1
 
 

@@ -6,7 +6,10 @@ certificate, not an approximation: membership tests check the defining
 equations, positive answers come with an explicit convex decomposition into
 cycle vectors, and faces are handled through the full subgraphs that index
 them: one strong-component pass over an edge subset of G decides whether the
-subset is full and gives the dimension of its face.  Points enter and weights
+subset is full and gives the dimension of its face.  Whether two vertices
+span an edge of the polytope needs no such pass: the union of two cycles is
+full, and its dimension is a count of its edges and vertices (see
+``skeleton_adjacent``).  Points enter and weights
 leave as ``Fraction``.  In between, the checks and the decomposition run on
 integer numerators over one common denominator: an ``ExactPoint`` (the
 feasible region's ``point_of``) is read as it is, and any other ``Sequence``
@@ -341,43 +344,62 @@ class CyclePolytope:
         self, n: list[int], d: int, support: Sequence[int]
     ) -> list[tuple[Fraction, SimpleCycle]]:
         """Peel cycles off the member point n / d, whose non-zero entries are at
-        the ascending ids ``support``; consumes ``n``."""
+        the ascending ids ``support``; consumes ``n``.
+
+        The walk lives in flat lists of |V| entries, allocated once, as in
+        ``graphs.decompose_walk``: the path is ``edges[:depth]``;
+        ``depth_of[v]`` is the index in ``edges`` of the edge by which v
+        leaves the path, stale unless it is below ``depth`` and that edge
+        starts at v; and ``first[v]`` is the index in ``out[v]`` below which
+        every out-edge is spent.  Entries only fall, so ``first`` only rises
+        and the walk still takes the smallest-id positive continuation.
+        """
         g = self.graph
         st, ar, out = g._st, g._ar, g._out
         remaining = n
         result: list[tuple[Fraction, SimpleCycle]] = []
+        depth_of = [0] * g.n_vertices
+        first = [0] * g.n_vertices
+        edges = [0] * g.n_vertices
         # support[pos] is the smallest positive edge id, which never decreases
-        pos, edges = 0, []
+        pos = depth = 0
         while True:
-            if not edges:
+            if not depth:
                 while pos < len(support) and not remaining[support[pos]]:
                     pos += 1
                 if pos == len(support):
                     break
                 start = support[pos]
-                seen = {st[start]: 0}
-                edges = [start]
+                depth_of[st[start]] = 0
+                edges[0] = start
+                depth = 1
                 v = ar[start]
-            while v not in seen:
-                seen[v] = len(edges)
+            while True:
+                at = depth_of[v]
+                if at < depth and st[edges[at]] == v:
+                    break  # v is on the path: the walk closed a cycle
                 # Out-edges come in ascending id order, so this is the
                 # smallest-id continuation along the support.
-                for e in out[v]:
-                    if remaining[e]:
-                        break
-                else:
-                    raise AssertionError("conservation guarantees an outgoing support edge")
-                edges.append(e)
+                ids, i = out[v], first[v]
+                try:
+                    while not remaining[ids[i]]:
+                        i += 1
+                except IndexError:
+                    raise AssertionError(
+                        "conservation guarantees an outgoing support edge"
+                    ) from None
+                first[v] = i
+                depth_of[v] = depth
+                e = edges[depth] = ids[i]
+                depth += 1
                 v = ar[e]
-            at = seen[v]
-            cycle_edges = edges[at:]
-            flow = min([remaining[e] for e in cycle_edges])
+            cycle_edges = edges[at:depth]
+            flow = min(map(remaining.__getitem__, cycle_edges))
             for e in cycle_edges:
                 remaining[e] -= flow
-                del seen[st[e]]
             # Only edges leaving cycle vertices fell and the path meets the cycle
             # only at v, so a fresh walk from start retraces it; at == 0 restarts.
-            del edges[at:]
+            depth = at
             cycle = SimpleCycle._trusted(g, _canonical_rotation(cycle_edges))
             result.append((Fraction(flow * len(cycle_edges), d), cycle))
         return result
@@ -417,12 +439,21 @@ class CyclePolytope:
     def skeleton_adjacent(self, c1: SimpleCycle, c2: SimpleCycle) -> bool:
         """Whether two polytope vertices are joined by an edge of the polytope.
 
-        True exactly when the union of the two cycles carries a 1-dimensional
-        face, which happens when the cycles are vertex-disjoint or one is a
-        single chord of the other.
+        True exactly when the union U of the two cycles carries a
+        1-dimensional face, decided by counting.  U is full, since each of its
+        edges lies on one of the two cycles, so its strong components are its
+        weak ones: two when the cycles share no vertex, else one.  Its face
+        has dimension |U| - |V(U)| + #components - 1 (the vertices outside
+        V(U) add one component each and cancel).  A simple cycle has as many
+        vertices as edges, so vertex-disjoint cycles give dimension 1, and
+        cycles that meet give |U| - |V(U)|: the pair is adjacent exactly when
+        the cycles are vertex-disjoint or |U| = |V(U)| + 1.  A cycle and
+        itself give |U| = |V(U)|, so it is not adjacent to itself.
         """
         if c1.graph is not self.graph or c2.graph is not self.graph:
             raise IndexError("cycle references edges of a different graph")
-        if set(c1.edge_ids) == set(c2.edge_ids):
-            return False
-        return self.face(set(c1.edge_ids) | set(c2.edge_ids)).dimension() == 1
+        e1, e2 = set(c1.edge_ids), set(c2.edge_ids)
+        # A cycle's vertices are the starts of its edges.
+        start = self.graph._st.__getitem__
+        v1, v2 = set(map(start, e1)), set(map(start, e2))
+        return v1.isdisjoint(v2) or len(e1 | e2) == len(v1 | v2) + 1

@@ -51,6 +51,14 @@ def random_multigraph_with_extras(rng: random.Random) -> Multigraph:
     return Multigraph(base.vertex_names, list(base.edges) + extra)
 
 
+def seeded_multigraphs() -> list[Multigraph]:
+    """80 seeded random multigraphs, 60 of them with a loop and parallel edges."""
+    rng = random.Random(71)
+    graphs = [random_multigraph_with_extras(rng) for _ in range(60)]
+    graphs += [random_multigraph(rng, max_vertices=7, max_edges=25) for _ in range(20)]
+    return graphs
+
+
 def point_mass(pattern: Permutation) -> PatternVector:
     """The target with all its mass on ``pattern``."""
     k = len(pattern)

@@ -7,14 +7,17 @@ order comparison, classical size-2 and size-3 counts from merge-sort
 smaller-before counts split by the middle position, classical counts of any
 size by one argsort per subset, simple cycles by edge-subset filtering, the
 simple-cycle search and the walk split with sets and dicts where the graph
-kernels keep flat per-vertex lists, rank by its own Gaussian elimination, convex-hull membership by an exact phase-1
-simplex over the vertex list, membership and its greedy cycle decomposition
-in ``Fraction`` arithmetic, the greedy walk-to-permutation construction by
-rewriting the whole word at every step, the window walk one step per window
-through a step table built by sorting, the signed incidence matrix, and the
-worst-case realization error bound that charges every block-boundary window
-to every edge.  The one exception is ``cocc_via_walk``, which counts on the
-package's own window walk to cross-check ``cocc``.
+kernels keep flat per-vertex lists, rank by its own Gaussian elimination,
+convex-hull membership by an exact phase-1 simplex over the vertex list,
+membership and its greedy cycle decomposition in ``Fraction`` arithmetic,
+the greedy walk-to-permutation construction by rewriting the whole word at
+every step, the window walk one step per window through a step table built
+by sorting, the signed incidence matrix, and the worst-case realization
+error bound that charges every block-boundary window to every edge.  The
+exceptions are ``cocc_via_walk``, which counts on the package's own window
+walk to cross-check ``cocc``, and ``skeleton_adjacent_by_face``, which
+decides a polytope edge through the package's face route (a strong-component
+pass) to cross-check the closed form of ``skeleton_adjacent``.
 """
 
 from __future__ import annotations
@@ -481,6 +484,16 @@ def ambient_affine_dimension(poly) -> int:
     to the dimension."""
     rows, _ = poly.equation_system()
     return poly.graph.n_edges - matrix_rank(rows)
+
+
+def skeleton_adjacent_by_face(poly, c1, c2) -> bool:
+    """Whether two cycles span an edge of the polytope, by building the face
+    of their union: a strong-component pass over the union's edges gives its
+    dimension, which must be 1.  The checked slow route for
+    ``CyclePolytope.skeleton_adjacent``, which counts vertices and edges."""
+    if set(c1.edge_ids) == set(c2.edge_ids):
+        return False
+    return poly.face(set(c1.edge_ids) | set(c2.edge_ids)).dimension() == 1
 
 
 # -- membership in Fraction arithmetic ------------------------------------------

@@ -61,6 +61,25 @@ class TestArithmetic:
         # the rule is about the medians, whatever the pairs say
         assert bench.compare(parent, [x + 1.5 for x in parent], "higher", 0.25)["unresolved"]
 
+    @pytest.mark.parametrize("won, gain", [(9, True), (8, False)])
+    def test_gain_needs_nine_pairs_in_ten(self, won, gain):
+        parent = [10.0 + i for i in range(10)]  # quartiles 12.25 and 16.75: a spread of 4.5
+        # the pairs the change wins are 6 lower, the rest 1 higher: a median gap of 6
+        change = [p - 6 if i < won else p + 1 for i, p in enumerate(parent)]
+        result = bench.compare(parent, change, "lower", 0.25)
+        assert result["won"]["change"] == won and not result["unresolved"]
+        assert result["gain"] is gain
+        # the same runs read the other way round are no gain
+        assert not bench.compare(parent, change, "higher", 0.25)["gain"]
+
+    def test_no_gain_inside_the_parents_spread(self):
+        parent = [10.0 + i for i in range(10)]
+        result = bench.compare(parent, [p - 4 for p in parent], "lower", 0.25)
+        assert result["won"]["change"] == 10 and result["unresolved"]
+        assert not result["gain"]
+        result = bench.compare(parent, [p - 5 for p in parent], "lower", 0.25)
+        assert result["gain"] and "(10/10, gain)" in bench.cell(result)
+
     @pytest.mark.parametrize(
         "better, change, worse",
         [
@@ -107,7 +126,8 @@ class TestReport:
         assert set(summary["metrics"]) == {m["name"] for m in END_TO_END}
         for result in summary["metrics"].values():
             assert set(result) == {
-                "parent", "change", "relative", "pairs", "won", "unresolved", "worse_than_bound"
+                "parent", "change", "relative", "pairs", "won", "unresolved", "worse_than_bound",
+                "gain",
             }
             assert set(result["parent"]) == set(result["change"]) == {"median", "q1", "q3"}
         json.dumps(report)  # the report is written as JSON
@@ -120,7 +140,7 @@ class TestReport:
         assert tail["change"]["median"] == 14.5 + offset
         assert tail["won"] == {"change": 10, "parent": 0}
         # a gap of 1 against the parent's spread of 4.5
-        assert tail["unresolved"] and not tail["worse_than_bound"]
+        assert tail["unresolved"] and not tail["worse_than_bound"] and not tail["gain"]
         rate = report["realize"]["seeds"]["metrics"]["ops_per_s"]
         assert rate["won"] == {"change": 0, "parent": 10}
         assert report["cli"]["seeds"]["metrics"]["op_p50_ms"]["won"] == {"change": 0, "parent": 0}
@@ -170,7 +190,7 @@ class TestSetupProbes:
         lines = bench.setup_table(setup).splitlines()
         assert lines[0] == "| workload | setup_s, probes | setup_s, runs |"
         assert len(lines) == 3 and lines[2].startswith("| realize | 0.01015 [0.01008, 0.01023] -> ")
-        assert "-> 0.01065 (0/12) |" in lines[2] and "(10/10) |" in lines[2]
+        assert "-> 0.01065 (0/12) |" in lines[2] and "(10/10, gain) |" in lines[2]
 
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")

@@ -426,6 +426,22 @@ class TestErrorsAndCaps:
         )
         assert len(done.stderr.encode()) < 200
 
+    def test_out_of_memory_names_the_raised_cap(self):
+        # A raised realize cap lets a witness too large for memory through;
+        # the line names that cap, not the overlap cap left at its default.
+        env = dict(os.environ, PYTHONPATH=str(SRC), PERMUTOPE_CAP="realize=100000000000")
+        argv = ("realize", "--k", "3", "--vector", "uniform", "--m", "1000000000")
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", OUT_OF_MEMORY, *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr == (
+            "error: out of memory; the realize cap 100000000000 (PERMUTOPE_CAP key 'realize') "
+            "is over its default 10000000\n"
+        )
+        assert len(done.stderr.encode()) < 200
+
     def test_env_cap_unknown_key(self, capsys, monkeypatch):
         monkeypatch.setenv("PERMUTOPE_CAP", "cycle=2")
         code, _, err = invoke(capsys, "vertices", "--k", "3")

@@ -18,7 +18,12 @@ from permutope import (
     eulerian_circuit,
     iter_simple_cycles,
 )
-from conftest import random_multigraph, random_multigraph_with_extras, random_walk
+from conftest import (
+    random_multigraph,
+    random_multigraph_with_extras,
+    random_walk,
+    seeded_multigraphs,
+)
 from oracles import (
     brute_force_simple_cycles,
     count_simple_cycles_dp,
@@ -268,17 +273,9 @@ class TestAgainstSlowRoutes:
         for stream in streams:
             assert [c.edge_ids for c in itertools.islice(stream, prefix)] == slow
 
-    @staticmethod
-    def seeded_multigraphs() -> list[Multigraph]:
-        """80 seeded random multigraphs, 60 of them with a loop and parallel edges."""
-        rng = random.Random(71)
-        graphs = [random_multigraph_with_extras(rng) for _ in range(60)]
-        graphs += [random_multigraph(rng, max_vertices=7, max_edges=25) for _ in range(20)]
-        return graphs
-
     def test_cycles_on_random_multigraphs(self):
         total = 0
-        for graph in self.seeded_multigraphs():
+        for graph in seeded_multigraphs():
             fast = [c.edge_ids for c in iter_simple_cycles(graph)]
             assert fast == list(simple_cycles_by_sets(graph))
             total += len(fast)
@@ -286,7 +283,7 @@ class TestAgainstSlowRoutes:
 
     def test_count_on_random_multigraphs_and_small_overlap_graphs(self):
         # The count that vertices() makes runs the search alone.
-        graphs = self.seeded_multigraphs() + [build_overlap_graph(k).graph for k in (2, 3, 4)]
+        graphs = seeded_multigraphs() + [build_overlap_graph(k).graph for k in (2, 3, 4)]
         for graph in graphs:
             count = sum(1 for _ in graphs_module._cycle_paths(graph))
             assert count == len(list(iter_simple_cycles(graph))) == count_simple_cycles_dp(graph)

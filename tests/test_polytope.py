@@ -20,13 +20,14 @@ from permutope import (
     build_overlap_graph,
     iter_simple_cycles,
 )
-from conftest import random_multigraph
+from conftest import random_multigraph, seeded_multigraphs
 from oracles import (
     affine_rank,
     ambient_affine_dimension,
     brute_force_simple_cycles,
     fraction_membership,
     in_convex_hull,
+    skeleton_adjacent_by_face,
 )
 
 F = Fraction
@@ -247,7 +248,11 @@ def random_cycle(rng, g):
 
 def planted_point(rng, g, n_cycles):
     """A convex combination of random simple cycles with weights 1..4."""
-    cycles = [random_cycle(rng, g) for _ in range(n_cycles)]
+    return point_on_cycles(rng, g, [random_cycle(rng, g) for _ in range(n_cycles)])
+
+
+def point_on_cycles(rng, g, cycles):
+    """A convex combination of the given cycles (edge ids) with weights 1..4."""
     weights = [rng.randint(1, 4) for _ in cycles]
     point = [F(0)] * g.n_edges
     for w, cycle in zip(weights, cycles):
@@ -392,6 +397,68 @@ class TestFractionOracle:
             poly = CyclePolytope(g)
             assert_matches_fraction_oracle(poly, [])
             assert poly.membership([]).violation == "entries sum to 0, not 1"
+
+
+def revisits_past_spent_edge(g, x, decomposition) -> int:
+    """How many times a peeled cycle leaves a vertex whose smallest-id support
+    out-edge an earlier cycle has already spent."""
+    remaining = list(x)
+    smallest = {}
+    for eid, value in enumerate(x):
+        if value:
+            smallest.setdefault(g.st(eid), eid)
+    revisits = 0
+    for weight, cycle in decomposition:
+        revisits += sum(not remaining[smallest[g.st(eid)]] for eid in cycle.edge_ids)
+        for eid in cycle.edge_ids:
+            remaining[eid] -= weight / len(cycle)
+    return revisits
+
+
+class TestFlatPeel:
+    """The peel keeps its walk in flat per-vertex lists and resumes each
+    vertex's out-edge scan where it stopped; the decomposition stays the
+    Fraction route's."""
+
+    @pytest.mark.parametrize("k", [5, 6, 7])
+    def test_planted_points_revisit_vertices_past_a_spent_edge(self, k):
+        rng = random.Random(900 + k)
+        poly = CyclePolytope(build_overlap_graph(k).graph)
+        revisits = 0
+        for n_cycles in (20, 24, 27, 30):
+            x = planted_point(rng, poly.graph, n_cycles)
+            assert_matches_fraction_oracle(poly, x)
+            revisits += revisits_past_spent_edge(poly.graph, x, poly.convex_decomposition(x))
+        assert revisits > 0
+
+    def test_seeded_multigraphs(self):
+        # Loops, parallel edges and (in some graphs) two loops at one vertex.
+        rng = random.Random(43)
+        points = revisits = 0
+        for g in seeded_multigraphs():
+            cycles = [c.edge_ids for c in iter_simple_cycles(g)]
+            if not cycles:
+                continue
+            poly = CyclePolytope(g)
+            for _ in range(4):
+                chosen = [rng.choice(cycles) for _ in range(rng.randint(1, 12))]
+                x = point_on_cycles(rng, g, chosen)
+                assert_matches_fraction_oracle(poly, x)
+                revisits += revisits_past_spent_edge(g, x, poly.convex_decomposition(x))
+                points += 1
+        assert points > 200 and revisits > 0
+
+    @pytest.mark.parametrize(
+        "n, support",
+        [
+            ([0, 1, 0, 0, 0], [1]),  # nothing leaves v2
+            ([0, 1, 1, 1, 0], [1, 2, 3]),  # v2's one out-edge is spent by the first cycle
+        ],
+    )
+    def test_unbalanced_point_trips_the_guard(self, fig3_graph, n, support):
+        poly = CyclePolytope(fig3_graph)
+        with pytest.raises(AssertionError, match="outgoing support edge"):
+            poly._greedy_decomposition(n, sum(n), support)
 
 
 class TestConvexDecomposition:
@@ -583,6 +650,38 @@ class TestSkeleton:
         poly = CyclePolytope(fig3_graph)
         c = SimpleCycle(fig3_graph, (1, 3))
         assert not poly.skeleton_adjacent(c, c)
+
+    @pytest.mark.parametrize("k, f1", [(3, 13), (4, 2667)])
+    def test_closed_form_on_every_pair_of_overlap_graph_cycles(self, k, f1):
+        # f1 is the number of edges of P_k, the second entry of its f-vector.
+        poly = CyclePolytope(build_overlap_graph(k).graph)
+        cycles = list(poly.simple_cycles())
+        adjacent = 0
+        for c1, c2 in itertools.product(cycles, repeat=2):
+            fast = poly.skeleton_adjacent(c1, c2)
+            assert fast == skeleton_adjacent_by_face(poly, c1, c2)
+            adjacent += fast
+        assert adjacent == 2 * f1
+
+    def test_closed_form_on_seeded_multigraphs(self):
+        pairs = adjacent = two_loops = 0
+        for g in seeded_multigraphs():
+            poly = CyclePolytope(g)
+            cycles = list(iter_simple_cycles(g))
+            loops = [g.st(eid) for eid in range(g.n_edges) if g.st(eid) == g.ar(eid)]
+            two_loops += len(loops) > len(set(loops))
+            for c1, c2 in itertools.product(cycles, repeat=2):
+                fast = poly.skeleton_adjacent(c1, c2)
+                assert fast == skeleton_adjacent_by_face(poly, c1, c2)
+                pairs += 1
+                adjacent += fast
+        assert two_loops > 0 and 0 < adjacent < pairs
+
+    def test_cycles_of_another_graph_are_refused(self, fig3_graph):
+        poly = CyclePolytope(fig3_graph)
+        other = Multigraph(["a"], [(0, 0, "x")])
+        with pytest.raises(IndexError, match="different graph"):
+            poly.skeleton_adjacent(SimpleCycle(fig3_graph, (0,)), SimpleCycle(other, (0,)))
 
 
 class TestEquationSystem:

@@ -16,8 +16,10 @@ a millisecond.  Both trees get the one declared bytecode mode:
 For each workload, seed set and end-to-end metric of ``BENCHMARK.json`` it
 writes both sides' median and quartiles, the pairs each side won (ties count
 for neither), whether the change's median is worse than the parent's by more
-than the metric's bound, and whether the metric is ``unresolved``: its median
-gap lies inside the parent's interquartile spread.  Every run's ``attempted``,
+than the metric's bound, whether the metric is ``unresolved``: its median
+gap lies inside the parent's interquartile spread, and whether it is a
+``gain``: the change won at least 9 pairs in 10 and its median moved the
+better way by more than that spread.  Every run's ``attempted``,
 ``failed`` and ``correct`` are kept too.  The whole report goes to ``--out``
 as JSON, and a table is printed.  ``setup_s`` from the probes gets the same
 comparison and a table of its own, beside the run-level value.  Each
@@ -47,7 +49,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SCHEMA = 3
+SCHEMA = 4
 # A 15 s run takes about 25 s with its set-up probes; a stalled one is cut.
 RUN_TIMEOUT_S = 600
 # Set-up probe pairs per workload; a run takes only 3 probes per side.
@@ -86,14 +88,19 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
     c1, cm, c3 = quartiles(change)
     gains = [sign * (c - p) for p, c in zip(parent, change)]
     limit = pm * (1 - sign * bound)
+    won = sum(g > 0 for g in gains)
+    unresolved = abs(cm - pm) <= p3 - p1
     return {
         "parent": {"median": pm, "q1": p1, "q3": p3},
         "change": {"median": cm, "q1": c1, "q3": c3},
         "relative": (cm - pm) / pm if pm else None,
         "pairs": len(gains),
-        "won": {"change": sum(g > 0 for g in gains), "parent": sum(g < 0 for g in gains)},
-        "unresolved": abs(cm - pm) <= p3 - p1,
+        "won": {"change": won, "parent": sum(g < 0 for g in gains)},
+        "unresolved": unresolved,
         "worse_than_bound": sign * (cm - limit) < 0,
+        # A claimable gain: at least 9 pairs in 10 won, and a median gap the
+        # better way that is wider than the parent's interquartile spread.
+        "gain": 10 * won >= 9 * len(gains) and sign * (cm - pm) > 0 and not unresolved,
     }
 
 
@@ -181,10 +188,11 @@ def layer_table(layers: dict) -> str:
 
 def cell(m: dict) -> str:
     """One comparison: parent median [q1, q3] -> change median (pairs the
-    change won / pairs), with ``unresolved`` and ``WORSE`` (past the bound)
-    marked."""
+    change won / pairs), with ``gain``, ``unresolved`` and ``WORSE`` (past
+    the bound) marked."""
     p, c = m["parent"], m["change"]
-    marks = [word for word, on in (("unresolved", m["unresolved"]),
+    marks = [word for word, on in (("gain", m["gain"]),
+                                   ("unresolved", m["unresolved"]),
                                    ("WORSE", m["worse_than_bound"])) if on]
     return (
         f"{p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> {c['median']:.4g} "
