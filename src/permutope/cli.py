@@ -39,7 +39,7 @@ def _float_str(value: Fraction) -> str:
 
 
 def _fmt(value: Fraction, args: argparse.Namespace) -> str:
-    return _float_str(value) if getattr(args, "float", False) else str(value)
+    return _float_str(value) if args.float else str(value)
 
 
 def _dump(data) -> str:
@@ -60,15 +60,13 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def _load_graph(args: argparse.Namespace) -> Multigraph:
-    if getattr(args, "graph", None):
+    if args.graph is not None:
         from .graphs import Multigraph
 
         return Multigraph.from_json(_read(args.graph))
-    if getattr(args, "k", None):
-        from .overlap import build_overlap_graph
+    from .overlap import build_overlap_graph
 
-        return build_overlap_graph(args.k).graph
-    raise ValueError("pass --k or --graph")
+    return build_overlap_graph(args.k).graph
 
 
 def _parse_vector(spec: str, k: int) -> PatternVector:
@@ -98,7 +96,7 @@ def _region_and_vector(args: argparse.Namespace):
 
 def _vector_json(vector: PatternVector, args: argparse.Namespace) -> dict:
     data = vector.to_json_dict()
-    if getattr(args, "float", False):
+    if args.float:
         data["entries"] = {w: _float_str(Fraction(v)) for w, v in data["entries"].items()}
     return data
 

@@ -7,16 +7,18 @@ simple-cycle enumeration, the cycle polytope) identifies edges by id.
 The simple-cycle enumerator is an iterative Johnson-style search adapted to
 multigraphs: parallel edges are distinguished by id, a loop is a cycle of
 length one, and each cycle is reported once in canonical rotation (smallest
-edge id first) and in lexicographic order of the edge-id tuples.  It and the
-walk splitter keep their state in flat lists indexed by vertex, allocated
-once per call; the enumerator resets after each search only the vertices
-that search touched.
+edge id first) and in lexicographic order of the edge-id tuples, up to a
+cycle cap that its caller passes (``math.inf`` for none).  It and the walk
+splitter keep their state in flat lists indexed by vertex, allocated once
+per call; the enumerator resets after each search only the vertices that
+search touched.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_right
+from functools import partial
 from typing import Iterable, Iterator, Sequence
 
 from . import limits
@@ -331,14 +333,18 @@ _MORE_CYCLES = "the graph has more simple cycles than"
 def iter_simple_cycles(g: Multigraph) -> Iterator[SimpleCycle]:
     """Yield every simple cycle of ``g`` exactly once, in canonical rotation
     and in lexicographic order of the edge-id tuples, from the search
-    :func:`_cycle_paths`.  Raises CapacityError when asked for a cycle past
-    the ``cycles`` cap, read when the enumeration starts.
+    :func:`_cycle_paths`.  Reads the ``cycles`` cap when the enumeration
+    starts and raises CapacityError when asked for a cycle past it.
     """
-    for path in _cycle_paths(g):
-        yield SimpleCycle._trusted(g, tuple(path))
+    yield from _built_cycles(g, _cycle_paths(g, limits.cap("cycles")))
 
 
-def _cycle_paths(g: Multigraph) -> Iterator[list[int]]:
+def _built_cycles(g: Multigraph, paths: Iterable[list[int]]) -> Iterator[SimpleCycle]:
+    """The cycles of ``g`` along paths of :func:`_cycle_paths`, copied as read."""
+    return map(partial(SimpleCycle._trusted, g), map(tuple, paths))
+
+
+def _cycle_paths(g: Multigraph, cap: float) -> Iterator[list[int]]:
     """Yield the edge ids of every simple cycle of ``g`` in the order and
     rotation of :func:`iter_simple_cycles`, as one list that the search
     changes after each yield: a caller keeps a copy, or only counts.
@@ -353,9 +359,9 @@ def _cycle_paths(g: Multigraph) -> Iterator[list[int]]:
     These lists are allocated once per enumeration; after each search only
     the vertices it touched are reset, so a search that ends at once costs
     O(1) however large the graph.  Raises CapacityError when asked for a
-    cycle past the ``cycles`` cap, read when the enumeration starts.
+    cycle past ``cap``, the caller's ``cycles`` cap (``math.inf`` for none).
     """
-    st, ar, out, cap = g._st, g._ar, g._out, limits.cap("cycles")
+    st, ar, out = g._st, g._ar, g._out
     n = g.n_vertices
     blocked = [False] * n
     barriers: list[set[int] | None] = [None] * n

@@ -22,6 +22,7 @@ the edges of the cycles they peel.
 from __future__ import annotations
 
 import itertools
+import math
 from _thread import allocate_lock  # threading.Lock, without importing threading
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -33,10 +34,10 @@ from .graphs import (
     _MORE_CYCLES,
     Multigraph,
     SimpleCycle,
+    _built_cycles,
     _canonical_rotation,
     _cycle_paths,
     _int_ids,
-    iter_simple_cycles,
 )
 from .rationals import ExactPoint, as_fraction, integer_numerators
 
@@ -127,7 +128,6 @@ class CyclePolytope:
         "_kept",
         "_kept_slots",
         "_source",
-        "_source_cap",
         "_lock",
     )
 
@@ -138,11 +138,10 @@ class CyclePolytope:
         self._n_cycles: int | None = None
         self._equations: tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None = None
         # The kept prefix of the enumeration, its size in slots, and the
-        # shared enumerator that extends it with the cap it was started under.
+        # shared enumerator that extends it.
         self._kept: list[SimpleCycle] = []
         self._kept_slots = 0
         self._source: Iterator[SimpleCycle] | None = None
-        self._source_cap = 0
         self._lock = allocate_lock()
 
     def __reduce__(self):
@@ -158,31 +157,27 @@ class CyclePolytope:
 
         The polytope keeps the prefix of cycles it has enumerated, up to
         ``_KEPT_SLOTS``, and serves later calls from it: one shared
-        enumerator extends the prefix under a lock, and a call that goes past
-        the budget gets a private enumerator that skips the kept prefix.
-        Each call reads the ``cycles`` cap when it starts and raises
-        CapacityError when asked for a cycle past it.
+        enumerator, uncapped, extends the prefix under a lock, and a call
+        that goes past the budget runs a search of its own, which skips the
+        kept prefix without building it.  Each call reads the ``cycles`` cap
+        when it starts and raises CapacityError when asked for a cycle past it.
         """
         cap = limits.cap("cycles")
         kept, emitted = self._kept, 0
-        while emitted < len(kept) or self._extend(emitted, cap):
+        while emitted < len(kept) or self._extend(emitted):
             if emitted == cap:
                 raise limits.refusal("cycles", cap, _MORE_CYCLES)
             stop = min(len(kept), cap)
             yield from kept[emitted:stop]
             emitted = stop
-        if emitted == self._n_cycles:
-            return
-        for cycle in itertools.islice(iter_simple_cycles(self.graph), emitted, None):
-            if emitted == cap:
-                raise limits.refusal("cycles", cap, _MORE_CYCLES)
-            emitted += 1
-            yield cycle
+        if emitted != self._n_cycles:
+            paths = itertools.islice(_cycle_paths(self.graph, cap), emitted, None)
+            yield from _built_cycles(self.graph, paths)
 
-    def _extend(self, length: int, cap: int) -> bool:
-        """Make the kept prefix longer than ``length``, the length a call of
-        cap ``cap`` has read; False when the enumeration is over or the
-        prefix holds its budget."""
+    def _extend(self, length: int) -> bool:
+        """Make the kept prefix longer than ``length``, the length a call has
+        read, by a batch of the uncapped shared enumerator; False when the
+        enumeration is over or the prefix holds its budget."""
         kept = self._kept
         with self._lock:
             if len(kept) > length:  # another call extended it meanwhile
@@ -190,23 +185,18 @@ class CyclePolytope:
             if len(kept) == self._n_cycles or self._kept_slots >= _KEPT_SLOTS:
                 self._source = None
                 return False
-            if self._source is None or self._source_cap < cap:
-                # A fresh enumerator, so that one started under a lower cap
-                # cannot cut this call off.
-                self._source_cap = cap
-                self._source = itertools.islice(iter_simple_cycles(self.graph), length, None)
-            # A batch, but no cycle past the first one over the call's cap:
-            # asking the enumerator for that one may raise.
-            wanted = min(length + _BATCH, max(cap, length + 1)) - length
+            if self._source is None:
+                paths = itertools.islice(_cycle_paths(self.graph, math.inf), length, None)
+                self._source = _built_cycles(self.graph, paths)
             try:
-                kept.extend(itertools.islice(self._source, wanted))
+                kept.extend(itertools.islice(self._source, _BATCH))
             except BaseException:
                 self._source = None
                 raise
             finally:
                 added = kept[length:]
                 self._kept_slots += sum(len(c.edge_ids) for c in added) + 12 * len(added)
-            if len(added) < wanted:  # the enumeration is over
+            if len(added) < _BATCH:  # the enumeration is over
                 self._source, self._n_cycles = None, len(kept)
             return len(kept) > length
 
@@ -217,12 +207,15 @@ class CyclePolytope:
         Distinct simple cycles have distinct vectors, so the vertex count
         equals the simple-cycle count.  A first pass runs the search alone,
         building no cycle, so the ``cycles`` cap fires before any of them is
-        built or held; the count is kept, and a later call counts again only
-        when the cap is below it.  The vertices are built over the cycles of
+        built or held; the count is kept, and a later call whose cap is below
+        it is refused at once.  The vertices are built over the cycles of
         ``simple_cycles``.
         """
-        if self._n_cycles is None or self._n_cycles > limits.cap("cycles"):
-            self._n_cycles = sum(1 for _ in _cycle_paths(self.graph))
+        cap = limits.cap("cycles")
+        if self._n_cycles is None:
+            self._n_cycles = sum(1 for _ in _cycle_paths(self.graph, cap))
+        elif self._n_cycles > cap:
+            raise limits.refusal("cycles", cap, _MORE_CYCLES)
         return tuple(map(CycleVector, self.simple_cycles()))
 
     # -- dimension ---------------------------------------------------------

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -219,6 +220,37 @@ def test_run_in_session_leaves_no_process(tmp_path):
 def test_run_in_session_raises_on_failure(tmp_path):
     with pytest.raises(RuntimeError, match="exited 3"):
         bench.run_in_session([sys.executable, "-c", "import sys; sys.exit(3)"], tmp_path, {})
+
+
+def test_copy_checkout_takes_the_files_as_they_are_on_disk(tmp_path):
+    root, into = tmp_path / "checkout", tmp_path / "copy"
+    root.mkdir()
+    files = {
+        ".gitignore": "ignored.txt\n", "kept.txt": "old\n", "gone.txt": "x\n", "sub/edited.py": "old\n",
+    }
+    for name, text in files.items():
+        (root / name).parent.mkdir(exist_ok=True)
+        (root / name).write_text(text)
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=root,
+                       check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "files")
+    (root / "sub/edited.py").write_text("new\n")
+    (root / "gone.txt").unlink()
+    (root / "untracked.txt").write_text("u\n")
+    (root / "ignored.txt").write_text("i\n")
+    bench.copy_checkout(root, into)
+    copied = {
+        str(path.relative_to(into)): path.read_text() for path in into.rglob("*") if path.is_file()
+    }
+    assert copied == {
+        ".gitignore": "ignored.txt\n", "kept.txt": "old\n", "sub/edited.py": "new\n",
+        "untracked.txt": "u\n",
+    }
 
 
 class TestTracedRuns:

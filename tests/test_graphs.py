@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import sys
 import threading
@@ -285,7 +286,7 @@ class TestAgainstSlowRoutes:
         # The count that vertices() makes runs the search alone.
         graphs = seeded_multigraphs() + [build_overlap_graph(k).graph for k in (2, 3, 4)]
         for graph in graphs:
-            count = sum(1 for _ in graphs_module._cycle_paths(graph))
+            count = sum(1 for _ in graphs_module._cycle_paths(graph, math.inf))
             assert count == len(list(iter_simple_cycles(graph))) == count_simple_cycles_dp(graph)
             assert len(CyclePolytope(graph).vertices()) == count
 
@@ -323,7 +324,7 @@ class TestAgainstSlowRoutes:
                 stream = (c.edge_ids for c in iter_simple_cycles(graph))
             elif route == "count":
                 # The search vertices() counts with, whose one list changes after each yield.
-                stream = map(tuple, graphs_module._cycle_paths(graph))
+                stream = map(tuple, graphs_module._cycle_paths(graph, cap))
             else:
                 stream = (c.edge_ids for c in polytope.simple_cycles())
             first = [next(stream) for _ in range(cap)]
@@ -466,6 +467,63 @@ class TestKeptCycles:
         assert [next(stream).edge_ids for _ in range(37)] == slow[:37]
         with pytest.raises(CapacityError, match="cycles cap 37 "):
             next(stream)
+
+    def test_a_higher_cap_reads_on_from_the_same_enumerator(self, monkeypatch):
+        # The shared enumerator runs uncapped, so a call under a higher cap
+        # extends the prefix that a call under cap 1 started.
+        entered = []
+        search = graphs_module._cycle_paths
+
+        def counted(*args):
+            entered.append(args)
+            return search(*args)
+
+        for module in (graphs_module, polytope_module):
+            monkeypatch.setattr(module, "_cycle_paths", counted)
+        polytope = CyclePolytope(build_overlap_graph(4).graph)
+        monkeypatch.setenv("PERMUTOPE_CAP", "cycles=1")
+        early = polytope.simple_cycles()
+        assert next(early).edge_ids == self.slow(4, 1)[0]
+        with pytest.raises(CapacityError, match="cycles cap 1 "):
+            next(early)
+        monkeypatch.setenv("PERMUTOPE_CAP", "cycles=160")
+        assert [c.edge_ids for c in polytope.simple_cycles()] == self.slow(4)
+        assert len(entered) == 1
+
+    def test_a_call_past_the_budget_builds_only_the_cycles_past_the_prefix(self, monkeypatch):
+        monkeypatch.setattr(polytope_module, "_KEPT_SLOTS", 200)
+        built = []
+        trusted = SimpleCycle._trusted
+
+        def counted(graph, edge_ids):
+            built.append(edge_ids)
+            return trusted(graph, edge_ids)
+
+        monkeypatch.setattr(SimpleCycle, "_trusted", counted)
+        polytope = CyclePolytope(build_overlap_graph(4).graph)
+        slow = self.slow(4)
+        assert [c.edge_ids for c in polytope.simple_cycles()] == slow
+        assert built == slow  # the kept prefix, then the cycles past it
+        kept = len(polytope._kept)
+        assert 0 < kept < len(slow)
+        built.clear()
+        assert [c.edge_ids for c in polytope.simple_cycles()] == slow
+        assert built == slow[kept:]
+
+    def test_vertices_refuse_a_lowered_cap_without_a_search(self, monkeypatch):
+        # Past a small budget, a refusal left to simple_cycles would search again.
+        monkeypatch.setattr(polytope_module, "_KEPT_SLOTS", 200)
+        polytope = CyclePolytope(build_overlap_graph(4).graph)
+        assert len(polytope.vertices()) == 160 > len(polytope._kept)
+
+        def refuse(*args):
+            raise AssertionError("the search ran again")
+
+        for module in (graphs_module, polytope_module):
+            monkeypatch.setattr(module, "_cycle_paths", refuse)
+        monkeypatch.setenv("PERMUTOPE_CAP", "cycles=159")
+        with pytest.raises(CapacityError, match="more simple cycles than the cycles cap 159 "):
+            polytope.vertices()
 
     def test_vertices_twice_at_k4(self):
         polytope = CyclePolytope(build_overlap_graph(4).graph)

@@ -2,11 +2,12 @@
 ``--perm`` of ``stats``, the ``--perm-a`` and ``--perm-b`` of ``mix``, the
 entry keys of a ``--vector``; the integer options ``--k``, ``--m``,
 ``--max-size`` and ``--m-values``, a ``PERMUTOPE_CAP`` value and a vector's
-``"k"``; JSON nested too deeply for the parser in a ``--vector`` or a
-``--graph``; a ``realize --plan`` path that cannot be written; and the files
-and paths of ``--vector @file``, ``--graph`` and ``--out``.  Every case
-must end in exit code 1 or 2 with exactly one ``error:`` line, under 200
-bytes, on stderr, no traceback, nothing on stdout, within 1 s.
+``"k"``; a ``--k`` below 2 on the verbs that take ``--k`` or ``--graph``;
+JSON nested too deeply for the parser in a ``--vector`` or a ``--graph``; a
+``realize --plan`` path that cannot be written; and the files and paths of
+``--vector @file``, ``--graph`` and ``--out``.  Every case must end in exit
+code 1 or 2 with exactly one ``error:`` line, under 200 bytes, on stderr, no
+traceback, nothing on stdout, within 1 s.
 
 Each row is one malformed word; the tables are meant to grow whenever a new
 malformed form is found.
@@ -124,6 +125,21 @@ def test_malformed_cap_value_is_one_error_line(capsys, monkeypatch, word):
     # read before any verb runs, so even dim --k 3 is refused
     monkeypatch.setenv("PERMUTOPE_CAP", f"enum={word}")
     assert_refused(capsys, ["dim", "--k", "3"])
+
+
+# Verbs that read --k or --graph; k = 0 once fell through to "pass --k or --graph".
+SMALL_K = [
+    [*verb, "--k", k]
+    for verb in (["vertices"], ["dim"], ["faces"], ["export", "--format", "json"])
+    for k in ("0", "1")
+]
+
+
+@pytest.mark.parametrize("argv", SMALL_K, ids="_".join)
+def test_k_below_two_names_the_bound(capsys, argv):
+    assert run(argv) == 1
+    message = f"error: overlap graphs are built for k >= 2, got {argv[-1]}\n"
+    assert capsys.readouterr() == ("", message)
 
 
 def nested(depth: int) -> str:

@@ -2,8 +2,8 @@
 
     python tools/bench.py --against HEAD~1 --seeds 1-10 --held-out 11-13 --out BENCH.json
 
-Runs ``perfbench/run.py --trace 0`` on each workload and seed once in this
-checkout (the change) and once in a copy of the revision (the parent),
+Runs ``perfbench/run.py --trace 0`` on each workload and seed once in a copy
+of this checkout (the change) and once in a copy of the revision (the parent),
 alternating which side runs first, then ``--trace 1`` runs in alternating
 pairs on the first ``TRACE_RUNS`` seeds of each workload, and then
 ``SETUP_PROBES`` alternating pairs of
@@ -27,7 +27,11 @@ per-layer figure is the median of a side's traced runs, since one traced run
 can shift every layer at once; they are written and printed too.
 
 The parent's files come from ``git archive`` into a temporary folder, so a
-run that is killed leaves no worktree registered in ``.git``.  Each benchmark
+run that is killed leaves no worktree registered in ``.git``.  The change's
+files are copied into a folder beside it: those ``git ls-files`` lists as
+tracked and still present or as untracked and not ignored, as they are on
+disk.  So both sides start cold from a fresh copy, and no benchmark process
+runs in, or deletes caches from, the checkout itself.  Each benchmark
 run starts in a session of its own, whose processes are all killed when the
 run ends, whether it ends well or not.
 """
@@ -272,6 +276,21 @@ def extract(rev: str, into: Path) -> str:
     return commit
 
 
+def copy_checkout(root: Path, into: Path) -> None:
+    """Copy the files of the git checkout ``root`` into a folder as they are on
+    disk: the tracked ones that still exist and the untracked, unignored ones."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=root, capture_output=True, check=True,
+    ).stdout
+    for name in filter(None, os.fsdecode(listed).split("\0")):
+        source = root / name
+        if source.is_file():
+            target = into / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
+
+
 def git(*args: str) -> str:
     return subprocess.run(
         ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
@@ -297,10 +316,10 @@ def main(argv: list[str] | None = None) -> int:
         env["PYTHONDONTWRITEBYTECODE"] = "1"
     seed_sets = {"seeds": args.seeds, "held_out": args.held_out}
 
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as scratch:
-        parent_tree = Path(scratch)
-        trees = {"parent": parent_tree, "change": ROOT}
-        parent_commit = extract(args.against, parent_tree)
+    with tempfile.TemporaryDirectory(prefix="bench-") as scratch:
+        trees = {side: Path(scratch, side) for side in ("parent", "change")}
+        parent_commit = extract(args.against, trees["parent"])
+        copy_checkout(ROOT, trees["change"])
         for tree in trees.values():
             prepare(tree, args.bytecode, env)
 
