@@ -74,9 +74,10 @@ class FeasibleRegion:
     def plan(self, vector: PatternVector) -> "RealizationPlan":
         decomposition = self.polytope.convex_decomposition(self.point_of(vector))
         # The greedy peeled flow f units of 1/d off each cycle C, where d is
-        # the target's denominator, so its weight is f|C|/d.
+        # the target's denominator, so its weight is f|C|/d and f = w·d/|C|,
+        # an integer, read off w's numerator and denominator.
         d = vector.denominator
-        flows = tuple(int(w * d) // len(c) for w, c in decomposition)
+        flows = tuple(w.numerator * d // (w.denominator * len(c)) for w, c in decomposition)
         parts = _splice_parts(self.overlap.graph._st, [c.edge_ids for _, c in decomposition])
         return RealizationPlan(
             region=self,

@@ -17,11 +17,19 @@ from these ids by arithmetic, with no pattern built and no edge checked.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
 
 from . import limits
 from .errors import SizeError
 from .graphs import Multigraph, Walk, eulerian_circuit
-from .perms import Permutation, _pattern_ends, _pattern_strings, _window_ids, all_patterns
+from .perms import (
+    Permutation,
+    _insertion_offsets,
+    _pattern_ends,
+    _pattern_strings,
+    _window_ids,
+    all_patterns,
+)
 
 
 class OverlapGraph:
@@ -87,32 +95,39 @@ class OverlapGraph:
         Every new point goes directly above one known point or becomes the
         new bottom, so the value order is kept as a linked list of points
         (``above[p]`` is the point just above p) and one walk up it assigns
-        the values 1..n: O(n k) in all.
+        the values 1..n: O(n) steps.  Which point that is needs no record of
+        the last k - 1 points: they stand in the order of the first k - 1
+        entries of p's edge e, so the point of e's value e[-1] - 1, which p
+        goes just above, sits a fixed number of places before p, read off e
+        alone (``perms._insertion_offsets``).  When e ends in 1, p goes just
+        above the bottom point, unless the lowest of the last k - 1 points,
+        the one of e's value 2 and again a fixed number of places back, is the
+        bottom: then p is the new bottom.
         """
         if walk.graph is not self.graph:
             raise ValueError("walk does not live on this overlap graph")
         k = self.k
-        labels = all_patterns(k)
-        first = labels[walk.edge_ids[0]].word
-        n = len(walk) + k - 1
+        offsets = _insertion_offsets(k)
+        ids = walk.edge_ids
+        first = all_patterns(k)[ids[0]].word
+        n = len(ids) + k - 1
         above = [-1] * n
-        window = sorted(range(k), key=first.__getitem__)  # point ids by value
-        for lower, upper in zip(window, window[1:]):
+        order = sorted(range(k), key=first.__getitem__)  # point ids by value
+        for lower, upper in zip(order, order[1:]):
             above[lower] = upper
-        bottom = window[0]
-        window.remove(0)  # keep the last k-1 points
-        for point, eid in enumerate(walk.edge_ids[1:], start=k):
-            label = labels[eid].word
-            rank = label[-1]
-            if rank == 1 and window[0] == bottom:  # forced below everything
-                above[point] = bottom
-                bottom = point
-            else:  # just above the next lower window point, else the bottom
-                below = window[rank - 2] if rank >= 2 else bottom
+        bottom = order[0]
+        for point, eid in enumerate(islice(ids, 1, None), start=k):
+            back = offsets[eid]
+            if back > 0:  # just above the point of value e[-1] - 1
+                below = point - back
                 above[point] = above[below]
                 above[below] = point
-            window.insert(rank - 1, point)
-            del window[label[0] - 1]  # the oldest point leaves
+            elif point + back == bottom:  # forced below everything
+                above[point] = bottom
+                bottom = point
+            else:  # just above the bottom
+                above[point] = above[bottom]
+                above[bottom] = point
         word = [0] * n
         point = bottom
         for value in range(1, n + 1):

@@ -208,6 +208,35 @@ def _pattern_ends(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(starts), tuple(ends)
 
 
+@lru_cache(maxsize=None)
+def _insertion_offsets(k: int) -> tuple[int, ...]:
+    """For every size-k pattern w, in order, how many places before its last
+    entry sits the entry of value w[-1] - 1, or, when w ends in 1, minus how
+    many places before it sits the entry of value 2; by arithmetic on ids, no
+    pattern is built.
+
+    Pattern f(k-1)! + t is f + 1 before pattern t with its values above f
+    raised by one, so t's entries keep their places before the end and the
+    first entry sits k - 1 places before it.  Let t end in L.  The value
+    sought is f + 1, the first entry's, exactly when L = f + 1 (the pattern
+    ends in L + 1 and seeks L) or when L = 1 and f = 1 (it ends in 1 and
+    seeks 2).  Otherwise the value sought is t's, raised or not, so its entry
+    is t's, and so is the sign: the pattern ends in 1 exactly when t does and
+    f > 0, and f = 0 with L = 1 is the case L = f + 1.
+    """
+    if k == 1:  # no entry precedes the last
+        return (0,)
+    offsets, lasts = _insertion_offsets(k - 1), _pattern_ends(k - 1)[1]
+    top = k - 1
+    table = []
+    for f in range(k):
+        table += [
+            top if last == f + 1 else -top if last == 1 == f else offset
+            for offset, last in zip(offsets, lasts)
+        ]
+    return tuple(table)
+
+
 _LANES = 1 << 13  # windows per pass of the window kernel, which bounds its memory
 
 
@@ -477,9 +506,12 @@ def proportion_vector(k: int, sigma: Permutation, kind: str) -> PatternVector:
 def direct_sum(*perms: Permutation) -> Permutation:
     """Diagonal concatenation of any number of blocks: each block sits after
     and above the ones before it, so ``direct_sum(a, b, c)`` equals
-    ``direct_sum(direct_sum(a, b), c)``."""
+    ``direct_sum(direct_sum(a, b), c)``.  One block is returned as it is,
+    with its period; more are a ``substitute`` into the identity."""
     if not perms:
         raise EmptyError("a direct sum needs at least one block")
+    if len(perms) == 1:
+        return perms[0]
     return substitute(Permutation.identity(len(perms)), perms)
 
 
@@ -494,15 +526,24 @@ def substitute(skeleton: Permutation, blocks: Sequence[Permutation]) -> Permutat
 
     Block ``i`` occupies a contiguous column range in input order; the value
     ranges of the blocks are stacked in the order given by the skeleton.
-    When every block is the same object A and the skeleton carries a period
-    p, the result carries the period p|A|: block i + p sits p|A| above block
-    i.
+    When every block is the same object A, as in ``repeat_sum`` and ``mix``,
+    block i sits (skeleton[i] - 1)|A| above the bottom and the word is built
+    in C, with no Python step per point; if the skeleton also carries a
+    period p, the result carries the period p|A|: block i + p sits p|A|
+    above block i.  Unlike blocks are stacked one point at a time.
     """
     d = len(skeleton)
     if len(blocks) != d:
         raise ArityError(f"skeleton of size {d} needs {d} blocks, got {len(blocks)}")
-    p = getattr(skeleton, "_period", None)
-    same = p is not None and all(map(operator.is_, blocks, itertools.repeat(blocks[0])))
+    first = blocks[0]
+    if all(map(operator.is_, blocks, itertools.repeat(first))):
+        size, p = len(first), getattr(skeleton, "_period", None)
+        # (v - 1)|A| for each skeleton value v, read off a range.
+        offsets = map(range(-size, d * size, size).__getitem__, skeleton.word)
+        return Permutation._trusted(
+            tuple(itertools.starmap(operator.add, itertools.product(offsets, first.word))),
+            None if p is None else p * size,
+        )
     # Values below block i: total size of blocks placed at lower skeleton values.
     value_offset = [0] * d
     running = 0
@@ -510,8 +551,7 @@ def substitute(skeleton: Permutation, blocks: Sequence[Permutation]) -> Permutat
         value_offset[i] = running
         running += len(blocks[i])
     return Permutation._trusted(
-        tuple(v + offset for block, offset in zip(blocks, value_offset) for v in block.word),
-        p * len(blocks[0]) if same else None,
+        tuple(v + offset for block, offset in zip(blocks, value_offset) for v in block.word)
     )
 
 

@@ -11,7 +11,9 @@ kernels keep flat per-vertex lists, rank by its own Gaussian elimination,
 convex-hull membership by an exact phase-1 simplex over the vertex list,
 membership and its greedy cycle decomposition in ``Fraction`` arithmetic,
 the greedy walk-to-permutation construction by rewriting the whole word at
-every step, the window walk one step per window through a step table built
+every step and by a sorted window of the last k-1 points, each pattern's
+insertion offset by ``index`` on its word, substitution one point at a
+time, the window walk one step per window through a step table built
 by sorting, the signed incidence matrix, and the worst-case realization
 error bound that charges every block-boundary window to every edge.  The
 exceptions are ``cocc_via_walk``, which counts on the package's own window
@@ -224,6 +226,77 @@ def walk_to_word(labels: Sequence[Sequence[int]]) -> tuple[int, ...]:
         word = [v + 1 if v >= h else v for v in word] + [h]
         assert order_isomorphic(word[-k:], label)
     return tuple(word)
+
+
+def walk_to_word_by_window(labels: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The greedy permutation of a walk, given by its edge label words, by a
+    sorted window: the slow route of ``OverlapGraph.permutation_of_walk``.
+
+    ``window`` lists the last k-1 points by value.  A label ending in r puts
+    the new point just above the window point of rank r - 1, or, for r = 1,
+    just above the bottom point unless the window's lowest point is the
+    bottom, when the new point becomes the bottom.  The value order is a
+    linked list (``above[p]`` is the point just above p), read off once.
+    """
+    first = tuple(labels[0])
+    k = len(first)
+    n = len(labels) + k - 1
+    above = [-1] * n
+    window = sorted(range(k), key=first.__getitem__)  # point ids by value
+    for lower, upper in zip(window, window[1:]):
+        above[lower] = upper
+    bottom = window[0]
+    window.remove(0)  # keep the last k-1 points
+    for point, label in enumerate(labels[1:], start=k):
+        rank = label[-1]
+        if rank == 1 and window[0] == bottom:  # forced below everything
+            above[point] = bottom
+            bottom = point
+        else:  # just above the next lower window point, else the bottom
+            below = window[rank - 2] if rank >= 2 else bottom
+            above[point] = above[below]
+            above[below] = point
+        window.insert(rank - 1, point)
+        del window[label[0] - 1]  # the oldest point leaves
+    word = [0] * n
+    point = bottom
+    for value in range(1, n + 1):
+        word[point] = value
+        point = above[point]
+    return tuple(word)
+
+
+def forced_bottoms(word: Sequence[int], k: int) -> int:
+    """How many points after the first k of a greedy walk permutation were
+    placed below every point before them: the prefix minima past position k,
+    as a later point never reorders earlier ones."""
+    low, count = min(word[:k]), 0
+    for v in word[k:]:
+        if v < low:
+            low, count = v, count + 1
+    return count
+
+
+def insertion_offsets_by_index(k: int) -> tuple[int, ...]:
+    """For every size-k pattern w, in lexicographic order, how many places
+    before its last entry sits the entry of value w[-1] - 1, or minus how
+    many places before it sits the entry of value 2 when w ends in 1, by
+    ``index`` on the word."""
+    return tuple(
+        k - 1 - w.index(w[-1] - 1) if w[-1] > 1 else -(k - 1 - w.index(2))
+        for w in itertools.permutations(range(1, k + 1))
+    )
+
+
+# -- sums --------------------------------------------------------------------
+
+
+def substitute_by_points(skeleton: Sequence[int], blocks: Sequence[Sequence[int]]) -> tuple:
+    """The inflation of a skeleton word by block words, one point at a time:
+    block i's values are raised by the sizes of the blocks at lower skeleton
+    values."""
+    below = [sum(len(b) for s, b in zip(skeleton, blocks) if s < t) for t in skeleton]
+    return tuple(v + low for low, block in zip(below, blocks) for v in block)
 
 
 # -- simple cycles by subset filtering --------------------------------------

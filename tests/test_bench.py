@@ -222,6 +222,13 @@ def test_run_in_session_raises_on_failure(tmp_path):
         bench.run_in_session([sys.executable, "-c", "import sys; sys.exit(3)"], tmp_path, {})
 
 
+def commit_all(root):
+    """Make ``root`` a git repository with every file in it committed."""
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "files"]):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=root,
+                       check=True, capture_output=True)
+
+
 def test_copy_checkout_takes_the_files_as_they_are_on_disk(tmp_path):
     root, into = tmp_path / "checkout", tmp_path / "copy"
     root.mkdir()
@@ -232,13 +239,7 @@ def test_copy_checkout_takes_the_files_as_they_are_on_disk(tmp_path):
         (root / name).parent.mkdir(exist_ok=True)
         (root / name).write_text(text)
 
-    def git(*args):
-        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=root,
-                       check=True, capture_output=True)
-
-    git("init", "-q")
-    git("add", "-A")
-    git("commit", "-q", "-m", "files")
+    commit_all(root)
     (root / "sub/edited.py").write_text("new\n")
     (root / "gone.txt").unlink()
     (root / "untracked.txt").write_text("u\n")
@@ -251,6 +252,19 @@ def test_copy_checkout_takes_the_files_as_they_are_on_disk(tmp_path):
         ".gitignore": "ignored.txt\n", "kept.txt": "old\n", "sub/edited.py": "new\n",
         "untracked.txt": "u\n",
     }
+
+
+def test_git_keeps_the_leading_status_column(tmp_path):
+    (tmp_path / "a.txt").write_text("old\n")
+    (tmp_path / "b.txt").write_text("old\n")
+    commit_all(tmp_path)
+    (tmp_path / "a.txt").write_text("new\n")  # modified, not staged
+    (tmp_path / "b.txt").write_text("new\n")
+    subprocess.run(["git", "add", "b.txt"], cwd=tmp_path, check=True)  # modified and staged
+    assert bench.git("status", "--porcelain", root=tmp_path).splitlines() == [
+        " M a.txt", "M  b.txt",
+    ]
+    assert len(bench.git("rev-parse", "HEAD", root=tmp_path)) == 40  # no newline
 
 
 class TestTracedRuns:

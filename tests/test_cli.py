@@ -678,6 +678,15 @@ GOLDEN_STDOUT = {
         ("faces", "--graph", _GRAPH_FILE),
         "8ff9e314b1dfbd2225316c5ed62e69846e0b4c9199711b571625ddd38573acb3",
     ),
+    # witness bytes: an Eulerian circuit's permutation, and a plan's witness
+    "universal.k5": (
+        ("universal", "--k", "5"),
+        "7a819aae6d7227a067fef3d6f193f557bec8a651711b025f008330ee5ee5162f",
+    ),
+    "realize.k4": (
+        ("realize", "--k", "4", "--vector", _golden_vector(True), "--m", "2"),
+        "ee6857f2ffb0e5320792443e344ee8f3cfa215a8d755d2c310ae5bf0b6afb829",
+    ),
     "report.k3": (
         ("report", "--k", "3", "--vector", "uniform", "--m-values", "1,2,4"),
         "cd73e506fdcdc4f552c63eab78e074c98d57db82c357fe4ce71f91a9a30d55a9",

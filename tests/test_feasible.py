@@ -276,6 +276,19 @@ class TestRealize:
                 assert distance == plan.sup_error_bound(m)
         assert rounded >= (0 if k <= 4 else 4)
 
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_flows_are_the_peeled_integers(self, k):
+        # w·d/|C| is an integer, so the flow read off w's numerator and
+        # denominator is the Fraction product's
+        rng = random.Random(1200 + k)
+        region = feasible_region(k)
+        for _ in range(200):
+            target = region.vector_of(planted_point(rng, region.overlap.graph, rng.randint(1, 12)))
+            plan = region.plan(target)
+            products = [w * target.denominator / len(c) for w, c in plan.decomposition]
+            assert {x.denominator for x in products} == {1}
+            assert plan.flows == tuple(map(int, products))
+
     @pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
     def test_exact_error_against_the_loose_bound(self, k):
         # the planted targets of the sizing test, both modes

@@ -14,16 +14,23 @@ from permutope import (
     direct_sum,
     eulerian_circuit,
     eulerian_universal_permutation,
+    feasible_region,
     walk_of,
 )
 from oracles import (
     cocc_via_walk,
+    forced_bottoms,
+    insertion_offsets_by_index,
     naive_cocc,
     order_isomorphic,
     step_table_by_sorting,
     walk_to_word,
+    walk_to_word_by_window,
     window_pattern,
 )
+from permutope import perms
+from permutope.overlap import OverlapGraph
+from test_polytope import planted_point
 
 P = Permutation.parse
 
@@ -156,6 +163,15 @@ class TestWalkOf:
                 assert g.vertex_names[walk.vertices()[-1]] == str(Permutation(p2))
 
 
+def assert_both_routes(og, walk):
+    """``permutation_of_walk`` equals the sorted-window route it replaced and
+    the route that rewrites the whole word; returns the word and the labels."""
+    labels = [label.word for label in og.walk_labels(walk)]
+    word = og.permutation_of_walk(walk).word
+    assert word == walk_to_word_by_window(labels) == walk_to_word(labels)
+    return word, labels
+
+
 class TestPermutationOfWalk:
     def test_worked_example_bit_exact(self):
         og = build_overlap_graph(4)
@@ -177,7 +193,7 @@ class TestPermutationOfWalk:
         with pytest.raises(ValueError):
             og.permutation_of_walk(Walk(fig2_graph, (0,)))
 
-    @pytest.mark.parametrize("k", range(2, 8))
+    @pytest.mark.parametrize("k", range(2, 9))
     def test_bit_exact_against_reference_on_random_walks(self, k):
         og = build_overlap_graph(k)
         g = og.graph
@@ -186,17 +202,13 @@ class TestPermutationOfWalk:
             ids = [rng.randrange(g.n_edges)]
             for _ in range(rng.randint(0, 199)):
                 ids.append(rng.choice(g.out_edges(g.ar(ids[-1]))))
-            walk = Walk(g, tuple(ids))
-            labels = [label.word for label in og.walk_labels(walk)]
-            assert og.permutation_of_walk(walk).word == walk_to_word(labels)
+            assert_both_routes(og, Walk(g, tuple(ids)))
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_bit_exact_against_reference_on_eulerian_circuits(self, k):
         og = build_overlap_graph(k)
         for start in (0, og.graph.n_vertices - 1):
-            walk = eulerian_circuit(og.graph, start)
-            labels = [label.word for label in og.walk_labels(walk)]
-            assert og.permutation_of_walk(walk).word == walk_to_word(labels)
+            assert_both_routes(og, eulerian_circuit(og.graph, start))
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_round_trip_on_random_walks(self, k):
@@ -211,6 +223,65 @@ class TestPermutationOfWalk:
             sigma = og.permutation_of_walk(walk)
             assert len(sigma) == len(walk) + k - 1
             assert og.walk_of(sigma).edge_ids == walk.edge_ids
+
+
+class TestInsertionOffsets:
+    """``permutation_of_walk`` places each point by the offset its edge alone
+    gives: the table, the walks ``generate`` builds, and both outcomes of the
+    test for an edge ending in 1."""
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_table_read_off_the_words(self, k):
+        assert perms._insertion_offsets(k) == insertion_offsets_by_index(k)
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_spliced_and_repeated_closed_walks(self, k, monkeypatch):
+        walks = []
+        original = OverlapGraph.permutation_of_walk
+
+        def recorded(og, walk):
+            walks.append(walk)
+            return original(og, walk)
+
+        monkeypatch.setattr(OverlapGraph, "permutation_of_walk", recorded)
+        region = feasible_region(k)
+        rng = random.Random(450 + k)
+        spliced = repeated = 0
+        for n_cycles in (1, 2, 3, 5, 8):
+            plan = region.plan(region.vector_of(planted_point(rng, region.overlap.graph, n_cycles)))
+            spliced = max(spliced, *(sum(i is not None for _, i in steps) for steps in plan.parts))
+            repeated = max(repeated, *plan.multiplicities(4))
+            for m in (1, 4):
+                plan.generate(m)
+        monkeypatch.undo()
+        # some part splices cycles, and m = 4 walks some cycle 4 times or more
+        assert spliced >= 2 and repeated >= 4 and len(walks) >= 10
+        for walk in walks:
+            assert_both_routes(region.overlap, walk)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_forced_bottom_branch(self, k):
+        og = build_overlap_graph(k)
+        g = og.graph
+        ends_in_one = {e for e, p in enumerate(perms.all_patterns(k)) if p.word[-1] == 1}
+        rng = random.Random(460 + k)
+        fired = passed = 0
+        for _ in range(150):
+            ids = [rng.randrange(g.n_edges)]
+            for _ in range(rng.randint(0, 60)):
+                out = g.out_edges(g.ar(ids[-1]))
+                down = [e for e in out if e in ends_in_one]
+                ids.append(down[0] if rng.random() < 0.5 else rng.choice(out))
+            word, labels = assert_both_routes(og, Walk(g, tuple(ids)))
+            forced = forced_bottoms(word, k)
+            fired += forced
+            passed += sum(label[-1] == 1 for label in labels[1:]) - forced
+        # both outcomes of the test for an edge ending in 1 occur often
+        assert fired > 200 and passed > 500
+        # the falling loop puts every point below all the others
+        falling = g.n_edges - 1
+        word, _ = assert_both_routes(og, Walk(g, (falling,) * 40))
+        assert forced_bottoms(word, k) == 39
 
 
 class TestCoccViaWalk:

@@ -39,6 +39,7 @@ from oracles import (
     merge_sort_smaller_before,
     naive_cocc,
     naive_occ,
+    substitute_by_points,
     window_ids_by_walk,
 )
 from permutope import _heads as heads_module
@@ -1013,6 +1014,39 @@ class TestCompositions:
         for a in perms:
             for b in perms:
                 assert substitute(twelve, [a, b]).word == a.word + tuple(v + len(a) for v in b.word)
+
+    def test_substitute_against_the_per_point_route(self):
+        rng = random.Random(45)
+        one = P("1")
+        cases = 0
+        for _ in range(300):
+            d = rng.randint(1, 40)
+            skeleton = rng.choice(
+                [random_perm(rng, d), repeat_sum(d, random_perm(rng, rng.randint(1, 3)))]
+            )
+            d = len(skeleton)
+            block = random_perm(rng, rng.randint(1, 9))
+            for blocks in (
+                [block] * d,  # one object: the word is built in C
+                [one] * d,
+                [random_perm(rng, rng.randint(1, 6)) for _ in range(d)],
+                [Permutation(one.word) for _ in range(d)],  # equal, not one object
+            ):
+                sigma = substitute(skeleton, blocks)
+                assert sigma.word == substitute_by_points(skeleton.word, [b.word for b in blocks])
+                p = period_of(skeleton)
+                if p is not None and all(b is blocks[0] for b in blocks):
+                    assert period_of(sigma) == p * len(blocks[0])
+                    cases += 1
+                else:
+                    assert period_of(sigma) is None
+        assert cases > 200
+
+    def test_direct_sum_of_one_block_is_the_block(self):
+        rng = random.Random(46)
+        for a in (random_perm(rng, 7), repeat_sum(3, P("231")), Permutation.identity(5)):
+            assert direct_sum(a) is a and repeat_sum(1, a) is a
+        assert period_of(direct_sum(repeat_sum(3, P("231")))) == 3
 
     def test_substitute_arity(self):
         with pytest.raises(ArityError):

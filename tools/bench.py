@@ -291,10 +291,12 @@ def copy_checkout(root: Path, into: Path) -> None:
             shutil.copy2(source, target)
 
 
-def git(*args: str) -> str:
+def git(*args: str, root: Path = ROOT) -> str:
+    """What a git command prints in ``root``, less its last newline: a leading
+    space, such as porcelain's unstaged status column, is kept."""
     return subprocess.run(
-        ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
-    ).stdout.strip()
+        ["git", *args], cwd=root, capture_output=True, text=True, check=True
+    ).stdout.removesuffix("\n")
 
 
 def main(argv: list[str] | None = None) -> int:
